@@ -2,9 +2,9 @@
 
 The primitive set is fixed and small on purpose: matmul, add, elementwise
 multiply, scalar scale, sum, weighted sum, square, logsigmoid, sigmoid,
-log1mexp and a log-softmax gather. That is exactly what the toy policy model
-and the preference losses need, and it keeps the finite-difference oracle in
-the tests exhaustive.
+log1mexp, a log-softmax gather, a row gather and a causal running mean. That
+is exactly what the toy policy model and the preference losses need, and it
+keeps the finite-difference oracle in the tests exhaustive.
 """
 
 from __future__ import annotations
@@ -122,6 +122,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"bad matmul shapes: {av.shape} @ {bv.shape}")
     return Tensor(av @ bv, tape, parents=(a, b),
                   vjps=(lambda g: g @ bv.T, lambda g: av.T @ g))
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``a[idx]`` of a matrix; repeated indices accumulate gradient."""
+    av = a.value
+    idx = np.asarray(idx, dtype=np.int64)
+    if av.ndim != 2 or idx.ndim != 1:
+        raise ValueError(f"bad gather_rows shapes: {av.shape}[{idx.shape}]")
+    if np.any(idx < 0) or np.any(idx >= av.shape[0]):
+        raise ValueError("row index out of range")
+
+    def vjp(g):
+        # Scatter-add: the sums np.add.at would form, in the same order,
+        # but bincount does them in one vectorized pass.
+        cols = av.shape[1]
+        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=av.size).reshape(av.shape)
+
+    return Tensor(av[idx], a.tape, parents=(a,), vjps=(vjp,))
+
+
+def causal_mean(a: Tensor) -> Tensor:
+    """Row i is the mean of rows 0..i: a cumulative sum divided by 1..n."""
+    av = a.value
+    if av.ndim != 2:
+        raise ValueError(f"causal_mean needs a matrix, got shape {av.shape}")
+    counts = np.arange(1, av.shape[0] + 1, dtype=np.float64)[:, None]
+    return Tensor(np.cumsum(av, axis=0) / counts, a.tape, parents=(a,),
+                  vjps=(lambda g: np.cumsum((g / counts)[::-1], axis=0)[::-1],))
 
 
 def arraysum(a: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from . import analysis, data, mdp
 from .config import (ConfigError, Option, resolve, seed_substream,
                      write_resolved_snapshot)
 from .losses import LossConfig, METHODS
-from .model import PolicyModel, make_sequence, sample as sample_tokens, token_logprobs
+from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens, token_logprobs
 from .schedules import KINDS as SCHEDULE_KINDS, DecaySchedule
 from .training import (Checkpoint, TrainConfig, evaluate_winrate,
                        load_checkpoint, save_checkpoint, train)
@@ -147,7 +147,7 @@ def _cmd_build_pairs(r: dict) -> int:
 
 def _cmd_sample(r: dict) -> int:
     ckpt = load_checkpoint(r["model"])
-    prompt = [256] + list(r["prompt"].encode("utf-8"))
+    prompt = [BOS] + list(r["prompt"].encode("utf-8"))
     seq = sample_tokens(ckpt.model, prompt, r["temperature"], r["max-len"],
                         seed_substream(r["seed"], "sampling"))
     text = data.response_bytes(seq).decode("utf-8", errors="replace")

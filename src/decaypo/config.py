@@ -82,14 +82,20 @@ def load_config_file(path) -> dict:
 
 def resolve(command: str, options, cli_values: dict,
             config_path: str | None) -> dict:
-    """Merge defaults, config-file section, CLI flags, and the seed env var.
+    """Merge defaults, the seed env var, config-file section and CLI flags.
 
-    Precedence (lowest to highest): registry defaults, config file,
-    explicit CLI flags, DECAYPO_SEED for the root seed. Unknown file keys
-    are rejected with the key named.
+    Precedence (lowest to highest): registry defaults, DECAYPO_SEED for
+    the root seed, config file, explicit CLI flags. Unknown file keys are
+    rejected with the key named.
     """
     by_name = {o.name: o for o in options}
     resolved = {o.name: o.default for o in options}
+    env = os.environ.get(ENV_SEED)
+    if env is not None and "seed" in by_name:
+        try:
+            resolved["seed"] = int(env)
+        except ValueError as e:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from e
     if config_path is not None:
         sections = load_config_file(config_path)
         for section, values in sections.items():
@@ -113,12 +119,6 @@ def resolve(command: str, options, cli_values: dict,
         if key not in by_name:
             raise ConfigError(f"unknown flag --{key}")
         resolved[key] = value
-    env = os.environ.get(ENV_SEED)
-    if env is not None and "seed" in by_name:
-        try:
-            resolved["seed"] = int(env)
-        except ValueError as e:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from e
     for opt in options:
         if opt.required and resolved[opt.name] is None:
             raise ConfigError(f"missing required key {opt.name!r} (flag --{opt.name})")

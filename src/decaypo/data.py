@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EOS, PolicyModel, TokenSequence, Vocabulary, sample
+from .model import BOS, EOS, PolicyModel, TokenSequence, Vocabulary, sample
 
 
 class PairParseError(ValueError):
@@ -202,7 +202,7 @@ def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
     skipped = 0
     for i, prompt in enumerate(prompts):
         prompt = bytes(prompt)
-        ctx = [256] + Vocabulary.encode(prompt)  # BOS-prefixed
+        ctx = [BOS] + Vocabulary.encode(prompt)
         responses = []
         scores = []
         for k in range(K):

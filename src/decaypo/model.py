@@ -4,8 +4,10 @@ Architecture ("causal-mixer"): token + position embeddings, two residual
 blocks that mix each position with the causal running mean of the prefix
 through multiplicative gating and a logsigmoid nonlinearity, and a
 zero-initialized output projection (so a fresh model is exactly uniform).
-Built entirely from the autodiff primitive set so the same forward pass
-serves training and inference.
+The forward pass is built from the autodiff primitive set and costs
+O(n*d^2) for n tokens at width d. Because the running mean is a recurrence,
+sampling is recurrent too: it carries one running sum per block and spends
+O(blocks*d^2 + d*V) per token instead of rerunning the prefix.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ def make_sequence(prompt: bytes, response: bytes, terminate: bool = True) -> Tok
     return TokenSequence([BOS] + Vocabulary.encode(prompt), resp)
 
 
-PARAM_NAMES = ("embed", "pos", "w1_0", "w2_0", "w3_0", "w1_1", "w2_1", "w3_1", "w_out")
-
-
 @dataclass
 class PolicyModel:
     dim: int = 64
@@ -115,9 +114,20 @@ def init_params(dim: int, context: int, blocks: int, seed: int) -> dict:
     return params
 
 
-def _causal_mean(n: int) -> np.ndarray:
-    L = np.tril(np.ones((n, n)))
-    return L / np.arange(1, n + 1)[:, None]
+def _check_context(model: PolicyModel, tokens: list) -> None:
+    if not tokens:
+        raise ValueError("empty context")
+    if len(tokens) > model.context:
+        raise ValueError(f"context of length {len(tokens)} exceeds limit {model.context}")
+    if any(not 0 <= t < VOCAB_SIZE for t in tokens):
+        raise ValueError("token id out of vocabulary range")
+
+
+def _block(x, m, w1, w2, w3, logsigmoid):
+    """One residual block on the input ``x`` and its causal running mean
+    ``m``; written with operators so it serves Tensors and plain arrays."""
+    u = logsigmoid((x + m) @ w1)
+    return x + (u @ w2 + (x * m) @ w3)
 
 
 def forward_logits(model: PolicyModel, tokens, tape: Tape | None = None,
@@ -128,31 +138,39 @@ def forward_logits(model: PolicyModel, tokens, tape: Tape | None = None,
     differentiable with respect to the parameters.
     """
     tokens = list(tokens)
-    n = len(tokens)
-    if n == 0:
-        raise ValueError("empty context")
-    if n > model.context:
-        raise ValueError(f"context of length {n} exceeds limit {model.context}")
-    if any(not 0 <= t < VOCAB_SIZE for t in tokens):
-        raise ValueError("token id out of vocabulary range")
+    _check_context(model, tokens)
     if tape is None:
         tape = Tape()
     if param_tensors is None:
         param_tensors = {k: ad.constant(tape, v) for k, v in model.params.items()}
+    p = param_tensors
 
-    onehot = np.zeros((n, VOCAB_SIZE))
-    onehot[np.arange(n), tokens] = 1.0
-    sel = np.eye(n, model.context)
-    L = ad.constant(tape, _causal_mean(n))
-
-    x = ad.add(ad.matmul(ad.constant(tape, onehot), param_tensors["embed"]),
-               ad.matmul(ad.constant(tape, sel), param_tensors["pos"]))
+    x = ad.gather_rows(p["embed"], tokens) + ad.gather_rows(p["pos"], np.arange(len(tokens)))
     for b in range(model.blocks):
-        m = ad.matmul(L, x)
-        u = ad.logsigmoid(ad.matmul(ad.add(x, m), param_tensors[f"w1_{b}"]))
-        x = ad.add(x, ad.add(ad.matmul(u, param_tensors[f"w2_{b}"]),
-                             ad.matmul(ad.mul(x, m), param_tensors[f"w3_{b}"])))
-    return ad.matmul(x, param_tensors["w_out"])
+        x = _block(x, ad.causal_mean(x), p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"],
+                   ad.logsigmoid)
+    return x @ p["w_out"]
+
+
+class _Decoder:
+    """forward_logits one token at a time, off the tape: each block keeps
+    the running sum of its inputs, so a step costs O(blocks*d^2 + d*V)."""
+
+    def __init__(self, model: PolicyModel):
+        p = model.params
+        self.embed, self.pos, self.w_out = p["embed"], p["pos"], p["w_out"]
+        self.blocks = [(p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"]) for b in range(model.blocks)]
+        self.sums = np.zeros((model.blocks, model.dim))
+        self.n = 0
+
+    def step(self, token: int) -> np.ndarray:
+        """Logits of the next token after feeding ``token``."""
+        x = self.embed[token] + self.pos[self.n]
+        self.n += 1
+        for s, (w1, w2, w3) in zip(self.sums, self.blocks):
+            s += x
+            x = _block(x, s / self.n, w1, w2, w3, ad._logsigmoid)
+        return x @ self.w_out
 
 
 def _softmax(row: np.ndarray) -> np.ndarray:
@@ -178,9 +196,7 @@ def token_logprobs(model: PolicyModel, seq: TokenSequence,
     l, T = seq.prompt_len, seq.response_len
     differentiable = param_tensors is not None
     logits = forward_logits(model, tokens, tape=tape, param_tensors=param_tensors)
-    sel = np.zeros((T, len(tokens)))
-    sel[np.arange(T), l - 1 + np.arange(T)] = 1.0
-    rows = ad.matmul(ad.constant(logits.tape, sel), logits)
+    rows = ad.gather_rows(logits, np.arange(l - 1, l + T - 1))
     out = ad.log_softmax_gather(rows, seq.response_tokens)
     return out if differentiable else out.value
 
@@ -198,20 +214,22 @@ def sample(model: PolicyModel, prompt, temperature: float, max_len: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     prompt = list(prompt)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & (2**63 - 1))))
-    context = list(prompt)
-    response: list[int] = []
+    _check_context(model, prompt)
     limit = min(max_len, model.context - len(prompt))
     if limit < 1:
         raise ValueError("prompt leaves no room for a response")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & (2**63 - 1))))
+    decoder = _Decoder(model)
+    for tok in prompt:
+        logits = decoder.step(tok)
+    response: list[int] = []
     for _ in range(limit):
-        logits = forward_logits(model, context).value[-1]
         if temperature == 0.0:
             tok = int(np.argmax(logits))
         else:
             tok = sample_token_id(_softmax(logits / temperature), rng.random())
         response.append(tok)
-        context.append(tok)
         if tok == EOS:
             break
+        logits = decoder.step(tok)
     return TokenSequence(prompt, response)

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .data import RewardOracle, oracle_score, response_bytes
 from .losses import LossConfig, PairScore, batch_loss
-from .model import (VOCAB_SIZE, PolicyModel, make_sequence, sample, token_logprobs)
+from .model import (BOS, VOCAB_SIZE, PolicyModel, make_sequence, sample, token_logprobs)
 
 
 @dataclass
@@ -285,7 +285,7 @@ def evaluate_winrate(candidate: Checkpoint, baseline: Checkpoint,
     win = tie = lose = 0
     for i, prompt in enumerate(prompts):
         prompt = bytes(prompt)
-        ctx = [256] + list(prompt)
+        ctx = [BOS] + list(prompt)
         sub = np.random.SeedSequence([int(seed) & (2**63 - 1), 2, i])
         s = int(sub.generate_state(1, np.uint64)[0] & (2**63 - 1))
         resp_c = response_bytes(sample(candidate.model, ctx, temperature, max_len, s))

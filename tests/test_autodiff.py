@@ -154,6 +154,48 @@ class TestGradients:
         fd = central_difference(f, x_val)
         assert np.allclose(g[x], fd, rtol=1e-4, atol=1e-8)
 
+    def test_gather_rows_finite_differences(self, rng):
+        a_val = rng.normal(0, 1, size=(4, 3))
+        idx = [2, 0, 2, 3, 2]  # row 2 three times, row 1 never
+        w = rng.normal(0, 1, size=(5, 3))
+
+        def f(v):
+            t = ad.Tape()
+            return ad.weighted_sum(ad.gather_rows(ad.leaf(t, v), idx), w).value
+
+        t = ad.Tape()
+        a = ad.leaf(t, a_val)
+        out = ad.gather_rows(a, idx)
+        assert np.array_equal(out.value, a_val[idx])
+        g = ad.gradients(ad.weighted_sum(out, w))[a]
+        assert np.allclose(g, central_difference(f, a_val), rtol=1e-4, atol=1e-8)
+        assert np.allclose(g[2], w[0] + w[2] + w[4], rtol=0, atol=1e-15)
+        assert np.all(g[1] == 0.0)
+
+    def test_gather_rows_rejects_bad_index(self):
+        t = ad.Tape()
+        a = ad.leaf(t, np.zeros((3, 2)))
+        for idx in ([0, 3], [-1], [[0]]):
+            with pytest.raises(ValueError):
+                ad.gather_rows(a, idx)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_causal_mean_finite_differences(self, rng, n):
+        x_val = rng.normal(0, 1, size=(n, 3))
+        w = rng.normal(0, 1, size=(n, 3))
+
+        def f(v):
+            t = ad.Tape()
+            return ad.weighted_sum(ad.causal_mean(ad.leaf(t, v)), w).value
+
+        t = ad.Tape()
+        x = ad.leaf(t, x_val)
+        out = ad.causal_mean(x)
+        prefix_means = np.array([x_val[:i + 1].mean(axis=0) for i in range(n)])
+        assert np.allclose(out.value, prefix_means, rtol=0, atol=1e-15)
+        g = ad.gradients(ad.weighted_sum(out, w))[x]
+        assert np.allclose(g, central_difference(f, x_val), rtol=1e-4, atol=1e-8)
+
     def test_log1mexp_rejects_nonnegative(self):
         t = ad.Tape()
         with pytest.raises(ValueError):

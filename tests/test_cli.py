@@ -65,6 +65,10 @@ def run_train(workdir, metrics, out, *extra):
                  "--metrics", str(metrics), "--out", str(out), *extra])
 
 
+def read_snapshot(out):
+    return (out.parent / f"{out.name}.resolved.cfg").read_text().splitlines()
+
+
 class TestTrainCommand:
     def test_gamma_one_matches_uniform(self, workdir):
         a = workdir / "uni.jsonl"
@@ -110,6 +114,20 @@ class TestTrainCommand:
         by_env = workdir / "env5.jsonl"
         assert run_train(workdir, by_env, workdir / "env5.ckpt") == 0
         assert by_env.read_bytes() == by_flag.read_bytes()
+
+    def test_flag_seed_beats_env(self, workdir, monkeypatch):
+        monkeypatch.setenv("DECAYPO_SEED", "5")
+        out = workdir / "flag3.ckpt"
+        assert run_train(workdir, workdir / "flag3.jsonl", out, "--seed", "3") == 0
+        assert "seed = 3" in read_snapshot(out)
+
+    def test_file_seed_beats_env(self, workdir, monkeypatch):
+        cfg = workdir / "seed4.cfg"
+        cfg.write_text("[train]\nseed = 4\n")
+        monkeypatch.setenv("DECAYPO_SEED", "5")
+        out = workdir / "file4.ckpt"
+        assert run_train(workdir, workdir / "file4.jsonl", out, "--config", str(cfg)) == 0
+        assert "seed = 4" in read_snapshot(out)
 
 
 class TestBuildPairsCommand:

@@ -3,9 +3,9 @@ import pytest
 
 from decaypo import autodiff as ad
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
-                           Vocabulary, forward_logits, make_sequence,
-                           next_token_distribution, sample, sample_token_id,
-                           token_logprobs)
+                           Vocabulary, _Decoder, _softmax, forward_logits,
+                           make_sequence, next_token_distribution, sample,
+                           sample_token_id, token_logprobs)
 from conftest import central_difference
 
 
@@ -15,6 +15,46 @@ def small_model(seed=0, trained=False):
         r = np.random.default_rng(seed + 100)
         m.params["w_out"] = r.normal(0, 0.08, size=m.params["w_out"].shape)
     return m
+
+
+def full_model():
+    """CLI-default width and context, with a nonzero output head that scores
+    token v by the embedding of v - 1, so greedy decoding does not settle on
+    one token at once."""
+    m = PolicyModel(dim=64, context=256, blocks=2, seed=11)
+    m.params["w_out"] = 3.0 * m.params["embed"][np.arange(-1, VOCAB_SIZE - 1)].T
+    return m
+
+
+def dense_forward_logits(model, tokens):
+    """forward_logits written with one-hot, eye and tril matrices."""
+    p, n = model.params, len(tokens)
+    onehot = np.zeros((n, VOCAB_SIZE))
+    onehot[np.arange(n), tokens] = 1.0
+    L = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
+    x = onehot @ p["embed"] + np.eye(n, model.context) @ p["pos"]
+    for b in range(model.blocks):
+        m = L @ x
+        u = ad._logsigmoid((x + m) @ p[f"w1_{b}"])
+        x = x + (u @ p[f"w2_{b}"] + (x * m) @ p[f"w3_{b}"])
+    return x @ p["w_out"]
+
+
+def full_forward_sample(model, prompt, temperature, max_len, seed):
+    """sample() rerunning forward_logits over the whole prefix per token."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    context, response = list(prompt), []
+    for _ in range(min(max_len, model.context - len(prompt))):
+        logits = forward_logits(model, context).value[-1]
+        if temperature == 0.0:
+            tok = int(np.argmax(logits))
+        else:
+            tok = sample_token_id(_softmax(logits / temperature), rng.random())
+        response.append(tok)
+        context.append(tok)
+        if tok == EOS:
+            break
+    return response
 
 
 class TestVocabulary:
@@ -72,6 +112,32 @@ class TestDistributions:
         m = small_model()
         with pytest.raises(ValueError):
             forward_logits(m, [BOS, 258])
+
+
+class TestEquivalence:
+    tokens = [BOS] + list(np.random.default_rng(13).integers(0, VOCAB_SIZE, size=255))
+
+    def test_forward_matches_dense_reference(self):
+        m = full_model()
+        logits = forward_logits(m, self.tokens).value
+        dense = dense_forward_logits(m, self.tokens)
+        assert np.max(np.abs(dense)) > 1.0
+        assert np.max(np.abs(logits - dense)) <= 1e-12
+
+    def test_decoder_steps_match_forward_rows(self):
+        m = full_model()
+        logits = forward_logits(m, self.tokens).value
+        decoder = _Decoder(m)
+        steps = np.array([decoder.step(t) for t in self.tokens])
+        assert np.max(np.abs(steps - logits)) <= 1e-12
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_sample_matches_full_forward_sampler(self, temperature):
+        m = full_model()
+        for seed in range(3):
+            for prompt in ([BOS], [BOS, 104, 105], [BOS] + list(range(200))):
+                got = sample(m, prompt, temperature, 40, seed).response_tokens
+                assert got == full_forward_sample(m, prompt, temperature, 40, seed)
 
 
 class TestTokenLogprobs:
@@ -175,6 +241,12 @@ class TestSampling:
         m = small_model()
         with pytest.raises(ValueError):
             sample(m, [BOS] * 48, 1.0, 4, seed=0)
+
+    @pytest.mark.parametrize("prompt", [[], [BOS, VOCAB_SIZE], [BOS, -1], [BOS] * 49],
+                             ids=["empty", "id-258", "id-negative", "over-context"])
+    def test_rejects_bad_prompt(self, prompt):
+        with pytest.raises(ValueError):
+            sample(small_model(), prompt, 0.0, 4, seed=0)
 
     def test_inverse_cdf_frequencies(self):
         # 100k draws through the same mechanism sample() uses, against the
