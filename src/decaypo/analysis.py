@@ -4,12 +4,11 @@ probability per position, and loss binned by chosen/rejected length gap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreferencePair
-from .losses import LossConfig, PairScore, pair_loss
+from .losses import LossConfig, pair_loss
 from .model import PolicyModel, TokenSequence, forward_logits, make_sequence, token_logprobs
 
 

@@ -10,33 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-import numpy as np
-
 from . import analysis, data, mdp
-from .config import (ConfigError, Option, resolve, seed_substream,
+from .config import (ConfigError, Option, atomic_write, resolve, seed_substream,
                      write_resolved_snapshot)
 from .losses import LossConfig, METHODS
-from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens, token_logprobs
+from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens
 from .schedules import KINDS as SCHEDULE_KINDS, DecaySchedule
 from .training import (Checkpoint, TrainConfig, evaluate_winrate,
-                       load_checkpoint, save_checkpoint, train)
-
-
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_call(path, writer) -> None:
-    """Run writer(tmp_path) then rename into place."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    writer(tmp)
-    os.replace(tmp, path)
+                       load_checkpoint, save_checkpoint, score_pair, train)
 
 
 ARCH_OPTS = [
@@ -127,8 +110,8 @@ def _cmd_train(r: dict) -> int:
     lines = [json.dumps({"step": m["step"], "loss": m["loss"], "margin": m["margin"],
                          "grad_norm": m["grad_norm"], "lr": m["lr"]})
              for m in metrics]
-    _atomic_write_text(r["metrics"], "".join(line + "\n" for line in lines))
-    _atomic_call(r["out"], lambda p: save_checkpoint(ckpt, p))
+    atomic_write(r["metrics"], "".join(line + "\n" for line in lines))
+    atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
     _snapshot(r, "train")
     return 0
 
@@ -139,7 +122,7 @@ def _cmd_build_pairs(r: dict) -> int:
     pairs, skipped = data.build_onpolicy_pairs(
         ckpt.model, oracle, list(corpus), K=r["k"], temperature=r["temperature"],
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
-    _atomic_call(r["out"], lambda p: data.save_pairs(pairs, p))
+    atomic_write(r["out"], lambda p: data.save_pairs(pairs, p))
     _snapshot(r, "build-pairs")
     print(json.dumps({"pairs": len(pairs), "skipped": skipped}))
     return 0
@@ -152,7 +135,7 @@ def _cmd_sample(r: dict) -> int:
                         seed_substream(r["seed"], "sampling"))
     text = data.response_bytes(seq).decode("utf-8", errors="replace")
     if r.get("out"):
-        _atomic_write_text(r["out"], text + "\n")
+        atomic_write(r["out"], text + "\n")
         _snapshot(r, "sample")
     print(text)
     return 0
@@ -169,7 +152,7 @@ def _cmd_eval(r: dict) -> int:
     result = {"win": win, "tie": tie, "lose": lose,
               "winrate": (win + tie / 2.0) / total if total else 0.0}
     if r.get("out"):
-        _atomic_write_text(r["out"], json.dumps(result) + "\n")
+        atomic_write(r["out"], json.dumps(result) + "\n")
         _snapshot(r, "eval")
     print(json.dumps(result))
     return 0
@@ -184,7 +167,7 @@ def _cmd_kl_position(r: dict) -> int:
     reference = load_checkpoint(r["reference"]).model
     pairs = data.load_pairs(r["pairs"])
     curve = analysis.kl_per_position(policy, reference, _sequences(pairs), r["max-pos"])
-    _atomic_call(r["out"], lambda p: analysis.write_curve_csv(p, curve))
+    atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     _snapshot(r, "analyze-kl-position")
     return 0
 
@@ -193,7 +176,7 @@ def _cmd_prob_position(r: dict) -> int:
     model = load_checkpoint(r["model"]).model
     pairs = data.load_pairs(r["pairs"])
     curve = analysis.prob_per_position(model, _sequences(pairs), r["max-pos"])
-    _atomic_call(r["out"], lambda p: analysis.write_curve_csv(p, curve))
+    atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     _snapshot(r, "analyze-prob-position")
     return 0
 
@@ -202,7 +185,7 @@ def _cmd_ref_margin(r: dict) -> int:
     reference = load_checkpoint(r["reference"]).model
     pairs = data.load_pairs(r["pairs"])
     hist = analysis.ref_margin_density(reference, pairs, r["bins"])
-    _atomic_call(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
+    atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
     _snapshot(r, "analyze-ref-margin")
     return 0
 
@@ -212,24 +195,15 @@ def _cmd_length_bias(r: dict) -> int:
     ref_model = load_checkpoint(r["reference"]).model if r.get("reference") else policy
     pairs = data.load_pairs(r["pairs"])
     cfg = _loss_config(r, r["seed"])
-    scored = []
-    for i, p in enumerate(pairs):
-        seq_w = make_sequence(p.prompt, p.chosen)
-        seq_l = make_sequence(p.prompt, p.rejected)
-        if max(seq_w.prompt_len + seq_w.response_len,
-               seq_l.prompt_len + seq_l.response_len) > policy.context:
-            continue
-        scored.append(analysis.PairScore(
-            chosen_logps=token_logprobs(policy, seq_w),
-            rejected_logps=token_logprobs(policy, seq_l),
-            chosen_ref_logps=token_logprobs(ref_model, seq_w),
-            rejected_ref_logps=token_logprobs(ref_model, seq_l),
-            prompt_len=seq_w.prompt_len, example_id=i))
+    # max_response_len = context truncates nothing that would fit
+    scored = [score_pair(policy, ref_model, p, policy.context, example_id=i)
+              for i, p in enumerate(pairs)]
+    scored = [s for s in scored if s is not None]
     rows = analysis.loss_by_length_gap(cfg, scored, r["gap-bins"])
     lines = ["gap_lo,gap_hi,mean_loss,count"]
     lines += [f"{row.gap_lo!r},{row.gap_hi!r},{row.mean_loss!r},{row.count}"
               for row in rows]
-    _atomic_write_text(r["out"], "\n".join(lines) + "\n")
+    atomic_write(r["out"], "\n".join(lines) + "\n")
     _snapshot(r, "analyze-length-bias")
     return 0
 
@@ -252,7 +226,7 @@ def _cmd_mdp_verify(r: dict) -> int:
                 repr(rep.delta3), repr(rep.subopt), repr(rep.bound_term1),
                 repr(rep.bound_term2), repr(rep.bound_total),
                 repr(rep.tv_expectation), str(holds)]))
-    _atomic_write_text(r["out"], "\n".join(lines) + "\n")
+    atomic_write(r["out"], "\n".join(lines) + "\n")
     _snapshot(r, "mdp-verify")
     print(json.dumps({"rows": r["seeds"] * len(r["gammas"]),
                       "violations": violations}))

@@ -1,6 +1,7 @@
 """Run configuration: a flat "key = value" file format with one section per
 subcommand, strict unknown-key rejection, flag-over-file precedence, named
-seed substreams, and resolved-config snapshots that reproduce a run."""
+seed substreams, resolved-config snapshots that reproduce a run, and the
+atomic writer every output file goes through."""
 
 from __future__ import annotations
 
@@ -133,7 +134,25 @@ def write_resolved_snapshot(path, command: str, resolved: dict) -> None:
         if value is None:
             continue
         lines.append(f"{key} = {format_value(value)}")
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def atomic_write(path, content) -> None:
+    """Write ``path`` through a temp file renamed into place.
+
+    ``content`` is the text to write, or a function that writes the file at
+    the path it is given. On any failure the temp file is removed, so
+    ``path`` is either untouched or complete.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        if callable(content):
+            content(tmp)
+        else:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BOS, EOS, PolicyModel, TokenSequence, Vocabulary, sample
+from .model import BOS, PolicyModel, TokenSequence, Vocabulary, sample
 
 
 class PairParseError(ValueError):
@@ -93,6 +93,9 @@ def load_pairs(path) -> list[PreferencePair]:
             missing = {"id", "prompt", "chosen", "rejected"} - record.keys()
             if missing:
                 raise PairParseError(line_no, f"missing keys {sorted(missing)}")
+            for key in ("prompt", "chosen", "rejected"):
+                if not isinstance(record[key], str):
+                    raise PairParseError(line_no, f"key {key!r} is not a string")
             try:
                 pairs.append(PreferencePair(
                     id=str(record["id"]),

@@ -1,5 +1,11 @@
 """Pairwise preference losses over per-token log-probability records.
 
+Every pairwise method but kto and orpo is margin_loss, one margin form:
+link(c * (sum_t w_w[t] r_w[t] - sum_t w_l[t] r_l[t]) - offset), where r is
+the log-ratio to the reference, or the raw log-prob for the REFERENCE_FREE
+methods, and the link is the square for ipo and -log sigma for the rest.
+_margin_form gives each method's weights w_w and w_l, scale c and offset.
+
 All losses accept a :class:`PairScore` whose arrays may be plain numpy
 arrays or autodiff tensors; when tensors are supplied the returned loss is
 a tensor on the same tape, otherwise a float.
@@ -7,7 +13,8 @@ a tensor on the same tape, otherwise a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -16,6 +23,7 @@ from .autodiff import Tape, Tensor
 from .schedules import UNIFORM, DecaySchedule, weights
 
 METHODS = ("d2po", "dpo", "d2po_ref_free", "simpo", "ipo", "kto", "orpo", "sampo")
+REFERENCE_FREE = ("d2po_ref_free", "simpo", "orpo")
 
 
 @dataclass
@@ -61,16 +69,12 @@ def _tape_of(*arrays):
     return Tape(), False
 
 
-def _value(x):
-    return float(x.value) if isinstance(x, Tensor) else float(x)
-
-
 def _maybe_value(loss: Tensor, had_tensor: bool):
     return loss if had_tensor else float(loss.value)
 
 
-def _len_of(x) -> int:
-    return int(x.value.shape[0]) if isinstance(x, Tensor) else int(np.shape(x)[0])
+def _array(x) -> np.ndarray:
+    return np.asarray(x.value if isinstance(x, Tensor) else x, dtype=np.float64)
 
 
 def _require_ref(score: PairScore):
@@ -82,65 +86,56 @@ def _ratios(tape, logps, ref_logps):
     x = ad.as_tensor(tape, logps)
     if ref_logps is None:
         return x
-    r = np.asarray(ref_logps.value if isinstance(ref_logps, Tensor) else ref_logps)
-    return ad.sub(x, ad.constant(tape, r))
+    return ad.sub(x, ad.constant(tape, _array(ref_logps)))
 
 
-def _decayed_margin(score: PairScore, cfg: LossConfig, use_ref: bool) -> tuple:
+def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: int):
+    """(w_w, w_l, c, offset) of ``method``'s margin."""
+    if method == "simpo":
+        return np.full(T_w, 1.0 / T_w), np.full(T_l, 1.0 / T_l), cfg.beta, cfg.target_margin
+    if method == "ipo":
+        if not cfg.tau > 0:
+            raise ValueError("ipo requires tau > 0")
+        return np.ones(T_w), np.ones(T_l), 1.0, 1.0 / (2.0 * cfg.tau)
+    if method == "sampo":
+        idx_w, idx_l = sampo_indices(T_w, T_l, cfg.sampo_seed, score.example_id)
+        w_w, w_l = np.zeros(T_w), np.zeros(T_l)
+        w_w[idx_w] = 1.0
+        w_l[idx_l] = 1.0
+        return w_w, w_l, cfg.beta, 0.0
+    if method in ("d2po", "d2po_ref_free", "dpo"):
+        schedule = UNIFORM if method == "dpo" else cfg.schedule
+        return (weights(schedule, T_w, score.prompt_len),
+                weights(schedule, T_l, score.prompt_len), cfg.beta, 0.0)
+    raise ValueError(f"{method!r} is not a margin method")
+
+
+def margin_loss(score: PairScore, cfg: LossConfig, method: str):
+    """The margin form of ``method`` (module docstring); cfg.method is not read."""
+    use_ref = method not in REFERENCE_FREE
+    if use_ref:
+        _require_ref(score)
     tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    cw = _ratios(tape, score.chosen_logps, score.chosen_ref_logps if use_ref else None)
-    cl = _ratios(tape, score.rejected_logps, score.rejected_ref_logps if use_ref else None)
-    w_w = weights(cfg.schedule, _len_of(score.chosen_logps), score.prompt_len)
-    w_l = weights(cfg.schedule, _len_of(score.rejected_logps), score.prompt_len)
-    margin = ad.sub(ad.scale(ad.weighted_sum(cw, w_w), cfg.beta),
-                    ad.scale(ad.weighted_sum(cl, w_l), cfg.beta))
-    return margin, had_tensor
+    r_w = _ratios(tape, score.chosen_logps, score.chosen_ref_logps if use_ref else None)
+    r_l = _ratios(tape, score.rejected_logps, score.rejected_ref_logps if use_ref else None)
+    w_w, w_l, c, offset = _margin_form(method, score, cfg, r_w.shape[0], r_l.shape[0])
+    s_w, s_l = ad.weighted_sum(r_w, w_w), ad.weighted_sum(r_l, w_l)
+    if c != 1.0:  # scaling by 1 is exact, so it would only lengthen the tape
+        s_w, s_l = ad.scale(s_w, c), ad.scale(s_l, c)
+    margin = ad.sub(s_w, s_l)
+    if offset:
+        margin = ad.sub(margin, ad.constant(tape, offset))
+    loss = ad.square(margin) if method == "ipo" else -ad.logsigmoid(margin)
+    return _maybe_value(loss, had_tensor)
 
 
-def d2po_loss(score: PairScore, cfg: LossConfig):
-    """-log sigma of the decay-weighted log-ratio margin."""
-    _require_ref(score)
-    margin, had_tensor = _decayed_margin(score, cfg, use_ref=True)
-    return _maybe_value(-ad.logsigmoid(margin), had_tensor)
-
-
-def d2po_ref_free_loss(score: PairScore, cfg: LossConfig):
-    """Same as d2po_loss with raw log-probs in place of log-ratios."""
-    margin, had_tensor = _decayed_margin(score, cfg, use_ref=False)
-    return _maybe_value(-ad.logsigmoid(margin), had_tensor)
-
-
-def dpo_loss(score: PairScore, cfg: LossConfig):
-    """Vanilla DPO: the uniform-schedule special case of d2po_loss."""
-    return d2po_loss(score, replace(cfg, schedule=UNIFORM))
-
-
-def simpo_loss(score: PairScore, cfg: LossConfig):
-    tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    cw = ad.as_tensor(tape, score.chosen_logps)
-    cl = ad.as_tensor(tape, score.rejected_logps)
-    Tw, Tl = _len_of(cw), _len_of(cl)
-    mean_w = ad.weighted_sum(cw, np.full(Tw, 1.0 / Tw))
-    mean_l = ad.weighted_sum(cl, np.full(Tl, 1.0 / Tl))
-    arg = ad.sub(ad.sub(ad.scale(mean_w, cfg.beta), ad.scale(mean_l, cfg.beta)),
-                 ad.constant(tape, cfg.target_margin))
-    return _maybe_value(-ad.logsigmoid(arg), had_tensor)
-
-
-def ipo_loss(score: PairScore, cfg: LossConfig):
-    _require_ref(score)
-    if not cfg.tau > 0:
-        raise ValueError("ipo requires tau > 0")
-    tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    cw = _ratios(tape, score.chosen_logps, score.chosen_ref_logps)
-    cl = _ratios(tape, score.rejected_logps, score.rejected_ref_logps)
-    h = ad.sub(ad.sub(ad.arraysum(cw), ad.arraysum(cl)),
-               ad.constant(tape, 1.0 / (2.0 * cfg.tau)))
-    return _maybe_value(ad.square(h), had_tensor)
-
-
-def _seq_ratio(tape, logps, ref_logps):
-    return ad.arraysum(_ratios(tape, logps, ref_logps))
+# margin_loss with the method fixed; each ignores cfg.method
+d2po_loss = partial(margin_loss, method="d2po")
+dpo_loss = partial(margin_loss, method="dpo")
+d2po_ref_free_loss = partial(margin_loss, method="d2po_ref_free")
+simpo_loss = partial(margin_loss, method="simpo")
+ipo_loss = partial(margin_loss, method="ipo")
+sampo_loss = partial(margin_loss, method="sampo")
 
 
 def kto_loss(batch, cfg: LossConfig, z_ref: float):
@@ -158,8 +153,8 @@ def kto_loss(batch, cfg: LossConfig, z_ref: float):
     total = None
     for score, label in batch:
         _require_ref(score)
-        rw = _seq_ratio(tape, score.chosen_logps, score.chosen_ref_logps)
-        rl = _seq_ratio(tape, score.rejected_logps, score.rejected_ref_logps)
+        rw = ad.arraysum(_ratios(tape, score.chosen_logps, score.chosen_ref_logps))
+        rl = ad.arraysum(_ratios(tape, score.rejected_logps, score.rejected_ref_logps))
         if not label:
             rw, rl = rl, rw
         term_w = ad.scale(ad.sigmoid(ad.sub(ad.scale(rw, cfg.beta),
@@ -180,10 +175,7 @@ def estimate_z_ref(batch, cfg: LossConfig) -> float:
     vals = []
     for score, _label in batch:
         _require_ref(score)
-        rl = np.asarray(score.rejected_logps.value if isinstance(score.rejected_logps, Tensor)
-                        else score.rejected_logps, dtype=np.float64)
-        rr = np.asarray(score.rejected_ref_logps.value if isinstance(score.rejected_ref_logps, Tensor)
-                        else score.rejected_ref_logps, dtype=np.float64)
+        rl, rr = _array(score.rejected_logps), _array(score.rejected_ref_logps)
         vals.append(cfg.beta * float(np.sum(rl - rr)) / rl.shape[0])
     return max(0.0, float(np.mean(vals)))
 
@@ -192,7 +184,7 @@ def orpo_loss(score: PairScore, cfg: LossConfig):
     tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
     cw = ad.as_tensor(tape, score.chosen_logps)
     cl = ad.as_tensor(tape, score.rejected_logps)
-    Tw, Tl = _len_of(cw), _len_of(cl)
+    Tw, Tl = cw.shape[0], cl.shape[0]
     mean_w = ad.weighted_sum(cw, np.full(Tw, 1.0 / Tw))
     mean_l = ad.weighted_sum(cl, np.full(Tl, 1.0 / Tl))
     if float(mean_w.value) >= 0.0 or float(mean_l.value) >= 0.0:
@@ -225,41 +217,9 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
     return idx_w, idx_l
 
 
-def sampo_loss(score: PairScore, cfg: LossConfig, example_id: int | None = None):
-    _require_ref(score)
-    if example_id is None:
-        example_id = score.example_id
-    tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    cw = _ratios(tape, score.chosen_logps, score.chosen_ref_logps)
-    cl = _ratios(tape, score.rejected_logps, score.rejected_ref_logps)
-    Tw, Tl = _len_of(cw), _len_of(cl)
-    idx_w, idx_l = sampo_indices(Tw, Tl, cfg.sampo_seed, example_id)
-    mask_w = np.zeros(Tw)
-    mask_w[idx_w] = 1.0
-    mask_l = np.zeros(Tl)
-    mask_l[idx_l] = 1.0
-    margin = ad.sub(ad.scale(ad.weighted_sum(cw, mask_w), cfg.beta),
-                    ad.scale(ad.weighted_sum(cl, mask_l), cfg.beta))
-    return _maybe_value(-ad.logsigmoid(margin), had_tensor)
-
-
-_PAIRWISE = {
-    "d2po": d2po_loss,
-    "dpo": dpo_loss,
-    "d2po_ref_free": d2po_ref_free_loss,
-    "simpo": simpo_loss,
-    "ipo": ipo_loss,
-    "orpo": orpo_loss,
-    "sampo": sampo_loss,
-}
-
-
 def pair_loss(score: PairScore, cfg: LossConfig):
-    """Dispatch a single-pair loss by cfg.method (KTO is batch-native)."""
-    if cfg.method == "kto":
-        batch = [(score, True)]
-        return kto_loss(batch, cfg, estimate_z_ref(batch, cfg))
-    return _PAIRWISE[cfg.method](score, cfg)
+    """The loss of one pair under cfg.method: batch_loss of a batch of one."""
+    return batch_loss([score], cfg)
 
 
 def batch_loss(scores, cfg: LossConfig):
@@ -272,10 +232,8 @@ def batch_loss(scores, cfg: LossConfig):
     if cfg.method == "kto":
         batch = [(s, True) for s in scores]
         return kto_loss(batch, cfg, estimate_z_ref(batch, cfg))
-    losses = [_PAIRWISE[cfg.method](s, cfg) for s in scores]
+    losses = [orpo_loss(s, cfg) if cfg.method == "orpo" else margin_loss(s, cfg, cfg.method)
+              for s in scores]
     if isinstance(losses[0], Tensor):
-        total = losses[0]
-        for item in losses[1:]:
-            total = ad.add(total, item)
-        return ad.scale(total, 1.0 / len(losses))
+        return ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
     return float(np.mean(losses))

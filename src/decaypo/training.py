@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .data import RewardOracle, oracle_score, response_bytes
-from .losses import LossConfig, PairScore, batch_loss
+from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
 from .model import (BOS, VOCAB_SIZE, PolicyModel, make_sequence, sample, token_logprobs)
 
 
@@ -92,22 +92,44 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed file raises a ValueError naming it."""
     with open(path, "rb") as f:
-        (length,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(length).decode("utf-8"))
-        if manifest.get("format") != "decaypo-checkpoint-v1":
-            raise ValueError(f"not a checkpoint file: {path}")
+        blob = f.read()
+    if len(blob) < 4:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    (length,) = struct.unpack_from("<I", blob)
+    end = 4 + length
+    if end > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint manifest")
+    try:
+        manifest = json.loads(blob[4:end].decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or JSON
+        raise ValueError(f"{path}: unreadable checkpoint manifest: {e}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "decaypo-checkpoint-v1":
+        raise ValueError(f"not a checkpoint file: {path}")
+    try:
         arch = manifest["architecture"]
         params = {}
         for entry in manifest["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape))
-            data = np.frombuffer(f.read(4 * count), dtype="<f4")
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in parameter shape {shape}")
+            if end + 4 * count > len(blob):
+                raise ValueError("truncated checkpoint payload")
+            data = np.frombuffer(blob, dtype="<f4", count=count, offset=end)
             params[entry["name"]] = data.astype(np.float64).reshape(shape)
-    model = PolicyModel(dim=arch["dim"], context=arch["context"],
-                        blocks=arch["blocks"], seed=manifest["seed"], params=params)
-    return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"],
-                      config_hash=manifest.get("config_hash", ""))
+            end += 4 * count
+        if end != len(blob):
+            raise ValueError(f"{len(blob) - end} trailing bytes after the checkpoint payload")
+        model = PolicyModel(dim=arch["dim"], context=arch["context"],
+                            blocks=arch["blocks"], seed=manifest["seed"], params=params)
+        return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"],
+                          config_hash=manifest.get("config_hash", ""))
+    except KeyError as e:
+        raise ValueError(f"{path}: checkpoint manifest lacks key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 class AdamW:
@@ -142,14 +164,17 @@ class AdamW:
             self.params[n] -= lr * update
 
 
-def score_pair_tensors(policy: PolicyModel, reference: PolicyModel | None,
-                       pair, tape: Tape, param_tensors: dict,
-                       max_response_len: int, example_id: int = 0) -> PairScore | None:
-    """Differentiable PairScore for one preference pair; None on overflow."""
-    chosen = pair.chosen[:max_response_len]
-    rejected = pair.rejected[:max_response_len]
-    seq_w = make_sequence(pair.prompt, chosen)
-    seq_l = make_sequence(pair.prompt, rejected)
+def score_pair(policy: PolicyModel, reference: PolicyModel | None, pair,
+               max_response_len: int, example_id: int = 0, tape: Tape | None = None,
+               param_tensors: dict | None = None) -> PairScore | None:
+    """PairScore for one preference pair, None on context overflow.
+
+    Responses are cut to ``max_response_len`` bytes. The policy log-probs
+    are tensors on ``tape`` when ``param_tensors`` is given, else arrays;
+    the reference ones are absent when ``reference`` is None.
+    """
+    seq_w = make_sequence(pair.prompt, pair.chosen[:max_response_len])
+    seq_l = make_sequence(pair.prompt, pair.rejected[:max_response_len])
     for seq in (seq_w, seq_l):
         if seq.prompt_len + seq.response_len > policy.context:
             return None
@@ -163,21 +188,16 @@ def score_pair_tensors(policy: PolicyModel, reference: PolicyModel | None,
     )
 
 
-REFERENCE_FREE_METHODS = ("d2po_ref_free", "simpo", "orpo")
-
-
 def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
     """One forward/backward over a batch; returns (loss, margin, grads) or
     None when every example overflowed the context."""
     tape = Tape()
     names = policy.param_names()
     leaves = {n: ad.leaf(tape, policy.params[n]) for n in names}
-    ref = None if cfg.loss.method in REFERENCE_FREE_METHODS else reference
     scores = []
     skipped = 0
     for pair, eid in batch:
-        score = score_pair_tensors(policy, ref, pair, tape, leaves,
-                                   cfg.max_response_len, example_id=eid)
+        score = score_pair(policy, reference, pair, cfg.max_response_len, eid, tape, leaves)
         if score is None:
             skipped += 1
             continue
@@ -203,7 +223,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
     lr, skipped. Fully deterministic in (cfg, pairs, init, reference).
     """
-    if cfg.loss.method in REFERENCE_FREE_METHODS:
+    if cfg.loss.method in REFERENCE_FREE:
         ref_model = None
     else:
         if reference is None:

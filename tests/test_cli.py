@@ -5,6 +5,7 @@ import pytest
 
 from decaypo.analysis import read_curve_csv, read_histogram_csv
 from decaypo.cli import main
+from decaypo.config import atomic_write
 from decaypo.data import load_pairs
 from decaypo.model import PolicyModel
 from decaypo.training import Checkpoint, save_checkpoint
@@ -55,6 +56,44 @@ class TestErrors:
         cfg.write_text("[mdp-verify]\nnot-a-key = 3\n")
         assert main(["mdp-verify", "--config", str(cfg)]) == 1
         assert "not-a-key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["empty", "two_bytes", "list_manifest",
+                                        "short_payload", "trailing_bytes"])
+    def test_malformed_checkpoint_exit_2_one_line(self, workdir, tmp_path, capsys, damage):
+        blob = (workdir / "model.ckpt").read_bytes()
+        bad = {"empty": b"", "two_bytes": blob[:2],
+               "list_manifest": b"\x02\x00\x00\x00[]",
+               "short_payload": blob[:-4], "trailing_bytes": blob + b"\x00"}[damage]
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(bad)
+        assert main(["sample", "--model", str(path), "--prompt", "hi"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0]
+
+    @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
+    def test_non_string_pair_field_exit_2_one_line(self, tmp_path, capsys, key):
+        record = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", key: 5}
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        rc = main(["train", *SMALL_ARCH, "--pairs", str(path),
+                   "--out", str(tmp_path / "x.ckpt"), "--metrics", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 1" in err[0] and repr(key) in err[0]
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out.csv"
+
+        def writer(tmp):
+            with open(tmp, "w") as f:
+                f.write("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(target, writer)
+        assert list(tmp_path.iterdir()) == []
 
 
 def run_train(workdir, metrics, out, *extra):

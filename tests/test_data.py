@@ -78,6 +78,16 @@ class TestPersistence:
         assert err.value.line_no == 3
         assert err.value.record_id == "dup"
 
+    @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
+    @pytest.mark.parametrize("value", [5, None, ["q"], {"b64": "cQ=="}])
+    def test_non_string_field_names_line_and_key(self, tmp_path, key, value):
+        good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(PairParseError, match=repr(key)) as err:
+            load_pairs(path)
+        assert err.value.line_no == 2
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id":"a","prompt":"q","chosen":"x"}\n')

@@ -1,11 +1,15 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from decaypo import autodiff as ad
-from decaypo.losses import (LossConfig, PairScore, batch_loss, d2po_loss,
-                            d2po_ref_free_loss, dpo_loss, estimate_z_ref,
-                            ipo_loss, kto_loss, orpo_loss, pair_loss,
-                            sampo_indices, sampo_loss, simpo_loss)
+from decaypo.losses import (METHODS, REFERENCE_FREE, LossConfig, PairScore,
+                            batch_loss, d2po_loss, d2po_ref_free_loss, dpo_loss,
+                            estimate_z_ref, ipo_loss, kto_loss, margin_loss,
+                            orpo_loss, pair_loss, sampo_indices, sampo_loss,
+                            simpo_loss)
 from decaypo.schedules import DecaySchedule, UNIFORM
 from conftest import central_difference, random_pairscore
 
@@ -259,9 +263,9 @@ class TestSamPO:
             assert sampo_loss(s, cfg) == d2po_loss(s, cfg_u)
 
     def test_deterministic_per_seed_and_id(self, rng):
-        s = random_pairscore(rng)
+        s = replace(random_pairscore(rng), example_id=11)
         cfg = LossConfig(method="sampo", sampo_seed=3)
-        assert sampo_loss(s, cfg, example_id=11) == sampo_loss(s, cfg, example_id=11)
+        assert sampo_loss(s, cfg) == sampo_loss(s, cfg)
 
     def test_index_sets_have_min_length(self):
         idx_w, idx_l = sampo_indices(9, 4, sampo_seed=0, example_id=5)
@@ -305,6 +309,12 @@ class TestBatchLoss:
             batch_loss([], LossConfig())
 
 
+@pytest.mark.parametrize("method", ["kto", "orpo"])
+def test_margin_loss_rejects_non_margin_methods(method, rng):
+    with pytest.raises(ValueError, match="not a margin method"):
+        margin_loss(random_pairscore(rng), LossConfig(method=method), method)
+
+
 FD_METHODS = ["d2po", "d2po_ref_free", "simpo", "ipo", "kto", "orpo", "sampo"]
 
 
@@ -338,3 +348,15 @@ def test_finite_difference_gradients(method, rng):
             lambda v: evaluate(base.chosen_logps, v, base), base.rejected_logps)
         assert np.allclose(g[cw_t], fd_w, rtol=1e-4, atol=1e-8)
         assert np.allclose(g[cl_t], fd_l, rtol=1e-4, atol=1e-8)
+
+
+def test_readme_loss_table_matches_methods():
+    """README's "Loss methods" table lists METHODS, with the reference
+    column saying "no" exactly for REFERENCE_FREE."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Loss methods", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    table = {name.strip().strip("`"): needed.strip() for name, needed in rows}
+    assert set(table) == set(METHODS)
+    assert table == {m: "no" if m in REFERENCE_FREE else "yes" for m in METHODS}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decaypo import autodiff as ad
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
@@ -78,6 +79,38 @@ class TestCheckpointIO:
         path = tmp_path / "junk"
         path.write_bytes(b"\x08\x00\x00\x00{\"a\": 1}")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def tiny_checkpoint_bytes(tmp_path) -> bytes:
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint(Checkpoint(PolicyModel(dim=2, context=4, blocks=1)), path)
+        return path.read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_extended_rejected_naming_file(self, tmp_path, data):
+        blob = self.tiny_checkpoint_bytes(tmp_path)
+        if data.draw(st.booleans(), label="truncate"):
+            bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        else:
+            bad = blob + data.draw(st.binary(min_size=1, max_size=64), label="extra")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"\x02\x00",
+        b"\x02\x00\x00\x00[]",
+        b"\x0c\x00\x00\x00\"manifest\"",
+    ], ids=["empty", "two_bytes", "list_manifest", "string_manifest"])
+    def test_malformed_header_or_manifest_names_file(self, tmp_path, blob):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.ckpt"):
             load_checkpoint(path)
 
 
