@@ -53,28 +53,28 @@ def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
         raise ValueError("kl_per_position requires samples")
     if policy.context != reference.context:
         raise ValueError("models must share context length")
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for seq in samples:
-        lp = _position_distribution_logs(policy, seq)
-        lq = _position_distribution_logs(reference, seq)
-        for p in range(min(seq.response_len, max_pos + 1)):
-            sums[p] = sums.get(p, 0.0) + kl_categorical(lp[p], lq[p])
-            counts[p] = counts.get(p, 0) + 1
-    positions = sorted(sums)
-    return PositionCurve(positions, [sums[p] / counts[p] for p in positions])
+    return _survivor_mean(
+        (map(kl_categorical, _position_distribution_logs(policy, seq),
+             _position_distribution_logs(reference, seq)) for seq in samples), max_pos)
 
 
 def prob_per_position(model: PolicyModel, samples, max_pos: int) -> PositionCurve:
     """Survivor-mean realized next-token probability per response position."""
     if not samples:
         raise ValueError("prob_per_position requires samples")
+    return _survivor_mean((np.exp(token_logprobs(model, seq)).tolist() for seq in samples),
+                          max_pos)
+
+
+def _survivor_mean(rows, max_pos: int) -> PositionCurve:
+    """Mean at each position p <= max_pos over the rows that reach p; each
+    row is an iterable of one sequence's per-position values, summed in
+    sequence order."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for seq in samples:
-        probs = np.exp(token_logprobs(model, seq))
-        for p in range(min(seq.response_len, max_pos + 1)):
-            sums[p] = sums.get(p, 0.0) + float(probs[p])
+    for row in rows:
+        for p, value in zip(range(max_pos + 1), row):
+            sums[p] = sums.get(p, 0.0) + value
             counts[p] = counts.get(p, 0) + 1
     positions = sorted(sums)
     return PositionCurve(positions, [sums[p] / counts[p] for p in positions])
@@ -137,54 +137,55 @@ def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGa
     for b in range(n_bins):
         if counts[b]:
             rows.append(LengthGapRow(boundaries[b], boundaries[b + 1],
-                                     sums[b] / counts[b], int(counts[b])))
+                                     float(sums[b] / counts[b]), int(counts[b])))
     if counts[n_bins]:
         rows.append(LengthGapRow(float("-inf"), float("inf"),
-                                 sums[n_bins] / counts[n_bins], int(counts[n_bins])))
+                                 float(sums[n_bins] / counts[n_bins]), int(counts[n_bins])))
     return rows
 
 
-def write_curve_csv(path, curve: PositionCurve, comments=()) -> None:
+def _cell(value) -> str:
+    # repr of a Python float round-trips exactly; numpy scalars repr as np.float64(...)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def write_csv(path, header, rows, comments=()) -> None:
+    """The one CSV format: ``# comment`` lines, the header, then one line per
+    row; floats are written as ``repr(float(x))``, other values with ``str``."""
     with open(path, "w", encoding="utf-8") as f:
-        for c in comments:
-            f.write(f"# {c}\n")
-        f.write("position,value\n")
-        for p, v in zip(curve.positions, curve.values):
-            f.write(f"{p},{v!r}\n")
+        f.writelines(f"# {c}\n" for c in comments)
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The rows below ``header`` in a file written by write_csv, as text cells."""
+    with open(path, encoding="utf-8") as f:
+        lines = [line for line in map(str.strip, f) if line and not line.startswith("#")]
+    if not lines or lines[0] != ",".join(header):
+        raise ValueError(f"{path}: expected the CSV header {','.join(header)!r}")
+    return [line.split(",") for line in lines[1:]]
+
+
+_CURVE_HEADER = ("position", "value")
+_HISTOGRAM_HEADER = ("value", "density")
+
+
+def write_curve_csv(path, curve: PositionCurve, comments=()) -> None:
+    write_csv(path, _CURVE_HEADER, zip(curve.positions, curve.values), comments)
 
 
 def read_curve_csv(path) -> PositionCurve:
-    positions, values = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line == "position,value":
-                continue
-            p, v = line.split(",")
-            positions.append(int(p))
-            values.append(float(v))
-    return PositionCurve(positions, values)
+    rows = read_csv(path, _CURVE_HEADER)
+    return PositionCurve([int(p) for p, _ in rows], [float(v) for _, v in rows])
 
 
 def write_histogram_csv(path, hist: DensityHistogram, comments=()) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for c in comments:
-            f.write(f"# {c}\n")
-        f.write("value,density\n")
-        for c_, d in zip(hist.centers, hist.density):
-            f.write(f"{float(c_)!r},{float(d)!r}\n")
+    write_csv(path, _HISTOGRAM_HEADER, zip(hist.centers, hist.density), comments)
 
 
 def read_histogram_csv(path) -> DensityHistogram:
-    centers, density = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line == "value,density":
-                continue
-            c, d = line.split(",")
-            centers.append(float(c))
-            density.append(float(d))
-    centers = np.asarray(centers)
+    rows = read_csv(path, _HISTOGRAM_HEADER)
+    centers = np.array([float(c) for c, _ in rows])
     width = float(centers[1] - centers[0]) if len(centers) > 1 else 1.0
-    return DensityHistogram(np.asarray(centers), np.asarray(density), width)
+    return DensityHistogram(centers, np.array([float(d) for _, d in rows]), width)

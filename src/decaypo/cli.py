@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 
 from . import analysis, data, mdp
 from .config import (ConfigError, Option, atomic_write, resolve, seed_substream,
                      write_resolved_snapshot)
-from .losses import LossConfig, METHODS
+from .losses import METHODS, REFERENCE_FREE, LossConfig
 from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens
 from .schedules import KINDS as SCHEDULE_KINDS, DecaySchedule
 from .training import (Checkpoint, TrainConfig, evaluate_winrate,
@@ -82,12 +83,6 @@ def _oracle_from(r: dict):
     return corpus, oracle
 
 
-def _snapshot(r: dict, command: str) -> None:
-    out = r.get("out")
-    if out:
-        write_resolved_snapshot(f"{out}.resolved.cfg", command, r)
-
-
 # ---------------------------------------------------------------------------
 # command runners
 
@@ -112,7 +107,6 @@ def _cmd_train(r: dict) -> int:
              for m in metrics]
     atomic_write(r["metrics"], "".join(line + "\n" for line in lines))
     atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
-    _snapshot(r, "train")
     return 0
 
 
@@ -123,7 +117,6 @@ def _cmd_build_pairs(r: dict) -> int:
         ckpt.model, oracle, list(corpus), K=r["k"], temperature=r["temperature"],
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
     atomic_write(r["out"], lambda p: data.save_pairs(pairs, p))
-    _snapshot(r, "build-pairs")
     print(json.dumps({"pairs": len(pairs), "skipped": skipped}))
     return 0
 
@@ -136,7 +129,6 @@ def _cmd_sample(r: dict) -> int:
     text = data.response_bytes(seq).decode("utf-8", errors="replace")
     if r.get("out"):
         atomic_write(r["out"], text + "\n")
-        _snapshot(r, "sample")
     print(text)
     return 0
 
@@ -153,13 +145,12 @@ def _cmd_eval(r: dict) -> int:
               "winrate": (win + tie / 2.0) / total if total else 0.0}
     if r.get("out"):
         atomic_write(r["out"], json.dumps(result) + "\n")
-        _snapshot(r, "eval")
     print(json.dumps(result))
     return 0
 
 
-def _sequences(pairs, which: str = "chosen"):
-    return [make_sequence(p.prompt, getattr(p, which)) for p in pairs]
+def _sequences(pairs):
+    return [make_sequence(p.prompt, p.chosen) for p in pairs]
 
 
 def _cmd_kl_position(r: dict) -> int:
@@ -168,7 +159,6 @@ def _cmd_kl_position(r: dict) -> int:
     pairs = data.load_pairs(r["pairs"])
     curve = analysis.kl_per_position(policy, reference, _sequences(pairs), r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
-    _snapshot(r, "analyze-kl-position")
     return 0
 
 
@@ -177,7 +167,6 @@ def _cmd_prob_position(r: dict) -> int:
     pairs = data.load_pairs(r["pairs"])
     curve = analysis.prob_per_position(model, _sequences(pairs), r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
-    _snapshot(r, "analyze-prob-position")
     return 0
 
 
@@ -186,30 +175,30 @@ def _cmd_ref_margin(r: dict) -> int:
     pairs = data.load_pairs(r["pairs"])
     hist = analysis.ref_margin_density(reference, pairs, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
-    _snapshot(r, "analyze-ref-margin")
     return 0
 
 
 def _cmd_length_bias(r: dict) -> int:
-    policy = load_checkpoint(r["policy"]).model
-    ref_model = load_checkpoint(r["reference"]).model if r.get("reference") else policy
-    pairs = data.load_pairs(r["pairs"])
     cfg = _loss_config(r, r["seed"])
+    needs_reference = cfg.method not in REFERENCE_FREE
+    if needs_reference and not r.get("reference"):
+        raise ConfigError(f"method {cfg.method!r} needs a reference: pass --reference")
+    policy = load_checkpoint(r["policy"]).model
+    ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
+    pairs = data.load_pairs(r["pairs"])
     # max_response_len = context truncates nothing that would fit
     scored = [score_pair(policy, ref_model, p, policy.context, example_id=i)
               for i, p in enumerate(pairs)]
     scored = [s for s in scored if s is not None]
     rows = analysis.loss_by_length_gap(cfg, scored, r["gap-bins"])
-    lines = ["gap_lo,gap_hi,mean_loss,count"]
-    lines += [f"{row.gap_lo!r},{row.gap_hi!r},{row.mean_loss!r},{row.count}"
-              for row in rows]
-    atomic_write(r["out"], "\n".join(lines) + "\n")
-    _snapshot(r, "analyze-length-bias")
+    atomic_write(r["out"], lambda p: analysis.write_csv(
+        p, ("gap_lo", "gap_hi", "mean_loss", "count"),
+        [astuple(row) for row in rows]))
     return 0
 
 
 def _cmd_mdp_verify(r: dict) -> int:
-    lines = ["seed,gamma,delta1,delta2,delta3,subopt,term1,term2,bound,tv,holds"]
+    rows = []
     violations = 0
     for seed in range(r["seeds"]):
         m = mdp.random_mdp(r["states"], r["actions"], r["horizon"],
@@ -221,13 +210,12 @@ def _cmd_mdp_verify(r: dict) -> int:
             rep = mdp.suboptimality_bound(m, pi_star, pi, gamma)
             holds = int(rep.subopt <= rep.bound_total + 1e-9)
             violations += 1 - holds
-            lines.append(",".join([
-                str(seed), repr(gamma), repr(rep.delta1), repr(rep.delta2),
-                repr(rep.delta3), repr(rep.subopt), repr(rep.bound_term1),
-                repr(rep.bound_term2), repr(rep.bound_total),
-                repr(rep.tv_expectation), str(holds)]))
-    atomic_write(r["out"], "\n".join(lines) + "\n")
-    _snapshot(r, "mdp-verify")
+            rows.append((seed, gamma, rep.delta1, rep.delta2, rep.delta3, rep.subopt,
+                         rep.bound_term1, rep.bound_term2, rep.bound_total,
+                         rep.tv_expectation, holds))
+    atomic_write(r["out"], lambda p: analysis.write_csv(
+        p, ("seed", "gamma", "delta1", "delta2", "delta3", "subopt", "term1", "term2",
+            "bound", "tv", "holds"), rows))
     print(json.dumps({"rows": r["seeds"] * len(r["gammas"]),
                       "violations": violations}))
     return 0
@@ -327,14 +315,8 @@ COMMANDS = {
         ], _cmd_mdp_verify),
 }
 
-_ANALYZE = {
-    "kl-position": "analyze-kl-position",
-    "prob-position": "analyze-prob-position",
-    "ref-margin": "analyze-ref-margin",
-    "length-bias": "analyze-length-bias",
-}
-
-_ARG_TYPES = {"int": int, "float": float, "str": str}
+_ANALYZE = {name.removeprefix("analyze-"): name
+            for name in COMMANDS if name.startswith("analyze-")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,13 +330,8 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
     parser.add_argument("--config", default=None,
                         help="configuration file (flags override file values)")
     for opt in options:
-        if opt.typ in _ARG_TYPES:
-            typ = _ARG_TYPES[opt.typ]
-        elif opt.typ == "floats":
-            typ = lambda s: [float(v) for v in s.split(",") if v.strip()]
-        else:
-            typ = lambda s: [int(v) for v in s.split(",") if v.strip()]
-        parser.add_argument(f"--{opt.name}", type=typ, default=None, help=opt.help)
+        # kept as text; config.resolve parses flags and file values alike
+        parser.add_argument(f"--{opt.name}", help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Preference-optimization laboratory with "
                                  "temporally decayed token weighting")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "build-pairs", "sample", "eval", "mdp-verify"):
-        _add_options(sub.add_parser(name, prog=f"decaypo {name}"), COMMANDS[name][0])
+    for name, (options, _) in COMMANDS.items():
+        if name not in _ANALYZE.values():
+            _add_options(sub.add_parser(name, prog=f"decaypo {name}"), options)
     analyze = sub.add_parser("analyze")
     asub = analyze.add_subparsers(dest="analysis", required=True)
     for short, full in _ANALYZE.items():
@@ -380,8 +358,11 @@ def run_command(argv) -> int:
         command = _ANALYZE[args.analysis]
     options, runner = COMMANDS[command]
     cli_values = {o.name: getattr(args, o.name.replace("-", "_")) for o in options}
-    resolved = resolve(command, options, cli_values, args.config)
-    return runner(resolved)
+    resolved = resolve(command, options, cli_values, args.config, COMMANDS)
+    code = runner(resolved)
+    if resolved.get("out"):
+        write_resolved_snapshot(f"{resolved['out']}.resolved.cfg", command, resolved)
+    return code
 
 
 def main(argv=None) -> int:

@@ -31,25 +31,19 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Option:
     name: str                 # dashed, mirrors the CLI flag without "--"
-    typ: str = "str"          # str | int | float | bool | floats | ints
+    typ: str = "str"          # str | int | float | floats | ints
     default: object = None
     required: bool = False
     help: str = ""
 
 
 def parse_value(opt: Option, text: str):
+    """The one parser of option text, for flags and config-file keys alike."""
     try:
         if opt.typ == "int":
             return int(text)
         if opt.typ == "float":
             return float(text)
-        if opt.typ == "bool":
-            low = text.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if opt.typ == "floats":
             return [float(v) for v in text.split(",") if v.strip()]
         if opt.typ == "ints":
@@ -60,8 +54,6 @@ def parse_value(opt: Option, text: str):
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ",".join(format_value(v) for v in value)
     if isinstance(value, float):
@@ -82,12 +74,14 @@ def load_config_file(path) -> dict:
 
 
 def resolve(command: str, options, cli_values: dict,
-            config_path: str | None) -> dict:
+            config_path: str | None, commands) -> dict:
     """Merge defaults, the seed env var, config-file section and CLI flags.
 
     Precedence (lowest to highest): registry defaults, DECAYPO_SEED for
-    the root seed, config file, explicit CLI flags. Unknown file keys are
-    rejected with the key named.
+    the root seed, config file, explicit CLI flags. Flag values arrive as
+    text, like file values, and both go through parse_value. A config file
+    may hold a section for any of ``commands``; unknown sections and
+    unknown keys in the ``command`` section are rejected with the name.
     """
     by_name = {o.name: o for o in options}
     resolved = {o.name: o.default for o in options}
@@ -99,27 +93,21 @@ def resolve(command: str, options, cli_values: dict,
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from e
     if config_path is not None:
         sections = load_config_file(config_path)
-        for section, values in sections.items():
-            if section != command:
-                continue
-            for key, text in values.items():
-                if key not in by_name:
-                    raise ConfigError(f"unknown key {key!r} in section [{command}]")
-                resolved[key] = parse_value(by_name[key], text)
-        unknown = set(sections) - {command}
-        if unknown:
-            # other commands' sections are allowed so one file can drive a
-            # whole pipeline; anything else is a typo
-            from .cli import COMMANDS  # noqa: PLC0415  (cycle-free at call time)
-            bad = unknown - set(COMMANDS)
-            if bad:
-                raise ConfigError(f"unknown section {sorted(bad)[0]!r}")
-    for key, value in cli_values.items():
-        if value is None:
+        for key, text in sections.get(command, {}).items():
+            if key not in by_name:
+                raise ConfigError(f"unknown key {key!r} in section [{command}]")
+            resolved[key] = parse_value(by_name[key], text)
+        # other commands' sections are allowed so one file can drive a
+        # whole pipeline; anything else is a typo
+        bad = set(sections) - set(commands)
+        if bad:
+            raise ConfigError(f"unknown section {sorted(bad)[0]!r}")
+    for key, text in cli_values.items():
+        if text is None:
             continue
         if key not in by_name:
             raise ConfigError(f"unknown flag --{key}")
-        resolved[key] = value
+        resolved[key] = parse_value(by_name[key], text)
     for opt in options:
         if opt.required and resolved[opt.name] is None:
             raise ConfigError(f"missing required key {opt.name!r} (flag --{opt.name})")

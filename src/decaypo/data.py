@@ -4,6 +4,7 @@ toy reward oracle, and the on-policy pair construction pipeline."""
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from dataclasses import dataclass, field
 
@@ -58,7 +59,7 @@ def _encode_bytes(data: bytes) -> str:
 
 def _decode_bytes(text: str) -> bytes:
     if text.startswith("b64:"):
-        return base64.b64decode(text[4:])
+        return base64.b64decode(text[4:], validate=True)
     return text.encode("utf-8")
 
 
@@ -93,17 +94,17 @@ def load_pairs(path) -> list[PreferencePair]:
             missing = {"id", "prompt", "chosen", "rejected"} - record.keys()
             if missing:
                 raise PairParseError(line_no, f"missing keys {sorted(missing)}")
+            texts = {}
             for key in ("prompt", "chosen", "rejected"):
                 if not isinstance(record[key], str):
                     raise PairParseError(line_no, f"key {key!r} is not a string")
+                try:
+                    texts[key] = _decode_bytes(record[key])
+                except binascii.Error as e:
+                    raise PairParseError(line_no, f"key {key!r}: bad base64: {e}") from None
             try:
-                pairs.append(PreferencePair(
-                    id=str(record["id"]),
-                    prompt=_decode_bytes(record["prompt"]),
-                    chosen=_decode_bytes(record["chosen"]),
-                    rejected=_decode_bytes(record["rejected"]),
-                    meta=record.get("meta", {}),
-                ))
+                pairs.append(PreferencePair(id=str(record["id"]), **texts,
+                                            meta=record.get("meta", {})))
             except PairValidationError as e:
                 raise PairValidationError(str(e.args[0]).split(": ", 1)[-1],
                                           str(record.get("id", "")), line_no) from e
@@ -172,6 +173,10 @@ def oracle_score(oracle: RewardOracle, prompt: bytes, response: bytes) -> float:
 def synthetic_corpus(n_prompts: int, seed: int, min_target_len: int = 4,
                      max_target_len: int = 16, alphabet: bytes = b"abcdefgh") -> dict:
     """Prompt -> target-answer lookup with controlled target lengths."""
+    distinct = len(set(alphabet)) ** 4
+    if n_prompts > distinct:
+        raise ValueError(f"n_prompts {n_prompts} exceeds the {distinct} distinct "
+                         "4-letter prompts over the alphabet")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))
     corpus = {}
     while len(corpus) < n_prompts:

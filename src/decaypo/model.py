@@ -67,9 +67,8 @@ class TokenSequence:
         return len(self.response_tokens)
 
 
-def make_sequence(prompt: bytes, response: bytes, terminate: bool = True) -> TokenSequence:
-    resp = Vocabulary.encode(response) + ([EOS] if terminate else [])
-    return TokenSequence([BOS] + Vocabulary.encode(prompt), resp)
+def make_sequence(prompt: bytes, response: bytes) -> TokenSequence:
+    return TokenSequence([BOS] + Vocabulary.encode(prompt), Vocabulary.encode(response) + [EOS])
 
 
 @dataclass
@@ -87,31 +86,29 @@ class PolicyModel:
             self.params = init_params(self.dim, self.context, self.blocks, self.seed)
 
     def param_names(self):
-        names = ["embed", "pos"]
-        for b in range(self.blocks):
-            names += [f"w1_{b}", f"w2_{b}", f"w3_{b}"]
-        names.append("w_out")
-        return names
+        return list(param_shapes(self.dim, self.context, self.blocks))
 
     def copy(self) -> "PolicyModel":
         return PolicyModel(self.dim, self.context, self.blocks, self.seed,
                            {k: v.copy() for k, v in self.params.items()})
 
 
+def param_shapes(dim: int, context: int, blocks: int) -> dict:
+    """Name -> shape of every parameter of the architecture, in the fixed
+    order that initialization draws them and checkpoints store them."""
+    shapes = {"embed": (VOCAB_SIZE, dim), "pos": (context, dim)}
+    for b in range(blocks):
+        shapes.update({f"w{i}_{b}": (dim, dim) for i in (1, 2, 3)})
+    shapes["w_out"] = (dim, VOCAB_SIZE)
+    return shapes
+
+
 def init_params(dim: int, context: int, blocks: int, seed: int) -> dict:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     s = 1.0 / np.sqrt(dim)
-    params = {
-        "embed": rng.normal(0.0, s, size=(VOCAB_SIZE, dim)),
-        "pos": rng.normal(0.0, s, size=(context, dim)),
-    }
-    for b in range(blocks):
-        params[f"w1_{b}"] = rng.normal(0.0, s, size=(dim, dim))
-        params[f"w2_{b}"] = rng.normal(0.0, s, size=(dim, dim))
-        params[f"w3_{b}"] = rng.normal(0.0, s, size=(dim, dim))
     # Zero output head: a fresh model is exactly uniform over the vocabulary.
-    params["w_out"] = np.zeros((dim, VOCAB_SIZE))
-    return params
+    return {name: np.zeros(shape) if name == "w_out" else rng.normal(0.0, s, size=shape)
+            for name, shape in param_shapes(dim, context, blocks).items()}
 
 
 def _check_context(model: PolicyModel, tokens: list) -> None:

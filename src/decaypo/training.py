@@ -15,7 +15,8 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .data import RewardOracle, oracle_score, response_bytes
 from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
-from .model import (BOS, VOCAB_SIZE, PolicyModel, make_sequence, sample, token_logprobs)
+from .model import (BOS, VOCAB_SIZE, PolicyModel, make_sequence, param_shapes, sample,
+                    token_logprobs)
 
 
 @dataclass
@@ -30,9 +31,6 @@ class TrainConfig:
     seed: int = 0
     max_response_len: int = 256
     weight_decay: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -122,6 +120,15 @@ def load_checkpoint(path) -> Checkpoint:
             end += 4 * count
         if end != len(blob):
             raise ValueError(f"{len(blob) - end} trailing bytes after the checkpoint payload")
+        expected = param_shapes(arch["dim"], arch["context"], arch["blocks"])
+        for name, shape in expected.items():
+            if name not in params:
+                raise ValueError(f"missing parameter {name!r}")
+            if params[name].shape != shape:
+                raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
+                                 f"the architecture needs {shape}")
+        if params.keys() != expected.keys():
+            raise ValueError(f"unknown parameters {sorted(params.keys() - expected.keys())}")
         model = PolicyModel(dim=arch["dim"], context=arch["context"],
                             blocks=arch["blocks"], seed=manifest["seed"], params=params)
         return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"],
@@ -231,8 +238,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         ref_model = reference.model
     policy = init.model.copy()
     names = policy.param_names()
-    opt = AdamW(policy.params, names, cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
-                cfg.adam_eps, cfg.weight_decay)
+    opt = AdamW(policy.params, names, cfg.lr, weight_decay=cfg.weight_decay)
     n_batches = max(1, math.ceil(len(pairs) / cfg.batch_size))
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
@@ -241,7 +247,6 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         np.random.SeedSequence([int(cfg.seed) & (2**63 - 1), 0])))  # data substream
     metrics = []
     step = 0
-    epoch = 0
     while step < total_steps:
         order = rng.permutation(len(pairs))
         for b in range(n_batches):
@@ -265,7 +270,6 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
             metrics.append({"step": step, "loss": loss, "margin": margin,
                             "grad_norm": gn, "lr": lr, "skipped": skipped})
             step += 1
-        epoch += 1
     if step == 0:
         return Checkpoint(policy, init.step, init.seed, init.config_hash), metrics
     return Checkpoint(policy, init.step + step, cfg.seed), metrics

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from decaypo.losses import PairScore
+from decaypo.model import PolicyModel
 
 
 def random_pairscore(rng, with_ref=True, max_len=8, prompt_len=None):
@@ -40,3 +44,35 @@ def central_difference(f, x, eps=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2):
+    """A checkpoint file holding exactly ``params`` under the given
+    architecture, whether or not they fit it."""
+    manifest = {"format": "decaypo-checkpoint-v1",
+                "architecture": {"kind": "causal-mixer", "dim": dim,
+                                 "context": context, "blocks": blocks},
+                "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
+                "step": 0, "seed": 0}
+    blob = json.dumps(manifest).encode("utf-8")
+    payload = b"".join(np.asarray(a).astype("<f4").tobytes() for a in params.values())
+    with open(path, "wb") as f:
+        f.write(struct.pack("<I", len(blob)) + blob + payload)
+
+
+# damaged parameter tables of a dim-16, 2-block model -> the name a loader must report
+MISFITS = {"narrow": "w1_0", "missing": "w3_1", "unknown": "extra", "extra_block": "w1_2"}
+
+
+def misfit_params(case: str) -> tuple[dict, int]:
+    """The parameters for one MISFITS case and the block count to declare."""
+    params = dict(PolicyModel(dim=16, context=48, blocks=2, seed=0).params)
+    if case == "narrow":
+        params["w1_0"] = np.zeros((8, 8))
+    elif case == "missing":
+        del params["w3_1"]
+    elif case == "unknown":
+        params["extra"] = np.zeros(3)
+    else:  # extra_block: a third block is declared but its weights are absent
+        return params, 3
+    return params, 2

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import MISFITS, misfit_params, write_raw_checkpoint
 from decaypo.analysis import read_curve_csv, read_histogram_csv
 from decaypo.cli import main
 from decaypo.config import atomic_write
@@ -80,6 +81,36 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 1" in err[0] and repr(key) in err[0]
+
+    @pytest.mark.parametrize("key", ["prompt", "rejected"])
+    def test_bad_base64_pair_field_exit_2_one_line(self, tmp_path, capsys, key):
+        record = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", key: "b64:abc"}
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        rc = main(["train", *SMALL_ARCH, "--pairs", str(path),
+                   "--out", str(tmp_path / "x.ckpt"), "--metrics", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 1" in err[0] and repr(key) in err[0]
+
+    @pytest.mark.parametrize("case", sorted(MISFITS))
+    def test_misfit_checkpoint_exit_2_one_line(self, tmp_path, capsys, case):
+        params, blocks = misfit_params(case)
+        path = tmp_path / "misfit.ckpt"
+        write_raw_checkpoint(path, params, blocks=blocks)
+        assert main(["sample", "--model", str(path), "--prompt", "hi"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and repr(MISFITS[case]) in err[0]
+
+    @pytest.mark.parametrize("command", ["build-pairs", "eval"])
+    def test_more_prompts_than_exist_exit_2_one_line(self, workdir, tmp_path, capsys, command):
+        ckpt = str(workdir / "model.ckpt")
+        models = {"build-pairs": ["--model", ckpt],
+                  "eval": ["--candidate", ckpt, "--baseline", ckpt]}[command]
+        rc = main([command, *models, "--n-prompts", "4097", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "4096" in err[0]
 
 
 class TestAtomicWrite:
@@ -242,12 +273,33 @@ class TestAnalyzeCommands:
     def test_length_bias_csv(self, workdir):
         out = workdir / "bias.csv"
         rc = main(["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                   "--reference", str(workdir / "model.ckpt"),
                    "--pairs", str(workdir / "pairs.jsonl"),
                    "--gap-bins=-100,0,100", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "gap_lo,gap_hi,mean_loss,count"
         assert len(lines) > 1
+        for line in lines[1:]:
+            float(line.split(",")[2])
+
+    def test_length_bias_needs_reference(self, workdir, tmp_path, capsys):
+        out = tmp_path / "bias.csv"
+        rc = main(["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                   "--pairs", str(workdir / "pairs.jsonl"), "--method", "d2po",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--reference" in err[0]
+        assert not out.exists()
+
+    def test_length_bias_reference_free_needs_none(self, workdir, tmp_path):
+        out = tmp_path / "bias.csv"
+        rc = main(["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                   "--pairs", str(workdir / "pairs.jsonl"), "--method", "simpo",
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith("gap_lo,gap_hi,mean_loss,count\n")
 
 
 class TestMdpVerify:

@@ -1,0 +1,94 @@
+import pytest
+
+from decaypo.cli import main
+from decaypo.config import ConfigError, Option, resolve
+
+OPTIONS = [
+    Option("count", "int", 1),
+    Option("rate", "float", 0.5),
+    Option("name", "str", "a"),
+    Option("gammas", "floats", [1.0]),
+    Option("bins", "ints", [0, 1]),
+]
+
+TEXTS = [
+    ("count", "-7", -7),
+    ("rate", "1e-3", 1e-3),
+    ("name", "run two.csv", "run two.csv"),
+    ("gammas", "0.5, 0.9,1.0", [0.5, 0.9, 1.0]),
+    ("bins", "-64,-4,0,4,64", [-64, -4, 0, 4, 64]),
+]
+
+
+@pytest.mark.parametrize("key,text,value", TEXTS, ids=[t[0] for t in TEXTS])
+def test_flag_and_file_text_parse_alike(tmp_path, key, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[cmd]\n{key} = {text}\n")
+    by_file = resolve("cmd", OPTIONS, {}, str(cfg), ["cmd"])
+    by_flag = resolve("cmd", OPTIONS, {key: text}, None, ["cmd"])
+    assert by_flag == by_file
+    assert by_flag[key] == value and type(by_flag[key]) is type(value)
+
+
+@pytest.mark.parametrize("key", ["count", "rate", "gammas", "bins"])
+def test_bad_text_names_key(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[cmd]\n{key} = 1,x\n")
+    with pytest.raises(ConfigError, match=repr(key)):
+        resolve("cmd", OPTIONS, {key: "1,x"}, None, ["cmd"])
+    with pytest.raises(ConfigError, match=repr(key)):
+        resolve("cmd", OPTIONS, {}, str(cfg), ["cmd"])
+
+
+def test_cli_flags_and_file_give_one_snapshot(tmp_path):
+    settings = {"seeds": "2", "gammas": "0.5,1.0", "reward-bound": "0.75",
+                "states": "3", "actions": "2", "horizon": "4"}
+    flags = [arg for key, text in settings.items() for arg in (f"--{key}", text)]
+    out_flag, out_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+    assert main(["mdp-verify", *flags, "--out", str(out_flag)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[mdp-verify]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["mdp-verify", "--config", str(cfg), "--out", str(out_file)]) == 0
+    assert out_flag.read_bytes() == out_file.read_bytes()
+    snap_flag = (tmp_path / "flag.csv.resolved.cfg").read_text()
+    snap_file = (tmp_path / "file.csv.resolved.cfg").read_text()
+    assert snap_flag.replace("flag.csv", "file.csv") == snap_file
+
+
+BAD_VALUES = [
+    (["mdp-verify"], "seeds", "abc"),
+    (["mdp-verify"], "beta", "x"),
+    (["mdp-verify"], "gammas", "0.5,x"),
+    (["analyze", "length-bias"], "gap-bins", "1,x"),
+]
+
+
+@pytest.mark.parametrize("command,key,text", BAD_VALUES, ids=[b[1] for b in BAD_VALUES])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_bad_value_exit_1_one_line(tmp_path, capsys, command, key, text, source):
+    if source == "flag":
+        argv = [*command, f"--{key}={text}"]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{'-'.join(command)}]\n{key} = {text}\n")
+        argv = [*command, "--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(key) in err[0]
+
+
+def test_other_commands_sections_accepted(tmp_path):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("[train]\nmethod = dpo\n\n[analyze-length-bias]\ngap-bins = 0,4\n\n"
+                   "[mdp-verify]\nseeds = 1\nstates = 2\nactions = 2\nhorizon = 3\n")
+    assert main(["mdp-verify", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
+    assert "seeds = 1" in (tmp_path / "m.csv.resolved.cfg").read_text().splitlines()
+
+
+def test_unknown_section_rejected(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[mdp-verify]\nseeds = 1\n\n[mdp-verfy]\nseeds = 2\n")
+    assert main(["mdp-verify", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'mdp-verfy'" in err[0]
+    assert not (tmp_path / "m.csv").exists()

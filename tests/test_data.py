@@ -88,6 +88,16 @@ class TestPersistence:
             load_pairs(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
+    @pytest.mark.parametrize("text", ["b64:abc", "b64:cQ=*", "b64:c Q=="])
+    def test_bad_base64_names_line_and_key(self, tmp_path, key, text):
+        good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: text}) + "\n")
+        with pytest.raises(PairParseError, match=repr(key)) as err:
+            load_pairs(path)
+        assert err.value.line_no == 2
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id":"a","prompt":"q","chosen":"x"}\n')
@@ -149,6 +159,14 @@ class TestSyntheticCorpus:
         for prompt, target in corpus.items():
             assert prompt.endswith(b"?")
             assert 3 <= len(target) <= 6
+
+    def test_more_prompts_than_exist_rejected(self):
+        # 2 letters give 2**4 distinct 4-letter prompts
+        assert len(synthetic_corpus(16, seed=1, alphabet=b"ab")) == 16
+        with pytest.raises(ValueError, match="16 distinct"):
+            synthetic_corpus(17, seed=1, alphabet=b"ab")
+        with pytest.raises(ValueError, match="4096 distinct"):
+            synthetic_corpus(4097, seed=1)
 
 
 class TestResponseBytes:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import MISFITS, misfit_params, write_raw_checkpoint
 from decaypo import autodiff as ad
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
 from decaypo.losses import LossConfig, PairScore, d2po_loss
@@ -112,6 +113,15 @@ class TestCheckpointIO:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="bad.ckpt"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MISFITS))
+    def test_parameters_must_fit_architecture(self, tmp_path, case):
+        params, blocks = misfit_params(case)
+        path = tmp_path / "bad.ckpt"
+        write_raw_checkpoint(path, params, blocks=blocks)
+        with pytest.raises(ValueError, match="bad.ckpt") as err:
+            load_checkpoint(path)
+        assert repr(MISFITS[case]) in str(err.value)
 
 
 class TestAdamW:
