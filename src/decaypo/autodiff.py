@@ -225,17 +225,6 @@ def log_softmax_gather(logits: Tensor, targets) -> Tensor:
     return Tensor(out, logits.tape, parents=(logits,), vjps=(vjp,))
 
 
-def sequence_logprobs_from_logits(logits, targets):
-    """Per-position log-probabilities of ``targets`` under row-wise softmax.
-
-    Plain-array convenience wrapper around :func:`log_softmax_gather`.
-    """
-    if isinstance(logits, Tensor):
-        return log_softmax_gather(logits, targets)
-    tape = Tape()
-    return log_softmax_gather(constant(tape, logits), targets).value
-
-
 def gradients(output: Tensor, inputs=None):
     """Reverse-mode gradients of a scalar output.
 

@@ -139,7 +139,7 @@ def _cmd_eval(r: dict) -> int:
     baseline = load_checkpoint(r["baseline"])
     win, tie, lose = evaluate_winrate(
         candidate, baseline, oracle, list(oracle.targets), r["temperature"],
-        seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
+        seed_substream(r["seed"], "eval"), max_len=r["max-len"])
     total = win + tie + lose
     result = {"win": win, "tie": tie, "lose": lose,
               "winrate": (win + tie / 2.0) / total if total else 0.0}
@@ -198,6 +198,8 @@ def _cmd_length_bias(r: dict) -> int:
 
 
 def _cmd_mdp_verify(r: dict) -> int:
+    if not all(0 < g <= 1 for g in r["gammas"]):
+        raise ConfigError(f"key 'gammas': every gamma must be in (0, 1], got {r['gammas']}")
     rows = []
     violations = 0
     for seed in range(r["seeds"]):
@@ -210,9 +212,7 @@ def _cmd_mdp_verify(r: dict) -> int:
             rep = mdp.suboptimality_bound(m, pi_star, pi, gamma)
             holds = int(rep.subopt <= rep.bound_total + 1e-9)
             violations += 1 - holds
-            rows.append((seed, gamma, rep.delta1, rep.delta2, rep.delta3, rep.subopt,
-                         rep.bound_term1, rep.bound_term2, rep.bound_total,
-                         rep.tv_expectation, holds))
+            rows.append((seed, *astuple(rep), holds))
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("seed", "gamma", "delta1", "delta2", "delta3", "subopt", "term1", "term2",
             "bound", "tv", "holds"), rows))
@@ -350,9 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_values(argv) -> list[str]:
+    """Every option takes exactly one value, so write each ``--flag value``
+    as ``--flag=value``; argparse then reads a value that starts with "-",
+    such as ``--gap-bins -8,0,8``, as the value, not as a flag."""
+    glued, tokens = [], iter(argv)
+    for token in tokens:
+        if token.startswith("--") and "=" not in token and token not in ("--", "--help"):
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        glued.append(token)
+    return glued
+
+
 def run_command(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_values(argv))
     command = args.command
     if command == "analyze":
         command = _ANALYZE[args.analysis]

@@ -14,14 +14,19 @@ import numpy as np
 ENV_SEED = "DECAYPO_SEED"
 
 # named substreams off the root seed; components never share raw seeds
-SEED_TAGS = {"data": 0, "sampling": 1, "sampo": 2, "init": 3}
+SEED_TAGS = {"data": 0, "sampling": 1, "sampo": 2, "init": 3, "eval": 4}
+
+
+def derive_seed(*keys) -> int:
+    """The 63-bit seed that a tuple of integer keys names."""
+    ss = np.random.SeedSequence([int(k) & (2**63 - 1) for k in keys])
+    return int(ss.generate_state(1, np.uint64)[0] & (2**63 - 1))
 
 
 def seed_substream(root_seed: int, tag: str) -> int:
     if tag not in SEED_TAGS:
         raise ValueError(f"unknown seed substream {tag!r}")
-    ss = np.random.SeedSequence([int(root_seed) & (2**63 - 1), SEED_TAGS[tag]])
-    return int(ss.generate_state(1, np.uint64)[0] & (2**63 - 1))
+    return derive_seed(root_seed, SEED_TAGS[tag])
 
 
 class ConfigError(ValueError):

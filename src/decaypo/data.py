@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import derive_seed
 from .model import BOS, PolicyModel, TokenSequence, Vocabulary, sample
 
 
@@ -28,6 +29,7 @@ class PairValidationError(ValueError):
         where = f"line {line_no}: " if line_no is not None else ""
         ident = f" (id={record_id!r})" if record_id else ""
         super().__init__(f"{where}{message}{ident}")
+        self.message = message
         self.record_id = record_id
         self.line_no = line_no
 
@@ -106,31 +108,21 @@ def load_pairs(path) -> list[PreferencePair]:
                 pairs.append(PreferencePair(id=str(record["id"]), **texts,
                                             meta=record.get("meta", {})))
             except PairValidationError as e:
-                raise PairValidationError(str(e.args[0]).split(": ", 1)[-1],
-                                          str(record.get("id", "")), line_no) from e
+                raise PairValidationError(e.message, e.record_id, line_no) from e
     return pairs
 
 
 def edit_distance(a: bytes, b: bytes) -> int:
-    """Levenshtein distance, numpy row DP."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    bv = np.frombuffer(b, dtype=np.uint8).astype(np.int64)
-    prev = np.arange(len(b) + 1, dtype=np.int64)
+    """Levenshtein distance, two-row DP."""
+    prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        cur = np.empty_like(prev)
-        cur[0] = i
-        sub = prev[:-1] + (bv != ca)
-        np.minimum(sub, prev[1:] + 1, out=sub)
-        # insertion column depends on the running minimum; do it serially
-        running = cur[0]
-        for j in range(1, len(b) + 1):
-            running = min(sub[j - 1], running + 1)
-            cur[j] = running
+        left = i
+        cur = [left]
+        for cb, diag, up in zip(b, prev, prev[1:]):
+            left = min(up + 1, left + 1, diag + (ca != cb))
+            cur.append(left)
         prev = cur
-    return int(prev[-1])
+    return prev[-1]
 
 
 ORACLE_KINDS = ("target_match", "length_penalized_match")
@@ -195,14 +187,24 @@ def response_bytes(seq: TokenSequence) -> bytes:
     return bytes(t for t in seq.response_tokens if 0 <= t < 256)
 
 
+def sample_and_score(model: PolicyModel, oracle: RewardOracle, prompt: bytes,
+                     temperature: float, max_len: int, seed: int) -> tuple[bytes, float]:
+    """One sampled response to ``prompt`` and its oracle score: the on-policy
+    step that building pairs and evaluating a win rate share."""
+    seq = sample(model, [BOS] + Vocabulary.encode(prompt), temperature, max_len, seed)
+    response = response_bytes(seq)
+    return response, oracle_score(oracle, prompt, response)
+
+
 def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
                          K: int = 5, temperature: float = 0.8, seed: int = 0,
                          max_len: int = 256):
     """Sample K responses per prompt and pair the best against the worst.
 
     Returns (pairs, skipped) where skipped counts prompts whose K samples
-    all tied at one score. Each prompt uses an independent generator seeded
-    by (seed, prompt index), so output is independent of scheduling order.
+    all tied at one score. Each sample draws from its own seed, derived from
+    (seed, prompt index, sample index), so output is independent of
+    scheduling order.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -210,16 +212,9 @@ def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
     skipped = 0
     for i, prompt in enumerate(prompts):
         prompt = bytes(prompt)
-        ctx = [BOS] + Vocabulary.encode(prompt)
-        responses = []
-        scores = []
-        for k in range(K):
-            sub = np.random.SeedSequence([int(seed) & (2**63 - 1), i, k])
-            s = int(sub.generate_state(1, np.uint64)[0] & (2**63 - 1))
-            seq = sample(model, ctx, temperature, max_len, s)
-            resp = response_bytes(seq)
-            responses.append(resp)
-            scores.append(oracle_score(oracle, prompt, resp))
+        responses, scores = zip(*(sample_and_score(model, oracle, prompt, temperature,
+                                                   max_len, derive_seed(seed, i, k))
+                                  for k in range(K)))
         best = int(np.argmax(scores))   # earliest index wins ties
         worst = int(np.argmin(scores))
         if scores[best] == scores[worst]:

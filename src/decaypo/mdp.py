@@ -170,7 +170,6 @@ def enumerate_trajectories(mdp: TabularMDP, s0: int | None = None):
 @dataclass
 class SuboptimalityReport:
     gamma: float
-    gamma_e: float = 1.0
     delta1: float = 0.0
     delta2: float = 0.0
     delta3: float = 0.0

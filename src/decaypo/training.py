@@ -13,10 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import RewardOracle, oracle_score, response_bytes
+from .config import derive_seed
+from .data import RewardOracle, sample_and_score
 from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
-from .model import (BOS, VOCAB_SIZE, PolicyModel, make_sequence, param_shapes, sample,
-                    token_logprobs)
+from .model import VOCAB_SIZE, PolicyModel, make_sequence, param_shapes, token_logprobs
 
 
 @dataclass
@@ -309,17 +309,10 @@ def evaluate_winrate(candidate: Checkpoint, baseline: Checkpoint,
     win = tie = lose = 0
     for i, prompt in enumerate(prompts):
         prompt = bytes(prompt)
-        ctx = [BOS] + list(prompt)
-        sub = np.random.SeedSequence([int(seed) & (2**63 - 1), 2, i])
-        s = int(sub.generate_state(1, np.uint64)[0] & (2**63 - 1))
-        resp_c = response_bytes(sample(candidate.model, ctx, temperature, max_len, s))
-        resp_b = response_bytes(sample(baseline.model, ctx, temperature, max_len, s))
-        sc = oracle_score(oracle, prompt, resp_c)
-        sb = oracle_score(oracle, prompt, resp_b)
-        if sc > sb:
-            win += 1
-        elif sc == sb:
-            tie += 1
-        else:
-            lose += 1
+        s = derive_seed(seed, 2, i)
+        _, sc = sample_and_score(candidate.model, oracle, prompt, temperature, max_len, s)
+        _, sb = sample_and_score(baseline.model, oracle, prompt, temperature, max_len, s)
+        win += sc > sb
+        tie += sc == sb
+        lose += sc < sb
     return win, tie, lose

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import MISFITS, misfit_params, write_raw_checkpoint
+from decaypo import cli, data, training
 from decaypo.analysis import read_curve_csv, read_histogram_csv
 from decaypo.cli import main
 from decaypo.config import atomic_write
 from decaypo.data import load_pairs
-from decaypo.model import PolicyModel
+from decaypo.model import PolicyModel, sample
 from decaypo.training import Checkpoint, save_checkpoint
 
 
@@ -240,6 +241,30 @@ class TestSampleEval:
         assert result["win"] == result["lose"] == 0
         assert result["winrate"] == 0.5
 
+    def test_eval_draws_no_build_pairs_seed(self, workdir, monkeypatch):
+        """Under one --seed, eval's sampling seeds are disjoint from
+        build-pairs', so an eval baseline never replays a training sample."""
+        seeds = []
+
+        def spy(model, prompt, temperature, max_len, seed):
+            seeds.append(seed)
+            return sample(model, prompt, temperature, max_len, seed)
+
+        for module in (cli, data, training):
+            for name, obj in list(vars(module).items()):
+                if obj is sample:
+                    monkeypatch.setattr(module, name, spy)
+        model = str(workdir / "model.ckpt")
+        assert main(["build-pairs", *SMALL_ARCH, *SMALL_CORPUS, "--model", model,
+                     "--k", "4", "--temperature", "1.0", "--max-len", "4",
+                     "--seed", "0", "--out", str(workdir / "seeds.jsonl")]) == 0
+        built = set(seeds)
+        seeds.clear()
+        assert main(["eval", *SMALL_CORPUS, "--candidate", model, "--baseline", model,
+                     "--temperature", "1.0", "--max-len", "4", "--seed", "0"]) == 0
+        assert len(built) == 6 * 4 and len(set(seeds)) == 6
+        assert built.isdisjoint(seeds)
+
 
 class TestAnalyzeCommands:
     def test_kl_position_csv(self, workdir):
@@ -315,3 +340,30 @@ class TestMdpVerify:
         assert lines[0].startswith("seed,gamma,delta1")
         assert len(lines) == 13
         assert all(line.endswith(",1") for line in lines[1:])
+
+
+class TestDashValues:
+    """Every option takes one value, even one that starts with "-"."""
+
+    def test_length_bias_bins_both_spellings(self, workdir, tmp_path):
+        common = ["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                  "--reference", str(workdir / "model.ckpt"),
+                  "--pairs", str(workdir / "pairs.jsonl")]
+        spaced, glued = tmp_path / "spaced.csv", tmp_path / "glued.csv"
+        assert main(common + ["--gap-bins", "-8,0,8", "--out", str(spaced)]) == 0
+        assert main(common + ["--gap-bins=-8,0,8", "--out", str(glued)]) == 0
+        assert spaced.read_bytes() == glued.read_bytes()
+        assert spaced.read_text().splitlines()[1].startswith("-8,0,")
+
+    @pytest.mark.parametrize("args", [["--gammas", "-0.5,1"], ["--gammas=-0.5,1"],
+                                      ["--gammas", "0,1"]])
+    def test_gamma_out_of_range_exit_1_names_key(self, tmp_path, capsys, args):
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "1", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'gammas'" in err[0]
+        assert not out.exists()
+
+    def test_missing_value_still_exit_1(self, capsys):
+        assert main(["mdp-verify", "--seeds"]) == 1
+        assert "--seeds" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from decaypo.cli import main
-from decaypo.config import ConfigError, Option, resolve
+from decaypo.config import SEED_TAGS, ConfigError, Option, resolve
 
 OPTIONS = [
     Option("count", "int", 1),
@@ -92,3 +94,12 @@ def test_unknown_section_rejected(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "'mdp-verfy'" in err[0]
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_readme_substreams_match_seed_tags():
+    """README's "Seeding" table lists exactly the substreams of SEED_TAGS."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Seeding", 1)[1].split("\n## ", 1)[0]
+    names = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+             if line.startswith("| `")]
+    assert sorted(names) == sorted(SEED_TAGS)

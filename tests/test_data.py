@@ -77,6 +77,7 @@ class TestPersistence:
             load_pairs(path)
         assert err.value.line_no == 3
         assert err.value.record_id == "dup"
+        assert str(err.value) == "line 3: chosen and rejected must differ (id='dup')"
 
     @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
     @pytest.mark.parametrize("value", [5, None, ["q"], {"b64": "cQ=="}])
@@ -121,6 +122,21 @@ class TestEditDistance:
             c = bytes(rng.integers(97, 102, size=rng.integers(0, 8)).tolist())
             assert edit_distance(a, b) == edit_distance(b, a)
             assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+    def test_matches_full_table_dp(self, rng):
+        def full_table(a, b):
+            d = [[i + j if i * j == 0 else 0 for j in range(len(b) + 1)]
+                 for i in range(len(a) + 1)]
+            for i in range(1, len(a) + 1):
+                for j in range(1, len(b) + 1):
+                    d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
+                                  d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+            return d[-1][-1]
+
+        for _ in range(300):
+            a = bytes(rng.integers(97, 101, size=rng.integers(0, 30)).tolist())
+            b = bytes(rng.integers(97, 101, size=rng.integers(0, 12)).tolist())
+            assert edit_distance(a, b) == full_table(a, b)
 
 
 class TestOracle:
