@@ -4,6 +4,7 @@ probability per position, and loss binned by chosen/rejected length gap."""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,22 +127,13 @@ def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGa
     counts = np.zeros(n_bins + 1, dtype=np.int64)
     for score in scored_pairs:
         gap = np.shape(score.chosen_logps)[0] - np.shape(score.rejected_logps)[0]
-        idx = n_bins  # overflow
-        for b in range(n_bins):
-            if boundaries[b] <= gap < boundaries[b + 1]:
-                idx = b
-                break
+        b = bisect.bisect_right(boundaries, gap) - 1
+        idx = b if 0 <= b < n_bins else n_bins  # the last slot is the overflow
         sums[idx] += pair_loss(score, cfg)
         counts[idx] += 1
-    rows = []
-    for b in range(n_bins):
-        if counts[b]:
-            rows.append(LengthGapRow(boundaries[b], boundaries[b + 1],
-                                     float(sums[b] / counts[b]), int(counts[b])))
-    if counts[n_bins]:
-        rows.append(LengthGapRow(float("-inf"), float("inf"),
-                                 float(sums[n_bins] / counts[n_bins]), int(counts[n_bins])))
-    return rows
+    edges = [*zip(boundaries, boundaries[1:]), (float("-inf"), float("inf"))]
+    return [LengthGapRow(lo, hi, float(total / count), int(count))
+            for (lo, hi), total, count in zip(edges, sums, counts) if count]
 
 
 def _cell(value) -> str:

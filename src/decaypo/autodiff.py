@@ -71,9 +71,12 @@ def constant(tape: Tape, value) -> Tensor:
     return Tensor(value, tape)
 
 
-def _join(a: Tensor, b: Tensor) -> Tape:
+def _join(a: Tensor, b: Tensor, elementwise: str = "") -> Tape:
+    """The tape both operands share; an ``elementwise`` op also needs equal shapes."""
     if a.tape is not b.tape:
         raise ValueError("operands recorded on different tapes")
+    if elementwise and a.value.shape != b.value.shape:
+        raise ValueError(f"shape mismatch in {elementwise}: {a.value.shape} vs {b.value.shape}")
     return a.tape
 
 
@@ -86,25 +89,19 @@ def as_tensor(tape: Tape, x) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"shape mismatch in add: {a.value.shape} vs {b.value.shape}")
+    tape = _join(a, b, "add")
     return Tensor(a.value + b.value, tape, parents=(a, b),
                   vjps=(lambda g: g, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"shape mismatch in sub: {a.value.shape} vs {b.value.shape}")
+    tape = _join(a, b, "sub")
     return Tensor(a.value - b.value, tape, parents=(a, b),
                   vjps=(lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"shape mismatch in mul: {a.value.shape} vs {b.value.shape}")
+    tape = _join(a, b, "mul")
     av, bv = a.value, b.value
     return Tensor(av * bv, tape, parents=(a, b),
                   vjps=(lambda g: g * bv, lambda g: g * av))

@@ -200,16 +200,15 @@ def _cmd_length_bias(r: dict) -> int:
 def _cmd_mdp_verify(r: dict) -> int:
     if not all(0 < g <= 1 for g in r["gammas"]):
         raise ConfigError(f"key 'gammas': every gamma must be in (0, 1], got {r['gammas']}")
+    for key in ("beta", "reward-bound", "states", "actions", "horizon"):
+        if not r[key] > 0:  # the integer keys must be >= 1
+            raise ConfigError(f"key {key!r}: must be > 0, got {r[key]}")
     rows = []
     violations = 0
     for seed in range(r["seeds"]):
         m = mdp.random_mdp(r["states"], r["actions"], r["horizon"],
                            r["reward-bound"], seed)
-        pi_ref = mdp.uniform_policy(m)
-        _, pi_star = mdp.soft_value_iteration(m, pi_ref, r["beta"], 1.0)
-        for gamma in r["gammas"]:
-            _, pi = mdp.soft_value_iteration(m, pi_ref, r["beta"], gamma)
-            rep = mdp.suboptimality_bound(m, pi_star, pi, gamma)
+        for rep in mdp.verify_bounds(m, mdp.uniform_policy(m), r["beta"], r["gammas"]):
             holds = int(rep.subopt <= rep.bound_total + 1e-9)
             violations += 1 - holds
             rows.append((seed, *astuple(rep), holds))

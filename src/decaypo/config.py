@@ -47,13 +47,17 @@ def parse_value(opt: Option, text: str):
     try:
         if opt.typ == "int":
             return int(text)
-        if opt.typ == "float":
-            return float(text)
-        if opt.typ == "floats":
-            return [float(v) for v in text.split(",") if v.strip()]
         if opt.typ == "ints":
             return [int(v) for v in text.split(",") if v.strip()]
-        return text
+        if opt.typ == "float":
+            values = [float(text)]
+        elif opt.typ == "floats":
+            values = [float(v) for v in text.split(",") if v.strip()]
+        else:
+            return text
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"not a finite number: {text.strip()!r}")
+        return values[0] if opt.typ == "float" else values
     except ValueError as e:
         raise ConfigError(f"key {opt.name!r}: {e}") from e
 
@@ -121,12 +125,8 @@ def resolve(command: str, options, cli_values: dict,
 
 def write_resolved_snapshot(path, command: str, resolved: dict) -> None:
     """A config file that, fed back via --config, reproduces the run."""
-    lines = [f"[{command}]"]
-    for key in sorted(resolved):
-        value = resolved[key]
-        if value is None:
-            continue
-        lines.append(f"{key} = {format_value(value)}")
+    lines = [f"[{command}]"] + [f"{key} = {format_value(value)}"
+                                for key, value in sorted(resolved.items()) if value is not None]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -66,19 +66,12 @@ def _decode_bytes(text: str) -> bytes:
 
 
 def save_pairs(pairs, path) -> None:
-    lines = []
-    for p in pairs:
-        record = {
-            "id": p.id,
-            "prompt": _encode_bytes(p.prompt),
-            "chosen": _encode_bytes(p.chosen),
-            "rejected": _encode_bytes(p.rejected),
-            "meta": p.meta,
-        }
-        lines.append(json.dumps(record, ensure_ascii=False))
+    lines = [json.dumps({"id": p.id, "prompt": _encode_bytes(p.prompt),
+                         "chosen": _encode_bytes(p.chosen),
+                         "rejected": _encode_bytes(p.rejected), "meta": p.meta},
+                        ensure_ascii=False) + "\n" for p in pairs]
     with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
+        f.writelines(lines)
 
 
 def load_pairs(path) -> list[PreferencePair]:
@@ -215,6 +208,8 @@ def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
         responses, scores = zip(*(sample_and_score(model, oracle, prompt, temperature,
                                                    max_len, derive_seed(seed, i, k))
                                   for k in range(K)))
+        if not np.all(np.isfinite(scores)):
+            raise ValueError(f"non-finite oracle score {scores} for prompt {prompt!r}")
         best = int(np.argmax(scores))   # earliest index wins ties
         worst = int(np.argmin(scores))
         if scores[best] == scores[worst]:

@@ -146,10 +146,8 @@ def kto_loss(batch, cfg: LossConfig, z_ref: float):
     if not batch:
         raise ValueError("kto_loss requires a nonempty batch")
     z = max(0.0, float(z_ref))
-    arrays = []
-    for score, _label in batch:
-        arrays.extend([score.chosen_logps, score.rejected_logps])
-    tape, had_tensor = _tape_of(*arrays)
+    tape, had_tensor = _tape_of(*(a for score, _ in batch
+                                  for a in (score.chosen_logps, score.rejected_logps)))
     total = None
     for score, label in batch:
         _require_ref(score)
@@ -205,8 +203,7 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
     uniformly without replacement; the shorter keeps all its tokens.
     """
     T_m = min(T_w, T_l)
-    idx_w = np.arange(T_w)
-    idx_l = np.arange(T_l)
+    idx_w, idx_l = np.arange(T_w), np.arange(T_l)
     if T_w != T_l:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(sampo_seed) & (2**63 - 1), int(example_id) & (2**63 - 1)])))

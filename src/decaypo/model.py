@@ -206,8 +206,8 @@ def sample_token_id(probs: np.ndarray, u: float) -> int:
 def sample(model: PolicyModel, prompt, temperature: float, max_len: int,
            seed: int) -> TokenSequence:
     """Autoregressive sampling; temperature 0 is argmax with lowest-id ties."""
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= temperature < np.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     prompt = list(prompt)

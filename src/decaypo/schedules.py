@@ -66,8 +66,7 @@ def weights(schedule: DecaySchedule, response_len: int, prompt_len: int = 0) -> 
         # answer-start weights times the scalar gamma^l bit-for-bit.
         return (g ** o) * np.power(g, t)
     if schedule.kind == "head":
-        cut = ceil(g * T)
-        return (t < cut).astype(np.float64)
+        return (t < ceil(g * T)).astype(np.float64)
     if schedule.kind == "linear":
         cut = ceil(g * T)
         w = 1.0 - t / (g * T)

@@ -201,14 +201,10 @@ def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
     tape = Tape()
     names = policy.param_names()
     leaves = {n: ad.leaf(tape, policy.params[n]) for n in names}
-    scores = []
-    skipped = 0
-    for pair, eid in batch:
-        score = score_pair(policy, reference, pair, cfg.max_response_len, eid, tape, leaves)
-        if score is None:
-            skipped += 1
-            continue
-        scores.append(score)
+    scores = [score_pair(policy, reference, pair, cfg.max_response_len, eid, tape, leaves)
+              for pair, eid in batch]
+    skipped = sum(score is None for score in scores)
+    scores = [score for score in scores if score is not None]
     if not scores:
         return None, skipped
     loss = batch_loss(scores, cfg.loss)
@@ -230,12 +226,10 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
     lr, skipped. Fully deterministic in (cfg, pairs, init, reference).
     """
-    if cfg.loss.method in REFERENCE_FREE:
-        ref_model = None
-    else:
-        if reference is None:
-            raise ValueError(f"method {cfg.loss.method} requires a reference checkpoint")
-        ref_model = reference.model
+    needs_reference = cfg.loss.method not in REFERENCE_FREE
+    if needs_reference and reference is None:
+        raise ValueError(f"method {cfg.loss.method} requires a reference checkpoint")
+    ref_model = reference.model if needs_reference else None
     policy = init.model.copy()
     names = policy.param_names()
     opt = AdamW(policy.params, names, cfg.lr, weight_decay=cfg.weight_decay)
@@ -256,17 +250,15 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
             batch = [(pairs[i], int(i)) for i in idx]
             result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
             lr = cosine_lr(step, total_steps, cfg.warmup_fraction, cfg.lr)
-            if result is None:
-                metrics.append({"step": step, "loss": None, "margin": None,
-                                "grad_norm": 0.0, "lr": lr, "skipped": skipped})
-                step += 1
-                continue
-            loss, margin, grads = result
-            gn = grad_norm(grads, names)
-            if cfg.grad_clip is not None and gn > cfg.grad_clip:
-                scale = cfg.grad_clip / gn
-                grads = {n: g * scale for n, g in grads.items()}
-            opt.step(grads, lr=lr)
+            loss = margin = None
+            gn = 0.0
+            if result is not None:  # else every example overflowed the context
+                loss, margin, grads = result
+                gn = grad_norm(grads, names)
+                if cfg.grad_clip is not None and gn > cfg.grad_clip:
+                    scale = cfg.grad_clip / gn
+                    grads = {n: g * scale for n, g in grads.items()}
+                opt.step(grads, lr=lr)
             metrics.append({"step": step, "loss": loss, "margin": margin,
                             "grad_norm": gn, "lr": lr, "skipped": skipped})
             step += 1

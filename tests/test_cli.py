@@ -342,6 +342,17 @@ class TestMdpVerify:
         assert all(line.endswith(",1") for line in lines[1:])
 
 
+    @pytest.mark.parametrize("key,text", [("beta", "0"), ("beta", "-0.3"),
+                                          ("reward-bound", "0"), ("states", "0"),
+                                          ("actions", "0"), ("horizon", "0"), ("horizon", "-2")])
+    def test_out_of_range_exit_1_names_key(self, tmp_path, capsys, key, text):
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "1", f"--{key}={text}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(key) in err[0]
+        assert not out.exists()
+
+
 class TestDashValues:
     """Every option takes one value, even one that starts with "-"."""
 

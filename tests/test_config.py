@@ -79,6 +79,39 @@ def test_cli_bad_value_exit_1_one_line(tmp_path, capsys, command, key, text, sou
     assert len(err) == 1 and repr(key) in err[0]
 
 
+@pytest.mark.parametrize("key,text", [("rate", "nan"), ("rate", "inf"), ("rate", " -Infinity"),
+                                      ("gammas", "0.5,nan"), ("gammas", "inf,1.0")])
+def test_non_finite_float_names_key(key, text):
+    with pytest.raises(ConfigError, match=f"key {key!r}: not a finite number"):
+        resolve("cmd", OPTIONS, {key: text}, None, ["cmd"])
+
+
+NON_FINITE = [
+    (["mdp-verify"], "beta", "nan"),
+    (["mdp-verify"], "reward-bound", "inf"),
+    (["mdp-verify"], "gammas", "0.5,nan"),
+    (["build-pairs"], "temperature", "nan"),
+    (["build-pairs"], "brevity-coefficient", "nan"),
+    (["eval"], "temperature", "inf"),
+]
+
+
+@pytest.mark.parametrize("command,key,text", NON_FINITE,
+                         ids=["-".join(n[1:]) for n in NON_FINITE])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_non_finite_exit_1_one_line(tmp_path, capsys, command, key, text, source):
+    if source == "flag":
+        argv = [*command, f"--{key}={text}"]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{command[0]}]\n{key} = {text}\n")
+        argv = [*command, "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(key) in err[0] and "finite" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_other_commands_sections_accepted(tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("[train]\nmethod = dpo\n\n[analyze-length-bias]\ngap-bins = 0,4\n\n"

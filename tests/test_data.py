@@ -226,6 +226,14 @@ class TestOnPolicyPairs:
             build_onpolicy_pairs(self.model, self.oracle, [], K=1,
                                  temperature=0.8, seed=0)
 
+    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
+    def test_non_finite_oracle_score_rejected(self, coefficient):
+        oracle = RewardOracle(kind="length_penalized_match", targets=self.corpus,
+                              brevity_coefficient=coefficient)
+        with pytest.raises(ValueError, match="non-finite oracle score"):
+            build_onpolicy_pairs(self.model, oracle, list(self.corpus),
+                                 K=3, temperature=0.8, seed=5, max_len=12)
+
     def test_length_preferring_oracle_builds_verbose_corpus(self):
         # negative brevity coefficient rewards length
         oracle = RewardOracle(kind="length_penalized_match", targets=self.corpus,

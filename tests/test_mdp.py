@@ -1,12 +1,15 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from decaypo.mdp import (TabularMDP, discount_horizon, enumerate_trajectories,
                          occupancy_tv, policy_value, random_mdp,
                          soft_value_iteration, state_visitation,
                          suboptimality_decompose, suboptimality_bound,
                          trajectory_identity_check, uniform_policy,
-                         validate_policy)
+                         validate_policy, verify_bounds)
 
 
 class TestTabularMDP:
@@ -278,3 +281,174 @@ class TestValidation:
         m = random_mdp(2, 2, 3, 1.0, seed=20)
         with pytest.raises(ValueError):
             validate_policy(m, np.full((3, 2, 2), 0.3))
+
+
+# ---------------------------------------------------------------------------
+# the stacked core against a per-discount oracle
+
+def oracle_soft_value_iteration(m, ref, beta, gamma):
+    """One discount at a time, with scipy's logsumexp and an explicit
+    renormalization of each policy row."""
+    V = np.zeros((m.H + 1, m.S))
+    Q = np.zeros((m.H, m.S, m.A))
+    pi = np.zeros((m.H, m.S, m.A))
+    for t in range(m.H - 1, -1, -1):
+        Q[t] = m.r + beta * np.log(ref[t]) + gamma * (m.P @ V[t + 1])
+        V[t] = beta * logsumexp(Q[t] / beta, axis=1)
+        pi[t] = np.exp((Q[t] - V[t][:, None]) / beta)
+        pi[t] /= np.sum(pi[t], axis=1, keepdims=True)
+    return V, Q, pi
+
+
+def oracle_policy_value(m, pi, gamma):
+    V = np.zeros(m.S)
+    for t in range(m.H - 1, -1, -1):
+        V = np.sum(pi[t] * (m.r + gamma * (m.P @ V)), axis=1)
+    return V
+
+
+def oracle_occupancy_tv(m, pi_star, pi):
+    d = np.zeros((m.H, m.S))
+    d[0, m.s0] = 1.0
+    for t in range(m.H - 1):
+        d[t + 1] = np.einsum("sa,sak->k", d[t][:, None] * pi_star[t], m.P)
+    return float(np.mean(np.sum(d * 0.5 * np.sum(np.abs(pi_star - pi), axis=2), axis=1)))
+
+
+def oracle_report(m, pi_star, pi, gamma):
+    v1_star, vg_star = (oracle_policy_value(m, pi_star, g)[m.s0] for g in (1.0, gamma))
+    vg, v1 = (oracle_policy_value(m, pi, g)[m.s0] for g in (gamma, 1.0))
+    g = discount_horizon(gamma, m.H)
+    tv = oracle_occupancy_tv(m, pi_star, pi)
+    term1, term2 = 2.0 * (m.H - g) * m.R, 2.0 * g * g * tv * m.R
+    return (gamma, v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1,
+            term1, term2, term1 + term2, tv)
+
+
+# (S, A, H, seeds): random shapes plus the edge shapes S=1, A=1, H=1
+SHAPES = [(4, 3, 8, 30), (5, 2, 12, 10), (1, 3, 6, 5), (4, 1, 6, 5), (3, 3, 1, 5),
+          (1, 1, 1, 3), (7, 4, 5, 5)]
+# gamma = 1 and repeated discounts included
+GAMMAS = [0.5, 0.9, 0.9, 0.98, 1.0, 1.0, 0.31]
+
+
+def _deviation(a, b):
+    return float(np.max(np.abs(np.subtract(a, b, dtype=np.float64))))
+
+
+class TestStackedCoreEquivalence:
+    """The stacked backup and pair evaluation agree with the per-discount
+    recursion to 1e-12 (observed: about 1e-14)."""
+
+    @pytest.mark.parametrize("S,A,H,seeds", SHAPES)
+    def test_public_functions_match_oracle(self, S, A, H, seeds):
+        worst = 0.0
+        for seed in range(seeds):
+            m = random_mdp(S, A, H, 1.0, seed=seed)
+            rng = np.random.default_rng(seed)
+            ref = rng.dirichlet(np.ones(A), size=(H, S))
+            beta = float(rng.uniform(0.05, 2.0))
+            _, _, pi_star = oracle_soft_value_iteration(m, ref, beta, 1.0)
+            for gamma in GAMMAS + [0.0]:
+                (V, Q), pi = soft_value_iteration(m, ref, beta, gamma)
+                V_o, Q_o, pi_o = oracle_soft_value_iteration(m, ref, beta, gamma)
+                worst = max(worst, _deviation(V, V_o), _deviation(Q, Q_o),
+                            _deviation(pi, pi_o))
+                for s in range(S):
+                    worst = max(worst, abs(policy_value(m, pi_o, gamma, s)
+                                           - oracle_policy_value(m, pi_o, gamma)[s]))
+                if gamma == 0.0:
+                    continue
+                expected = oracle_report(m, pi_star, pi_o, gamma)
+                worst = max(worst,
+                            _deviation(astuple(suboptimality_bound(m, pi_star, pi_o, gamma)),
+                                       expected),
+                            _deviation(astuple(suboptimality_decompose(
+                                m, pi_star, pi_o, gamma))[1:5], expected[1:5]),
+                            abs(occupancy_tv(m, pi_star, pi_o) - expected[-1]))
+        print(f"max deviation from the per-discount oracle: {worst:.2e}")
+        assert worst <= 1e-12, worst
+
+    @pytest.mark.parametrize("S,A,H,seeds", SHAPES)
+    def test_verify_bounds_matches_per_gamma_bounds(self, S, A, H, seeds):
+        worst = 0.0
+        for seed in range(seeds):
+            m = random_mdp(S, A, H, 1.0, seed=seed)
+            ref = uniform_policy(m)
+            beta = 0.3
+            reports = verify_bounds(m, ref, beta, GAMMAS)
+            assert [r.gamma for r in reports] == GAMMAS
+            _, pi_star = soft_value_iteration(m, ref, beta, 1.0)
+            _, _, pi_star_o = oracle_soft_value_iteration(m, ref, beta, 1.0)
+            for gamma, rep in zip(GAMMAS, reports):
+                _, pi = soft_value_iteration(m, ref, beta, gamma)
+                per_gamma = suboptimality_bound(m, pi_star, pi, gamma)
+                _, _, pi_o = oracle_soft_value_iteration(m, ref, beta, gamma)
+                worst = max(worst, _deviation(astuple(rep), astuple(per_gamma)),
+                            _deviation(astuple(rep), oracle_report(m, pi_star_o, pi_o, gamma)))
+                assert rep.subopt <= rep.bound_total + 1e-9
+        print(f"max deviation from per-gamma bounds and the oracle: {worst:.2e}")
+        assert worst <= 1e-12, worst
+
+    def test_repeated_gammas_give_the_same_rows(self):
+        m = random_mdp(4, 3, 8, 1.0, seed=3)
+        a, b, c = verify_bounds(m, uniform_policy(m), 0.3, [0.9, 0.7, 0.9])
+        assert _deviation(astuple(a), astuple(c)) <= 1e-12
+        assert _deviation(astuple(a), astuple(b)) > 1e-3
+
+    def test_verify_bounds_rejects_gamma_outside_unit_interval(self):
+        m = random_mdp(2, 2, 3, 1.0, seed=0)
+        for gammas in ([0.0], [0.5, 1.5], [-0.1]):
+            with pytest.raises(ValueError, match="gamma"):
+                verify_bounds(m, uniform_policy(m), 0.3, gammas)
+
+
+class TestDeterministicTransitions:
+    @pytest.mark.parametrize("S", [1, 2, 5, 9])
+    @pytest.mark.parametrize("A", [1, 3, 4])
+    def test_one_hot_table_matches_loop_fill(self, S, A):
+        for seed in range(12):
+            m = random_mdp(S, A, 3, 1.5, seed=seed, deterministic=True)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            P = np.zeros((S, A, S))
+            nxt = rng.integers(0, S, size=(S, A))
+            for s in range(S):
+                for a in range(A):
+                    P[s, a, nxt[s, a]] = 1.0
+            r = rng.uniform(-1.5, 1.5, size=(S, A))
+            assert m.P.tobytes() == P.tobytes() and m.P.shape == P.shape
+            assert m.r.tobytes() == r.tobytes()
+
+
+def _malformed(m):
+    good = uniform_policy(m)
+    negative = good.copy()
+    negative[0, 0, 0], negative[0, 0, 1] = -0.5, negative[0, 0, 1] + 0.5 + good[0, 0, 0]
+    nan = good.copy()
+    nan[-1, -1, 0] = np.nan
+    return {"shape": good[:-1], "negative": negative, "unnormalized": good * 0.9, "nan": nan}
+
+
+PUBLIC_ENTRIES = {
+    "validate_policy": lambda m, bad, good: validate_policy(m, bad),
+    "policy_value": lambda m, bad, good: policy_value(m, bad, 0.9),
+    "state_visitation": lambda m, bad, good: state_visitation(m, bad),
+    "decompose_pi_star": lambda m, bad, good: suboptimality_decompose(m, bad, good, 0.9),
+    "decompose_pi": lambda m, bad, good: suboptimality_decompose(m, good, bad, 0.9),
+    "bound_pi_star": lambda m, bad, good: suboptimality_bound(m, bad, good, 0.9),
+    "bound_pi": lambda m, bad, good: suboptimality_bound(m, good, bad, 0.9),
+    "occupancy_tv_pi_star": lambda m, bad, good: occupancy_tv(m, bad, good),
+    "occupancy_tv_pi": lambda m, bad, good: occupancy_tv(m, good, bad),
+    "soft_value_iteration": lambda m, bad, good: soft_value_iteration(m, bad, 0.3, 0.9),
+    "trajectory_identity_check": lambda m, bad, good: trajectory_identity_check(
+        m, bad, 0.3, 0.9, [(0, 0)]),
+    "verify_bounds": lambda m, bad, good: verify_bounds(m, bad, 0.3, [0.9]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
+@pytest.mark.parametrize("kind", ["shape", "negative", "unnormalized", "nan"])
+def test_every_public_entry_rejects_malformed_policy(entry, kind):
+    m = random_mdp(3, 2, 4, 1.0, seed=21)
+    with pytest.raises(ValueError, match="policy"):
+        PUBLIC_ENTRIES[entry](m, _malformed(m)[kind], uniform_policy(m))

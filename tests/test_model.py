@@ -242,6 +242,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(m, [BOS] * 48, 1.0, 4, seed=0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -0.5])
+    def test_rejects_non_finite_or_negative_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            sample(small_model(), [BOS, 66], temperature, 4, seed=0)
+
     @pytest.mark.parametrize("prompt", [[], [BOS, VOCAB_SIZE], [BOS, -1], [BOS] * 49],
                              ids=["empty", "id-258", "id-negative", "over-context"])
     def test_rejects_bad_prompt(self, prompt):
