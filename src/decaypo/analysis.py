@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .losses import LossConfig, pair_loss
-from .model import PolicyModel, TokenSequence, forward_logits, make_sequence, token_logprobs
+from .model import (PolicyModel, make_sequence, packed_logprobs, response_logits,
+                    token_logprobs)
 
 
 @dataclass
@@ -32,14 +34,26 @@ class DensityHistogram:
     bin_width: float
 
 
-def _position_distribution_logs(model: PolicyModel, seq: TokenSequence) -> np.ndarray:
-    """Log next-token distributions at every response position (T x V)."""
-    tokens = seq.prompt_tokens + seq.response_tokens
-    logits = forward_logits(model, tokens).value
-    rows = logits[seq.prompt_len - 1: seq.prompt_len - 1 + seq.response_len]
+# Sequences per packed pass, so that a pass's R x V arrays hold at most
+# PACK * context rows however many sequences an analysis reads.
+PACK = 32
+
+
+def _per_sequence(score, seqs):
+    """One array per sequence, in order, from ``score(pack) -> (flat rows,
+    offsets)`` run over consecutive packs of at most PACK sequences."""
+    for i in range(0, len(seqs), PACK):
+        flat, offsets = score(seqs[i:i + PACK])
+        yield from np.split(flat, offsets[1:-1])
+
+
+def _position_distribution_logs(model: PolicyModel, seqs):
+    """Log next-token distributions at every response position of a packed
+    pass over ``seqs`` (R x V), and the offsets that cut them per sequence."""
+    rows, offsets = response_logits(model, seqs)
     m = np.max(rows, axis=1, keepdims=True)
     lse = m + np.log(np.sum(np.exp(rows - m), axis=1, keepdims=True))
-    return rows - lse
+    return rows - lse, offsets
 
 
 def kl_categorical(logp: np.ndarray, logq: np.ndarray) -> float:
@@ -55,16 +69,17 @@ def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
     if policy.context != reference.context:
         raise ValueError("models must share context length")
     return _survivor_mean(
-        (map(kl_categorical, _position_distribution_logs(policy, seq),
-             _position_distribution_logs(reference, seq)) for seq in samples), max_pos)
+        (map(kl_categorical, logp, logq) for logp, logq in zip(
+            _per_sequence(partial(_position_distribution_logs, policy), samples),
+            _per_sequence(partial(_position_distribution_logs, reference), samples))), max_pos)
 
 
 def prob_per_position(model: PolicyModel, samples, max_pos: int) -> PositionCurve:
     """Survivor-mean realized next-token probability per response position."""
     if not samples:
         raise ValueError("prob_per_position requires samples")
-    return _survivor_mean((np.exp(token_logprobs(model, seq)).tolist() for seq in samples),
-                          max_pos)
+    return _survivor_mean((np.exp(logps).tolist() for logps in
+                           _per_sequence(partial(packed_logprobs, model), samples)), max_pos)
 
 
 def _survivor_mean(rows, max_pos: int) -> PositionCurve:
@@ -92,10 +107,10 @@ def ref_margin_density(reference: PolicyModel, pairs, bins: int) -> DensityHisto
         raise ValueError("ref_margin_density requires pairs")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    margins = np.array([
-        sequence_logprob(reference, p.prompt, p.chosen)
-        - sequence_logprob(reference, p.prompt, p.rejected)
-        for p in pairs])
+    seqs = [make_sequence(p.prompt, response) for p in pairs for response in (p.chosen, p.rejected)]
+    sums = np.array([np.sum(logps) for logps in
+                     _per_sequence(partial(packed_logprobs, reference), seqs)])
+    margins = sums[0::2] - sums[1::2]
     lo, hi = float(np.min(margins)), float(np.max(margins))
     if hi == lo:
         # degenerate single spike; give it one unit-width bin

@@ -2,9 +2,15 @@
 
 The primitive set is fixed and small on purpose: matmul, add, elementwise
 multiply, scalar scale, sum, weighted sum, square, logsigmoid, sigmoid,
-log1mexp, a log-softmax gather, a row gather and a causal running mean. That
-is exactly what the toy policy model and the preference losses need, and it
-keeps the finite-difference oracle in the tests exhaustive.
+log1mexp, a log-softmax gather, a row gather and a segmented causal running
+mean. That is exactly what the toy policy model and the preference losses
+need, and it keeps the finite-difference oracle in the tests exhaustive.
+
+The primitives of the model's forward pass (row gather, causal mean,
+logsigmoid and the log-softmax gather) also take plain arrays; they then
+compute the same values and return plain arrays, recording nothing. With
+numpy's own operators for the rest, one forward definition serves a taped
+pass and a tape-free one, and both do the same arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +20,21 @@ from scipy.special import expit
 
 
 class Tape:
-    """Ordered record of operations; recording order is topological order."""
+    """Ordered record of operations; recording order is topological order.
+
+    As a context manager the tape empties itself on exit: that breaks the
+    Tape.nodes -> Tensor.tape cycle, so the recorded arrays are freed when
+    the caller drops its tensors, not at the next cyclic garbage collection.
+    """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.nodes.clear()
 
     def _record(self, tensor: "Tensor") -> "Tensor":
         self.nodes.append(tensor)
@@ -88,6 +105,16 @@ def as_tensor(tape: Tape, x) -> Tensor:
     return constant(tape, x)
 
 
+def _value(a) -> np.ndarray:
+    return a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+
+
+def _unary(a, value: np.ndarray, vjp):
+    """``value`` recorded as the one child of ``a`` with ``vjp``, or, when
+    ``a`` is a plain array, ``value`` itself."""
+    return Tensor(value, a.tape, parents=(a,), vjps=(vjp,)) if isinstance(a, Tensor) else value
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _join(a, b, "add")
     return Tensor(a.value + b.value, tape, parents=(a, b),
@@ -121,11 +148,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                   vjps=(lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Rows ``a[idx]`` of a matrix; repeated indices accumulate gradient."""
-    av = a.value
+def gather_rows(a, idx):
+    """Rows ``a[idx]`` of a matrix, or entries of a vector; repeated indices
+    accumulate gradient."""
+    av = _value(a)
     idx = np.asarray(idx, dtype=np.int64)
-    if av.ndim != 2 or idx.ndim != 1:
+    if av.ndim not in (1, 2) or idx.ndim != 1:
         raise ValueError(f"bad gather_rows shapes: {av.shape}[{idx.shape}]")
     if np.any(idx < 0) or np.any(idx >= av.shape[0]):
         raise ValueError("row index out of range")
@@ -133,21 +161,41 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def vjp(g):
         # Scatter-add: the sums np.add.at would form, in the same order,
         # but bincount does them in one vectorized pass.
-        cols = av.shape[1]
+        cols = 1 if av.ndim == 1 else av.shape[1]
         flat = (idx[:, None] * cols + np.arange(cols)).ravel()
         return np.bincount(flat, weights=g.ravel(), minlength=av.size).reshape(av.shape)
 
-    return Tensor(av[idx], a.tape, parents=(a,), vjps=(vjp,))
+    return _unary(a, av[idx], vjp)
 
 
-def causal_mean(a: Tensor) -> Tensor:
-    """Row i is the mean of rows 0..i: a cumulative sum divided by 1..n."""
-    av = a.value
+def _segment_cumsum(x: np.ndarray, bounds) -> np.ndarray:
+    """Cumulative sum down the rows of ``x``, restarting at every bound."""
+    out = np.empty_like(x)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.cumsum(x[lo:hi], axis=0, out=out[lo:hi])
+    return out
+
+
+def causal_mean(a, bounds=None):
+    """Row i is the mean of the rows from the start of its segment to i.
+
+    ``bounds`` are the segment offsets 0 = b_0 <= b_1 <= ... <= b_k = n of a
+    matrix of n packed sequences (default one segment, (0, n)). Each segment
+    is a cumulative sum divided by 1, 2, ..., exactly as if it stood alone.
+    """
+    av = _value(a)
     if av.ndim != 2:
         raise ValueError(f"causal_mean needs a matrix, got shape {av.shape}")
-    counts = np.arange(1, av.shape[0] + 1, dtype=np.float64)[:, None]
-    return Tensor(np.cumsum(av, axis=0) / counts, a.tape, parents=(a,),
-                  vjps=(lambda g: np.cumsum((g / counts)[::-1], axis=0)[::-1],))
+    n = av.shape[0]
+    bounds = np.asarray((0, n) if bounds is None else bounds, dtype=np.int64)
+    if bounds.ndim != 1 or bounds[:1].tolist() != [0] or bounds[-1] != n \
+            or np.any(np.diff(bounds) < 0):
+        raise ValueError(f"segment bounds must rise from 0 to {n}, got {bounds.tolist()}")
+    starts = np.repeat(bounds[:-1], np.diff(bounds))
+    counts = (np.arange(1, n + 1) - starts).astype(np.float64)[:, None]
+    back = (n - bounds[::-1]).tolist()  # the same segments, rows reversed
+    return _unary(a, _segment_cumsum(av, bounds.tolist()) / counts,
+                  lambda g: _segment_cumsum((g / counts)[::-1], back)[::-1])
 
 
 def arraysum(a: Tensor) -> Tensor:
@@ -174,12 +222,11 @@ def _logsigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def logsigmoid(a: Tensor) -> Tensor:
-    av = a.value
+def logsigmoid(a):
+    av = _value(a)
     if not np.all(np.isfinite(av)):
         raise ValueError("logsigmoid requires finite input")
-    return Tensor(_logsigmoid(av), a.tape, parents=(a,),
-                  vjps=(lambda g: g * expit(-av),))
+    return _unary(a, _logsigmoid(av), lambda g: g * expit(-av))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -197,9 +244,9 @@ def log1mexp(a: Tensor) -> Tensor:
     return Tensor(out, a.tape, parents=(a,), vjps=(lambda g: g * (-e / (1.0 - e)),))
 
 
-def log_softmax_gather(logits: Tensor, targets) -> Tensor:
+def log_softmax_gather(logits, targets):
     """Row-wise log-softmax of ``logits`` (T x V) evaluated at ``targets``."""
-    lv = logits.value
+    lv = _value(logits)
     if lv.ndim != 2:
         raise ValueError("logits must be a T x V matrix")
     targets = np.asarray(targets, dtype=np.int64)
@@ -212,14 +259,13 @@ def log_softmax_gather(logits: Tensor, targets) -> Tensor:
     lse = m[:, 0] + np.log(np.sum(np.exp(z), axis=1))
     rows = np.arange(lv.shape[0])
     out = lv[rows, targets] - lse
-    sm = np.exp(lv - lse[:, None])
 
     def vjp(g):
-        dl = -g[:, None] * sm
+        dl = -g[:, None] * np.exp(lv - lse[:, None])
         dl[rows, targets] += g
         return dl
 
-    return Tensor(out, logits.tape, parents=(logits,), vjps=(vjp,))
+    return _unary(logits, out, vjp)
 
 
 def gradients(output: Tensor, inputs=None):

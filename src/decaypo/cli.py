@@ -20,7 +20,7 @@ from .losses import METHODS, REFERENCE_FREE, LossConfig
 from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens
 from .schedules import KINDS as SCHEDULE_KINDS, DecaySchedule
 from .training import (Checkpoint, TrainConfig, evaluate_winrate,
-                       load_checkpoint, save_checkpoint, score_pair, train)
+                       load_checkpoint, save_checkpoint, score_pairs, train)
 
 
 ARCH_OPTS = [
@@ -186,10 +186,12 @@ def _cmd_length_bias(r: dict) -> int:
     policy = load_checkpoint(r["policy"]).model
     ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
     pairs = data.load_pairs(r["pairs"])
-    # max_response_len = context truncates nothing that would fit
-    scored = [score_pair(policy, ref_model, p, policy.context, example_id=i)
-              for i, p in enumerate(pairs)]
-    scored = [s for s in scored if s is not None]
+    # max_response_len = context truncates nothing that would fit; packs of
+    # analysis.PACK sequences keep each pass small
+    batch = [(p, i) for i, p in enumerate(pairs)]
+    step = analysis.PACK // 2
+    scored = [score for i in range(0, len(batch), step)
+              for score in score_pairs(policy, ref_model, batch[i:i + step], policy.context)[0]]
     rows = analysis.loss_by_length_gap(cfg, scored, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),

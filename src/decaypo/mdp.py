@@ -26,6 +26,9 @@ class TabularMDP:
             raise ValueError("inconsistent transition/reward shapes")
         if self.H < 1:
             raise ValueError("horizon must be >= 1")
+        for name in ("P", "r"):  # NaN would pass every comparison below
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(np.sum(self.P, axis=2) - 1.0)) > 1e-12:
             raise ValueError("transition rows must sum to 1")
         if np.any(self.P < 0):

@@ -5,8 +5,13 @@ blocks that mix each position with the causal running mean of the prefix
 through multiplicative gating and a logsigmoid nonlinearity, and a
 zero-initialized output projection (so a fresh model is exactly uniform).
 The forward pass is built from the autodiff primitive set and costs
-O(n*d^2) for n tokens at width d. Because the running mean is a recurrence,
-sampling is recurrent too: it carries one running sum per block and spends
+O(n*d^2) for n tokens at width d. One forward definition scores any number
+of sequences packed end to end (positions and running means restart at each
+one, and only the rows that predict a response token reach the output
+projection): with parameter tensors it records a tape for training, and
+with the plain parameter arrays it records nothing, for the reference model
+and the analyses. Because the running mean is a recurrence, sampling is
+recurrent too: it carries one running sum per block and spends
 O(blocks*d^2 + d*V) per token instead of rerunning the prefix.
 """
 
@@ -127,26 +132,79 @@ def _block(x, m, w1, w2, w3, logsigmoid):
     return x + (u @ w2 + (x * m) @ w3)
 
 
+def _forward(model: PolicyModel, p: dict, tokens, positions, bounds, rows=None):
+    """Logits at ``rows`` (every row when None) of ``tokens``: sequences
+    packed end to end, the segment ``bounds`` (0, n_1, n_1 + n_2, ...) and
+    ``positions`` restarting at each. ``p`` maps each parameter name to a
+    tensor, for a taped pass, or to its array, for a plain one; both run the
+    same arithmetic."""
+    x = ad.gather_rows(p["embed"], tokens) + ad.gather_rows(p["pos"], positions)
+    for b in range(model.blocks):
+        x = _block(x, ad.causal_mean(x, bounds), p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"],
+                   ad.logsigmoid)
+    if rows is not None:
+        x = ad.gather_rows(x, rows)
+    return x @ p["w_out"]
+
+
 def forward_logits(model: PolicyModel, tokens, tape: Tape | None = None,
                    param_tensors: dict | None = None) -> Tensor:
     """Logits for every position of ``tokens`` (n x V).
 
     When ``param_tensors`` is given (leaf tensors on ``tape``) the result is
-    differentiable with respect to the parameters.
+    differentiable with respect to the parameters. Otherwise the pass runs on
+    plain arrays and its logits are one constant on ``tape`` (a new tape when
+    None).
     """
     tokens = list(tokens)
     _check_context(model, tokens)
-    if tape is None:
-        tape = Tape()
-    if param_tensors is None:
-        param_tensors = {k: ad.constant(tape, v) for k, v in model.params.items()}
-    p = param_tensors
+    n = len(tokens)
+    if param_tensors is not None:
+        return _forward(model, param_tensors, tokens, np.arange(n), (0, n))
+    logits = _forward(model, model.params, tokens, np.arange(n), (0, n))
+    return ad.constant(Tape() if tape is None else tape, logits)
 
-    x = ad.gather_rows(p["embed"], tokens) + ad.gather_rows(p["pos"], np.arange(len(tokens)))
-    for b in range(model.blocks):
-        x = _block(x, ad.causal_mean(x), p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"],
-                   ad.logsigmoid)
-    return x @ p["w_out"]
+
+def response_logits(model: PolicyModel, seqs: list[TokenSequence],
+                    param_tensors: dict | None = None):
+    """Logits of the rows that predict the response tokens of ``seqs`` (R x V,
+    R their total response length), from one forward pass over the sequences
+    packed end to end, and the offsets that cut them per sequence: sequence i
+    owns rows offsets[i]:offsets[i + 1].
+
+    The logits are a tensor when ``param_tensors`` is given, else an array,
+    and then nothing is recorded on any tape.
+    """
+    if not seqs:
+        raise ValueError("no sequences to score")
+    tokens: list[int] = []
+    positions: list[int] = []
+    rows: list[int] = []
+    bounds = [0]
+    for seq in seqs:
+        ids = seq.prompt_tokens + seq.response_tokens
+        _check_context(model, ids)
+        start = len(tokens)
+        tokens += ids
+        positions += range(len(ids))
+        rows += range(start + seq.prompt_len - 1, start + len(ids) - 1)
+        bounds.append(len(tokens))
+    p = model.params if param_tensors is None else param_tensors
+    offsets = np.cumsum([0] + [seq.response_len for seq in seqs])
+    return _forward(model, p, tokens, positions, bounds, rows), offsets
+
+
+def packed_logprobs(model: PolicyModel, seqs: list[TokenSequence],
+                    param_tensors: dict | None = None):
+    """Per-token conditional log-probabilities of the responses of ``seqs``,
+    flat, from one packed forward pass, and the offsets of response_logits.
+
+    The log-probs are a differentiable tensor when ``param_tensors`` is
+    given, else an array recorded on no tape.
+    """
+    logits, offsets = response_logits(model, seqs, param_tensors)
+    targets = [t for seq in seqs for t in seq.response_tokens]
+    return ad.log_softmax_gather(logits, targets), offsets
 
 
 class _Decoder:
@@ -176,26 +234,15 @@ def _softmax(row: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def next_token_distribution(model: PolicyModel, context) -> np.ndarray:
-    """Probability distribution over the next token given ``context``."""
-    logits = forward_logits(model, context).value
-    return _softmax(logits[-1])
-
-
 def token_logprobs(model: PolicyModel, seq: TokenSequence,
                    tape: Tape | None = None, param_tensors: dict | None = None):
-    """Per-token conditional log-probabilities of the response.
+    """Per-token conditional log-probabilities of the response: packed_logprobs
+    of the one sequence.
 
-    Returns a numpy array, or a differentiable tensor when ``param_tensors``
-    is supplied.
+    Returns a numpy array, or a differentiable tensor on ``tape``, the tape of
+    the leaves, when ``param_tensors`` is supplied.
     """
-    tokens = seq.prompt_tokens + seq.response_tokens
-    l, T = seq.prompt_len, seq.response_len
-    differentiable = param_tensors is not None
-    logits = forward_logits(model, tokens, tape=tape, param_tensors=param_tensors)
-    rows = ad.gather_rows(logits, np.arange(l - 1, l + T - 1))
-    out = ad.log_softmax_gather(rows, seq.response_tokens)
-    return out if differentiable else out.value
+    return packed_logprobs(model, [seq], param_tensors)[0]
 
 
 def sample_token_id(probs: np.ndarray, u: float) -> int:

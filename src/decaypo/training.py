@@ -16,7 +16,7 @@ from .autodiff import Tape
 from .config import derive_seed
 from .data import RewardOracle, sample_and_score
 from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
-from .model import VOCAB_SIZE, PolicyModel, make_sequence, param_shapes, token_logprobs
+from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
 
 
 @dataclass
@@ -171,48 +171,51 @@ class AdamW:
             self.params[n] -= lr * update
 
 
-def score_pair(policy: PolicyModel, reference: PolicyModel | None, pair,
-               max_response_len: int, example_id: int = 0, tape: Tape | None = None,
-               param_tensors: dict | None = None) -> PairScore | None:
-    """PairScore for one preference pair, None on context overflow.
+def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
+                max_response_len: int, param_tensors: dict | None = None):
+    """(PairScores, skipped count) of the (pair, example_id) items of ``batch``:
+    responses cut to ``max_response_len`` bytes, pairs that overflow the
+    context skipped, and one packed pass per model. The policy log-probs are
+    tensors when ``param_tensors`` is given, else arrays; the reference ones
+    (None without ``reference``) are arrays from the same arithmetic."""
+    kept = [([make_sequence(pair.prompt, response[:max_response_len])
+              for response in (pair.chosen, pair.rejected)], example_id)
+            for pair, example_id in batch]
+    kept = [(seqs, i) for seqs, i in kept
+            if all(s.prompt_len + s.response_len <= policy.context for s in seqs)]
+    if not kept:
+        return [], len(batch)
+    seqs = [seq for pair_seqs, _ in kept for seq in pair_seqs]
+    logps, offsets = packed_logprobs(policy, seqs, param_tensors)
+    ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
 
-    Responses are cut to ``max_response_len`` bytes. The policy log-probs
-    are tensors on ``tape`` when ``param_tensors`` is given, else arrays;
-    the reference ones are absent when ``reference`` is None.
-    """
-    seq_w = make_sequence(pair.prompt, pair.chosen[:max_response_len])
-    seq_l = make_sequence(pair.prompt, pair.rejected[:max_response_len])
-    for seq in (seq_w, seq_l):
-        if seq.prompt_len + seq.response_len > policy.context:
-            return None
-    return PairScore(
-        chosen_logps=token_logprobs(policy, seq_w, tape, param_tensors),
-        rejected_logps=token_logprobs(policy, seq_l, tape, param_tensors),
-        chosen_ref_logps=None if reference is None else token_logprobs(reference, seq_w),
-        rejected_ref_logps=None if reference is None else token_logprobs(reference, seq_l),
-        prompt_len=seq_w.prompt_len,
-        example_id=example_id,
-    )
+    def cut(flat):
+        return [None if flat is None else ad.gather_rows(flat, np.arange(lo, hi))
+                for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    pol, ref = cut(logps), cut(ref_logps)
+    return [PairScore(pol[2 * k], pol[2 * k + 1], ref[2 * k], ref[2 * k + 1],
+                      seqs[2 * k].prompt_len, example_id)
+            for k, (_, example_id) in enumerate(kept)], len(batch) - len(kept)
+
+
+def _gradients(loss, leaves: dict) -> dict:
+    grads = ad.gradients(loss, list(leaves.values()))
+    return {n: grads[leaf] for n, leaf in leaves.items()}
 
 
 def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
-    """One forward/backward over a batch; returns (loss, margin, grads) or
-    None when every example overflowed the context."""
-    tape = Tape()
-    names = policy.param_names()
-    leaves = {n: ad.leaf(tape, policy.params[n]) for n in names}
-    scores = [score_pair(policy, reference, pair, cfg.max_response_len, eid, tape, leaves)
-              for pair, eid in batch]
-    skipped = sum(score is None for score in scores)
-    scores = [score for score in scores if score is not None]
-    if not scores:
-        return None, skipped
-    loss = batch_loss(scores, cfg.loss)
-    grads_by_tensor = ad.gradients(loss, [leaves[n] for n in names])
-    grads = {n: grads_by_tensor[leaves[n]] for n in names}
-    margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
-               for s in scores]
-    return (float(loss.value), float(np.mean(margins)), grads), skipped
+    """One forward/backward over a batch: ((loss, margin, grads), skipped),
+    or (None, skipped) when every example overflowed the context."""
+    with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
+        leaves = {n: ad.leaf(tape, policy.params[n]) for n in policy.param_names()}
+        scores, skipped = score_pairs(policy, reference, batch, cfg.max_response_len, leaves)
+        if not scores:
+            return None, skipped
+        loss = batch_loss(scores, cfg.loss)
+        margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
+                   for s in scores]
+        return (float(loss.value), float(np.mean(margins)), _gradients(loss, leaves)), skipped
 
 
 def grad_norm(grads: dict, names) -> float:
@@ -271,26 +274,21 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
                  batch_size: int, seed: int) -> PolicyModel:
     """Plain NLL training on (prompt -> target) items; builds the SFT init."""
     model = model.copy()
-    names = model.param_names()
-    opt = AdamW(model.params, names, lr)
+    opt = AdamW(model.params, model.param_names(), lr)
     items = list(corpus.items())
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(seed) & (2**63 - 1), 1])))
     for step in range(steps):
-        idx = rng.integers(0, len(items), size=batch_size)
-        tape = Tape()
-        leaves = {n: ad.leaf(tape, model.params[n]) for n in names}
-        total = None
-        for i in idx:
-            prompt, target = items[int(i)]
-            seq = make_sequence(prompt, target)
-            lp = token_logprobs(model, seq, tape, leaves)
-            nll = ad.scale(ad.weighted_sum(lp, np.full(seq.response_len,
-                                                       1.0 / seq.response_len)), -1.0)
-            total = nll if total is None else ad.add(total, nll)
-        loss = ad.scale(total, 1.0 / batch_size)
-        grads_by_tensor = ad.gradients(loss, [leaves[n] for n in names])
-        opt.step({n: grads_by_tensor[leaves[n]] for n in names}, lr=lr)
+        seqs = [make_sequence(*items[int(i)])
+                for i in rng.integers(0, len(items), size=batch_size)]
+        # the batch mean of each sequence's mean NLL: weight -1/(T*B) per token
+        weights = np.concatenate([np.full(seq.response_len, 1.0 / seq.response_len)
+                                  for seq in seqs]) * (-1.0 / batch_size)
+        with Tape() as tape:
+            leaves = {n: ad.leaf(tape, model.params[n]) for n in model.param_names()}
+            logps, _ = packed_logprobs(model, seqs, leaves)
+            grads = _gradients(ad.weighted_sum(logps, weights), leaves)
+        opt.step(grads, lr=lr)
     return model
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decaypo import analysis
 from decaypo.analysis import (DensityHistogram, PositionCurve, kl_categorical,
                               kl_per_position, loss_by_length_gap,
                               prob_per_position, read_curve_csv,
@@ -167,6 +168,48 @@ class TestLossByLengthGap:
             loss_by_length_gap(LossConfig(), [], [5])
         with pytest.raises(ValueError):
             loss_by_length_gap(LossConfig(), [], [5, 1])
+
+
+class TestPackedAnalyses:
+    """The analyses score packs of at most analysis.PACK sequences per pass,
+    and analyze length-bias packs of analysis.PACK // 2 pairs."""
+
+    def test_results_do_not_depend_on_pack_size(self, monkeypatch, tmp_path):
+        from decaypo.cli import main
+        from decaypo.data import save_pairs
+        from decaypo.training import Checkpoint, save_checkpoint
+        policy, ref = small_model(seed=1, trained=True), small_model(seed=2, trained=True)
+        seqs = sample_sequences(policy, 9, seed=30)
+        rng = np.random.default_rng(4)
+        pairs = [PreferencePair(id=str(i), prompt=b"p%d?" % i,
+                                chosen=bytes(rng.integers(97, 105, size=1 + i % 7).tolist()),
+                                rejected=bytes(rng.integers(97, 105, size=1 + i % 5).tolist())
+                                + b"z") for i in range(9)]
+        save_pairs(pairs, tmp_path / "pairs.jsonl")
+        save_checkpoint(Checkpoint(policy), tmp_path / "policy.ckpt")
+        save_checkpoint(Checkpoint(ref), tmp_path / "ref.ckpt")
+
+        def results(pack):
+            monkeypatch.setattr(analysis, "PACK", pack)
+            out = tmp_path / f"bias{pack}.csv"
+            assert main(["analyze", "length-bias", "--policy", str(tmp_path / "policy.ckpt"),
+                         "--reference", str(tmp_path / "ref.ckpt"),
+                         "--pairs", str(tmp_path / "pairs.jsonl"),
+                         "--gap-bins=-4,0,4", "--out", str(out)]) == 0
+            bias = [float(v) for row in analysis.read_csv(out, ("gap_lo", "gap_hi",
+                                                               "mean_loss", "count"))
+                    for v in row[2:]]
+            return np.concatenate([kl_per_position(policy, ref, seqs, 12).values,
+                                   prob_per_position(policy, seqs, 12).values,
+                                   ref_margin_density(ref, pairs, bins=5).centers, bias])
+
+        smallest = results(2)  # one pair per length-bias pass
+        margins = [sequence_logprob(ref, p.prompt, p.chosen)
+                   - sequence_logprob(ref, p.prompt, p.rejected) for p in pairs]
+        assert ref_margin_density(ref, pairs, bins=5).centers[0] == pytest.approx(
+            min(margins) + (max(margins) - min(margins)) / 10, abs=1e-12)
+        for pack in (4, 32):
+            assert np.max(np.abs(results(pack) - smallest)) <= 1e-12
 
 
 class TestCsvRoundTrips:

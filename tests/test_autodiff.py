@@ -201,6 +201,63 @@ class TestGradients:
         g = ad.gradients(ad.weighted_sum(out, w))[x]
         assert np.allclose(g, central_difference(f, x_val), rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("bounds", [(0, 1, 2, 3), (0, 1, 5, 6, 9), (0, 4, 9)],
+                             ids=["all-length-1", "mixed", "two"])
+    def test_segmented_causal_mean_finite_differences(self, rng, bounds):
+        n = bounds[-1]
+        x_val = rng.normal(0, 1, size=(n, 3))
+        w = rng.normal(0, 1, size=(n, 3))
+
+        def f(v):
+            t = ad.Tape()
+            return ad.weighted_sum(ad.causal_mean(ad.leaf(t, v), bounds), w).value
+
+        t = ad.Tape()
+        x = ad.leaf(t, x_val)
+        out = ad.causal_mean(x, bounds)
+        # each segment exactly as if it stood alone
+        alone = np.concatenate([ad.causal_mean(ad.leaf(ad.Tape(), x_val[lo:hi])).value
+                                for lo, hi in zip(bounds[:-1], bounds[1:])])
+        assert np.array_equal(out.value, alone)
+        g = ad.gradients(ad.weighted_sum(out, w))[x]
+        assert np.allclose(g, central_difference(f, x_val), rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("bounds", [(0, 3), (1, 6), (0, 4, 2, 6), (0, 6, 7), [[0, 6]]])
+    def test_causal_mean_rejects_bad_bounds(self, bounds):
+        with pytest.raises(ValueError, match="segment bounds"):
+            ad.causal_mean(ad.leaf(ad.Tape(), np.zeros((6, 2))), bounds)
+
+    def test_gather_rows_on_a_vector_finite_differences(self, rng):
+        a_val = rng.normal(0, 1, size=7)
+        idx = [3, 0, 3, 6, 5, 3]  # entry 3 three times, entries 1, 2 and 4 never
+        w = rng.normal(0, 1, size=6)
+
+        def f(v):
+            t = ad.Tape()
+            return ad.weighted_sum(ad.gather_rows(ad.leaf(t, v), idx), w).value
+
+        t = ad.Tape()
+        a = ad.leaf(t, a_val)
+        out = ad.gather_rows(a, idx)
+        assert np.array_equal(out.value, a_val[idx])
+        g = ad.gradients(ad.weighted_sum(out, w))[a]
+        assert np.allclose(g, central_difference(f, a_val), rtol=1e-4, atol=1e-8)
+        assert g[3] == w[0] + w[2] + w[5] and np.all(g[[1, 2, 4]] == 0.0)
+
+    def test_forward_primitives_on_plain_arrays_record_nothing(self, rng):
+        x_val = rng.normal(0, 1, size=(6, 5))
+        targets = [0, 4, 2, 2, 1, 3]
+        t = ad.Tape()
+        x = ad.leaf(t, x_val)
+        for op in (lambda a: ad.gather_rows(a, [5, 0, 5]),
+                   lambda a: ad.causal_mean(a, (0, 2, 6)),
+                   ad.logsigmoid,
+                   lambda a: ad.log_softmax_gather(a, targets)):
+            taped, plain = op(x), op(x_val)
+            assert isinstance(taped, ad.Tensor) and type(plain) is np.ndarray
+            assert np.array_equal(taped.value, plain)
+        assert len(t.nodes) == 5  # the leaf and one node per taped call
+
     def test_log1mexp_rejects_nonnegative(self):
         t = ad.Tape()
         with pytest.raises(ValueError):

@@ -37,6 +37,18 @@ class TestTabularMDP:
         with pytest.raises(ValueError):
             TabularMDP(P=m.P, r=m.r * 5, H=2, R=1.0)
 
+    @pytest.mark.parametrize("field", ["P", "r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_the_field(self, field, bad):
+        m = random_mdp(2, 2, 3, 1.0, 0)
+        arrays = {"P": m.P.copy(), "r": m.r.copy()}
+        if field == "P":
+            arrays["P"][1, 0] = bad  # one whole transition row
+        else:
+            arrays["r"][0, 1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TabularMDP(P=arrays["P"], r=arrays["r"], H=3, R=1.0)
+
 
 class TestSoftValueIteration:
     def test_one_step_hand_check(self):

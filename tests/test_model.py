@@ -4,7 +4,7 @@ import pytest
 from decaypo import autodiff as ad
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
                            Vocabulary, _Decoder, _softmax, forward_logits,
-                           make_sequence, next_token_distribution, sample,
+                           make_sequence, packed_logprobs, response_logits, sample,
                            sample_token_id, token_logprobs)
 from conftest import central_difference
 
@@ -38,6 +38,20 @@ def dense_forward_logits(model, tokens):
         u = ad._logsigmoid((x + m) @ p[f"w1_{b}"])
         x = x + (u @ p[f"w2_{b}"] + (x * m) @ p[f"w3_{b}"])
     return x @ p["w_out"]
+
+
+def next_token_distribution(model, context):
+    """The next-token distribution after ``context``: the softmax of the last
+    forward_logits row."""
+    return _softmax(forward_logits(model, context).value[-1])
+
+
+def decoder_distribution(model, context):
+    """The same distribution from _Decoder.step fed ``context`` token by token."""
+    decoder = _Decoder(model)
+    for tok in context:
+        logits = decoder.step(tok)
+    return _softmax(logits)
 
 
 def full_forward_sample(model, prompt, temperature, max_len, seed):
@@ -84,24 +98,29 @@ class TestTokenSequence:
 
 
 class TestDistributions:
+    distributions = (next_token_distribution, decoder_distribution)
+
     def test_fresh_model_is_uniform(self):
         m = small_model()
-        d = next_token_distribution(m, [BOS, 65, 66, 67])
-        assert np.all(d == d[0])
-        assert d[0] == pytest.approx(1.0 / VOCAB_SIZE, abs=1e-15)
+        for distribution in self.distributions:
+            d = distribution(m, [BOS, 65, 66, 67])
+            assert np.all(d == d[0])
+            assert d[0] == pytest.approx(1.0 / VOCAB_SIZE, abs=1e-15)
 
     def test_distribution_valid(self):
         m = small_model(trained=True)
-        for ctx in ([BOS], [BOS, 1, 2, 3], [BOS] + list(range(40))):
-            d = next_token_distribution(m, ctx)
-            assert np.all(d >= 0)
-            assert np.sum(d) == pytest.approx(1.0, abs=1e-9)
+        for distribution in self.distributions:
+            for ctx in ([BOS], [BOS, 1, 2, 3], [BOS] + list(range(40))):
+                d = distribution(m, ctx)
+                assert np.all(d >= 0)
+                assert np.sum(d) == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic(self):
         m = small_model(trained=True)
-        d1 = next_token_distribution(m, [BOS, 5, 6])
-        d2 = next_token_distribution(m, [BOS, 5, 6])
-        assert np.array_equal(d1, d2)
+        for distribution in self.distributions:
+            d1 = distribution(m, [BOS, 5, 6])
+            d2 = distribution(m, [BOS, 5, 6])
+            assert np.array_equal(d1, d2)
 
     def test_context_too_long(self):
         m = small_model()
@@ -200,6 +219,91 @@ class TestTokenLogprobs:
 
             fd = central_difference(f, orig[sub])
             assert np.allclose(grads[leaves[name]][sub], fd, rtol=1e-4, atol=1e-8), name
+
+
+def length_mix(n=16, seed=3, lo=8, hi=200):
+    """Sequences with short prompts and responses from lo toward hi bytes,
+    most of them short."""
+    rng = np.random.default_rng(seed)
+    return [make_sequence(bytes(rng.integers(97, 105, size=int(rng.integers(1, 6))).tolist()),
+                          bytes(rng.integers(97, 105, size=round(lo * (hi / lo) ** (x * x))).tolist()))
+            for x in np.linspace(0.0, 1.0, n)]
+
+
+def dense_logprobs(model, seq):
+    """Response log-probs of one sequence from dense_forward_logits."""
+    logits = dense_forward_logits(model, seq.prompt_tokens + seq.response_tokens)
+    rows = logits[seq.prompt_len - 1:-1]
+    m = np.max(rows, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(rows - m), axis=1))
+    return rows[np.arange(seq.response_len), seq.response_tokens] - lse
+
+
+class TestPackedScoring:
+    MAX_DEVIATION = 1e-12
+
+    def test_packed_matches_one_sequence_at_a_time(self):
+        m = full_model()
+        seqs = length_mix()
+        assert [min(s.response_len for s in seqs), max(s.response_len for s in seqs)] == [9, 201]
+        logps, offsets = packed_logprobs(m, seqs)
+        assert offsets.tolist() == np.cumsum([0] + [s.response_len for s in seqs]).tolist()
+        worst = 0.0
+        for i, seq in enumerate(seqs):
+            mine = logps[offsets[i]:offsets[i + 1]]
+            for oracle in (token_logprobs(m, seq), dense_logprobs(m, seq)):
+                worst = max(worst, float(np.max(np.abs(mine - oracle))))
+        assert worst <= self.MAX_DEVIATION
+
+    def test_taped_and_plain_passes_agree_bit_for_bit(self):
+        m = full_model()
+        seqs = length_mix(6)
+        t = ad.Tape()
+        leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
+        taped, offsets = packed_logprobs(m, seqs, leaves)
+        plain, plain_offsets = packed_logprobs(m, seqs)
+        assert np.array_equal(taped.value, plain) and np.array_equal(offsets, plain_offsets)
+        logits, _ = response_logits(m, seqs)
+        assert logits.shape == (offsets[-1], VOCAB_SIZE)
+        assert np.array_equal(forward_logits(m, seqs[0].prompt_tokens, t, leaves).value,
+                              forward_logits(m, seqs[0].prompt_tokens).value)
+
+    def test_inference_records_no_tape(self):
+        m = small_model(trained=True)
+        seqs = [make_sequence(b"ab", b"cd"), make_sequence(b"x", b"yz")]
+        logps, _ = packed_logprobs(m, seqs)
+        logits, _ = response_logits(m, seqs)
+        assert type(logps) is np.ndarray and type(logits) is np.ndarray
+        assert type(token_logprobs(m, seqs[0])) is np.ndarray
+        # forward_logits still returns a tensor: its logits as one constant
+        assert len(forward_logits(m, [BOS, 1, 2]).tape.nodes) == 1
+
+    def test_packed_gradients_match_finite_differences(self):
+        m = small_model(trained=True)
+        seqs = [make_sequence(b"ab", b"c"), make_sequence(b"", b"de"), make_sequence(b"f", b"g")]
+        w = np.random.default_rng(8).normal(0, 1, size=sum(s.response_len for s in seqs))
+        t = ad.Tape()
+        leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
+        grads = ad.gradients(ad.weighted_sum(packed_logprobs(m, seqs, leaves)[0], w))
+        for name in ("embed", "pos", "w1_0", "w3_1", "w_out"):
+            sub = np.s_[:3, :3]
+            orig = m.params[name].copy()
+
+            def f(v):
+                m.params[name][sub] = v
+                out = float(np.sum(w * packed_logprobs(m, seqs)[0]))
+                m.params[name][:] = orig
+                return out
+
+            fd = central_difference(f, orig[sub])
+            assert np.allclose(grads[leaves[name]][sub], fd, rtol=1e-4, atol=1e-8), name
+
+    def test_rejects_no_sequences_and_overflow(self):
+        m = small_model()
+        with pytest.raises(ValueError, match="no sequences"):
+            packed_logprobs(m, [])
+        with pytest.raises(ValueError, match="exceeds limit"):
+            packed_logprobs(m, [make_sequence(b"a", b"b"), make_sequence(b"a" * 40, b"b" * 8)])
 
 
 class TestSampling:

@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -5,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import MISFITS, misfit_params, write_raw_checkpoint
 from decaypo import autodiff as ad
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
-from decaypo.losses import LossConfig, PairScore, d2po_loss
-from decaypo.model import PolicyModel
+from decaypo.losses import METHODS, LossConfig, PairScore, batch_loss, d2po_loss
+from decaypo.model import PolicyModel, make_sequence, token_logprobs
 from decaypo.schedules import DecaySchedule, UNIFORM, weights
 from decaypo.training import (AdamW, Checkpoint, TrainConfig, cosine_lr,
                               evaluate_winrate, load_checkpoint, pretrain_nll,
@@ -67,13 +71,13 @@ class TestCheckpointIO:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_reload_reproduces_forward_pass(self, tmp_path):
-        from decaypo.model import next_token_distribution
+        from decaypo.model import forward_logits
         m = small_model(trained=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(Checkpoint(m), path)
         loaded = load_checkpoint(path)
-        d1 = next_token_distribution(loaded.model, [256, 65])
-        d2 = next_token_distribution(load_checkpoint(path).model, [256, 65])
+        d1 = forward_logits(loaded.model, [256, 65]).value
+        d2 = forward_logits(load_checkpoint(path).model, [256, 65]).value
         assert np.array_equal(d1, d2)
 
     def test_rejects_non_checkpoint(self, tmp_path):
@@ -225,6 +229,101 @@ class TestTrain:
         cfg = self.make_cfg(max_steps=25, epochs=25, batch_size=8)
         _, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
         assert metrics[-1]["loss"] < metrics[0]["loss"]
+
+
+def per_sequence_batch_gradients(policy, reference, batch, cfg):
+    """_batch_gradients scoring each sequence in a forward pass of its own
+    (the policy ones on one shared tape): the reference for the packed step."""
+    tape = ad.Tape()
+    names = policy.param_names()
+    leaves = {n: ad.leaf(tape, policy.params[n]) for n in names}
+    scores = []
+    for pair, example_id in batch:
+        seq_w, seq_l = (make_sequence(pair.prompt, r[:cfg.max_response_len])
+                        for r in (pair.chosen, pair.rejected))
+        if max(s.prompt_len + s.response_len for s in (seq_w, seq_l)) > policy.context:
+            continue
+        scores.append(PairScore(
+            token_logprobs(policy, seq_w, tape, leaves), token_logprobs(policy, seq_l, tape, leaves),
+            None if reference is None else token_logprobs(reference, seq_w),
+            None if reference is None else token_logprobs(reference, seq_l),
+            prompt_len=seq_w.prompt_len, example_id=example_id))
+    loss = batch_loss(scores, cfg.loss)
+    grads = ad.gradients(loss, [leaves[n] for n in names])
+    margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
+               for s in scores]
+    return float(loss.value), float(np.mean(margins)), {n: grads[leaves[n]] for n in names}
+
+
+def mixed_length_batch(n=8, seed=5):
+    """(pair, example_id) items with responses from 8 toward 200 bytes, most
+    of them short, and one pair too long for a 256-token context."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i, x in enumerate(np.linspace(0.0, 1.0, n)):
+        size = round(8 * 25 ** (x * x))
+        chosen = bytes(rng.integers(97, 105, size=size).tolist())
+        rejected = bytes(rng.integers(97, 105, size=max(1, size + (-3, 2, 5)[i % 3])).tolist())
+        batch.append((PreferencePair(id=str(i), prompt=b"q%d?" % i, chosen=chosen,
+                                     rejected=rejected), 10 * i))
+    batch.insert(3, (PreferencePair(id="long", prompt=b"p" * 60, chosen=b"c" * 200,
+                                    rejected=b"r"), 99))
+    return batch
+
+
+def wide_model(seed):
+    m = PolicyModel(dim=16, context=256, blocks=2, seed=seed)
+    m.params["w_out"] = np.random.default_rng(seed).normal(0, 0.05, size=m.params["w_out"].shape)
+    return m
+
+
+class TestPackedStep:
+    MAX_DEVIATION = 1e-12
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_per_sequence_scoring(self, method):
+        policy, reference = wide_model(1), wide_model(2)
+        cfg = TrainConfig(loss=LossConfig(method=method), batch_size=9)
+        batch = mixed_length_batch()
+        (loss, margin, grads), skipped = _batch_gradients(policy, reference, batch, cfg)
+        want_loss, want_margin, want_grads = per_sequence_batch_gradients(
+            policy, reference, batch, cfg)
+        assert skipped == 1
+        deviations = [abs(loss - want_loss), abs(margin - want_margin)]
+        deviations += [float(np.max(np.abs(grads[n] - want_grads[n]))) for n in grads]
+        assert max(deviations) <= self.MAX_DEVIATION
+        assert max(float(np.max(np.abs(g))) for g in grads.values()) > 1e-3
+
+    def test_step_zero_loss_is_exactly_ln2(self):
+        # policy = reference: both run the same arithmetic, so every
+        # log-ratio, and with it every reward margin, is exactly 0
+        policy = wide_model(1)
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8)
+        batch = [item for item in mixed_length_batch() if item[0].id != "long"]
+        (loss, _, _), skipped = _batch_gradients(policy, policy.copy(), batch, cfg)
+        assert (loss, skipped) == (math.log(2.0), 0)
+
+    def test_step_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        tapes = []
+        gradients = ad.gradients
+
+        def spy(output, inputs=None):
+            tapes.append(weakref.ref(output.tape))
+            return gradients(output, inputs)
+
+        monkeypatch.setattr(ad, "gradients", spy)
+        policy = wide_model(1)
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8)
+        corpus = {b"ab?": b"cd", b"ef?": b"ghij"}
+        gc.collect()
+        gc.disable()
+        try:
+            result, _ = _batch_gradients(policy, policy.copy(), mixed_length_batch(4), cfg)
+            assert result is not None and len(tapes) == 1 and tapes[0]() is None
+            pretrain_nll(policy, corpus, steps=1, lr=1e-3, batch_size=2, seed=0)
+            assert len(tapes) == 2 and tapes[1]() is None
+        finally:
+            gc.enable()
 
 
 class TestPerTokenScaling:
