@@ -2,7 +2,7 @@
 token weighting, diagnostic analyses, and a tabular-MDP theory verifier."""
 
 from .losses import LossConfig, PairScore, METHODS
-from .model import PolicyModel, TokenSequence, Vocabulary, make_sequence, sample
+from .model import PolicyModel, TokenSequence, make_sequence, sample
 from .schedules import DecaySchedule, UNIFORM, weights
 from .data import PreferencePair, RewardOracle, build_onpolicy_pairs, synthetic_corpus
 from .training import Checkpoint, TrainConfig, evaluate_winrate, train
@@ -10,7 +10,7 @@ from .training import Checkpoint, TrainConfig, evaluate_winrate, train
 __all__ = [
     "Checkpoint", "DecaySchedule", "LossConfig", "METHODS", "PairScore",
     "PolicyModel", "PreferencePair", "RewardOracle", "TokenSequence",
-    "TrainConfig", "UNIFORM", "Vocabulary", "build_onpolicy_pairs",
+    "TrainConfig", "UNIFORM", "build_onpolicy_pairs",
     "evaluate_winrate", "make_sequence", "sample", "synthetic_corpus",
     "train", "weights",
 ]

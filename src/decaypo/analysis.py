@@ -10,6 +10,7 @@ from functools import partial
 
 import numpy as np
 
+from .autodiff import row_logsumexp
 from .losses import LossConfig, pair_loss
 from .model import (PolicyModel, make_sequence, packed_logprobs, response_logits,
                     token_logprobs)
@@ -51,9 +52,7 @@ def _position_distribution_logs(model: PolicyModel, seqs):
     """Log next-token distributions at every response position of a packed
     pass over ``seqs`` (R x V), and the offsets that cut them per sequence."""
     rows, offsets = response_logits(model, seqs)
-    m = np.max(rows, axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(rows - m), axis=1, keepdims=True))
-    return rows - lse, offsets
+    return rows - row_logsumexp(rows)[:, None], offsets
 
 
 def kl_categorical(logp: np.ndarray, logq: np.ndarray) -> float:
@@ -174,25 +173,9 @@ def read_csv(path, header) -> list[list[str]]:
     return [line.split(",") for line in lines[1:]]
 
 
-_CURVE_HEADER = ("position", "value")
-_HISTOGRAM_HEADER = ("value", "density")
-
-
 def write_curve_csv(path, curve: PositionCurve, comments=()) -> None:
-    write_csv(path, _CURVE_HEADER, zip(curve.positions, curve.values), comments)
-
-
-def read_curve_csv(path) -> PositionCurve:
-    rows = read_csv(path, _CURVE_HEADER)
-    return PositionCurve([int(p) for p, _ in rows], [float(v) for _, v in rows])
+    write_csv(path, ("position", "value"), zip(curve.positions, curve.values), comments)
 
 
 def write_histogram_csv(path, hist: DensityHistogram, comments=()) -> None:
-    write_csv(path, _HISTOGRAM_HEADER, zip(hist.centers, hist.density), comments)
-
-
-def read_histogram_csv(path) -> DensityHistogram:
-    rows = read_csv(path, _HISTOGRAM_HEADER)
-    centers = np.array([float(c) for c, _ in rows])
-    width = float(centers[1] - centers[0]) if len(centers) > 1 else 1.0
-    return DensityHistogram(centers, np.array([float(d) for _, d in rows]), width)
+    write_csv(path, ("value", "density"), zip(hist.centers, hist.density), comments)

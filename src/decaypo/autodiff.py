@@ -6,17 +6,16 @@ log1mexp, a log-softmax gather, a row gather and a segmented causal running
 mean. That is exactly what the toy policy model and the preference losses
 need, and it keeps the finite-difference oracle in the tests exhaustive.
 
-The primitives of the model's forward pass (row gather, causal mean,
-logsigmoid and the log-softmax gather) also take plain arrays; they then
-compute the same values and return plain arrays, recording nothing. With
-numpy's own operators for the rest, one forward definition serves a taped
+Every primitive takes tensors or plain arrays. A plain operand is a
+constant: it gets no gradient and no node. A call with no tensor operand
+computes the same value and returns it as a plain array, recording nothing.
+So one definition, of the model's forward pass or of a loss, serves a taped
 pass and a tape-free one, and both do the same arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 class Tape:
@@ -88,64 +87,64 @@ def constant(tape: Tape, value) -> Tensor:
     return Tensor(value, tape)
 
 
-def _join(a: Tensor, b: Tensor, elementwise: str = "") -> Tape:
-    """The tape both operands share; an ``elementwise`` op also needs equal shapes."""
-    if a.tape is not b.tape:
-        raise ValueError("operands recorded on different tapes")
-    if elementwise and a.value.shape != b.value.shape:
-        raise ValueError(f"shape mismatch in {elementwise}: {a.value.shape} vs {b.value.shape}")
-    return a.tape
-
-
-def as_tensor(tape: Tape, x) -> Tensor:
-    if isinstance(x, Tensor):
-        if x.tape is not tape:
-            raise ValueError("tensor belongs to a different tape")
-        return x
-    return constant(tape, x)
-
-
 def _value(a) -> np.ndarray:
     return a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
 
 
-def _unary(a, value: np.ndarray, vjp):
-    """``value`` recorded as the one child of ``a`` with ``vjp``, or, when
-    ``a`` is a plain array, ``value`` itself."""
-    return Tensor(value, a.tape, parents=(a,), vjps=(vjp,)) if isinstance(a, Tensor) else value
+def _node(value, *edges):
+    """The result of a primitive: ``value`` recorded with one edge per tensor
+    operand, or, when no operand is a tensor, ``value`` as a plain array.
+
+    ``edges`` are (operand, vjp) pairs. A plain operand is a constant and
+    gets no edge; tensor operands must share one tape.
+    """
+    tape = None
+    parents = vjps = ()
+    for a, vjp in edges:
+        if isinstance(a, Tensor):
+            if tape is None:
+                tape = a.tape
+            elif a.tape is not tape:
+                raise ValueError("operands recorded on different tapes")
+            parents += (a,)
+            vjps += (vjp,)
+    if tape is None:
+        return np.asarray(value, dtype=np.float64)
+    return Tensor(value, tape, parents=parents, vjps=vjps)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b, "add")
-    return Tensor(a.value + b.value, tape, parents=(a, b),
-                  vjps=(lambda g: g, lambda g: g))
+def _elementwise(name: str, a, b):
+    av, bv = _value(a), _value(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"shape mismatch in {name}: {av.shape} vs {bv.shape}")
+    return av, bv
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b, "sub")
-    return Tensor(a.value - b.value, tape, parents=(a, b),
-                  vjps=(lambda g: g, lambda g: -g))
+def add(a, b):
+    av, bv = _elementwise("add", a, b)
+    return _node(av + bv, (a, lambda g: g), (b, lambda g: g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b, "mul")
-    av, bv = a.value, b.value
-    return Tensor(av * bv, tape, parents=(a, b),
-                  vjps=(lambda g: g * bv, lambda g: g * av))
+def sub(a, b):
+    av, bv = _elementwise("sub", a, b)
+    return _node(av - bv, (a, lambda g: g), (b, lambda g: -g))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def mul(a, b):
+    av, bv = _elementwise("mul", a, b)
+    return _node(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
+
+
+def scale(a, c: float):
     c = float(c)
-    return Tensor(a.value * c, a.tape, parents=(a,), vjps=(lambda g: g * c,))
+    return _node(_value(a) * c, (a, lambda g: g * c))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _join(a, b)
-    av, bv = a.value, b.value
+def matmul(a, b):
+    av, bv = _value(a), _value(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"bad matmul shapes: {av.shape} @ {bv.shape}")
-    return Tensor(av @ bv, tape, parents=(a, b),
-                  vjps=(lambda g: g @ bv.T, lambda g: av.T @ g))
+    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def gather_rows(a, idx):
@@ -165,7 +164,7 @@ def gather_rows(a, idx):
         flat = (idx[:, None] * cols + np.arange(cols)).ravel()
         return np.bincount(flat, weights=g.ravel(), minlength=av.size).reshape(av.shape)
 
-    return _unary(a, av[idx], vjp)
+    return _node(av[idx], (a, vjp))
 
 
 def _segment_cumsum(x: np.ndarray, bounds) -> np.ndarray:
@@ -194,27 +193,32 @@ def causal_mean(a, bounds=None):
     starts = np.repeat(bounds[:-1], np.diff(bounds))
     counts = (np.arange(1, n + 1) - starts).astype(np.float64)[:, None]
     back = (n - bounds[::-1]).tolist()  # the same segments, rows reversed
-    return _unary(a, _segment_cumsum(av, bounds.tolist()) / counts,
-                  lambda g: _segment_cumsum((g / counts)[::-1], back)[::-1])
+    return _node(_segment_cumsum(av, bounds.tolist()) / counts,
+                 (a, lambda g: _segment_cumsum((g / counts)[::-1], back)[::-1]))
 
 
-def arraysum(a: Tensor) -> Tensor:
-    return Tensor(np.sum(a.value), a.tape, parents=(a,),
-                  vjps=(lambda g: np.full(a.value.shape, float(g)),))
+def arraysum(a):
+    av = _value(a)
+    return _node(np.sum(av), (a, lambda g: np.full(av.shape, float(g))))
 
 
-def weighted_sum(a: Tensor, w) -> Tensor:
+def weighted_sum(a, w):
     """sum(w * a) with constant weights w (same shape as a)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != a.value.shape:
-        raise ValueError(f"weight shape {w.shape} does not match {a.value.shape}")
-    return Tensor(np.sum(w * a.value), a.tape, parents=(a,),
-                  vjps=(lambda g: float(g) * w,))
+    av, w = _value(a), np.asarray(w, dtype=np.float64)
+    if w.shape != av.shape:
+        raise ValueError(f"weight shape {w.shape} does not match {av.shape}")
+    return _node(np.sum(w * av), (a, lambda g: float(g) * w))
 
 
-def square(a: Tensor) -> Tensor:
-    av = a.value
-    return Tensor(av * av, a.tape, parents=(a,), vjps=(lambda g: g * 2.0 * av,))
+def square(a):
+    av = _value(a)
+    return _node(av * av, (a, lambda g: g * 2.0 * av))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows to inf for x < -709, and 1 / inf is the right limit, 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _logsigmoid(x: np.ndarray) -> np.ndarray:
@@ -226,22 +230,29 @@ def logsigmoid(a):
     av = _value(a)
     if not np.all(np.isfinite(av)):
         raise ValueError("logsigmoid requires finite input")
-    return _unary(a, _logsigmoid(av), lambda g: g * expit(-av))
+    return _node(_logsigmoid(av), (a, lambda g: g * _sigmoid(-av)))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.value)
-    return Tensor(s, a.tape, parents=(a,), vjps=(lambda g: g * s * (1.0 - s),))
+def sigmoid(a):
+    s = _sigmoid(_value(a))
+    return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 
-def log1mexp(a: Tensor) -> Tensor:
+def log1mexp(a):
     """log(1 - exp(x)) for x < 0, branch-stable."""
-    av = a.value
+    av = _value(a)
     if np.any(av >= 0.0):
         raise ValueError("log1mexp requires strictly negative input")
     out = np.where(av > -np.log(2.0), np.log(-np.expm1(av)), np.log1p(-np.exp(av)))
     e = np.exp(av)
-    return Tensor(out, a.tape, parents=(a,), vjps=(lambda g: g * (-e / (1.0 - e)),))
+    return _node(out, (a, lambda g: g * (-e / (1.0 - e))))
+
+
+def row_logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of a plain matrix, shifted by the row
+    maximum so that no exp overflows: the one log-softmax normaliser."""
+    m = np.max(x, axis=1)
+    return m + np.log(np.sum(np.exp(x - m[:, None]), axis=1))
 
 
 def log_softmax_gather(logits, targets):
@@ -254,9 +265,7 @@ def log_softmax_gather(logits, targets):
         raise ValueError("targets must have one index per logits row")
     if np.any(targets < 0) or np.any(targets >= lv.shape[1]):
         raise ValueError("target index out of vocabulary range")
-    m = np.max(lv, axis=1, keepdims=True)
-    z = lv - m
-    lse = m[:, 0] + np.log(np.sum(np.exp(z), axis=1))
+    lse = row_logsumexp(lv)
     rows = np.arange(lv.shape[0])
     out = lv[rows, targets] - lse
 
@@ -265,7 +274,7 @@ def log_softmax_gather(logits, targets):
         dl[rows, targets] += g
         return dl
 
-    return _unary(logits, out, vjp)
+    return _node(out, (logits, vjp))
 
 
 def gradients(output: Tensor, inputs=None):

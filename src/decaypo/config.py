@@ -77,7 +77,7 @@ def load_config_file(path) -> dict:
             parser.read_file(f)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config file {path}: {e}") from e
     return {section: dict(parser.items(section)) for section in parser.sections()}
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import derive_seed
-from .model import BOS, PolicyModel, TokenSequence, Vocabulary, sample
+from .model import BOS, PolicyModel, TokenSequence, sample
 
 
 class PairParseError(ValueError):
@@ -76,13 +76,19 @@ def save_pairs(pairs, path) -> None:
 
 def load_pairs(path) -> list[PreferencePair]:
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
+    # Each line is decoded on its own, so that one that is not UTF-8 is named;
+    # bytes.splitlines breaks at \n, \r\n and \r, as text mode does.
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise PairParseError(line_no, f"not UTF-8: {e}") from None
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # also too deep, or too many digits
                 raise PairParseError(line_no, str(e)) from e
             if not isinstance(record, dict):
                 raise PairParseError(line_no, "record is not a JSON object")
@@ -97,6 +103,8 @@ def load_pairs(path) -> list[PreferencePair]:
                     texts[key] = _decode_bytes(record[key])
                 except binascii.Error as e:
                     raise PairParseError(line_no, f"key {key!r}: bad base64: {e}") from None
+                except ValueError as e:  # non-ASCII base64 text, or a lone surrogate
+                    raise PairParseError(line_no, f"key {key!r}: {e}") from None
             try:
                 pairs.append(PreferencePair(id=str(record["id"]), **texts,
                                             meta=record.get("meta", {})))
@@ -184,7 +192,7 @@ def sample_and_score(model: PolicyModel, oracle: RewardOracle, prompt: bytes,
                      temperature: float, max_len: int, seed: int) -> tuple[bytes, float]:
     """One sampled response to ``prompt`` and its oracle score: the on-policy
     step that building pairs and evaluating a win rate share."""
-    seq = sample(model, [BOS] + Vocabulary.encode(prompt), temperature, max_len, seed)
+    seq = sample(model, [BOS] + list(prompt), temperature, max_len, seed)
     response = response_bytes(seq)
     return response, oracle_score(oracle, prompt, response)
 

@@ -6,9 +6,10 @@ the log-ratio to the reference, or the raw log-prob for the REFERENCE_FREE
 methods, and the link is the square for ipo and -log sigma for the rest.
 _margin_form gives each method's weights w_w and w_l, scale c and offset.
 
-All losses accept a :class:`PairScore` whose arrays may be plain numpy
-arrays or autodiff tensors; when tensors are supplied the returned loss is
-a tensor on the same tape, otherwise a float.
+Each loss has one definition, written with the autodiff primitives: given
+a :class:`PairScore` of autodiff tensors it returns a tensor on their tape,
+and given plain arrays it returns a plain value from the same arithmetic
+(batch_loss and pair_loss return it as a float).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .schedules import UNIFORM, DecaySchedule, weights
 
 METHODS = ("d2po", "dpo", "d2po_ref_free", "simpo", "ipo", "kto", "orpo", "sampo")
@@ -62,17 +63,6 @@ class LossConfig:
             raise ValueError("beta must be > 0")
 
 
-def _tape_of(*arrays):
-    for a in arrays:
-        if isinstance(a, Tensor):
-            return a.tape, True
-    return Tape(), False
-
-
-def _maybe_value(loss: Tensor, had_tensor: bool):
-    return loss if had_tensor else float(loss.value)
-
-
 def _array(x) -> np.ndarray:
     return np.asarray(x.value if isinstance(x, Tensor) else x, dtype=np.float64)
 
@@ -82,11 +72,8 @@ def _require_ref(score: PairScore):
         raise ValueError("reference log-probs are required for this loss")
 
 
-def _ratios(tape, logps, ref_logps):
-    x = ad.as_tensor(tape, logps)
-    if ref_logps is None:
-        return x
-    return ad.sub(x, ad.constant(tape, _array(ref_logps)))
+def _ratios(logps, ref_logps):
+    return logps if ref_logps is None else ad.sub(logps, _array(ref_logps))
 
 
 def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: int):
@@ -115,18 +102,16 @@ def margin_loss(score: PairScore, cfg: LossConfig, method: str):
     use_ref = method not in REFERENCE_FREE
     if use_ref:
         _require_ref(score)
-    tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    r_w = _ratios(tape, score.chosen_logps, score.chosen_ref_logps if use_ref else None)
-    r_l = _ratios(tape, score.rejected_logps, score.rejected_ref_logps if use_ref else None)
-    w_w, w_l, c, offset = _margin_form(method, score, cfg, r_w.shape[0], r_l.shape[0])
+    r_w = _ratios(score.chosen_logps, score.chosen_ref_logps if use_ref else None)
+    r_l = _ratios(score.rejected_logps, score.rejected_ref_logps if use_ref else None)
+    w_w, w_l, c, offset = _margin_form(method, score, cfg, len(_array(r_w)), len(_array(r_l)))
     s_w, s_l = ad.weighted_sum(r_w, w_w), ad.weighted_sum(r_l, w_l)
     if c != 1.0:  # scaling by 1 is exact, so it would only lengthen the tape
         s_w, s_l = ad.scale(s_w, c), ad.scale(s_l, c)
     margin = ad.sub(s_w, s_l)
     if offset:
-        margin = ad.sub(margin, ad.constant(tape, offset))
-    loss = ad.square(margin) if method == "ipo" else -ad.logsigmoid(margin)
-    return _maybe_value(loss, had_tensor)
+        margin = ad.sub(margin, offset)
+    return ad.square(margin) if method == "ipo" else -ad.logsigmoid(margin)
 
 
 # margin_loss with the method fixed; each ignores cfg.method
@@ -146,22 +131,17 @@ def kto_loss(batch, cfg: LossConfig, z_ref: float):
     if not batch:
         raise ValueError("kto_loss requires a nonempty batch")
     z = max(0.0, float(z_ref))
-    tape, had_tensor = _tape_of(*(a for score, _ in batch
-                                  for a in (score.chosen_logps, score.rejected_logps)))
-    total = None
+    items = []
     for score, label in batch:
         _require_ref(score)
-        rw = ad.arraysum(_ratios(tape, score.chosen_logps, score.chosen_ref_logps))
-        rl = ad.arraysum(_ratios(tape, score.rejected_logps, score.rejected_ref_logps))
+        rw = ad.arraysum(_ratios(score.chosen_logps, score.chosen_ref_logps))
+        rl = ad.arraysum(_ratios(score.rejected_logps, score.rejected_ref_logps))
         if not label:
             rw, rl = rl, rw
-        term_w = ad.scale(ad.sigmoid(ad.sub(ad.scale(rw, cfg.beta),
-                                            ad.constant(tape, z))), -cfg.lambda_w)
-        term_l = ad.scale(ad.sigmoid(ad.sub(ad.constant(tape, z),
-                                            ad.scale(rl, cfg.beta))), cfg.lambda_l)
-        item = ad.add(term_w, term_l)
-        total = item if total is None else ad.add(total, item)
-    return _maybe_value(ad.scale(total, 1.0 / len(batch)), had_tensor)
+        term_w = ad.scale(ad.sigmoid(ad.sub(ad.scale(rw, cfg.beta), z)), -cfg.lambda_w)
+        term_l = ad.scale(ad.sigmoid(ad.sub(z, ad.scale(rl, cfg.beta))), cfg.lambda_l)
+        items.append(ad.add(term_w, term_l))
+    return ad.scale(reduce(ad.add, items), 1.0 / len(batch))
 
 
 def estimate_z_ref(batch, cfg: LossConfig) -> float:
@@ -179,13 +159,11 @@ def estimate_z_ref(batch, cfg: LossConfig) -> float:
 
 
 def orpo_loss(score: PairScore, cfg: LossConfig):
-    tape, had_tensor = _tape_of(score.chosen_logps, score.rejected_logps)
-    cw = ad.as_tensor(tape, score.chosen_logps)
-    cl = ad.as_tensor(tape, score.rejected_logps)
-    Tw, Tl = cw.shape[0], cl.shape[0]
+    cw, cl = score.chosen_logps, score.rejected_logps
+    Tw, Tl = len(_array(cw)), len(_array(cl))
     mean_w = ad.weighted_sum(cw, np.full(Tw, 1.0 / Tw))
     mean_l = ad.weighted_sum(cl, np.full(Tl, 1.0 / Tl))
-    if float(mean_w.value) >= 0.0 or float(mean_l.value) >= 0.0:
+    if float(_array(mean_w)) >= 0.0 or float(_array(mean_l)) >= 0.0:
         raise ValueError("orpo requires strictly negative mean log-probs "
                          "(odds are singular at probability 1)")
     # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
@@ -193,7 +171,7 @@ def orpo_loss(score: PairScore, cfg: LossConfig):
     lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
     penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
     nll = ad.scale(mean_w, -1.0)
-    return _maybe_value(ad.add(nll, penalty), had_tensor)
+    return ad.add(nll, penalty)
 
 
 def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
@@ -228,9 +206,9 @@ def batch_loss(scores, cfg: LossConfig):
         raise ValueError("batch_loss requires a nonempty batch")
     if cfg.method == "kto":
         batch = [(s, True) for s in scores]
-        return kto_loss(batch, cfg, estimate_z_ref(batch, cfg))
-    losses = [orpo_loss(s, cfg) if cfg.method == "orpo" else margin_loss(s, cfg, cfg.method)
-              for s in scores]
-    if isinstance(losses[0], Tensor):
-        return ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
-    return float(np.mean(losses))
+        loss = kto_loss(batch, cfg, estimate_z_ref(batch, cfg))
+    else:
+        loss = ad.scale(reduce(ad.add, [orpo_loss(s, cfg) if cfg.method == "orpo"
+                                        else margin_loss(s, cfg, cfg.method)
+                                        for s in scores]), 1.0 / len(scores))
+    return loss if isinstance(loss, Tensor) else float(loss)

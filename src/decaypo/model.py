@@ -29,27 +29,6 @@ BOS = 256
 EOS = 257
 
 
-class Vocabulary:
-    """Byte vocabulary: 256 byte values plus BOS (256) and EOS (257)."""
-
-    size = VOCAB_SIZE
-    bos = BOS
-    eos = EOS
-
-    @staticmethod
-    def encode(data: bytes) -> list[int]:
-        return list(data)
-
-    @staticmethod
-    def decode(tokens) -> bytes:
-        out = bytearray()
-        for t in tokens:
-            if not 0 <= t < 256:
-                raise ValueError(f"token {t} is not a byte value")
-            out.append(t)
-        return bytes(out)
-
-
 @dataclass
 class TokenSequence:
     """A prompt (BOS-prefixed) and a response (ideally EOS-terminated)."""
@@ -73,7 +52,7 @@ class TokenSequence:
 
 
 def make_sequence(prompt: bytes, response: bytes) -> TokenSequence:
-    return TokenSequence([BOS] + Vocabulary.encode(prompt), Vocabulary.encode(response) + [EOS])
+    return TokenSequence([BOS] + list(prompt), list(response) + [EOS])
 
 
 @dataclass

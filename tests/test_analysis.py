@@ -4,13 +4,13 @@ import pytest
 from decaypo import analysis
 from decaypo.analysis import (DensityHistogram, PositionCurve, kl_categorical,
                               kl_per_position, loss_by_length_gap,
-                              prob_per_position, read_curve_csv,
-                              read_histogram_csv, ref_margin_density,
+                              prob_per_position, ref_margin_density,
                               sequence_logprob, write_curve_csv,
                               write_histogram_csv)
 from decaypo.data import PreferencePair, synthetic_corpus
 from decaypo.losses import LossConfig, batch_loss
-from decaypo.model import PolicyModel, VOCAB_SIZE, make_sequence, sample, token_logprobs
+from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
+                           token_logprobs)
 from conftest import random_pairscore
 
 
@@ -64,6 +64,17 @@ class TestKL:
         m = small_model()
         with pytest.raises(ValueError):
             kl_per_position(m, m, [], max_pos=4)
+
+    def test_distributions_hold_the_scored_logprobs_bit_for_bit(self):
+        """The KL's log-distributions and the packed scoring pass share one
+        log-softmax normaliser."""
+        m = small_model(seed=2, trained=True)
+        seqs = sample_sequences(m, 5, seed=30)
+        logs, offsets = analysis._position_distribution_logs(m, seqs)
+        logps, same_offsets = packed_logprobs(m, seqs)
+        targets = [t for seq in seqs for t in seq.response_tokens]
+        assert np.array_equal(offsets, same_offsets)
+        assert np.array_equal(logs[np.arange(len(targets)), targets], logps)
 
 
 class TestProbPerPosition:
@@ -220,16 +231,15 @@ class TestCsvRoundTrips:
         text = path.read_text()
         assert text.startswith("# kl direction")
         assert "position,value" in text
-        back = read_curve_csv(path)
-        assert back.positions == curve.positions
-        assert back.values == curve.values
+        rows = analysis.read_csv(path, ("position", "value"))
+        assert [int(p) for p, _ in rows] == curve.positions
+        assert [float(v) for _, v in rows] == curve.values
 
     def test_histogram(self, tmp_path):
         hist = DensityHistogram(np.array([0.5, 1.5, 2.5]),
                                 np.array([0.2, 0.6, 0.2]), 1.0)
         path = tmp_path / "hist.csv"
         write_histogram_csv(path, hist)
-        back = read_histogram_csv(path)
-        assert np.array_equal(back.centers, hist.centers)
-        assert np.array_equal(back.density, hist.density)
-        assert back.bin_width == hist.bin_width
+        rows = analysis.read_csv(path, ("value", "density"))
+        assert np.array_equal([float(c) for c, _ in rows], hist.centers)
+        assert np.array_equal([float(d) for _, d in rows], hist.density)

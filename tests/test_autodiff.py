@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,21 @@ class TestLogsigmoid:
         assert np.max(np.abs(np.exp(pos) + np.exp(neg) - 1.0)) < 1e-12
 
 
+class TestSigmoid:
+    def test_matches_scipy_expit(self):
+        """The numpy sigmoid is within one float64 epsilon of scipy's expit
+        (the two round differently in about 2% of the draws), and it stays
+        finite and warning-free out to the tails."""
+        from scipy.special import expit
+        x = np.concatenate([np.random.default_rng(0).normal(size=1_000_000),
+                            [-1e4, -745.0, -710.0, -40.0, 40.0, 710.0, 1e4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = ad.sigmoid(x)
+        assert np.max(np.abs(s - expit(x))) <= np.finfo(np.float64).eps
+        assert s[-7] == 0.0 and s[-1] == 1.0
+
+
 def logprobs_of(logits, targets):
     """log_softmax_gather of a constant matrix, as a plain array."""
     return ad.log_softmax_gather(ad.constant(ad.Tape(), np.asarray(logits)), targets).value
@@ -81,6 +98,63 @@ class TestSequenceLogprobs:
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             logprobs_of(np.zeros((2, 3)), [0, 3])
+
+
+# The primitives the forward-pass test below does not cover, each as a
+# function of its array operands; every operand here is a 3 x 4 matrix with
+# entries in (-3, -0.1), inside every primitive's domain, except matmul's
+# right operand, which is 4 x 3.
+W = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+UNARY = {"scale": lambda a: ad.scale(a, -1.5), "arraysum": ad.arraysum,
+         "weighted_sum": lambda a: ad.weighted_sum(a, W), "square": ad.square,
+         "sigmoid": ad.sigmoid, "log1mexp": ad.log1mexp}
+BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul}
+
+
+def operand(rng, shape=(3, 4)):
+    return -rng.uniform(0.1, 3.0, size=shape)
+
+
+def operands(rng, name):
+    return [operand(rng)] if name in UNARY else \
+        [operand(rng), operand(rng, (4, 3) if name == "matmul" else (3, 4))]
+
+
+def primitive(name):
+    return UNARY.get(name) or BINARY[name]
+
+
+class TestPlainOperands:
+    @pytest.mark.parametrize("name", [*UNARY, *BINARY])
+    def test_all_plain_call_returns_array_and_records_nothing(self, rng, monkeypatch, name):
+        args = operands(rng, name)
+        t = ad.Tape()
+        taped = primitive(name)(*[ad.leaf(t, v) for v in args])
+        recorded = []
+        monkeypatch.setattr(ad.Tape, "_record", lambda tape, node: recorded.append(node))
+        plain = primitive(name)(*args)
+        assert type(plain) is np.ndarray and recorded == []
+        assert np.array_equal(plain, taped.value)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["tensor-plain", "plain-tensor"])
+    @pytest.mark.parametrize("name", list(BINARY))
+    def test_one_plain_operand_is_a_constant(self, rng, name, side):
+        args = operands(rng, name)
+        w = rng.normal(0, 1, size=np.shape(BINARY[name](*args)))
+
+        def f(v):
+            mixed = list(args)
+            mixed[side] = ad.leaf(ad.Tape(), v)
+            return BINARY[name](*mixed)
+
+        out = f(args[side])
+        x = out.parents[0]
+        assert len(out.parents) == 1 and x.is_leaf
+        assert len(out.tape.nodes) == 2  # the leaf and the primitive's node
+        assert np.array_equal(out.value, BINARY[name](*args))
+        g = ad.gradients(ad.weighted_sum(out, w))[x]
+        fd = central_difference(lambda v: np.sum(w * f(v).value), args[side])
+        assert np.allclose(g, fd, rtol=1e-4, atol=1e-8)
 
 
 class TestGradients:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import MISFITS, misfit_params, write_raw_checkpoint
-from decaypo import cli, data, training
-from decaypo.analysis import read_curve_csv, read_histogram_csv
+from decaypo import analysis, cli, data, training
 from decaypo.cli import main
 from decaypo.config import atomic_write
 from decaypo.data import load_pairs
@@ -93,6 +92,18 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 1" in err[0] and repr(key) in err[0]
+
+    @pytest.mark.parametrize("line", [b'{"id":"a","prompt":"q\xff","chosen":"x","rejected":"y"}',
+                                      b'{"id":"a","prompt":"\\ud800","chosen":"x","rejected":"y"}'],
+                             ids=["not-utf8", "lone-surrogate"])
+    def test_undecodable_pair_line_exit_2_one_line(self, tmp_path, capsys, line):
+        path = tmp_path / "pairs.jsonl"
+        path.write_bytes(b'{"id":"b","prompt":"q","chosen":"x","rejected":"y"}\n' + line + b"\n")
+        rc = main(["train", *SMALL_ARCH, "--pairs", str(path),
+                   "--out", str(tmp_path / "x.ckpt"), "--metrics", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0]
 
     @pytest.mark.parametrize("case", sorted(MISFITS))
     def test_misfit_checkpoint_exit_2_one_line(self, tmp_path, capsys, case):
@@ -266,6 +277,11 @@ class TestSampleEval:
         assert built.isdisjoint(seeds)
 
 
+def csv_columns(path, header):
+    """The columns of a CSV file that analysis.write_csv wrote, as float arrays."""
+    return np.array(analysis.read_csv(path, header), dtype=np.float64).T
+
+
 class TestAnalyzeCommands:
     def test_kl_position_csv(self, workdir):
         out = workdir / "kl.csv"
@@ -274,8 +290,8 @@ class TestAnalyzeCommands:
                    "--pairs", str(workdir / "pairs.jsonl"),
                    "--max-pos", "6", "--out", str(out)])
         assert rc == 0
-        curve = read_curve_csv(out)
-        assert all(v >= 0 for v in curve.values)
+        _, values = csv_columns(out, ("position", "value"))
+        assert np.all(values >= 0)
 
     def test_prob_position_csv(self, workdir):
         out = workdir / "prob.csv"
@@ -283,8 +299,8 @@ class TestAnalyzeCommands:
                    "--pairs", str(workdir / "pairs.jsonl"),
                    "--max-pos", "6", "--out", str(out)])
         assert rc == 0
-        curve = read_curve_csv(out)
-        assert all(0 < v <= 1 for v in curve.values)
+        _, values = csv_columns(out, ("position", "value"))
+        assert np.all((0 < values) & (values <= 1))
 
     def test_ref_margin_csv(self, workdir):
         out = workdir / "margin.csv"
@@ -292,8 +308,8 @@ class TestAnalyzeCommands:
                    "--pairs", str(workdir / "pairs.jsonl"),
                    "--bins", "6", "--out", str(out)])
         assert rc == 0
-        hist = read_histogram_csv(out)
-        assert np.sum(hist.density) * hist.bin_width == pytest.approx(1.0, abs=1e-6)
+        centers, density = csv_columns(out, ("value", "density"))
+        assert np.sum(density) * (centers[1] - centers[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_length_bias_csv(self, workdir):
         out = workdir / "bias.csv"

@@ -1,8 +1,10 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from decaypo.cli import main
+from decaypo.cli import COMMANDS, main
 from decaypo.config import SEED_TAGS, ConfigError, Option, resolve
 
 OPTIONS = [
@@ -136,3 +138,68 @@ def test_readme_substreams_match_seed_tags():
     names = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
              if line.startswith("| `")]
     assert sorted(names) == sorted(SEED_TAGS)
+
+
+def test_non_utf8_config_file_exit_1_naming_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("[mdp-verify]\n# réglage\nseeds = 1\n".encode("latin-1"))
+    assert main(["mdp-verify", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(cfg) in err[0]
+    assert not (tmp_path / "m.csv").exists()
+
+
+# every option of every command, for the fuzz tests below
+EVERY_OPTION = [(command, opt) for command, (options, _) in COMMANDS.items() for opt in options]
+PARSED_TYPES = {"int": int, "float": float, "str": str, "ints": list, "floats": list}
+
+
+def resolve_one(command: str, name: str, text: str | None, config_path=None) -> dict:
+    """resolve() for ``command`` with ``text`` as the flag ``name`` (no flag
+    when None) and placeholders for the required options."""
+    options = COMMANDS[command][0]
+    flags = {o.name: "x" for o in options if o.required}
+    if text is not None:
+        flags[name] = text
+    return resolve(command, options, flags, config_path, COMMANDS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_flag_text_gives_a_value_or_config_error(data):
+    command, opt = data.draw(st.sampled_from(EVERY_OPTION), label="option")
+    text = data.draw(st.text(st.characters(blacklist_categories=())), label="text")
+    try:
+        value = resolve_one(command, opt.name, text)[opt.name]
+    except ConfigError:
+        return
+    assert type(value) is PARSED_TYPES[opt.typ]
+    if opt.typ in ("float", "floats"):
+        assert np.all(np.isfinite(value))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_file_text_gives_a_value_or_config_error(tmp_path, data):
+    command, opt = data.draw(st.sampled_from(EVERY_OPTION), label="option")
+    text = data.draw(st.text(), label="text")
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(f"[{command}]\n{opt.name} = {text}\n", encoding="utf-8")
+    try:
+        value = resolve_one(command, opt.name, None, str(cfg))[opt.name]
+    except ConfigError:
+        return
+    assert type(value) is PARSED_TYPES[opt.typ]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.binary(max_size=200))
+def test_any_config_file_bytes_give_a_config_or_config_error(tmp_path, blob):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(b"[mdp-verify]\n" + blob)
+    try:
+        resolve_one("mdp-verify", "seeds", None, str(cfg))
+    except ConfigError:
+        pass

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decaypo.data import (PairParseError, PairValidationError, PreferencePair,
                           RewardOracle, UnknownPromptError,
@@ -90,7 +91,7 @@ class TestPersistence:
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
-    @pytest.mark.parametrize("text", ["b64:abc", "b64:cQ=*", "b64:c Q=="])
+    @pytest.mark.parametrize("text", ["b64:abc", "b64:cQ=*", "b64:c Q==", "b64:c\u00e9Q="])
     def test_bad_base64_names_line_and_key(self, tmp_path, key, text):
         good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
         path = tmp_path / "bad.jsonl"
@@ -99,11 +100,87 @@ class TestPersistence:
             load_pairs(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfffb"], ids=["high", "low"])
+    def test_lone_surrogate_names_line_and_key(self, tmp_path, key, text):
+        good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: text}) + "\n")
+        with pytest.raises(PairParseError, match=repr(key)) as err:
+            load_pairs(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("bad", [b'{"id":"a","prompt":"q\xff","chosen":"x","rejected":"y"}',
+                                     b"\xef\xbb", b"\xed\xa0\x80"],
+                             ids=["latin-1", "truncated", "encoded-surrogate"])
+    def test_line_that_is_not_utf8_is_named(self, tmp_path, bad):
+        good = b'{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(good + b"\n" + good + b"\n" + bad + b"\n")
+        with pytest.raises(PairParseError, match="not UTF-8") as err:
+            load_pairs(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_split_records(self, tmp_path, end):
+        good = b'{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
+        path = tmp_path / "pairs.jsonl"
+        path.write_bytes(good + end + good + end)
+        assert len(load_pairs(path)) == 2
+        path.write_bytes(good + end + good + end + b"{broken" + end)
+        with pytest.raises(PairParseError) as err:
+            load_pairs(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"id": ' + "1" * 5000 + "}"],
+                             ids=["deep", "long-integer"])
+    def test_json_the_parser_refuses_is_named(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(PairParseError) as err:
+            load_pairs(path)
+        assert err.value.line_no == 1
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id":"a","prompt":"q","chosen":"x"}\n')
         with pytest.raises(PairParseError):
             load_pairs(path)
+
+
+# Pairs-file lines for the fuzz test: raw bytes, and JSON records whose
+# fields may be any JSON value, text with lone surrogates, or base64 text,
+# written ASCII-escaped or raw (lone surrogates then become invalid UTF-8),
+# with a few bytes spliced in anywhere.
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=12)
+_FIELD = st.one_of(_TEXT, _TEXT.map("b64:".__add__),
+                   st.text("AQcd09+/= ", max_size=12).map("b64:".__add__),
+                   st.integers(), st.floats(), st.none(), st.lists(st.integers(), max_size=2))
+_RECORD = st.one_of(
+    st.fixed_dictionaries({k: _FIELD for k in ("id", "prompt", "chosen", "rejected")},
+                          optional={"meta": _FIELD}),
+    st.dictionaries(st.sampled_from(["id", "prompt", "chosen", "rejected", "meta"]), _FIELD))
+_ENCODED = st.builds(lambda record, ascii: json.dumps(record, ensure_ascii=ascii)
+                     .encode("utf-8", "surrogatepass"), _RECORD, st.booleans())
+_LINES = st.one_of(
+    st.binary(max_size=120), _ENCODED,
+    st.tuples(_ENCODED, st.binary(min_size=1, max_size=4), st.integers(0, 200))
+    .map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]))
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINES, min_size=1, max_size=3))
+def test_any_pairs_line_gives_pairs_or_a_pair_error(tmp_path, lines):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        pairs = load_pairs(path)
+    except (PairParseError, PairValidationError) as e:
+        assert e.line_no is not None
+        return
+    for p in pairs:
+        assert all(type(x) is bytes for x in (p.prompt, p.chosen, p.rejected))
 
 
 class TestEditDistance:

@@ -309,6 +309,21 @@ class TestBatchLoss:
             batch_loss([], LossConfig())
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_plain_batch_loss_equals_taped_bit_for_bit(method, rng):
+    """One loss definition: plain scores give exactly the taped value."""
+    cfg = LossConfig(method=method, schedule=DecaySchedule(kind="exponential", gamma=0.9),
+                     target_margin=0.3, sampo_seed=5)
+    for _ in range(200):
+        scores = [random_pairscore(rng) for _ in range(int(rng.integers(2, 9)))]
+        tape = ad.Tape()
+        taped = [replace(s, chosen_logps=ad.leaf(tape, s.chosen_logps),
+                         rejected_logps=ad.leaf(tape, s.rejected_logps)) for s in scores]
+        plain = batch_loss(scores, cfg)
+        assert type(plain) is float
+        assert plain == float(batch_loss(taped, cfg).value)
+
+
 @pytest.mark.parametrize("method", ["kto", "orpo"])
 def test_margin_loss_rejects_non_margin_methods(method, rng):
     with pytest.raises(ValueError, match="not a margin method"):

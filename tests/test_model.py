@@ -3,7 +3,7 @@ import pytest
 
 from decaypo import autodiff as ad
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
-                           Vocabulary, _Decoder, _softmax, forward_logits,
+                           _Decoder, _softmax, forward_logits,
                            make_sequence, packed_logprobs, response_logits, sample,
                            sample_token_id, token_logprobs)
 from conftest import central_difference
@@ -71,20 +71,10 @@ def full_forward_sample(model, prompt, temperature, max_len, seed):
     return response
 
 
-class TestVocabulary:
-    def test_roundtrip(self):
-        data = bytes(range(256))
-        assert Vocabulary.decode(Vocabulary.encode(data)) == data
-
+class TestTokenSequence:
     def test_special_ids(self):
         assert BOS == 256 and EOS == 257 and VOCAB_SIZE == 258
 
-    def test_decode_rejects_special(self):
-        with pytest.raises(ValueError):
-            Vocabulary.decode([65, BOS])
-
-
-class TestTokenSequence:
     def test_requires_nonempty(self):
         with pytest.raises(ValueError):
             TokenSequence([], [1])
