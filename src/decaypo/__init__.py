@@ -2,7 +2,7 @@
 token weighting, diagnostic analyses, and a tabular-MDP theory verifier."""
 
 from .losses import LossConfig, PairScore, METHODS
-from .model import PolicyModel, TokenSequence, make_sequence, sample
+from .model import PolicyModel, TokenSequence, make_sequence, sample, sample_many
 from .schedules import DecaySchedule, UNIFORM, weights
 from .data import PreferencePair, RewardOracle, build_onpolicy_pairs, synthetic_corpus
 from .training import Checkpoint, TrainConfig, evaluate_winrate, train
@@ -11,7 +11,7 @@ __all__ = [
     "Checkpoint", "DecaySchedule", "LossConfig", "METHODS", "PairScore",
     "PolicyModel", "PreferencePair", "RewardOracle", "TokenSequence",
     "TrainConfig", "UNIFORM", "build_onpolicy_pairs",
-    "evaluate_winrate", "make_sequence", "sample", "synthetic_corpus",
+    "evaluate_winrate", "make_sequence", "sample", "sample_many", "synthetic_corpus",
     "train", "weights",
 ]
 

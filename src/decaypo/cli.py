@@ -66,15 +66,29 @@ def _loss_config(r: dict, root_seed: int) -> LossConfig:
         sampo_seed=seed_substream(root_seed, "sampo"))
 
 
+def _at_least(r: dict, minimum, *keys) -> None:
+    for key in keys:
+        if not r[key] >= minimum:
+            raise ConfigError(f"key {key!r}: must be >= {minimum}, got {r[key]}")
+
+
+def _check_sampling(r: dict) -> None:
+    _at_least(r, 0, "temperature")
+    _at_least(r, 1, "max-len")
+
+
 def _model_from(r: dict, key: str, root_seed: int) -> Checkpoint:
     if r.get(key):
         return load_checkpoint(r[key])
+    _at_least(r, 1, "dim", "context", "blocks")
     model = PolicyModel(dim=r["dim"], context=r["context"], blocks=r["blocks"],
                         seed=seed_substream(root_seed, "init"))
     return Checkpoint(model=model, step=0, seed=model.seed)
 
 
 def _oracle_from(r: dict):
+    _at_least(r, 0, "n-prompts", "min-target-len")
+    _at_least(r, r["min-target-len"], "max-target-len")
     corpus = data.synthetic_corpus(
         r["n-prompts"], seed_substream(r["seed"], "data"),
         r["min-target-len"], r["max-target-len"])
@@ -111,6 +125,8 @@ def _cmd_train(r: dict) -> int:
 
 
 def _cmd_build_pairs(r: dict) -> int:
+    _check_sampling(r)
+    _at_least(r, 2, "k")
     corpus, oracle = _oracle_from(r)
     ckpt = _model_from(r, "model", r["seed"])
     pairs, skipped = data.build_onpolicy_pairs(
@@ -122,6 +138,7 @@ def _cmd_build_pairs(r: dict) -> int:
 
 
 def _cmd_sample(r: dict) -> int:
+    _check_sampling(r)
     ckpt = load_checkpoint(r["model"])
     prompt = [BOS] + list(r["prompt"].encode("utf-8"))
     seq = sample_tokens(ckpt.model, prompt, r["temperature"], r["max-len"],
@@ -134,6 +151,7 @@ def _cmd_sample(r: dict) -> int:
 
 
 def _cmd_eval(r: dict) -> int:
+    _check_sampling(r)
     _, oracle = _oracle_from(r)
     candidate = load_checkpoint(r["candidate"])
     baseline = load_checkpoint(r["baseline"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import derive_seed
-from .model import BOS, PolicyModel, TokenSequence, sample
+from .model import BOS, PolicyModel, TokenSequence, sample_many
 
 
 class PairParseError(ValueError):
@@ -114,16 +114,36 @@ def load_pairs(path) -> list[PreferencePair]:
 
 
 def edit_distance(a: bytes, b: bytes) -> int:
-    """Levenshtein distance, two-row DP."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        left = i
-        cur = [left]
-        for cb, diag, up in zip(b, prev, prev[1:]):
-            left = min(up + 1, left + 1, diag + (ca != cb))
-            cur.append(left)
-        prev = cur
-    return prev[-1]
+    """Levenshtein distance, bit-parallel (Myers, J. ACM 1999, in the
+    Levenshtein form of Hyyro 2003). The longer string runs down the rows of
+    the DP table: in the current column j, bit i of pv (mv) is set when cell
+    (i + 1, j) is one more (less) than cell (i, j). Each byte of the shorter
+    string advances the column by a few operations on Python ints as wide as
+    the longer string, and the last row's value is tracked in ``score``."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq: dict[int, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    top = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 ORACLE_KINDS = ("target_match", "length_penalized_match")
@@ -188,13 +208,16 @@ def response_bytes(seq: TokenSequence) -> bytes:
     return bytes(t for t in seq.response_tokens if 0 <= t < 256)
 
 
-def sample_and_score(model: PolicyModel, oracle: RewardOracle, prompt: bytes,
-                     temperature: float, max_len: int, seed: int) -> tuple[bytes, float]:
-    """One sampled response to ``prompt`` and its oracle score: the on-policy
-    step that building pairs and evaluating a win rate share."""
-    seq = sample(model, [BOS] + list(prompt), temperature, max_len, seed)
-    response = response_bytes(seq)
-    return response, oracle_score(oracle, prompt, response)
+def sample_and_score(model: PolicyModel, oracle: RewardOracle, prompts,
+                     temperature: float, max_len: int, seeds) -> tuple[list[bytes], list[float]]:
+    """A sampled response to each of ``prompts``, the i-th drawn from
+    ``seeds[i]``, and the oracle scores: the on-policy step that building
+    pairs and evaluating a win rate share. Every row is sampled in lockstep
+    (model.sample_many)."""
+    prompts = [bytes(p) for p in prompts]
+    rows = [([BOS] + list(p), s) for p, s in zip(prompts, seeds, strict=True)]
+    responses = [response_bytes(seq) for seq in sample_many(model, rows, temperature, max_len)]
+    return responses, [oracle_score(oracle, p, r) for p, r in zip(prompts, responses)]
 
 
 def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
@@ -204,18 +227,22 @@ def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
 
     Returns (pairs, skipped) where skipped counts prompts whose K samples
     all tied at one score. Each sample draws from its own seed, derived from
-    (seed, prompt index, sample index), so output is independent of
-    scheduling order.
+    (seed, prompt index, sample index), and all prompts x K samples run as
+    one lockstep batch. So every sampled token is independent of scheduling
+    order and of the other rows; only the logits may move by a few ulps with
+    the make-up of the batch (a matrix product rounds differently from a
+    vector one).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    prompts = [bytes(p) for p in prompts]
+    sampled, scored = sample_and_score(
+        model, oracle, [p for p in prompts for _ in range(K)], temperature, max_len,
+        [derive_seed(seed, i, k) for i in range(len(prompts)) for k in range(K)])
     pairs = []
     skipped = 0
     for i, prompt in enumerate(prompts):
-        prompt = bytes(prompt)
-        responses, scores = zip(*(sample_and_score(model, oracle, prompt, temperature,
-                                                   max_len, derive_seed(seed, i, k))
-                                  for k in range(K)))
+        responses, scores = sampled[i * K:(i + 1) * K], scored[i * K:(i + 1) * K]
         if not np.all(np.isfinite(scores)):
             raise ValueError(f"non-finite oracle score {scores} for prompt {prompt!r}")
         best = int(np.argmax(scores))   # earliest index wins ties

@@ -12,7 +12,8 @@ projection): with parameter tensors it records a tape for training, and
 with the plain parameter arrays it records nothing, for the reference model
 and the analyses. Because the running mean is a recurrence, sampling is
 recurrent too: it carries one running sum per block and spends
-O(blocks*d^2 + d*V) per token instead of rerunning the prefix.
+O(blocks*d^2 + d*V) per token instead of rerunning the prefix. It runs in
+lockstep: one decoder step advances a stack of rows at one position.
 """
 
 from __future__ import annotations
@@ -187,30 +188,36 @@ def packed_logprobs(model: PolicyModel, seqs: list[TokenSequence],
 
 
 class _Decoder:
-    """forward_logits one token at a time, off the tape: each block keeps
-    the running sum of its inputs, so a step costs O(blocks*d^2 + d*V)."""
+    """forward_logits one token at a time, off the tape, for a stack of rows
+    at one shared position: each block keeps the running sum of every row's
+    inputs, so a step costs O(rows*(blocks*d^2 + d*V))."""
 
-    def __init__(self, model: PolicyModel):
+    def __init__(self, model: PolicyModel, rows: int):
         p = model.params
         self.embed, self.pos, self.w_out = p["embed"], p["pos"], p["w_out"]
         self.blocks = [(p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"]) for b in range(model.blocks)]
-        self.sums = np.zeros((model.blocks, model.dim))
+        self.sums = [np.zeros((rows, model.dim)) for _ in self.blocks]
         self.n = 0
 
-    def step(self, token: int) -> np.ndarray:
-        """Logits of the next token after feeding ``token``."""
-        x = self.embed[token] + self.pos[self.n]
+    def step(self, tokens) -> np.ndarray:
+        """Logits (rows x V) of the next token of each row after feeding it
+        its entry of ``tokens``."""
+        x = self.embed.take(tokens, axis=0) + self.pos[self.n]
         self.n += 1
         for s, (w1, w2, w3) in zip(self.sums, self.blocks):
             s += x
             x = _block(x, s / self.n, w1, w2, w3, ad._logsigmoid)
         return x @ self.w_out
 
+    def take(self, rows) -> None:
+        """Keep the rows at the indices ``rows``, in that order."""
+        self.sums = [s[rows] for s in self.sums]
 
-def _softmax(row: np.ndarray) -> np.ndarray:
-    z = row - np.max(row)
-    e = np.exp(z)
-    return e / np.sum(e)
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row (of a vector, or of each row of a matrix)."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def token_logprobs(model: PolicyModel, seq: TokenSequence,
@@ -224,35 +231,93 @@ def token_logprobs(model: PolicyModel, seq: TokenSequence,
     return packed_logprobs(model, [seq], param_tensors)[0]
 
 
-def sample_token_id(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw; the tie/rounding behavior is fixed and portable."""
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, probs.shape[0] - 1))
+def sample_token_id(probs: np.ndarray, u):
+    """Inverse-CDF draw, one per row of ``probs`` at its uniform in ``u`` (or
+    one from a vector at a float): the count of cumulative probabilities at
+    most u, which is searchsorted(cumsum, u, side="right"), clipped to the
+    vocabulary. The tie/rounding behavior is fixed and portable."""
+    below = np.cumsum(probs, axis=-1) <= np.asarray(u)[..., None]
+    return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)
 
 
-def sample(model: PolicyModel, prompt, temperature: float, max_len: int,
-           seed: int) -> TokenSequence:
-    """Autoregressive sampling; temperature 0 is argmax with lowest-id ties."""
+def sample_many(model: PolicyModel, rows, temperature: float,
+                max_len: int) -> list[TokenSequence]:
+    """Autoregressive sampling of every (prompt tokens, seed) row in lockstep.
+
+    Temperature 0 is argmax with lowest-id ties. Rows are grouped by prompt
+    length; each distinct prompt of a group is prefilled once, and one
+    decoder step then advances every live row of the group. Row i draws its
+    uniforms from the generator of its own seed, in order, so its tokens do
+    not depend on the other rows. A row leaves the batch at EOS or after
+    min(max_len, context - prompt length) tokens.
+    """
     if not 0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    prompt = list(prompt)
-    _check_context(model, prompt)
-    limit = min(max_len, model.context - len(prompt))
-    if limit < 1:
-        raise ValueError("prompt leaves no room for a response")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & (2**63 - 1))))
-    decoder = _Decoder(model)
-    for tok in prompt:
-        logits = decoder.step(tok)
-    response: list[int] = []
-    for _ in range(limit):
+    rows = [(list(prompt), seed) for prompt, seed in rows]
+    groups: dict[int, list[int]] = {}
+    for i, (prompt, _) in enumerate(rows):
+        _check_context(model, prompt)
+        if len(prompt) >= model.context:
+            raise ValueError("prompt leaves no room for a response")
+        groups.setdefault(len(prompt), []).append(i)
+    out: list[TokenSequence] = [None] * len(rows)
+    for n, members in groups.items():
+        distinct: dict[tuple, int] = {}
+        which = [distinct.setdefault(tuple(rows[i][0]), len(distinct)) for i in members]
+        decoder = _Decoder(model, len(distinct))
+        for column in np.array(list(distinct)).T:
+            logits = decoder.step(column)
+        decoder.take(which)
+        limit = min(max_len, model.context - n)
+        uniforms = None
+        if temperature > 0.0:   # row i's draws, in order, from its own seed
+            seeds = [np.random.SeedSequence(int(rows[i][1]) & (2**63 - 1)) for i in members]
+            uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(limit)
+                                 for s in seeds])
+        responses = _decode(decoder, logits[which], temperature, uniforms, limit)
+        for i, response in zip(members, responses):
+            out[i] = TokenSequence(rows[i][0], response)
+    return out
+
+
+def _decode(decoder: _Decoder, logits: np.ndarray, temperature: float,
+            uniforms: np.ndarray | None, limit: int) -> list[list[int]]:
+    """The responses of the decoder's rows, from the logits after their
+    prompts: the argmax at temperature 0, else row i's t-th token drawn at
+    ``uniforms[i, t]``. A step does array operations over the live rows
+    only; a row leaves on the step that draws its EOS."""
+    responses: list[list[int]] = [[] for _ in logits]
+    live = list(range(len(logits)))
+    drawn: list[list[int]] = []   # the live rows' tokens since a row last left
+
+    def flush():
+        for j, column in zip(live, zip(*drawn)):
+            responses[j] += column
+        drawn.clear()
+
+    for t in range(limit):
+        if t:
+            logits = decoder.step(tok)
         if temperature == 0.0:
-            tok = int(np.argmax(logits))
+            tok = logits.argmax(axis=-1)
         else:
-            tok = sample_token_id(_softmax(logits / temperature), rng.random())
-        response.append(tok)
-        if tok == EOS:
-            break
-        logits = decoder.step(tok)
-    return TokenSequence(prompt, response)
+            tok = sample_token_id(_softmax(logits / temperature), uniforms[live, t])
+        drawn.append(tok.tolist())
+        if EOS in drawn[-1]:
+            kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
+            flush()
+            live = [live[k] for k in kept]
+            if not live:
+                break
+            tok = tok[kept]
+            decoder.take(kept)
+    flush()
+    return responses
+
+
+def sample(model: PolicyModel, prompt, temperature: float, max_len: int,
+           seed: int) -> TokenSequence:
+    """Autoregressive sampling of one row: sample_many of [(prompt, seed)]."""
+    return sample_many(model, [(prompt, seed)], temperature, max_len)[0]

@@ -295,14 +295,12 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
 def evaluate_winrate(candidate: Checkpoint, baseline: Checkpoint,
                      oracle: RewardOracle, prompts, temperature: float,
                      seed: int, max_len: int = 256):
-    """Paired-seed sampling; (win, tie, lose) for the candidate."""
-    win = tie = lose = 0
-    for i, prompt in enumerate(prompts):
-        prompt = bytes(prompt)
-        s = derive_seed(seed, 2, i)
-        _, sc = sample_and_score(candidate.model, oracle, prompt, temperature, max_len, s)
-        _, sb = sample_and_score(baseline.model, oracle, prompt, temperature, max_len, s)
-        win += sc > sb
-        tie += sc == sb
-        lose += sc < sb
-    return win, tie, lose
+    """Paired-seed sampling; (win, tie, lose) for the candidate. Each model
+    samples every prompt in one lockstep batch."""
+    prompts = list(prompts)
+    seeds = [derive_seed(seed, 2, i) for i in range(len(prompts))]
+    _, sc = sample_and_score(candidate.model, oracle, prompts, temperature, max_len, seeds)
+    _, sb = sample_and_score(baseline.model, oracle, prompts, temperature, max_len, seeds)
+    win = sum(c > b for c, b in zip(sc, sb))
+    tie = sum(c == b for c, b in zip(sc, sb))
+    return win, tie, len(prompts) - win - tie

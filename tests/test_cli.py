@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import MISFITS, misfit_params, write_raw_checkpoint
-from decaypo import analysis, cli, data, training
+from decaypo import analysis, cli, data, model as model_module, training
 from decaypo.cli import main
 from decaypo.config import atomic_write
 from decaypo.data import load_pairs
-from decaypo.model import PolicyModel, sample
+from decaypo.model import PolicyModel, sample_many
 from decaypo.training import Checkpoint, save_checkpoint
 
 
@@ -123,6 +123,30 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "4096" in err[0]
+
+    @pytest.mark.parametrize("command,flags,key", [
+        ("build-pairs", ["--k", "1"], "k"),
+        ("build-pairs", ["--max-len", "0"], "max-len"),
+        ("sample", ["--max-len", "0"], "max-len"),
+        ("eval", ["--max-len", "0"], "max-len"),
+        ("sample", ["--temperature", "-0.5"], "temperature"),
+        ("build-pairs", ["--min-target-len", "9", "--max-target-len", "3"], "max-target-len"),
+        ("eval", ["--min-target-len", "-1"], "min-target-len"),
+        ("build-pairs", ["--dim", "0"], "dim"),
+        ("build-pairs", ["--context", "0"], "context"),
+        ("build-pairs", ["--blocks", "0"], "blocks"),
+    ])
+    def test_malformed_sampling_flag_exit_1_names_key(self, workdir, tmp_path, capsys,
+                                                       command, flags, key):
+        model = str(workdir / "model.ckpt")
+        needs = {"build-pairs": [],
+                 "sample": ["--model", model, "--prompt", "hi"],
+                 "eval": ["--candidate", model, "--baseline", model]}[command]
+        out = tmp_path / "out.txt"
+        assert main([command, *needs, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(key) in err[0], err
+        assert not out.exists()
 
 
 class TestAtomicWrite:
@@ -257,13 +281,13 @@ class TestSampleEval:
         build-pairs', so an eval baseline never replays a training sample."""
         seeds = []
 
-        def spy(model, prompt, temperature, max_len, seed):
-            seeds.append(seed)
-            return sample(model, prompt, temperature, max_len, seed)
+        def spy(model, rows, temperature, max_len):
+            seeds.extend(seed for _, seed in rows)
+            return sample_many(model, rows, temperature, max_len)
 
-        for module in (cli, data, training):
+        for module in (cli, data, model_module, training):
             for name, obj in list(vars(module).items()):
-                if obj is sample:
+                if obj is sample_many:
                     monkeypatch.setattr(module, name, spy)
         model = str(workdir / "model.ckpt")
         assert main(["build-pairs", *SMALL_ARCH, *SMALL_CORPUS, "--model", model,

@@ -214,6 +214,24 @@ class TestEditDistance:
             a = bytes(rng.integers(97, 101, size=rng.integers(0, 30)).tolist())
             b = bytes(rng.integers(97, 101, size=rng.integers(0, 12)).tolist())
             assert edit_distance(a, b) == full_table(a, b)
+        # past one 64-bit word and up to 300 bytes, either side the longer
+        for _ in range(40):
+            a = bytes(rng.integers(97, 101, size=rng.integers(60, 301)).tolist())
+            b = bytes(rng.integers(97, 101, size=rng.integers(0, 80)).tolist())
+            assert edit_distance(a, b) == edit_distance(b, a) == full_table(a, b)
+        # every byte value, over alphabets from 2 to all 256 of them
+        every = bytes(range(256))
+        assert edit_distance(every, every[::-1]) == full_table(every, every[::-1])
+        assert edit_distance(every, every[1:] + every[:1]) == 2
+        for _ in range(40):
+            high = int(rng.integers(2, 257))
+            a = bytes(rng.integers(0, high, size=rng.integers(0, 120)).tolist())
+            b = bytes(rng.integers(0, high, size=rng.integers(0, 120)).tolist())
+            assert edit_distance(a, b) == full_table(a, b)
+        # empty operands on either side
+        for n in (0, 1, 63, 64, 65, 300):
+            text = bytes(rng.integers(0, 256, size=n).tolist())
+            assert edit_distance(text, b"") == edit_distance(b"", text) == n
 
 
 class TestOracle:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from decaypo import autodiff as ad
+from decaypo.config import derive_seed
+from decaypo.data import (RewardOracle, build_onpolicy_pairs, oracle_score, response_bytes,
+                          synthetic_corpus)
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
                            _Decoder, _softmax, forward_logits,
                            make_sequence, packed_logprobs, response_logits, sample,
-                           sample_token_id, token_logprobs)
+                           sample_many, sample_token_id, token_logprobs)
+from decaypo.training import Checkpoint, evaluate_winrate
 from conftest import central_difference
 
 
@@ -48,14 +52,26 @@ def next_token_distribution(model, context):
 
 def decoder_distribution(model, context):
     """The same distribution from _Decoder.step fed ``context`` token by token."""
-    decoder = _Decoder(model)
+    decoder = _Decoder(model, 1)
     for tok in context:
-        logits = decoder.step(tok)
+        logits = decoder.step([tok])[0]
     return _softmax(logits)
 
 
+def eos_prone_model():
+    """A small model whose EOS logit follows one random direction of the
+    hidden state, so that samples end at EOS after a few to a few dozen
+    tokens and some reach the limit."""
+    m = PolicyModel(dim=16, context=48, blocks=2, seed=4)
+    r = np.random.default_rng(5)
+    m.params["w_out"] = r.normal(0, 0.3, size=m.params["w_out"].shape)
+    m.params["w_out"][:, EOS] = 1.3 * r.normal(0, 1, size=16)
+    return m
+
+
 def full_forward_sample(model, prompt, temperature, max_len, seed):
-    """sample() rerunning forward_logits over the whole prefix per token."""
+    """sample() one row at a time, rerunning forward_logits over the whole
+    prefix per token and drawing by searchsorted on one 1-D cumsum."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     context, response = list(prompt), []
     for _ in range(min(max_len, model.context - len(prompt))):
@@ -63,7 +79,10 @@ def full_forward_sample(model, prompt, temperature, max_len, seed):
         if temperature == 0.0:
             tok = int(np.argmax(logits))
         else:
-            tok = sample_token_id(_softmax(logits / temperature), rng.random())
+            z = logits / temperature
+            e = np.exp(z - np.max(z))
+            cdf = np.cumsum(e / np.sum(e))
+            tok = int(np.searchsorted(cdf, rng.random(), side="right").clip(0, VOCAB_SIZE - 1))
         response.append(tok)
         context.append(tok)
         if tok == EOS:
@@ -136,8 +155,8 @@ class TestEquivalence:
     def test_decoder_steps_match_forward_rows(self):
         m = full_model()
         logits = forward_logits(m, self.tokens).value
-        decoder = _Decoder(m)
-        steps = np.array([decoder.step(t) for t in self.tokens])
+        decoder = _Decoder(m, 1)
+        steps = np.array([decoder.step([t])[0] for t in self.tokens])
         assert np.max(np.abs(steps - logits)) <= 1e-12
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
@@ -370,6 +389,103 @@ class TestSampling:
         expected = sample_token_id(probs, rng.random())
         seq = sample(m, prompt, 1.0, 1, seed=21)
         assert seq.response_tokens[0] == expected
+
+
+class TestLockstepSampling:
+    def test_draw_is_searchsorted_right(self):
+        r = np.random.default_rng(8)
+        probs = r.dirichlet(np.full(VOCAB_SIZE, 0.3), size=64)
+        probs[:8, 100:] = 0.0   # rows whose cumsum ends early and flat
+        cdf = np.cumsum(probs, axis=1)
+        # uniforms at, just below and just above a cumsum entry, and at 0
+        u = np.concatenate([r.random(40), cdf[40:48, 7], np.nextafter(cdf[48:56, 9], 0),
+                            np.nextafter(cdf[56:63, 11], 2), [0.0]])
+        want = [min(int(np.searchsorted(c, x, side="right")), VOCAB_SIZE - 1)
+                for c, x in zip(cdf, u)]
+        assert sample_token_id(probs, u).tolist() == want
+        assert [int(sample_token_id(p, x)) for p, x in zip(probs, u)] == want
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_rows_match_one_row_full_forward_sampler(self, temperature):
+        m = eos_prone_model()
+        prompts = [[BOS, 97], [BOS, 98], [BOS, 99], [BOS, 102], [BOS, 105],
+                   [BOS] * 47,                     # exactly one free position
+                   [BOS] + list(b"xyz?"), [BOS, 97]]
+        rows = [(prompts[i % len(prompts)], seed) for i, seed in enumerate(range(40, 72))]
+        got = sample_many(m, rows, temperature, 20)
+        want = [full_forward_sample(m, prompt, temperature, 20, seed) for prompt, seed in rows]
+        assert [seq.response_tokens for seq in got] == want
+        assert [seq.prompt_tokens for seq in got] == [prompt for prompt, _ in rows]
+        ends = {len(w) for w in want if w[-1] == EOS}
+        assert len(ends) >= 3, "rows should stop by EOS at different steps"
+        assert any(len(w) == 20 and w[-1] != EOS for w in want), "some row reaches its limit"
+        assert [len(w) for w in want][5::8] == [1] * 4
+
+    def test_batched_decoder_logits_match_one_row_steps(self):
+        """A (rows x d) matrix product rounds differently from a vector one,
+        so a batched step may move the logits by a few ulps; at the CLI's
+        default width the deviation measured 1.6e-14 here (numpy 2.4,
+        OpenBLAS), reported by the assertion when it fails."""
+        m = full_model()
+        r = np.random.default_rng(21)
+        tokens = r.integers(0, VOCAB_SIZE, size=(12, 200))
+        batched = _Decoder(m, len(tokens))
+        singles = [_Decoder(m, 1) for _ in tokens]
+        deviation = 0.0
+        for column in tokens.T:
+            logits = batched.step(column)
+            one_row = np.array([d.step([t])[0] for d, t in zip(singles, column)])
+            deviation = max(deviation, float(np.max(np.abs(logits - one_row))))
+        assert np.max(np.abs(one_row)) > 1.0
+        assert deviation <= 1e-12, f"max deviation {deviation:.3g}"
+
+    def test_decoder_take_keeps_rows_in_order(self):
+        m = full_model()
+        tokens = np.random.default_rng(3).integers(0, VOCAB_SIZE, size=(4, 9))
+        decoder = _Decoder(m, 4)
+        for column in tokens[:, :5].T:
+            decoder.step(column)
+        decoder.take([2, 0, 2])
+        kept = _Decoder(m, 3)
+        for column in tokens[[2, 0, 2], :5].T:
+            kept.step(column)
+        for column in tokens[[2, 0, 2], 5:].T:
+            assert np.array_equal(decoder.step(column), kept.step(column))
+
+    @pytest.mark.parametrize("n_prompts", [0, 5])
+    def test_pairs_and_winrate_equal_per_row_loops(self, n_prompts):
+        m = eos_prone_model()
+        other = eos_prone_model()
+        other.params["w_out"] = other.params["w_out"][:, ::-1].copy()
+        corpus = synthetic_corpus(n_prompts, seed=2, min_target_len=1, max_target_len=4)
+        oracle = RewardOracle(kind="target_match", targets=corpus)
+        prompts, K, seed = list(corpus), 4, 17
+
+        def sampled(model, prompt, s):
+            return response_bytes(sample(model, [BOS] + list(prompt), 0.8, 12, s))
+
+        want, skipped = [], 0
+        for i, prompt in enumerate(prompts):
+            got = [sampled(m, prompt, derive_seed(seed, i, k)) for k in range(K)]
+            scores = [oracle_score(oracle, prompt, g) for g in got]
+            best, worst = int(np.argmax(scores)), int(np.argmin(scores))
+            if scores[best] == scores[worst]:
+                skipped += 1
+            else:
+                want.append((prompt, got[best], got[worst]))
+        pairs, n_skipped = build_onpolicy_pairs(m, oracle, prompts, K=K, temperature=0.8,
+                                                seed=seed, max_len=12)
+        assert [(p.prompt, p.chosen, p.rejected) for p in pairs] == want
+        assert n_skipped == skipped
+
+        wins = [0, 0, 0]
+        for i, prompt in enumerate(prompts):
+            s = derive_seed(seed, 2, i)
+            sc = oracle_score(oracle, prompt, sampled(m, prompt, s))
+            sb = oracle_score(oracle, prompt, sampled(other, prompt, s))
+            wins[0 if sc > sb else 1 if sc == sb else 2] += 1
+        assert evaluate_winrate(Checkpoint(m), Checkpoint(other), oracle, prompts, 0.8, seed,
+                                max_len=12) == tuple(wins)
 
 
 class TestCopy:
