@@ -11,6 +11,13 @@ constant: it gets no gradient and no node. A call with no tensor operand
 computes the same value and returns it as a plain array, recording nothing.
 So one definition, of the model's forward pass or of a loss, serves a taped
 pass and a tape-free one, and both do the same arithmetic.
+
+logsigmoid is min(x, 0) - log1p(exp(-|x|)), vectorized ufuncs in one scratch
+array (``_logsigmoid``, which the decoder calls too). A taped call keeps
+e = exp(-|x|) for its vjp, sigma(-x) = where(x < 0, 1, e) / (1 + e), so the
+backward pass takes no second exp. The backward pass never writes to a
+cotangent: a vjp may return its input unchanged, so gradients accumulate out
+of place, and only an array that would be returned for two inputs is copied.
 """
 
 from __future__ import annotations
@@ -221,16 +228,42 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _logsigmoid(x: np.ndarray) -> np.ndarray:
-    # log sigma(x) = -softplus(-x); logaddexp keeps it overflow-free.
-    return -np.logaddexp(0.0, -x)
+# Read-only 0-d operands for _logsigmoid: a Python float operand costs each
+# ufunc call a scalar conversion, as much as the arithmetic on the one-row
+# arrays of a decoder step.
+_ZERO, _MINUS_ONE = np.zeros(()), np.full((), -1.0)
+_ZERO.flags.writeable = _MINUS_ONE.flags.writeable = False
+
+
+def _logsigmoid(x: np.ndarray, exp_out: np.ndarray | None = None) -> np.ndarray:
+    """log sigma(x) = min(x, 0) - log1p(exp(-|x|)), from vectorized ufuncs
+    working in place on one scratch array; exp(-|x|) <= 1, so no x
+    overflows. When given, ``exp_out`` (shaped like x) keeps exp(-|x|)."""
+    e = np.copysign(x, _MINUS_ONE, out=np.empty_like(x) if exp_out is None else exp_out)
+    np.exp(e, out=e)
+    out = np.minimum(x, _ZERO)
+    out -= np.log1p(e, out=e if exp_out is None else None)
+    return out
 
 
 def logsigmoid(a):
     av = _value(a)
     if not np.all(np.isfinite(av)):
         raise ValueError("logsigmoid requires finite input")
-    return _node(_logsigmoid(av), (a, lambda g: g * _sigmoid(-av)))
+    if not isinstance(a, Tensor):
+        return _node(_logsigmoid(av))
+    e = np.empty_like(av)
+    out = _logsigmoid(av, e)
+
+    def vjp(g):
+        # sigma(-x) = where(x < 0, 1, e) / (1 + e) with the forward's
+        # e = exp(-|x|); e <= 1, so the numerator is maximum(e, x < 0).
+        s = np.maximum(e, av < 0.0)
+        s /= 1.0 + e
+        s *= g
+        return s
+
+    return _node(out, (a, vjp))
 
 
 def sigmoid(a):
@@ -252,7 +285,8 @@ def row_logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(row))) of each row of a plain matrix, shifted by the row
     maximum so that no exp overflows: the one log-softmax normaliser."""
     m = np.max(x, axis=1)
-    return m + np.log(np.sum(np.exp(x - m[:, None]), axis=1))
+    e = x - m[:, None]
+    return m + np.log(np.sum(np.exp(e, out=e), axis=1))
 
 
 def log_softmax_gather(logits, targets):
@@ -270,7 +304,9 @@ def log_softmax_gather(logits, targets):
     out = lv[rows, targets] - lse
 
     def vjp(g):
-        dl = -g[:, None] * np.exp(lv - lse[:, None])
+        dl = lv - lse[:, None]
+        np.exp(dl, out=dl)
+        dl *= -g[:, None]
         dl[rows, targets] += g
         return dl
 
@@ -296,10 +332,20 @@ def gradients(output: Tensor, inputs=None):
         for parent, vjp in zip(node.parents, node.vjps):
             pg = vjp(g)
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = np.asarray(pg, dtype=np.float64).copy()
-            else:
-                acc += pg
+            # Out of place: a vjp may hand back g itself, so a cotangent can
+            # be shared between nodes and must never be written to.
+            grads[id(parent)] = pg if acc is None else acc + pg
     if inputs is None:
         inputs = [t for t in tape.nodes if t.is_leaf]
-    return {t: grads.get(id(t), np.zeros(t.value.shape)) for t in inputs}
+    out, returned = {}, set()
+    for t in inputs:
+        g = grads.get(id(t))
+        if g is None:
+            g = np.zeros(t.value.shape)
+        elif id(g) in returned:   # the same array reached two inputs
+            g = np.array(g, dtype=np.float64)
+        else:
+            returned.add(id(g))
+            g = np.asarray(g, dtype=np.float64)
+        out[t] = g
+    return out

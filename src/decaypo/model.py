@@ -96,13 +96,19 @@ def init_params(dim: int, context: int, blocks: int, seed: int) -> dict:
             for name, shape in param_shapes(dim, context, blocks).items()}
 
 
-def _check_context(model: PolicyModel, tokens: list) -> None:
-    if not tokens:
-        raise ValueError("empty context")
-    if len(tokens) > model.context:
-        raise ValueError(f"context of length {len(tokens)} exceeds limit {model.context}")
-    if any(not 0 <= t < VOCAB_SIZE for t in tokens):
+def _check_context(model: PolicyModel, tokens: list, lengths=None) -> np.ndarray:
+    """``tokens`` as an id array, once the sequences of ``lengths`` packed in
+    it end to end (default: one sequence) are each nonempty and within the
+    context, and one numpy pass finds every id in the vocabulary."""
+    for n in (len(tokens),) if lengths is None else lengths:
+        if n == 0:
+            raise ValueError("empty context")
+        if n > model.context:
+            raise ValueError(f"context of length {n} exceeds limit {model.context}")
+    ids = np.asarray(tokens)
+    if ids.size and (ids.min() < 0 or ids.max() >= VOCAB_SIZE):
         raise ValueError("token id out of vocabulary range")
+    return ids
 
 
 def _block(x, m, w1, w2, w3, logsigmoid):
@@ -136,8 +142,7 @@ def forward_logits(model: PolicyModel, tokens, tape: Tape | None = None,
     plain arrays and its logits are one constant on ``tape`` (a new tape when
     None).
     """
-    tokens = list(tokens)
-    _check_context(model, tokens)
+    tokens = _check_context(model, list(tokens))
     n = len(tokens)
     if param_tensors is not None:
         return _forward(model, param_tensors, tokens, np.arange(n), (0, n))
@@ -163,12 +168,12 @@ def response_logits(model: PolicyModel, seqs: list[TokenSequence],
     bounds = [0]
     for seq in seqs:
         ids = seq.prompt_tokens + seq.response_tokens
-        _check_context(model, ids)
         start = len(tokens)
         tokens += ids
         positions += range(len(ids))
         rows += range(start + seq.prompt_len - 1, start + len(ids) - 1)
         bounds.append(len(tokens))
+    tokens = _check_context(model, tokens, np.diff(bounds).tolist())
     p = model.params if param_tensors is None else param_tensors
     offsets = np.cumsum([0] + [seq.response_len for seq in seqs])
     return _forward(model, p, tokens, positions, bounds, rows), offsets
@@ -256,9 +261,10 @@ def sample_many(model: PolicyModel, rows, temperature: float,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rows = [(list(prompt), seed) for prompt, seed in rows]
+    _check_context(model, [t for prompt, _ in rows for t in prompt],
+                   [len(prompt) for prompt, _ in rows])
     groups: dict[int, list[int]] = {}
     for i, (prompt, _) in enumerate(rows):
-        _check_context(model, prompt)
         if len(prompt) >= model.context:
             raise ValueError("prompt leaves no room for a response")
         groups.setdefault(len(prompt), []).append(i)

@@ -48,6 +48,43 @@ class TestLogsigmoid:
         assert np.max(np.abs(np.exp(pos) + np.exp(neg) - 1.0)) < 1e-12
 
 
+class TestLogsigmoidKernel:
+    """_logsigmoid, min(x, 0) - log1p(exp(-|x|)), against the logaddexp form
+    it replaced, on normal draws and the edges of float64's exp."""
+    EDGES = [0.0, 1e-300, -1e-300, 37.0, -37.0, 709.0, -709.0, 745.0, -745.0, 1000.0, -1000.0]
+
+    @pytest.fixture
+    def grid(self, rng):
+        return np.concatenate([rng.normal(0.0, scale, size=100_000) for scale in (1.0, 10.0)]
+                              + [self.EDGES])
+
+    def test_value_within_4_ulp_of_logaddexp(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = ad._logsigmoid(grid)
+        old = -np.logaddexp(0.0, -grid)
+        deviation = np.abs(new - old)
+        ulps = np.where(deviation == 0.0, 0.0, deviation / np.spacing(np.abs(old)))
+        assert np.max(deviation) <= 1e-15
+        assert np.max(ulps) <= 4.0
+        assert np.array_equal(ad.logsigmoid(grid), new)   # the plain pass is the kernel
+
+    def test_gradient_within_2e_16_of_sigmoid(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = ad.Tape()
+            x = ad.leaf(t, grid)
+            out = ad.logsigmoid(x)
+            g = ad.gradients(ad.weighted_sum(out, np.ones_like(grid)))[x]
+        assert np.array_equal(out.value, ad._logsigmoid(grid))
+        with np.errstate(over="ignore"):
+            old = 1.0 / (1.0 + np.exp(grid))   # sigma(-x), the gradient it replaced
+        assert np.max(np.abs(g - old)) <= 2e-16
+        # for x < 0, exp(-|x|) is exp(x): the same arithmetic, the same bits
+        assert np.array_equal(g[grid < 0], old[grid < 0])
+        assert g[-1] == 1.0 and g[-2] == 0.0   # at -1000 and 1000
+
+
 class TestSigmoid:
     def test_matches_scipy_expit(self):
         """The numpy sigmoid is within one float64 epsilon of scipy's expit
@@ -348,6 +385,27 @@ class TestGradients:
 
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
+
+    def test_returned_gradients_share_no_memory(self):
+        t = ad.Tape()
+        a, b, c = (ad.leaf(t, np.full(3, v)) for v in (1.0, 2.0, 3.0))
+        # add passes its cotangent to both operands unchanged
+        g = ad.gradients(ad.arraysum(ad.add(ad.add(a, a), ad.add(b, c))))
+        assert np.array_equal(g[a], np.full(3, 2.0))
+        assert np.array_equal(g[b], np.ones(3)) and np.array_equal(g[c], np.ones(3))
+        for u, v in ((a, b), (a, c), (b, c)):
+            assert not np.shares_memory(g[u], g[v])
+
+    def test_returned_gradient_is_the_callers_to_change(self):
+        t = ad.Tape()
+        x, y = ad.leaf(t, 1.0), ad.leaf(t, 2.0)
+        out = ad.add(x, y)
+        first = ad.gradients(out)
+        assert not np.shares_memory(first[x], first[y])
+        first[x] += 5.0
+        assert first[y] == 1.0
+        second = ad.gradients(out)
+        assert second[x] == 1.0 and second[y] == 1.0
 
     def test_different_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()

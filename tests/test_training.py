@@ -14,7 +14,7 @@ from decaypo.model import PolicyModel, make_sequence, token_logprobs
 from decaypo.schedules import DecaySchedule, UNIFORM, weights
 from decaypo.training import (AdamW, Checkpoint, TrainConfig, cosine_lr,
                               evaluate_winrate, load_checkpoint, pretrain_nll,
-                              save_checkpoint, train, _batch_gradients,
+                              save_checkpoint, score_pairs, train, _batch_gradients,
                               grad_norm)
 
 
@@ -255,6 +255,23 @@ def per_sequence_batch_gradients(policy, reference, batch, cfg):
     return float(loss.value), float(np.mean(margins)), {n: grads[leaves[n]] for n in names}
 
 
+def copying_gradients(output, inputs):
+    """ad.gradients with an accumulator that copies each first cotangent and
+    adds the later ones into the copy in place."""
+    grads = {id(output): np.array(1.0)}
+    for node in reversed(output.tape.nodes):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node.parents, node.vjps):
+            pg = vjp(g)
+            if id(parent) in grads:
+                grads[id(parent)] += pg
+            else:
+                grads[id(parent)] = np.array(pg, dtype=np.float64)
+    return {t: grads.get(id(t), np.zeros(t.value.shape)) for t in inputs}
+
+
 def mixed_length_batch(n=8, seed=5):
     """(pair, example_id) items with responses from 8 toward 200 bytes, most
     of them short, and one pair too long for a 256-token context."""
@@ -293,6 +310,27 @@ class TestPackedStep:
         deviations += [float(np.max(np.abs(grads[n] - want_grads[n]))) for n in grads]
         assert max(deviations) <= self.MAX_DEVIATION
         assert max(float(np.max(np.abs(g))) for g in grads.values()) > 1e-3
+
+    def test_copy_free_backward_matches_a_copying_accumulator(self):
+        policy, reference = wide_model(1), wide_model(2)
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=9)
+        batch = mixed_length_batch()
+        names = policy.param_names()
+        with ad.Tape() as tape:   # the tape _batch_gradients records
+            leaves = [ad.leaf(tape, policy.params[n]) for n in names]
+            scores, _ = score_pairs(policy, reference, batch, cfg.max_response_len,
+                                    dict(zip(names, leaves)))
+            loss = batch_loss(scores, cfg.loss)
+            want = copying_gradients(loss, leaves)
+            got = ad.gradients(loss, leaves)
+        (_, _, grads), _ = _batch_gradients(policy, reference, batch, cfg)
+        for name, leaf in zip(names, leaves):
+            assert got[leaf].dtype == want[leaf].dtype == np.float64
+            assert np.array_equal(got[leaf], want[leaf])
+            assert np.array_equal(grads[name], want[leaf])
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert not np.shares_memory(grads[a], grads[b])
 
     def test_step_zero_loss_is_exactly_ln2(self):
         # policy = reference: both run the same arithmetic, so every
