@@ -55,9 +55,16 @@ def _position_distribution_logs(model: PolicyModel, seqs):
     return rows - row_logsumexp(rows)[:, None], offsets
 
 
-def kl_categorical(logp: np.ndarray, logq: np.ndarray) -> float:
-    """KL(p || q) from log-distributions; tiny negative roundoff clamped."""
-    return max(0.0, float(np.sum(np.exp(logp) * (logp - logq))))
+def kl_categorical(logp: np.ndarray, logq: np.ndarray):
+    """Row-wise KL(p || q) of log-distributions, roundoff clamped at 0; a float for 1-D."""
+    kl = np.maximum(np.sum(np.exp(logp) * (logp - logq), axis=-1), 0.0)
+    return float(kl) if kl.ndim == 0 else kl
+
+
+def _position_kl(policy: PolicyModel, reference: PolicyModel, seqs):
+    """KL(policy || reference) per response row of a packed pass, and its offsets."""
+    logp, offsets = _position_distribution_logs(policy, seqs)
+    return kl_categorical(logp, _position_distribution_logs(reference, seqs)[0]), offsets
 
 
 def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
@@ -67,10 +74,8 @@ def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
         raise ValueError("kl_per_position requires samples")
     if policy.context != reference.context:
         raise ValueError("models must share context length")
-    return _survivor_mean(
-        (map(kl_categorical, logp, logq) for logp, logq in zip(
-            _per_sequence(partial(_position_distribution_logs, policy), samples),
-            _per_sequence(partial(_position_distribution_logs, reference), samples))), max_pos)
+    return _survivor_mean((kl.tolist() for kl in _per_sequence(
+        partial(_position_kl, policy, reference), samples)), max_pos)
 
 
 def prob_per_position(model: PolicyModel, samples, max_pos: int) -> PositionCurve:

@@ -14,30 +14,34 @@ import sys
 from dataclasses import astuple
 
 from . import analysis, data, mdp
-from .config import (ConfigError, Option, atomic_write, resolve, seed_substream,
-                     write_resolved_snapshot)
+from .config import (ConfigError, Option, above, at_least, atomic_write, one_of, resolve,
+                     seed_substream, write_resolved_snapshot)
 from .losses import METHODS, REFERENCE_FREE, LossConfig
 from .model import BOS, PolicyModel, make_sequence, sample as sample_tokens
-from .schedules import KINDS as SCHEDULE_KINDS, DecaySchedule
+from .schedules import KINDS as SCHEDULE_KINDS, ORIGINS, DecaySchedule
 from .training import (Checkpoint, TrainConfig, evaluate_winrate,
                        load_checkpoint, save_checkpoint, score_pairs, train)
 
 
+# Each option declares its domain once, as ``valid``; config.resolve checks
+# flag and file values against it, and --help shows its text. Rules that
+# tie two keys together stay in their commands.
+SEED_OPT = Option("seed", "int", 0, help="root seed")
+
 ARCH_OPTS = [
-    Option("dim", "int", 64, help="model width"),
-    Option("context", "int", 256, help="maximum context length"),
-    Option("blocks", "int", 2, help="residual block count"),
+    Option("dim", "int", 64, help="model width", valid=at_least(1)),
+    Option("context", "int", 256, help="maximum context length", valid=at_least(1)),
+    Option("blocks", "int", 2, help="residual block count", valid=at_least(1)),
 ]
 
 LOSS_OPTS = [
-    Option("method", "str", "d2po", help=f"one of {', '.join(METHODS)}"),
-    Option("beta", "float", 0.1, help="implicit-reward temperature"),
-    Option("schedule", "str", "exponential",
-           help=f"decay schedule: {', '.join(SCHEDULE_KINDS)}"),
-    Option("gamma", "float", 0.98, help="decay schedule parameter"),
-    Option("origin", "str", "prompt_start",
-           help="decay origin: prompt_start or answer_start"),
-    Option("tau", "float", 0.1, help="ipo regularization"),
+    Option("method", "str", "d2po", help="loss", valid=one_of(METHODS)),
+    Option("beta", "float", 0.1, help="implicit-reward temperature", valid=above(0)),
+    Option("schedule", "str", "exponential", help="decay schedule",
+           valid=one_of(SCHEDULE_KINDS)),
+    Option("gamma", "float", 0.98, help="decay parameter; its range depends on the schedule"),
+    Option("origin", "str", "prompt_start", help="decay origin", valid=one_of(ORIGINS)),
+    Option("tau", "float", 0.1, help="ipo regularization", valid=above(0)),
     Option("lambda-w", "float", 1.0, help="kto desirable weight"),
     Option("lambda-l", "float", 1.0, help="kto undesirable weight"),
     Option("lambda-orpo", "float", 1.0, help="orpo penalty weight"),
@@ -45,50 +49,44 @@ LOSS_OPTS = [
 ]
 
 ORACLE_OPTS = [
-    Option("oracle-kind", "str", "target_match"),
+    Option("oracle-kind", "str", "target_match", valid=one_of(data.ORACLE_KINDS)),
     Option("brevity-coefficient", "float", 0.0),
-    Option("n-prompts", "int", 64),
-    Option("min-target-len", "int", 4),
-    Option("max-target-len", "int", 16),
+    Option("n-prompts", "int", 64, valid=at_least(0)),
+    Option("min-target-len", "int", 4, valid=at_least(0)),
+    Option("max-target-len", "int", 16, help="not below min-target-len", valid=at_least(0)),
+]
+
+SAMPLING_OPTS = [
+    Option("temperature", "float", 0.8, valid=at_least(0)),
+    Option("max-len", "int", 256, valid=at_least(1)),
+    SEED_OPT,
 ]
 
 
 def _loss_config(r: dict, root_seed: int) -> LossConfig:
-    if r["schedule"] not in SCHEDULE_KINDS:
-        raise ConfigError(f"key 'schedule': unknown schedule {r['schedule']!r}")
-    if r["method"] not in METHODS:
-        raise ConfigError(f"key 'method': unknown method {r['method']!r}")
+    try:
+        schedule = DecaySchedule(kind=r["schedule"], gamma=r["gamma"], origin=r["origin"])
+    except ValueError as e:  # kind and origin are valid, so gamma does not fit the kind
+        raise ConfigError(f"key 'gamma': {e}, got {r['gamma']!r}") from None
     return LossConfig(
-        method=r["method"], beta=r["beta"],
-        schedule=DecaySchedule(kind=r["schedule"], gamma=r["gamma"], origin=r["origin"]),
+        method=r["method"], beta=r["beta"], schedule=schedule,
         tau=r["tau"], lambda_w=r["lambda-w"], lambda_l=r["lambda-l"],
         lambda_orpo=r["lambda-orpo"], target_margin=r["target-margin"],
         sampo_seed=seed_substream(root_seed, "sampo"))
 
 
-def _at_least(r: dict, minimum, *keys) -> None:
-    for key in keys:
-        if not r[key] >= minimum:
-            raise ConfigError(f"key {key!r}: must be >= {minimum}, got {r[key]}")
-
-
-def _check_sampling(r: dict) -> None:
-    _at_least(r, 0, "temperature")
-    _at_least(r, 1, "max-len")
-
-
 def _model_from(r: dict, key: str, root_seed: int) -> Checkpoint:
     if r.get(key):
         return load_checkpoint(r[key])
-    _at_least(r, 1, "dim", "context", "blocks")
     model = PolicyModel(dim=r["dim"], context=r["context"], blocks=r["blocks"],
                         seed=seed_substream(root_seed, "init"))
     return Checkpoint(model=model, step=0, seed=model.seed)
 
 
 def _oracle_from(r: dict):
-    _at_least(r, 0, "n-prompts", "min-target-len")
-    _at_least(r, r["min-target-len"], "max-target-len")
+    if r["max-target-len"] < r["min-target-len"]:
+        raise ConfigError(f"key 'max-target-len': must be >= min-target-len "
+                          f"{r['min-target-len']}, got {r['max-target-len']}")
     corpus = data.synthetic_corpus(
         r["n-prompts"], seed_substream(r["seed"], "data"),
         r["min-target-len"], r["max-target-len"])
@@ -101,8 +99,8 @@ def _oracle_from(r: dict):
 # command runners
 
 def _cmd_train(r: dict) -> int:
-    pairs = data.load_pairs(r["pairs"])
     loss_cfg = _loss_config(r, r["seed"])
+    pairs = data.load_pairs(r["pairs"])
     cfg = TrainConfig(loss=loss_cfg, base_lr=r["base-lr"],
                       lr_multiplier=r["lr-multiplier"], batch_size=r["batch-size"],
                       warmup_fraction=r["warmup-fraction"], epochs=r["epochs"],
@@ -125,8 +123,6 @@ def _cmd_train(r: dict) -> int:
 
 
 def _cmd_build_pairs(r: dict) -> int:
-    _check_sampling(r)
-    _at_least(r, 2, "k")
     corpus, oracle = _oracle_from(r)
     ckpt = _model_from(r, "model", r["seed"])
     pairs, skipped = data.build_onpolicy_pairs(
@@ -138,7 +134,6 @@ def _cmd_build_pairs(r: dict) -> int:
 
 
 def _cmd_sample(r: dict) -> int:
-    _check_sampling(r)
     ckpt = load_checkpoint(r["model"])
     prompt = [BOS] + list(r["prompt"].encode("utf-8"))
     seq = sample_tokens(ckpt.model, prompt, r["temperature"], r["max-len"],
@@ -151,7 +146,6 @@ def _cmd_sample(r: dict) -> int:
 
 
 def _cmd_eval(r: dict) -> int:
-    _check_sampling(r)
     _, oracle = _oracle_from(r)
     candidate = load_checkpoint(r["candidate"])
     baseline = load_checkpoint(r["baseline"])
@@ -218,11 +212,6 @@ def _cmd_length_bias(r: dict) -> int:
 
 
 def _cmd_mdp_verify(r: dict) -> int:
-    if not all(0 < g <= 1 for g in r["gammas"]):
-        raise ConfigError(f"key 'gammas': every gamma must be in (0, 1], got {r['gammas']}")
-    for key in ("beta", "reward-bound", "states", "actions", "horizon"):
-        if not r[key] > 0:  # the integer keys must be >= 1
-            raise ConfigError(f"key {key!r}: must be > 0, got {r[key]}")
     rows = []
     violations = 0
     for seed in range(r["seeds"]):
@@ -248,42 +237,34 @@ COMMANDS = {
             Option("reference", "str", help="reference checkpoint (defaults to init)"),
             Option("out", "str", "model.ckpt"),
             Option("metrics", "str", "metrics.jsonl"),
-            Option("base-lr", "float", 5e-7),
-            Option("lr-multiplier", "float", 1e3),
-            Option("batch-size", "int", 32),
-            Option("warmup-fraction", "float", 0.10),
-            Option("epochs", "int", 1),
-            Option("max-steps", "int"),
-            Option("seed", "int", 0),
-            Option("max-response-len", "int", 256),
-            Option("weight-decay", "float", 0.0),
-            Option("grad-clip", "float"),
+            Option("base-lr", "float", 5e-7, valid=above(0)),
+            Option("lr-multiplier", "float", 1e3, valid=above(0)),
+            Option("batch-size", "int", 32, valid=at_least(1)),
+            Option("warmup-fraction", "float", 0.10,
+                   valid=(lambda v: 0 <= v < 1, "must be in [0, 1)")),
+            Option("epochs", "int", 1, valid=at_least(0)),
+            Option("max-steps", "int", valid=at_least(0)),
+            SEED_OPT,
+            Option("max-response-len", "int", 256, valid=at_least(1)),
+            Option("weight-decay", "float", 0.0, valid=at_least(0)),
+            Option("grad-clip", "float", help="gradient-norm clip if set", valid=above(0)),
         ], _cmd_train),
     "build-pairs": (
-        ARCH_OPTS + ORACLE_OPTS + [
+        ARCH_OPTS + ORACLE_OPTS + SAMPLING_OPTS + [
             Option("model", "str", help="sampling checkpoint (fresh model if absent)"),
             Option("out", "str", "pairs.jsonl"),
-            Option("k", "int", 5, help="samples per prompt"),
-            Option("temperature", "float", 0.8),
-            Option("max-len", "int", 256),
-            Option("seed", "int", 0),
+            Option("k", "int", 5, help="samples per prompt", valid=at_least(2)),
         ], _cmd_build_pairs),
     "sample": (
-        [
+        SAMPLING_OPTS + [
             Option("model", "str", required=True),
             Option("prompt", "str", required=True),
-            Option("temperature", "float", 0.8),
-            Option("max-len", "int", 256),
-            Option("seed", "int", 0),
             Option("out", "str"),
         ], _cmd_sample),
     "eval": (
-        ORACLE_OPTS + [
+        ORACLE_OPTS + SAMPLING_OPTS + [
             Option("candidate", "str", required=True),
             Option("baseline", "str", required=True),
-            Option("temperature", "float", 0.8),
-            Option("max-len", "int", 256),
-            Option("seed", "int", 0),
             Option("out", "str"),
         ], _cmd_eval),
     "analyze-kl-position": (
@@ -291,46 +272,49 @@ COMMANDS = {
             Option("policy", "str", required=True),
             Option("reference", "str", required=True),
             Option("pairs", "str", required=True),
-            Option("max-pos", "int", 64),
+            Option("max-pos", "int", 64, valid=at_least(0)),
             Option("out", "str", "kl_position.csv"),
-            Option("seed", "int", 0),
+            SEED_OPT,
         ], _cmd_kl_position),
     "analyze-prob-position": (
         [
             Option("model", "str", required=True),
             Option("pairs", "str", required=True),
-            Option("max-pos", "int", 64),
+            Option("max-pos", "int", 64, valid=at_least(0)),
             Option("out", "str", "prob_position.csv"),
-            Option("seed", "int", 0),
+            SEED_OPT,
         ], _cmd_prob_position),
     "analyze-ref-margin": (
         [
             Option("reference", "str", required=True),
             Option("pairs", "str", required=True),
-            Option("bins", "int", 20),
+            Option("bins", "int", 20, valid=at_least(2)),
             Option("out", "str", "ref_margin.csv"),
-            Option("seed", "int", 0),
+            SEED_OPT,
         ], _cmd_ref_margin),
     "analyze-length-bias": (
         LOSS_OPTS + [
             Option("policy", "str", required=True),
-            Option("reference", "str"),
+            Option("reference", "str", help="needed by every method that is not reference-free"),
             Option("pairs", "str", required=True),
-            Option("gap-bins", "ints", [-64, -16, -4, 0, 4, 16, 64]),
+            Option("gap-bins", "ints", [-64, -16, -4, 0, 4, 16, 64],
+                   valid=(lambda v: len(v) >= 2 and v == sorted(v),
+                          "must be two or more sorted values")),
             Option("out", "str", "length_bias.csv"),
-            Option("seed", "int", 0),
+            SEED_OPT,
         ], _cmd_length_bias),
     "mdp-verify": (
         [
-            Option("seeds", "int", 100),
-            Option("gammas", "floats", [0.5, 0.9, 0.95, 0.98, 1.0]),
-            Option("states", "int", 4),
-            Option("actions", "int", 3),
-            Option("horizon", "int", 8),
-            Option("reward-bound", "float", 1.0),
-            Option("beta", "float", 0.3),
+            Option("seeds", "int", 100, valid=at_least(0)),
+            Option("gammas", "floats", [0.5, 0.9, 0.95, 0.98, 1.0],
+                   valid=(lambda v: all(0 < g <= 1 for g in v), "each must be in (0, 1]")),
+            Option("states", "int", 4, valid=at_least(1)),
+            Option("actions", "int", 3, valid=at_least(1)),
+            Option("horizon", "int", 8, valid=at_least(1)),
+            Option("reward-bound", "float", 1.0, valid=above(0)),
+            Option("beta", "float", 0.3, valid=above(0)),
             Option("out", "str", "mdp_verify.csv"),
-            Option("seed", "int", 0),
+            SEED_OPT,
         ], _cmd_mdp_verify),
 }
 
@@ -349,8 +333,9 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
     parser.add_argument("--config", default=None,
                         help="configuration file (flags override file values)")
     for opt in options:
-        # kept as text; config.resolve parses flags and file values alike
-        parser.add_argument(f"--{opt.name}", help=opt.help)
+        # kept as text; config.resolve parses and checks flags and file values alike
+        parser.add_argument(f"--{opt.name}",
+                            help="; ".join(filter(None, (opt.help, opt.valid and opt.valid[1]))))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """Run configuration: a flat "key = value" file format with one section per
-subcommand, strict unknown-key rejection, flag-over-file precedence, named
-seed substreams, resolved-config snapshots that reproduce a run, and the
-atomic writer every output file goes through."""
+subcommand, strict unknown-key rejection, flag-over-file precedence, one
+declared domain per option, named seed substreams, resolved-config snapshots
+that reproduce a run, and the atomic writer every output file goes through."""
 
 from __future__ import annotations
 
@@ -40,6 +40,19 @@ class Option:
     default: object = None
     required: bool = False
     help: str = ""
+    valid: tuple | None = None  # (test, text): the values resolve accepts
+
+
+def at_least(n) -> tuple:
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
+def above(n) -> tuple:
+    return (lambda v: v > n, f"must be > {n}")
+
+
+def one_of(names) -> tuple:
+    return (lambda v: v in names, f"must be one of {', '.join(names)}")
 
 
 def parse_value(opt: Option, text: str):
@@ -88,7 +101,8 @@ def resolve(command: str, options, cli_values: dict,
 
     Precedence (lowest to highest): registry defaults, DECAYPO_SEED for
     the root seed, config file, explicit CLI flags. Flag values arrive as
-    text, like file values, and both go through parse_value. A config file
+    text, like file values, and both go through parse_value; every value
+    that is not None must then pass its option's ``valid`` test. A config file
     may hold a section for any of ``commands``; unknown sections and
     unknown keys in the ``command`` section are rejected with the name.
     """
@@ -118,8 +132,12 @@ def resolve(command: str, options, cli_values: dict,
             raise ConfigError(f"unknown flag --{key}")
         resolved[key] = parse_value(by_name[key], text)
     for opt in options:
-        if opt.required and resolved[opt.name] is None:
-            raise ConfigError(f"missing required key {opt.name!r} (flag --{opt.name})")
+        value = resolved[opt.name]
+        if value is None:
+            if opt.required:
+                raise ConfigError(f"missing required key {opt.name!r} (flag --{opt.name})")
+        elif opt.valid is not None and not opt.valid[0](value):
+            raise ConfigError(f"key {opt.name!r}: {opt.valid[1]}, got {format_value(value)}")
     return resolved
 
 

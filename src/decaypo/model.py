@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tape
 
 VOCAB_SIZE = 258
 BOS = 256
@@ -133,23 +133,6 @@ def _forward(model: PolicyModel, p: dict, tokens, positions, bounds, rows=None):
     return x @ p["w_out"]
 
 
-def forward_logits(model: PolicyModel, tokens, tape: Tape | None = None,
-                   param_tensors: dict | None = None) -> Tensor:
-    """Logits for every position of ``tokens`` (n x V).
-
-    When ``param_tensors`` is given (leaf tensors on ``tape``) the result is
-    differentiable with respect to the parameters. Otherwise the pass runs on
-    plain arrays and its logits are one constant on ``tape`` (a new tape when
-    None).
-    """
-    tokens = _check_context(model, list(tokens))
-    n = len(tokens)
-    if param_tensors is not None:
-        return _forward(model, param_tensors, tokens, np.arange(n), (0, n))
-    logits = _forward(model, model.params, tokens, np.arange(n), (0, n))
-    return ad.constant(Tape() if tape is None else tape, logits)
-
-
 def response_logits(model: PolicyModel, seqs: list[TokenSequence],
                     param_tensors: dict | None = None):
     """Logits of the rows that predict the response tokens of ``seqs`` (R x V,
@@ -193,7 +176,7 @@ def packed_logprobs(model: PolicyModel, seqs: list[TokenSequence],
 
 
 class _Decoder:
-    """forward_logits one token at a time, off the tape, for a stack of rows
+    """The forward pass one token at a time, off the tape, for a stack of rows
     at one shared position: each block keeps the running sum of every row's
     inputs, so a step costs O(rows*(blocks*d^2 + d*V))."""
 

@@ -106,6 +106,13 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(manifest, dict) or manifest.get("format") != "decaypo-checkpoint-v1":
         raise ValueError(f"not a checkpoint file: {path}")
     try:
+        for key in ("step", "seed"):
+            if type(manifest[key]) is not int or manifest[key] < 0:  # a bool is not an int here
+                raise ValueError(f"manifest key {key!r} must be a non-negative integer, "
+                                 f"got {manifest[key]!r}")
+        if not isinstance(manifest.get("config_hash", ""), str):
+            raise ValueError(f"manifest key 'config_hash' must be a string, "
+                             f"got {manifest['config_hash']!r}")
         arch = manifest["architecture"]
         params = {}
         for entry in manifest["params"]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaypo.losses import PairScore
-from decaypo.model import PolicyModel
+from decaypo.model import PolicyModel, _check_context, _forward
 
 
 def random_pairscore(rng, with_ref=True, max_len=8, prompt_len=None):
@@ -41,23 +41,41 @@ def central_difference(f, x, eps=1e-5):
     return g
 
 
+def forward_logits(model, tokens, params=None):
+    """Logits for every position of one sequence ``tokens`` (n x V) from
+    model._forward: a tensor when ``params`` maps each name to a leaf
+    tensor, else an array."""
+    tokens = _check_context(model, list(tokens))
+    n = len(tokens)
+    return _forward(model, model.params if params is None else params,
+                    tokens, np.arange(n), (0, n))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 
 
-def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2):
+def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2, **fields):
     """A checkpoint file holding exactly ``params`` under the given
-    architecture, whether or not they fit it."""
+    architecture, whether or not they fit it; ``fields`` override or add
+    manifest keys."""
     manifest = {"format": "decaypo-checkpoint-v1",
                 "architecture": {"kind": "causal-mixer", "dim": dim,
                                  "context": context, "blocks": blocks},
                 "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
-                "step": 0, "seed": 0}
+                "step": 0, "seed": 0, **fields}
     blob = json.dumps(manifest).encode("utf-8")
     payload = b"".join(np.asarray(a).astype("<f4").tobytes() for a in params.values())
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(blob)) + blob + payload)
+
+
+# manifest fields of the wrong type -> (key, value) a loader must reject, naming the key
+BAD_MANIFEST_FIELDS = {"step_text": ("step", "abc"), "step_float": ("step", 1.5),
+                       "step_negative": ("step", -1), "step_bool": ("step", True),
+                       "seed_text": ("seed", "x"), "seed_null": ("seed", None),
+                       "hash_int": ("config_hash", 5)}
 
 
 # damaged parameter tables of a dim-16, 2-block model -> the name a loader must report

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MISFITS, misfit_params, write_raw_checkpoint
+from conftest import BAD_MANIFEST_FIELDS, MISFITS, misfit_params, write_raw_checkpoint
 from decaypo import analysis, cli, data, model as model_module, training
-from decaypo.cli import main
+from decaypo.cli import COMMANDS, main
 from decaypo.config import atomic_write
 from decaypo.data import load_pairs
 from decaypo.model import PolicyModel, sample_many
@@ -114,6 +114,21 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(path) in err[0] and repr(MISFITS[case]) in err[0]
 
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
+    def test_bad_manifest_field_exit_2_one_line(self, workdir, tmp_path, capsys, case):
+        key, value = BAD_MANIFEST_FIELDS[case]
+        path = tmp_path / "bad.ckpt"
+        write_raw_checkpoint(path, dict(PolicyModel(dim=16, context=48, seed=0).params),
+                             **{key: value})
+        out = tmp_path / "x.ckpt"
+        rc = main(["train", *SMALL_ARCH, "--pairs", str(workdir / "pairs.jsonl"),
+                   "--init", str(path), "--out", str(out),
+                   "--metrics", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and repr(key) in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["build-pairs", "eval"])
     def test_more_prompts_than_exist_exit_2_one_line(self, workdir, tmp_path, capsys, command):
         ckpt = str(workdir / "model.ckpt")
@@ -147,6 +162,78 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and repr(key) in err[0], err
         assert not out.exists()
+
+
+# (command, key, text) with a value outside the key's domain; the gamma rows
+# break the rule that ties gamma to the schedule kind
+OUT_OF_DOMAIN = [
+    ("train", "dim", "0"), ("train", "context", "0"), ("train", "blocks", "-1"),
+    ("train", "method", "foo"), ("train", "schedule", "foo"), ("train", "origin", "foo"),
+    ("train", "beta", "0"), ("train", "tau", "0"), ("train", "base-lr", "0"),
+    ("train", "lr-multiplier", "-1"), ("train", "grad-clip", "-1"), ("train", "grad-clip", "0"),
+    ("train", "batch-size", "0"), ("train", "batch-size", "-1"),
+    ("train", "max-response-len", "0"), ("train", "epochs", "-1"),
+    ("train", "max-steps", "-3"), ("train", "weight-decay", "-1"),
+    ("train", "warmup-fraction", "1"), ("train", "warmup-fraction", "-0.5"),
+    ("train", "gamma", "0"),
+    ("build-pairs", "oracle-kind", "foo"), ("build-pairs", "n-prompts", "-1"),
+    ("build-pairs", "min-target-len", "-1"), ("build-pairs", "max-target-len", "-1"),
+    ("build-pairs", "k", "1"), ("build-pairs", "temperature", "-0.5"),
+    ("build-pairs", "max-len", "0"),
+    ("sample", "temperature", "-1"), ("sample", "max-len", "0"),
+    ("eval", "oracle-kind", "foo"), ("eval", "n-prompts", "-1"), ("eval", "max-len", "0"),
+    ("analyze-kl-position", "max-pos", "-1"), ("analyze-prob-position", "max-pos", "-1"),
+    ("analyze-ref-margin", "bins", "1"),
+    ("analyze-length-bias", "gap-bins", "5"), ("analyze-length-bias", "gap-bins", "4,0"),
+    ("analyze-length-bias", "method", "foo"), ("analyze-length-bias", "tau", "0"),
+    ("analyze-length-bias", "gamma", "-1"),
+    ("mdp-verify", "seeds", "-1"), ("mdp-verify", "gammas", "0.5,1.5"),
+    ("mdp-verify", "states", "0"), ("mdp-verify", "actions", "0"),
+    ("mdp-verify", "horizon", "0"), ("mdp-verify", "reward-bound", "0"),
+    ("mdp-verify", "beta", "0"),
+]
+
+
+def command_argv(command: str) -> list[str]:
+    """The words that run a COMMANDS entry: "analyze-ref-margin" is
+    ``decaypo analyze ref-margin``."""
+    return command.split("-", 1) if command.startswith("analyze-") else [command]
+
+
+def test_out_of_domain_table_covers_every_declared_domain():
+    declared = {o.name for options, _ in COMMANDS.values() for o in options if o.valid}
+    assert {key for _, key, _ in OUT_OF_DOMAIN} == declared | {"gamma"}
+
+
+@pytest.mark.parametrize("command,key,text", OUT_OF_DOMAIN,
+                         ids=[f"{c}-{k}={t}" for c, k, t in OUT_OF_DOMAIN])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_out_of_domain_value_exit_1_names_key(tmp_path, capsys, command, key, text, source):
+    options = COMMANDS[command][0]
+    # the checks run before any input file is read, so these need not exist
+    argv = [*command_argv(command),
+            *(arg for o in options if o.required for arg in (f"--{o.name}", "absent")),
+            "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv.append(f"--{key}={text}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{command}]\n{key} = {text}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"key {key!r}:" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_shows_each_domain(capsys, command):
+    with pytest.raises(SystemExit):
+        main([*command_argv(command), "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    for opt in COMMANDS[command][0]:
+        if opt.valid:
+            assert opt.valid[1] in shown, opt.name
 
 
 class TestAtomicWrite:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decaypo.cli import COMMANDS, main
-from decaypo.config import SEED_TAGS, ConfigError, Option, resolve
+from decaypo.config import (SEED_TAGS, ConfigError, Option, above, at_least, one_of,
+                            resolve)
 
 OPTIONS = [
     Option("count", "int", 1),
@@ -79,6 +80,48 @@ def test_cli_bad_value_exit_1_one_line(tmp_path, capsys, command, key, text, sou
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and repr(key) in err[0]
+
+
+BOUNDED = [
+    Option("count", "int", 1, valid=at_least(1)),
+    Option("cap", "float", valid=above(0)),
+    Option("kind", "str", "a", valid=one_of(("a", "b"))),
+    Option("bins", "ints", [0, 1], valid=(lambda v: v == sorted(v), "must be sorted")),
+]
+
+
+@pytest.mark.parametrize("key,text,message", [
+    ("count", "0", "key 'count': must be >= 1, got 0"),
+    ("cap", "-1", "key 'cap': must be > 0, got -1.0"),
+    ("kind", "c", "key 'kind': must be one of a, b, got c"),
+    ("bins", "4,0", "key 'bins': must be sorted, got 4,0"),
+], ids=["at_least", "above", "one_of", "inline"])
+def test_domain_checked_for_flag_and_file_alike(tmp_path, key, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[cmd]\n{key} = {text}\n")
+    for flags, path in (({key: text}, None), ({}, str(cfg))):
+        with pytest.raises(ConfigError) as err:
+            resolve("cmd", BOUNDED, flags, path, ["cmd"])
+        assert str(err.value) == message
+
+
+def test_domain_skips_unset_and_passes_valid_values():
+    resolved = resolve("cmd", BOUNDED, {"count": "3", "kind": "b"}, None, ["cmd"])
+    assert resolved == {"count": 3, "cap": None, "kind": "b", "bins": [0, 1]}
+
+
+# number options that take any finite value
+UNBOUNDED = {"seed", "gamma", "lambda-w", "lambda-l", "lambda-orpo", "target-margin",
+             "brevity-coefficient"}
+
+
+def test_every_number_option_declares_a_domain_its_default_meets():
+    for command, (options, _) in COMMANDS.items():
+        for opt in options:
+            if opt.typ != "str":
+                assert (opt.valid is None) == (opt.name in UNBOUNDED), (command, opt.name)
+            if opt.valid is not None and opt.default is not None:
+                assert opt.valid[0](opt.default), (command, opt.name)
 
 
 @pytest.mark.parametrize("key,text", [("rate", "nan"), ("rate", "inf"), ("rate", " -Infinity"),

@@ -6,11 +6,11 @@ from decaypo.config import derive_seed
 from decaypo.data import (RewardOracle, build_onpolicy_pairs, oracle_score, response_bytes,
                           synthetic_corpus)
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
-                           _Decoder, _softmax, forward_logits,
+                           _Decoder, _softmax,
                            make_sequence, packed_logprobs, response_logits, sample,
                            sample_many, sample_token_id, token_logprobs)
 from decaypo.training import Checkpoint, evaluate_winrate
-from conftest import central_difference
+from conftest import central_difference, forward_logits
 
 
 def small_model(seed=0, trained=False):
@@ -31,7 +31,7 @@ def full_model():
 
 
 def dense_forward_logits(model, tokens):
-    """forward_logits written with one-hot, eye and tril matrices."""
+    """The forward pass written with one-hot, eye and tril matrices."""
     p, n = model.params, len(tokens)
     onehot = np.zeros((n, VOCAB_SIZE))
     onehot[np.arange(n), tokens] = 1.0
@@ -47,7 +47,7 @@ def dense_forward_logits(model, tokens):
 def next_token_distribution(model, context):
     """The next-token distribution after ``context``: the softmax of the last
     forward_logits row."""
-    return _softmax(forward_logits(model, context).value[-1])
+    return _softmax(forward_logits(model, context)[-1])
 
 
 def decoder_distribution(model, context):
@@ -75,7 +75,7 @@ def full_forward_sample(model, prompt, temperature, max_len, seed):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     context, response = list(prompt), []
     for _ in range(min(max_len, model.context - len(prompt))):
-        logits = forward_logits(model, context).value[-1]
+        logits = forward_logits(model, context)[-1]
         if temperature == 0.0:
             tok = int(np.argmax(logits))
         else:
@@ -147,14 +147,14 @@ class TestEquivalence:
 
     def test_forward_matches_dense_reference(self):
         m = full_model()
-        logits = forward_logits(m, self.tokens).value
+        logits = forward_logits(m, self.tokens)
         dense = dense_forward_logits(m, self.tokens)
         assert np.max(np.abs(dense)) > 1.0
         assert np.max(np.abs(logits - dense)) <= 1e-12
 
     def test_decoder_steps_match_forward_rows(self):
         m = full_model()
-        logits = forward_logits(m, self.tokens).value
+        logits = forward_logits(m, self.tokens)
         decoder = _Decoder(m, 1)
         steps = np.array([decoder.step([t])[0] for t in self.tokens])
         assert np.max(np.abs(steps - logits)) <= 1e-12
@@ -274,8 +274,8 @@ class TestPackedScoring:
         assert np.array_equal(taped.value, plain) and np.array_equal(offsets, plain_offsets)
         logits, _ = response_logits(m, seqs)
         assert logits.shape == (offsets[-1], VOCAB_SIZE)
-        assert np.array_equal(forward_logits(m, seqs[0].prompt_tokens, t, leaves).value,
-                              forward_logits(m, seqs[0].prompt_tokens).value)
+        assert np.array_equal(forward_logits(m, seqs[0].prompt_tokens, leaves).value,
+                              forward_logits(m, seqs[0].prompt_tokens))
 
     def test_inference_records_no_tape(self):
         m = small_model(trained=True)
@@ -284,8 +284,6 @@ class TestPackedScoring:
         logits, _ = response_logits(m, seqs)
         assert type(logps) is np.ndarray and type(logits) is np.ndarray
         assert type(token_logprobs(m, seqs[0])) is np.ndarray
-        # forward_logits still returns a tensor: its logits as one constant
-        assert len(forward_logits(m, [BOS, 1, 2]).tape.nodes) == 1
 
     def test_packed_gradients_match_finite_differences(self):
         m = small_model(trained=True)
@@ -322,7 +320,7 @@ class TestSampling:
         seq = sample(m, prompt, 0.0, 5, seed=1)
         ctx = list(prompt)
         for tok in seq.response_tokens:
-            logits = forward_logits(m, ctx).value[-1]
+            logits = forward_logits(m, ctx)[-1]
             assert tok == int(np.argmax(logits))
             ctx.append(tok)
 

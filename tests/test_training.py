@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import MISFITS, misfit_params, write_raw_checkpoint
+from conftest import (BAD_MANIFEST_FIELDS, MISFITS, forward_logits, misfit_params,
+                      write_raw_checkpoint)
 from decaypo import autodiff as ad
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
 from decaypo.losses import METHODS, LossConfig, PairScore, batch_loss, d2po_loss
@@ -71,13 +72,12 @@ class TestCheckpointIO:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_reload_reproduces_forward_pass(self, tmp_path):
-        from decaypo.model import forward_logits
         m = small_model(trained=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(Checkpoint(m), path)
         loaded = load_checkpoint(path)
-        d1 = forward_logits(loaded.model, [256, 65]).value
-        d2 = forward_logits(load_checkpoint(path).model, [256, 65]).value
+        d1 = forward_logits(loaded.model, [256, 65])
+        d2 = forward_logits(load_checkpoint(path).model, [256, 65])
         assert np.array_equal(d1, d2)
 
     def test_rejects_non_checkpoint(self, tmp_path):
@@ -117,6 +117,16 @@ class TestCheckpointIO:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="bad.ckpt"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
+    def test_manifest_field_types_named(self, tmp_path, case):
+        key, value = BAD_MANIFEST_FIELDS[case]
+        path = tmp_path / "bad.ckpt"
+        write_raw_checkpoint(path, dict(PolicyModel(dim=16, context=48, seed=0).params),
+                             **{key: value})
+        with pytest.raises(ValueError, match="bad.ckpt") as err:
+            load_checkpoint(path)
+        assert repr(key) in str(err.value)
 
     @pytest.mark.parametrize("case", sorted(MISFITS))
     def test_parameters_must_fit_architecture(self, tmp_path, case):
