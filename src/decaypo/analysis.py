@@ -57,8 +57,7 @@ def _position_distribution_logs(model: PolicyModel, seqs):
 
 def kl_categorical(logp: np.ndarray, logq: np.ndarray):
     """Row-wise KL(p || q) of log-distributions, roundoff clamped at 0; a float for 1-D."""
-    kl = np.maximum(np.sum(np.exp(logp) * (logp - logq), axis=-1), 0.0)
-    return float(kl) if kl.ndim == 0 else kl
+    return np.maximum(np.sum(np.exp(logp) * (logp - logq), axis=-1), 0.0)
 
 
 def _position_kl(policy: PolicyModel, reference: PolicyModel, seqs):

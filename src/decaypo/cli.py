@@ -53,7 +53,7 @@ ORACLE_OPTS = [
     Option("brevity-coefficient", "float", 0.0),
     Option("n-prompts", "int", 64, valid=at_least(0)),
     Option("min-target-len", "int", 4, valid=at_least(0)),
-    Option("max-target-len", "int", 16, help="not below min-target-len", valid=at_least(0)),
+    Option("max-target-len", "int", 16, help="not below min-target-len"),
 ]
 
 SAMPLING_OPTS = [
@@ -307,7 +307,8 @@ COMMANDS = {
         [
             Option("seeds", "int", 100, valid=at_least(0)),
             Option("gammas", "floats", [0.5, 0.9, 0.95, 0.98, 1.0],
-                   valid=(lambda v: all(0 < g <= 1 for g in v), "each must be in (0, 1]")),
+                   valid=(lambda v: v and all(0 < g <= 1 for g in v),
+                          "one or more values, each in (0, 1]")),
             Option("states", "int", 4, valid=at_least(1)),
             Option("actions", "int", 3, valid=at_least(1)),
             Option("horizon", "int", 8, valid=at_least(1)),

@@ -106,10 +106,11 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(manifest, dict) or manifest.get("format") != "decaypo-checkpoint-v1":
         raise ValueError(f"not a checkpoint file: {path}")
     try:
-        for key in ("step", "seed"):
-            if type(manifest[key]) is not int or manifest[key] < 0:  # a bool is not an int here
-                raise ValueError(f"manifest key {key!r} must be a non-negative integer, "
-                                 f"got {manifest[key]!r}")
+        if type(manifest["step"]) is not int or manifest["step"] < 0:  # a bool is not an int
+            raise ValueError(f"manifest key 'step' must be a non-negative integer, "
+                             f"got {manifest['step']!r}")
+        if type(manifest["seed"]) is not int:  # the root seed, which may be negative
+            raise ValueError(f"manifest key 'seed' must be an integer, got {manifest['seed']!r}")
         if not isinstance(manifest.get("config_hash", ""), str):
             raise ValueError(f"manifest key 'config_hash' must be a string, "
                              f"got {manifest['config_hash']!r}")

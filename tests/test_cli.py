@@ -129,6 +129,16 @@ class TestErrors:
         assert len(err) == 1 and str(path) in err[0] and repr(key) in err[0]
         assert not out.exists()
 
+    def test_checkpoint_of_negative_seed_loads_again(self, workdir, tmp_path):
+        ckpt = tmp_path / "neg.ckpt"
+        assert main(["train", *SMALL_ARCH, "--pairs", str(workdir / "pairs.jsonl"),
+                     "--max-steps", "1", "--seed", "-1", "--out", str(ckpt),
+                     "--metrics", str(tmp_path / "x.jsonl")]) == 0
+        assert training.load_checkpoint(ckpt).seed == -1
+        assert main(["train", *SMALL_ARCH, "--pairs", str(workdir / "pairs.jsonl"),
+                     "--max-steps", "1", "--init", str(ckpt), "--out", str(tmp_path / "y.ckpt"),
+                     "--metrics", str(tmp_path / "y.jsonl")]) == 0
+
     @pytest.mark.parametrize("command", ["build-pairs", "eval"])
     def test_more_prompts_than_exist_exit_2_one_line(self, workdir, tmp_path, capsys, command):
         ckpt = str(workdir / "model.ckpt")
@@ -177,7 +187,7 @@ OUT_OF_DOMAIN = [
     ("train", "warmup-fraction", "1"), ("train", "warmup-fraction", "-0.5"),
     ("train", "gamma", "0"),
     ("build-pairs", "oracle-kind", "foo"), ("build-pairs", "n-prompts", "-1"),
-    ("build-pairs", "min-target-len", "-1"), ("build-pairs", "max-target-len", "-1"),
+    ("build-pairs", "min-target-len", "-1"),
     ("build-pairs", "k", "1"), ("build-pairs", "temperature", "-0.5"),
     ("build-pairs", "max-len", "0"),
     ("sample", "temperature", "-1"), ("sample", "max-len", "0"),
@@ -188,6 +198,7 @@ OUT_OF_DOMAIN = [
     ("analyze-length-bias", "method", "foo"), ("analyze-length-bias", "tau", "0"),
     ("analyze-length-bias", "gamma", "-1"),
     ("mdp-verify", "seeds", "-1"), ("mdp-verify", "gammas", "0.5,1.5"),
+    ("mdp-verify", "gammas", ","),
     ("mdp-verify", "states", "0"), ("mdp-verify", "actions", "0"),
     ("mdp-verify", "horizon", "0"), ("mdp-verify", "reward-bound", "0"),
     ("mdp-verify", "beta", "0"),

@@ -110,9 +110,10 @@ def test_domain_skips_unset_and_passes_valid_values():
     assert resolved == {"count": 3, "cap": None, "kind": "b", "bins": [0, 1]}
 
 
-# number options that take any finite value
+# number options that take any finite value, or whose bound is a cross-key
+# rule checked by their command
 UNBOUNDED = {"seed", "gamma", "lambda-w", "lambda-l", "lambda-orpo", "target-margin",
-             "brevity-coefficient"}
+             "brevity-coefficient", "max-target-len"}
 
 
 def test_every_number_option_declares_a_domain_its_default_meets():

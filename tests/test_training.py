@@ -128,6 +128,12 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert repr(key) in str(err.value)
 
+    def test_negative_root_seed_loads(self, tmp_path):
+        path = tmp_path / "neg.ckpt"
+        write_raw_checkpoint(path, dict(PolicyModel(dim=16, context=48, seed=0).params),
+                             seed=-1)
+        assert load_checkpoint(path).seed == -1
+
     @pytest.mark.parametrize("case", sorted(MISFITS))
     def test_parameters_must_fit_architecture(self, tmp_path, case):
         params, blocks = misfit_params(case)
