@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import astuple
 
 from . import analysis, data, mdp
@@ -65,9 +66,13 @@ SAMPLING_OPTS = [
 
 def _loss_config(r: dict, root_seed: int) -> LossConfig:
     try:
-        schedule = DecaySchedule(kind=r["schedule"], gamma=r["gamma"], origin=r["origin"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            schedule = DecaySchedule(kind=r["schedule"], gamma=r["gamma"], origin=r["origin"])
     except ValueError as e:  # kind and origin are valid, so gamma does not fit the kind
         raise ConfigError(f"key 'gamma': {e}, got {r['gamma']!r}") from None
+    for w in caught:
+        print(f"warning: key 'gamma': {w.message}, got {r['gamma']!r}", file=sys.stderr)
     return LossConfig(
         method=r["method"], beta=r["beta"], schedule=schedule,
         tau=r["tau"], lambda_w=r["lambda-w"], lambda_l=r["lambda-l"],
@@ -339,19 +344,36 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
                             help="; ".join(filter(None, (opt.help, opt.valid and opt.valid[1]))))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named_command(argv) -> str | None:
+    """The COMMANDS key that ``argv`` starts with, as ``train`` or
+    ``analyze kl-position``, or None."""
+    words = list(argv[:2])
+    if words[:1] == ["analyze"]:
+        return _ANALYZE.get(words[1]) if len(words) == 2 else None
+    if words and words[0] in COMMANDS and words[0] not in _ANALYZE.values():
+        return words[0]
+    return None
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the command it names, as building every
+    command's options costs several times more than parsing them; the whole
+    tree when it names none, so top-level help and errors list every command."""
+    named = _named_command(argv)
     parser = _Parser(prog="decaypo",
                      description="Preference-optimization laboratory with "
                                  "temporally decayed token weighting")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (options, _) in COMMANDS.items():
-        if name not in _ANALYZE.values():
+        if name not in _ANALYZE.values() and named in (None, name):
             _add_options(sub.add_parser(name, prog=f"decaypo {name}"), options)
-    analyze = sub.add_parser("analyze")
-    asub = analyze.add_subparsers(dest="analysis", required=True)
-    for short, full in _ANALYZE.items():
-        _add_options(asub.add_parser(short, prog=f"decaypo analyze {short}"),
-                     COMMANDS[full][0])
+    if named is None or named in _ANALYZE.values():
+        analyze = sub.add_parser("analyze")
+        asub = analyze.add_subparsers(dest="analysis", required=True)
+        for short, full in _ANALYZE.items():
+            if named in (None, full):
+                _add_options(asub.add_parser(short, prog=f"decaypo analyze {short}"),
+                             COMMANDS[full][0])
     return parser
 
 
@@ -370,8 +392,8 @@ def _glue_values(argv) -> list[str]:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_values(argv))
+    argv = _glue_values(argv)
+    args = build_parser(argv).parse_args(argv)
     command = args.command
     if command == "analyze":
         command = _ANALYZE[args.analysis]

@@ -34,8 +34,9 @@ class DecaySchedule:
             if not g > 0:
                 raise ValueError("exponential decay requires gamma > 0")
             if g > 1:
+                # stacklevel 3: past the dataclass-generated __init__ to its caller
                 warnings.warn("gamma > 1 emphasizes late tokens and is known "
-                              "to hurt preference optimization", stacklevel=2)
+                              "to hurt preference optimization", stacklevel=3)
         elif self.kind in ("head", "linear"):
             if not 0 < g <= 1:
                 raise ValueError(f"{self.kind} decay requires 0 < gamma <= 1")

@@ -169,14 +169,29 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # update = (m/c1) / (sqrt(v/c2) + eps) + wd*param, in place: the same
+        # operations in the same order, so the same bits, with two fresh
+        # arrays per parameter instead of one per operation
         for n in self.names:
-            g = grads[n]
-            self.m[n] = self.b1 * self.m[n] + (1.0 - self.b1) * g
-            self.v[n] = self.b2 * self.v[n] + (1.0 - self.b2) * g * g
-            update = (self.m[n] / c1) / (np.sqrt(self.v[n] / c2) + self.eps)
+            g, m, v = grads[n], self.m[n], self.v[n]
+            m *= self.b1
+            scratch = (1.0 - self.b1) * g
+            m += scratch
+            v *= self.b2
+            np.multiply(1.0 - self.b2, g, out=scratch)
+            scratch *= g
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = m / c1
+            update /= scratch
             if self.weight_decay:
-                update = update + self.weight_decay * self.params[n]
-            self.params[n] -= lr * update
+                np.multiply(self.weight_decay, self.params[n], out=scratch)
+                update += scratch
+            update *= lr
+            self.params[n] -= update
 
 
 def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,

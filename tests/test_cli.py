@@ -247,6 +247,81 @@ def test_help_shows_each_domain(capsys, command):
             assert opt.valid[1] in shown, opt.name
 
 
+def argv_outcome(capsys, run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``; argparse's help and
+    usage exits count as exit codes."""
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def full_parser_main(monkeypatch):
+    """``main`` as it runs when every call builds the whole parser tree."""
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): build(()))
+    return main
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_same_from_one_command_and_full_parser(capsys, command):
+    argv = [*command_argv(command), "--help"]
+    one = argv_outcome(capsys, lambda a: cli.build_parser(a).parse_args(a), argv)
+    full = argv_outcome(capsys, lambda a: cli.build_parser(()).parse_args(a), argv)
+    assert one == full
+    assert one[0] == 0 and f"usage: decaypo {' '.join(command_argv(command))}" in one[1]
+
+
+TOP_LEVEL_CASES = {
+    "bare": ([], 1, "the following arguments are required: command"),
+    "help": (["--help"], 0, None),
+    "unknown command": (["bogus"], 1,
+                        "argument command: invalid choice: 'bogus' (choose from 'train', "
+                        "'build-pairs', 'sample', 'eval', 'mdp-verify', 'analyze')"),
+    "bare analyze": (["analyze"], 1, "the following arguments are required: analysis"),
+    "unknown analysis": (["analyze", "bogus"], 1,
+                         "argument analysis: invalid choice: 'bogus' (choose from "
+                         "'kl-position', 'prob-position', 'ref-margin', 'length-bias')"),
+    "unknown flag": (["mdp-verify", "--bogus-flag", "3"], 1,
+                     "unrecognized arguments: --bogus-flag=3"),
+    "unknown analysis flag": (["analyze", "ref-margin", "--bogus", "3"], 1,
+                              "unrecognized arguments: --bogus=3"),
+    "missing value": (["sample", "--seed"], 1, "argument --seed: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOP_LEVEL_CASES))
+def test_top_level_and_usage_errors_unchanged(capsys, monkeypatch, case):
+    argv, code, err = TOP_LEVEL_CASES[case]
+    got = argv_outcome(capsys, main, argv)
+    if code:
+        assert got == (code, "", f"error: {err}\n")
+    else:
+        assert got[0] == 0 and got[2] == ""
+        assert "{train,build-pairs,sample,eval,mdp-verify,analyze}" in got[1]
+    assert got == argv_outcome(capsys, full_parser_main(monkeypatch), argv)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["sample", "--model", "m", "--prompt", "hi"], ["sample"]),
+    (["analyze", "length-bias", "--policy", "p"], ["analyze-length-bias"]),
+    (["mdp-verify"], ["mdp-verify"]),
+    (["analyze"], list(COMMANDS)),
+    (["--help"], list(COMMANDS)),
+    (["analyze-kl-position"], list(COMMANDS)),
+])
+def test_parser_builds_only_the_named_command(monkeypatch, argv, built):
+    seen = []
+    add = cli._add_options
+    monkeypatch.setattr(cli, "_add_options",
+                        lambda parser, options: (seen.append(options), add(parser, options)))
+    cli.build_parser(argv)
+    by_id = {id(options): name for name, (options, _) in COMMANDS.items()}
+    assert sorted(by_id[id(options)] for options in seen) == sorted(built)
+
+
 class TestAtomicWrite:
     def test_failed_writer_leaves_nothing(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -292,6 +367,13 @@ class TestTrainCommand:
         assert run_train(workdir, b, workdir / "r2.ckpt") == 0
         assert a.read_bytes() == b.read_bytes()
         assert (workdir / "r1.ckpt").read_bytes() == (workdir / "r2.ckpt").read_bytes()
+
+    def test_gamma_above_one_warns_once_and_runs(self, workdir, tmp_path, capsys):
+        assert run_train(workdir, tmp_path / "m.jsonl", tmp_path / "m.ckpt",
+                         "--gamma", "1.5") == 0
+        assert capsys.readouterr().err == (
+            "warning: key 'gamma': gamma > 1 emphasizes late tokens and is known "
+            "to hurt preference optimization, got 1.5\n")
 
     def test_metrics_lines_have_exact_keys(self, workdir):
         path = workdir / "r1.jsonl"
@@ -445,6 +527,16 @@ class TestAnalyzeCommands:
         assert len(lines) > 1
         for line in lines[1:]:
             float(line.split(",")[2])
+
+    def test_length_bias_gamma_above_one_warns_once(self, workdir, tmp_path, capsys):
+        rc = main(["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                   "--reference", str(workdir / "model.ckpt"),
+                   "--pairs", str(workdir / "pairs.jsonl"), "--gamma", "1.5",
+                   "--out", str(tmp_path / "bias.csv")])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "warning: key 'gamma': gamma > 1 emphasizes late tokens"), err
 
     def test_length_bias_needs_reference(self, workdir, tmp_path, capsys):
         out = tmp_path / "bias.csv"

@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.warns(UserWarning):
             DecaySchedule(kind="exponential", gamma=1.1)
 
+    def test_warning_names_the_callers_line(self):
+        with pytest.warns(UserWarning) as caught:
+            DecaySchedule(kind="exponential", gamma=1.1)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+
     def test_head_linear_gamma_range(self):
         for kind in ("head", "linear"):
             with pytest.raises(ValueError):

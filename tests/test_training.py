@@ -162,6 +162,35 @@ class TestAdamW:
         # zero gradient: only the decay term moves the weight
         assert params["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_bit_identical_to_out_of_place(self, weight_decay):
+        """The in-place step gives the same bits as the plain formulas."""
+        rng = np.random.default_rng(3)
+        shapes = {"w": (5, 7), "b": (7,)}
+        params = {n: rng.normal(size=s) for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        opt = AdamW(params, sorted(shapes), lr=0.05, weight_decay=weight_decay)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 7):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            lr = 0.05 / t
+            opt.step(grads, lr=lr)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n in sorted(shapes):
+                g = grads[n]
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                update = (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
+                if weight_decay:
+                    update = update + weight_decay * ref[n]
+                ref[n] -= lr * update
+            for n in shapes:
+                assert np.array_equal(params[n], ref[n])
+                assert np.array_equal(opt.m[n], m[n])
+                assert np.array_equal(opt.v[n], v[n])
+
 
 class TestTrain:
     def make_cfg(self, **kw):
