@@ -12,8 +12,8 @@ import numpy as np
 
 from .autodiff import row_logsumexp
 from .losses import LossConfig, pair_loss
-from .model import (PolicyModel, make_sequence, packed_logprobs, response_logits,
-                    token_logprobs)
+from .model import PolicyModel, make_sequence, packed_logprobs, response_logits
+from .model import token_logprobs  # unused here; benchmarks/test_benchmarks.py reads it
 
 
 @dataclass
@@ -99,10 +99,6 @@ def _survivor_mean(rows, max_pos: int) -> PositionCurve:
     return PositionCurve(positions, [sums[p] / counts[p] for p in positions])
 
 
-def sequence_logprob(model: PolicyModel, prompt: bytes, response: bytes) -> float:
-    return float(np.sum(token_logprobs(model, make_sequence(prompt, response))))
-
-
 def ref_margin_density(reference: PolicyModel, pairs, bins: int) -> DensityHistogram:
     """Histogram density of chosen-minus-rejected sequence log-prob margins
     under the reference model."""
@@ -159,11 +155,10 @@ def _cell(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
-def write_csv(path, header, rows, comments=()) -> None:
-    """The one CSV format: ``# comment`` lines, the header, then one line per
-    row; floats are written as ``repr(float(x))``, other values with ``str``."""
+def write_csv(path, header, rows) -> None:
+    """The one CSV format: the header, then one line per row; floats are
+    written as ``repr(float(x))``, other values with ``str``."""
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(f"# {c}\n" for c in comments)
         f.write(",".join(header) + "\n")
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
@@ -171,15 +166,15 @@ def write_csv(path, header, rows, comments=()) -> None:
 def read_csv(path, header) -> list[list[str]]:
     """The rows below ``header`` in a file written by write_csv, as text cells."""
     with open(path, encoding="utf-8") as f:
-        lines = [line for line in map(str.strip, f) if line and not line.startswith("#")]
+        lines = [line for line in map(str.strip, f) if line]
     if not lines or lines[0] != ",".join(header):
         raise ValueError(f"{path}: expected the CSV header {','.join(header)!r}")
     return [line.split(",") for line in lines[1:]]
 
 
-def write_curve_csv(path, curve: PositionCurve, comments=()) -> None:
-    write_csv(path, ("position", "value"), zip(curve.positions, curve.values), comments)
+def write_curve_csv(path, curve: PositionCurve) -> None:
+    write_csv(path, ("position", "value"), zip(curve.positions, curve.values))
 
 
-def write_histogram_csv(path, hist: DensityHistogram, comments=()) -> None:
-    write_csv(path, ("value", "density"), zip(hist.centers, hist.density), comments)
+def write_histogram_csv(path, hist: DensityHistogram) -> None:
+    write_csv(path, ("value", "density"), zip(hist.centers, hist.density))

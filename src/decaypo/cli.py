@@ -279,7 +279,6 @@ COMMANDS = {
             Option("pairs", "str", required=True),
             Option("max-pos", "int", 64, valid=at_least(0)),
             Option("out", "str", "kl_position.csv"),
-            SEED_OPT,
         ], _cmd_kl_position),
     "analyze-prob-position": (
         [
@@ -287,7 +286,6 @@ COMMANDS = {
             Option("pairs", "str", required=True),
             Option("max-pos", "int", 64, valid=at_least(0)),
             Option("out", "str", "prob_position.csv"),
-            SEED_OPT,
         ], _cmd_prob_position),
     "analyze-ref-margin": (
         [
@@ -295,7 +293,6 @@ COMMANDS = {
             Option("pairs", "str", required=True),
             Option("bins", "int", 20, valid=at_least(2)),
             Option("out", "str", "ref_margin.csv"),
-            SEED_OPT,
         ], _cmd_ref_margin),
     "analyze-length-bias": (
         LOSS_OPTS + [
@@ -320,7 +317,7 @@ COMMANDS = {
             Option("reward-bound", "float", 1.0, valid=above(0)),
             Option("beta", "float", 0.3, valid=above(0)),
             Option("out", "str", "mdp_verify.csv"),
-            SEED_OPT,
+            SEED_OPT,  # unread: MDP i is drawn from seed i; benchmarks/workloads.py passes it
         ], _cmd_mdp_verify),
 }
 

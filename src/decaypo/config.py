@@ -17,10 +17,20 @@ ENV_SEED = "DECAYPO_SEED"
 SEED_TAGS = {"data": 0, "sampling": 1, "sampo": 2, "init": 3, "eval": 4}
 
 
+def _seed_sequence(keys) -> np.random.SeedSequence:
+    # any int is a key: taken modulo 2**63, so -1 names the same stream as 2**63 - 1
+    return np.random.SeedSequence([int(k) & (2**63 - 1) for k in keys])
+
+
 def derive_seed(*keys) -> int:
     """The 63-bit seed that a tuple of integer keys names."""
-    ss = np.random.SeedSequence([int(k) & (2**63 - 1) for k in keys])
-    return int(ss.generate_state(1, np.uint64)[0] & (2**63 - 1))
+    return int(_seed_sequence(keys).generate_state(1, np.uint64)[0] & (2**63 - 1))
+
+
+def rng(*keys) -> np.random.Generator:
+    """The generator that a tuple of integer keys names: the one seed recipe
+    of every random draw."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(keys)))
 
 
 def seed_substream(root_seed: int, tag: str) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import derive_seed
+from .config import derive_seed, rng
 from .model import BOS, PolicyModel, TokenSequence, sample_many
 
 
@@ -183,21 +183,24 @@ def oracle_score(oracle: RewardOracle, prompt: bytes, response: bytes) -> float:
     return score
 
 
+ALPHABET = b"abcdefgh"   # the bytes of every synthetic prompt and target
+
+
 def synthetic_corpus(n_prompts: int, seed: int, min_target_len: int = 4,
-                     max_target_len: int = 16, alphabet: bytes = b"abcdefgh") -> dict:
+                     max_target_len: int = 16) -> dict:
     """Prompt -> target-answer lookup with controlled target lengths."""
-    distinct = len(set(alphabet)) ** 4
+    distinct = len(ALPHABET) ** 4
     if n_prompts > distinct:
         raise ValueError(f"n_prompts {n_prompts} exceeds the {distinct} distinct "
                          "4-letter prompts over the alphabet")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))
+    draw = rng(seed, 11)
     corpus = {}
     while len(corpus) < n_prompts:
-        prompt = bytes(alphabet[i] for i in rng.integers(0, len(alphabet), size=4)) + b"?"
+        prompt = bytes(ALPHABET[i] for i in draw.integers(0, len(ALPHABET), size=4)) + b"?"
         if prompt in corpus:
             continue
-        tlen = int(rng.integers(min_target_len, max_target_len + 1))
-        corpus[prompt] = bytes(alphabet[i] for i in rng.integers(0, len(alphabet), size=tlen))
+        tlen = int(draw.integers(min_target_len, max_target_len + 1))
+        corpus[prompt] = bytes(ALPHABET[i] for i in draw.integers(0, len(ALPHABET), size=tlen))
     return corpus
 
 

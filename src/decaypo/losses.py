@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import rng
 from .schedules import UNIFORM, DecaySchedule, weights
 
 METHODS = ("d2po", "dpo", "d2po_ref_free", "simpo", "ipo", "kto", "orpo", "sampo")
@@ -183,12 +184,11 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
     T_m = min(T_w, T_l)
     idx_w, idx_l = np.arange(T_w), np.arange(T_l)
     if T_w != T_l:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(sampo_seed) & (2**63 - 1), int(example_id) & (2**63 - 1)])))
+        draw = rng(sampo_seed, example_id)
         if T_w > T_m:
-            idx_w = np.sort(rng.choice(T_w, size=T_m, replace=False))
+            idx_w = np.sort(draw.choice(T_w, size=T_m, replace=False))
         else:
-            idx_l = np.sort(rng.choice(T_l, size=T_m, replace=False))
+            idx_l = np.sort(draw.choice(T_l, size=T_m, replace=False))
     return idx_w, idx_l
 
 

@@ -9,14 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import rng
+
 
 @dataclass
 class TabularMDP:
+    """Every episode starts in state 0."""
+
     P: np.ndarray        # (S, A, S) transition probabilities
     r: np.ndarray        # (S, A) rewards, |r| <= R
     H: int
     R: float
-    s0: int = 0
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=np.float64)
@@ -69,12 +72,12 @@ def random_mdp(S: int, A: int, H: int, R: float, seed: int,
     """
     if S < 1 or A < 1 or H < 1 or not R > 0:
         raise ValueError("require S, A, H >= 1 and R > 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    draw = rng(seed)
     if deterministic:
-        P = np.eye(S)[rng.integers(0, S, size=(S, A))]   # one-hot next states
+        P = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
     else:
-        P = rng.dirichlet(np.ones(S), size=(S, A))
-    r = rng.uniform(-R, R, size=(S, A))
+        P = draw.dirichlet(np.ones(S), size=(S, A))
+    r = draw.uniform(-R, R, size=(S, A))
     return TabularMDP(P=P, r=r, H=H, R=R)
 
 
@@ -130,7 +133,7 @@ def _evaluate(mdp: TabularMDP, pis: np.ndarray, gammas) -> np.ndarray:
 
 def _visitation(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
     d = np.zeros((mdp.H, mdp.S))
-    d[0, mdp.s0] = 1.0
+    d[0, 0] = 1.0
     for t in range(mdp.H - 1):
         d[t + 1] = (d[t][:, None] * pi[t]).reshape(-1) @ mdp.P.reshape(-1, mdp.S)
     return d
@@ -148,10 +151,10 @@ def soft_value_iteration(mdp: TabularMDP, pi_ref, beta: float, gamma: float):
     return (V[0], Q[0]), pi[0]
 
 
-def policy_value(mdp: TabularMDP, pi, gamma: float, s: int | None = None) -> float:
-    """Exact expected decayed return by backward induction."""
+def policy_value(mdp: TabularMDP, pi, gamma: float) -> float:
+    """Exact expected decayed return from state 0 by backward induction."""
     V = _evaluate(mdp, validate_policy(mdp, pi)[None], [gamma])
-    return float(V[0, 0, mdp.s0 if s is None else s])
+    return float(V[0, 0, 0])
 
 
 def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float,
@@ -178,9 +181,8 @@ def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 
 
-def enumerate_trajectories(mdp: TabularMDP, s0: int | None = None):
-    """All positive-probability full-length (s, a) trajectories."""
-    start = mdp.s0 if s0 is None else s0
+def enumerate_trajectories(mdp: TabularMDP):
+    """All positive-probability full-length (s, a) trajectories from state 0."""
 
     def extend(prefix, s, t):
         if t == mdp.H:
@@ -192,7 +194,7 @@ def enumerate_trajectories(mdp: TabularMDP, s0: int | None = None):
                 yield from extend(prefix, int(s2), t + 1)
             prefix.pop()
 
-    yield from extend([], start, 0)
+    yield from extend([], 0, 0)
 
 
 @dataclass
@@ -208,13 +210,13 @@ class SuboptimalityReport:
     tv_expectation: float = 0.0
 
 
-def _reports(mdp: TabularMDP, pis: np.ndarray, gammas, s, bound: bool):
+def _reports(mdp: TabularMDP, pis: np.ndarray, gammas, bound: bool):
     """Reports of pis[1 + i] against pi* = pis[0] at gammas[i]: the
     decomposition and, with ``bound``, the occupancy TV and the bound
     terms, for which pis[1:] is overwritten with |pis[1:] - pis[0]|."""
     if bound and not all(0 < g <= 1 for g in gammas):
         raise ValueError("gamma must be in (0, 1]")
-    V = _evaluate(mdp, pis, [1.0, *gammas])[:, :, mdp.s0 if s is None else s]
+    V = _evaluate(mdp, pis, [1.0, *gammas])[:, :, 0]
     i = np.arange(1, len(gammas) + 1)
     v1_star, vg_star, vg, v1 = V[0, 0], V[0, i], V[i, i], V[i, 0]
     reports = [SuboptimalityReport(gamma, *map(float, deltas)) for gamma, *deltas in zip(
@@ -231,16 +233,15 @@ def _reports(mdp: TabularMDP, pis: np.ndarray, gammas, s, bound: bool):
     return reports
 
 
-def suboptimality_decompose(mdp: TabularMDP, pi_star, pi, gamma: float,
-                            s: int | None = None) -> SuboptimalityReport:
+def suboptimality_decompose(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
     the policy-gap term at discount gamma (evaluation discount fixed at 1)."""
     pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(mdp, pis, [gamma], s, bound=False)[0]
+    return _reports(mdp, pis, [gamma], bound=False)[0]
 
 
 def state_visitation(mdp: TabularMDP, pi) -> np.ndarray:
-    """d[t, s]: probability of being in s at step t under pi, from s0."""
+    """d[t, s]: probability of being in s at step t under pi, from state 0."""
     return _visitation(mdp, validate_policy(mdp, pi))
 
 
@@ -257,12 +258,11 @@ def discount_horizon(gamma: float, H: int) -> float:
     return float((1.0 - gamma ** H) / (1.0 - gamma))
 
 
-def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float,
-                   s: int | None = None) -> SuboptimalityReport:
+def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Full report: deltas, occupancy TV, and the two bound terms
     2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
     pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(mdp, pis, [gamma], s, bound=True)[0]
+    return _reports(mdp, pis, [gamma], bound=True)[0]
 
 
 def verify_bounds(mdp: TabularMDP, pi_ref, beta: float, gammas) -> list[SuboptimalityReport]:
@@ -270,4 +270,4 @@ def verify_bounds(mdp: TabularMDP, pi_ref, beta: float, gammas) -> list[Suboptim
     one at gamma = 1, from a single backup of [1, *gammas]."""
     gammas = [float(g) for g in gammas]
     _, pis = _soft_backup(mdp, _ref_table(mdp, pi_ref), beta, [1.0, *gammas])
-    return _reports(mdp, pis, gammas, None, bound=True)
+    return _reports(mdp, pis, gammas, bound=True)

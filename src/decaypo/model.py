@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
+from .config import rng
 
 VOCAB_SIZE = 258
 BOS = 256
@@ -89,10 +90,10 @@ def param_shapes(dim: int, context: int, blocks: int) -> dict:
 
 
 def init_params(dim: int, context: int, blocks: int, seed: int) -> dict:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    draw = rng(seed)
     s = 1.0 / np.sqrt(dim)
     # Zero output head: a fresh model is exactly uniform over the vocabulary.
-    return {name: np.zeros(shape) if name == "w_out" else rng.normal(0.0, s, size=shape)
+    return {name: np.zeros(shape) if name == "w_out" else draw.normal(0.0, s, size=shape)
             for name, shape in param_shapes(dim, context, blocks).items()}
 
 
@@ -262,9 +263,7 @@ def sample_many(model: PolicyModel, rows, temperature: float,
         limit = min(max_len, model.context - n)
         uniforms = None
         if temperature > 0.0:   # row i's draws, in order, from its own seed
-            seeds = [np.random.SeedSequence(int(rows[i][1]) & (2**63 - 1)) for i in members]
-            uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(limit)
-                                 for s in seeds])
+            uniforms = np.array([rng(rows[i][1]).random(limit) for i in members])
         responses = _decode(decoder, logits[which], temperature, uniforms, limit)
         for i, response in zip(members, responses):
             out[i] = TokenSequence(rows[i][0], response)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .config import derive_seed
+from .config import derive_seed, rng
 from .data import RewardOracle, sample_and_score
 from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
 from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
@@ -65,7 +65,6 @@ class Checkpoint:
     model: PolicyModel
     step: int = 0
     seed: int = 0
-    config_hash: str = ""
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -79,7 +78,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
         "step": ckpt.step,
         "seed": ckpt.seed,
-        "config_hash": ckpt.config_hash,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -111,9 +109,6 @@ def load_checkpoint(path) -> Checkpoint:
                              f"got {manifest['step']!r}")
         if type(manifest["seed"]) is not int:  # the root seed, which may be negative
             raise ValueError(f"manifest key 'seed' must be an integer, got {manifest['seed']!r}")
-        if not isinstance(manifest.get("config_hash", ""), str):
-            raise ValueError(f"manifest key 'config_hash' must be a string, "
-                             f"got {manifest['config_hash']!r}")
         arch = manifest["architecture"]
         params = {}
         for entry in manifest["params"]:
@@ -139,52 +134,48 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"unknown parameters {sorted(params.keys() - expected.keys())}")
         model = PolicyModel(dim=arch["dim"], context=arch["context"],
                             blocks=arch["blocks"], seed=manifest["seed"], params=params)
-        return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"],
-                          config_hash=manifest.get("config_hash", ""))
+        return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"])
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint manifest lacks key {e}") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # AdamW's moment decays and denominator floor
+
+
 class AdamW:
     """Adam with decoupled weight decay; update order is the fixed
     parameter-name order, so runs are bit-reproducible."""
 
-    def __init__(self, params: dict, names, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict, names, weight_decay: float = 0.0):
         self.params = params
         self.names = list(names)
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(params[n]) for n in self.names}
         self.v = {n: np.zeros_like(params[n]) for n in self.names}
 
-    def step(self, grads: dict, lr: float | None = None):
-        if lr is None:
-            lr = self.lr
+    def step(self, grads: dict, lr: float):
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         # update = (m/c1) / (sqrt(v/c2) + eps) + wd*param, in place: the same
         # operations in the same order, so the same bits, with two fresh
         # arrays per parameter instead of one per operation
         for n in self.names:
             g, m, v = grads[n], self.m[n], self.v[n]
-            m *= self.b1
-            scratch = (1.0 - self.b1) * g
+            m *= BETA1
+            scratch = (1.0 - BETA1) * g
             m += scratch
-            v *= self.b2
-            np.multiply(1.0 - self.b2, g, out=scratch)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=scratch)
             scratch *= g
             v += scratch
             np.divide(v, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps
+            scratch += EPS
             update = m / c1
             update /= scratch
             if self.weight_decay:
@@ -258,17 +249,16 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     ref_model = reference.model if needs_reference else None
     policy = init.model.copy()
     names = policy.param_names()
-    opt = AdamW(policy.params, names, cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(policy.params, names, weight_decay=cfg.weight_decay)
     n_batches = max(1, math.ceil(len(pairs) / cfg.batch_size))
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps) if cfg.epochs else cfg.max_steps
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(cfg.seed) & (2**63 - 1), 0])))  # data substream
+    order_rng = rng(cfg.seed, 0)  # data substream
     metrics = []
     step = 0
     while step < total_steps:
-        order = rng.permutation(len(pairs))
+        order = order_rng.permutation(len(pairs))
         for b in range(n_batches):
             if step >= total_steps:
                 break
@@ -289,7 +279,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
                             "grad_norm": gn, "lr": lr, "skipped": skipped})
             step += 1
     if step == 0:
-        return Checkpoint(policy, init.step, init.seed, init.config_hash), metrics
+        return Checkpoint(policy, init.step, init.seed), metrics
     return Checkpoint(policy, init.step + step, cfg.seed), metrics
 
 
@@ -297,13 +287,12 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
                  batch_size: int, seed: int) -> PolicyModel:
     """Plain NLL training on (prompt -> target) items; builds the SFT init."""
     model = model.copy()
-    opt = AdamW(model.params, model.param_names(), lr)
+    opt = AdamW(model.params, model.param_names())
     items = list(corpus.items())
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed) & (2**63 - 1), 1])))
+    draw = rng(seed, 1)
     for step in range(steps):
         seqs = [make_sequence(*items[int(i)])
-                for i in rng.integers(0, len(items), size=batch_size)]
+                for i in draw.integers(0, len(items), size=batch_size)]
         # the batch mean of each sequence's mean NLL: weight -1/(T*B) per token
         weights = np.concatenate([np.full(seq.response_len, 1.0 / seq.response_len)
                                   for seq in seqs]) * (-1.0 / batch_size)

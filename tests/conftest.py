@@ -74,8 +74,7 @@ def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2, **fie
 # manifest fields of the wrong type -> (key, value) a loader must reject, naming the key
 BAD_MANIFEST_FIELDS = {"step_text": ("step", "abc"), "step_float": ("step", 1.5),
                        "step_negative": ("step", -1), "step_bool": ("step", True),
-                       "seed_text": ("seed", "x"), "seed_null": ("seed", None),
-                       "hash_int": ("config_hash", 5)}
+                       "seed_text": ("seed", "x"), "seed_null": ("seed", None)}
 
 
 # damaged parameter tables of a dim-16, 2-block model -> the name a loader must report

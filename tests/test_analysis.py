@@ -5,13 +5,21 @@ from decaypo import analysis
 from decaypo.analysis import (DensityHistogram, PositionCurve, kl_categorical,
                               kl_per_position, loss_by_length_gap,
                               prob_per_position, ref_margin_density,
-                              sequence_logprob, write_curve_csv,
-                              write_histogram_csv)
-from decaypo.data import PreferencePair, synthetic_corpus
+                              write_curve_csv, write_histogram_csv)
+from decaypo.data import PreferencePair, response_bytes, synthetic_corpus
 from decaypo.losses import LossConfig, batch_loss
 from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
                            token_logprobs)
 from conftest import random_pairscore
+
+
+def margins_under(model, triples):
+    """Chosen-minus-rejected summed response log-probs of (prompt, chosen,
+    rejected) triples, from one packed pass."""
+    seqs = [make_sequence(prompt, r) for prompt, *responses in triples for r in responses]
+    logps, offsets = packed_logprobs(model, seqs)
+    sums = np.add.reduceat(logps, offsets[:-1])
+    return sums[0::2] - sums[1::2]
 
 
 def small_model(seed=0, trained=False):
@@ -127,16 +135,10 @@ class TestRefMarginDensity:
         prompts = list(corpus)
 
         def margins(generator):
-            vals = []
-            for i, p in enumerate(prompts):
-                a = sample(generator, [256] + list(p), 1.0, 8, seed=100 + i)
-                b = sample(generator, [256] + list(p), 1.0, 8, seed=200 + i)
-                vals.append(
-                    sequence_logprob(ref, p, bytes(t for t in a.response_tokens
-                                                   if t < 256))
-                    - sequence_logprob(ref, p, bytes(t for t in b.response_tokens
-                                                     if t < 256)))
-            return np.array(vals)
+            def response(p, seed):
+                return response_bytes(sample(generator, [256] + list(p), 1.0, 8, seed=seed))
+            return margins_under(ref, [(p, response(p, 100 + i), response(p, 200 + i))
+                                       for i, p in enumerate(prompts)])
 
         on_policy = margins(ref)
         off_policy = margins(other)
@@ -215,8 +217,7 @@ class TestPackedAnalyses:
                                    ref_margin_density(ref, pairs, bins=5).centers, bias])
 
         smallest = results(2)  # one pair per length-bias pass
-        margins = [sequence_logprob(ref, p.prompt, p.chosen)
-                   - sequence_logprob(ref, p.prompt, p.rejected) for p in pairs]
+        margins = margins_under(ref, [(p.prompt, p.chosen, p.rejected) for p in pairs])
         assert ref_margin_density(ref, pairs, bins=5).centers[0] == pytest.approx(
             min(margins) + (max(margins) - min(margins)) / 10, abs=1e-12)
         for pack in (4, 32):
@@ -227,10 +228,8 @@ class TestCsvRoundTrips:
     def test_curve(self, tmp_path):
         curve = PositionCurve([0, 1, 5], [0.25, -1.5, 3.0e-9])
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, curve, comments=["kl direction: policy||reference"])
-        text = path.read_text()
-        assert text.startswith("# kl direction")
-        assert "position,value" in text
+        write_curve_csv(path, curve)
+        assert path.read_text().startswith("position,value\n")
         rows = analysis.read_csv(path, ("position", "value"))
         assert [int(p) for p, _ in rows] == curve.positions
         assert [float(v) for _, v in rows] == curve.values

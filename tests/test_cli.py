@@ -289,6 +289,8 @@ TOP_LEVEL_CASES = {
     "unknown analysis flag": (["analyze", "ref-margin", "--bogus", "3"], 1,
                               "unrecognized arguments: --bogus=3"),
     "missing value": (["sample", "--seed"], 1, "argument --seed: expected one argument"),
+    **{f"{name} seed": (["analyze", name, "--seed", "1"], 1, "unrecognized arguments: --seed=1")
+       for name in ("kl-position", "prob-position", "ref-margin")},
 }
 
 
@@ -320,6 +322,63 @@ def test_parser_builds_only_the_named_command(monkeypatch, argv, built):
     cli.build_parser(argv)
     by_id = {id(options): name for name, (options, _) in COMMANDS.items()}
     assert sorted(by_id[id(options)] for options in seen) == sorted(built)
+
+
+# options a command declares and its runner never reads, with the reason each stays
+UNREAD = {"mdp-verify": {"seed"}}  # MDP i is drawn from seed i; benchmarks/workloads.py passes it
+
+
+def runs_of(command, workdir, tmp_path):
+    """Argument lists that, together, take every path of ``command`` that
+    reads options: train and build-pairs read dim, context and blocks only
+    for a fresh model, so they run with and without a checkpoint."""
+    model, pairs = str(workdir / "model.ckpt"), str(workdir / "pairs.jsonl")
+    out = str(tmp_path / "o")
+    train = ["train", *SMALL_ARCH, "--pairs", pairs, "--max-steps", "1",
+             "--out", out, "--metrics", str(tmp_path / "m.jsonl")]
+    build = ["build-pairs", *SMALL_ARCH, *SMALL_CORPUS, "--k", "2", "--max-len", "4", "--out", out]
+    return {
+        "train": [train, train + ["--init", model]],
+        "build-pairs": [build, build + ["--model", model]],
+        "sample": [["sample", "--model", model, "--prompt", "hi", "--max-len", "4"]],
+        "eval": [["eval", *SMALL_CORPUS, "--candidate", model, "--baseline", model,
+                  "--max-len", "4"]],
+        "analyze-kl-position": [["analyze", "kl-position", "--policy", model,
+                                 "--reference", model, "--pairs", pairs, "--out", out]],
+        "analyze-prob-position": [["analyze", "prob-position", "--model", model,
+                                   "--pairs", pairs, "--out", out]],
+        "analyze-ref-margin": [["analyze", "ref-margin", "--reference", model,
+                                "--pairs", pairs, "--out", out]],
+        "analyze-length-bias": [["analyze", "length-bias", "--policy", model,
+                                 "--reference", model, "--pairs", pairs, "--out", out]],
+        "mdp-verify": [["mdp-verify", "--seeds", "1", "--seed", "5", "--out", out]],
+    }[command]
+
+
+class ReadRecorder(dict):
+    """A resolved config that notes every key read from it."""
+
+    def __init__(self, resolved, read: set):
+        super().__init__(resolved)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_declared_option_is_read(workdir, tmp_path, monkeypatch, command):
+    options, runner = COMMANDS[command]
+    read = set()
+    monkeypatch.setitem(COMMANDS, command, (options, lambda r: runner(ReadRecorder(r, read))))
+    for argv in runs_of(command, workdir, tmp_path):
+        assert main(argv) == 0, argv
+    assert {o.name for o in options} - read == UNREAD.get(command, set())
 
 
 class TestAtomicWrite:

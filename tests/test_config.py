@@ -7,6 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from decaypo.cli import COMMANDS, main
 from decaypo.config import (SEED_TAGS, ConfigError, Option, above, at_least, one_of,
                             resolve)
+from decaypo.data import synthetic_corpus
+from decaypo.mdp import random_mdp
+from decaypo.model import init_params
 
 OPTIONS = [
     Option("count", "int", 1),
@@ -182,6 +185,19 @@ def test_readme_substreams_match_seed_tags():
     names = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
              if line.startswith("| `")]
     assert sorted(names) == sorted(SEED_TAGS)
+
+
+# seed -> something that compares by value, drawn from the generator the seed names
+SEEDED = {"init_params": lambda seed: init_params(4, 8, 1, seed)["embed"].tolist(),
+          "random_mdp": lambda seed: random_mdp(3, 2, 4, 1.0, seed).P.tolist(),
+          "synthetic_corpus": lambda seed: synthetic_corpus(5, seed)}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_any_int_seed_names_the_stream_of_its_63_bit_residue(name):
+    draw = SEEDED[name]
+    assert draw(-1) == draw(2**63 - 1)
+    assert draw(-1) != draw(1)
 
 
 def test_non_utf8_config_file_exit_1_naming_file(tmp_path, capsys):

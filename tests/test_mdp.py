@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from decaypo import mdp
 from decaypo.mdp import (TabularMDP, discount_horizon, enumerate_trajectories,
                          occupancy_tv, policy_value, random_mdp,
                          soft_value_iteration, state_visitation,
@@ -218,7 +219,7 @@ class TestOccupancy:
         d = state_visitation(m, pi)
         # brute force: sum over all (action, state) paths
         expected = np.zeros((m.H, m.S))
-        expected[0, m.s0] = 1.0
+        expected[0, 0] = 1.0
         for t in range(1, m.H):
             for s_prev in range(m.S):
                 for a in range(m.A):
@@ -321,15 +322,15 @@ def oracle_policy_value(m, pi, gamma):
 
 def oracle_occupancy_tv(m, pi_star, pi):
     d = np.zeros((m.H, m.S))
-    d[0, m.s0] = 1.0
+    d[0, 0] = 1.0
     for t in range(m.H - 1):
         d[t + 1] = np.einsum("sa,sak->k", d[t][:, None] * pi_star[t], m.P)
     return float(np.mean(np.sum(d * 0.5 * np.sum(np.abs(pi_star - pi), axis=2), axis=1)))
 
 
 def oracle_report(m, pi_star, pi, gamma):
-    v1_star, vg_star = (oracle_policy_value(m, pi_star, g)[m.s0] for g in (1.0, gamma))
-    vg, v1 = (oracle_policy_value(m, pi, g)[m.s0] for g in (gamma, 1.0))
+    v1_star, vg_star = (oracle_policy_value(m, pi_star, g)[0] for g in (1.0, gamma))
+    vg, v1 = (oracle_policy_value(m, pi, g)[0] for g in (gamma, 1.0))
     g = discount_horizon(gamma, m.H)
     tv = oracle_occupancy_tv(m, pi_star, pi)
     term1, term2 = 2.0 * (m.H - g) * m.R, 2.0 * g * g * tv * m.R
@@ -366,9 +367,11 @@ class TestStackedCoreEquivalence:
                 V_o, Q_o, pi_o = oracle_soft_value_iteration(m, ref, beta, gamma)
                 worst = max(worst, _deviation(V, V_o), _deviation(Q, Q_o),
                             _deviation(pi, pi_o))
-                for s in range(S):
-                    worst = max(worst, abs(policy_value(m, pi_o, gamma, s)
-                                           - oracle_policy_value(m, pi_o, gamma)[s]))
+                # every state's value, not only the start state's
+                worst = max(worst, _deviation(mdp._evaluate(m, pi_o[None], [gamma])[0, 0],
+                                              oracle_policy_value(m, pi_o, gamma)),
+                            abs(policy_value(m, pi_o, gamma)
+                                - oracle_policy_value(m, pi_o, gamma)[0]))
                 if gamma == 0.0:
                     continue
                 expected = oracle_report(m, pi_star, pi_o, gamma)

@@ -63,9 +63,9 @@ class TestCheckpointIO:
     def test_roundtrip_forward_identical(self, tmp_path):
         m = small_model(trained=True)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(Checkpoint(m, step=7, seed=3, config_hash="h"), path)
+        save_checkpoint(Checkpoint(m, step=7, seed=3), path)
         loaded = load_checkpoint(path)
-        assert loaded.step == 7 and loaded.seed == 3 and loaded.config_hash == "h"
+        assert loaded.step == 7 and loaded.seed == 3
         # float32 storage: reloading a reloaded checkpoint is bit-exact
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(loaded, path2)
@@ -128,6 +128,19 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert repr(key) in str(err.value)
 
+    def test_manifest_config_hash_ignored(self, tmp_path):
+        """Older checkpoints carry a "config_hash" manifest key; it loads to
+        the same checkpoint, which saves without the key."""
+        m = small_model(trained=True)
+        save_checkpoint(Checkpoint(m, step=7, seed=3), tmp_path / "m.ckpt")
+        for value in ("", 5):
+            path = tmp_path / "old.ckpt"
+            write_raw_checkpoint(path, m.params, step=7, seed=3, config_hash=value)
+            loaded = load_checkpoint(path)
+            assert loaded.step == 7 and loaded.seed == 3
+            save_checkpoint(loaded, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
+
     def test_negative_root_seed_loads(self, tmp_path):
         path = tmp_path / "neg.ckpt"
         write_raw_checkpoint(path, dict(PolicyModel(dim=16, context=48, seed=0).params),
@@ -147,9 +160,9 @@ class TestCheckpointIO:
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
         params = {"w": np.array([1.0, -2.0])}
-        opt = AdamW(params, ["w"], lr=0.1)
+        opt = AdamW(params, ["w"])
         g = np.array([0.5, -0.25])
-        opt.step({"w": g})
+        opt.step({"w": g}, lr=0.1)
         m_hat = g          # t=1 bias correction is exact
         v_hat = g * g
         expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -157,8 +170,8 @@ class TestAdamW:
 
     def test_decoupled_weight_decay(self):
         params = {"w": np.array([2.0])}
-        opt = AdamW(params, ["w"], lr=0.1, weight_decay=0.5)
-        opt.step({"w": np.array([0.0])})
+        opt = AdamW(params, ["w"], weight_decay=0.5)
+        opt.step({"w": np.array([0.0])}, lr=0.1)
         # zero gradient: only the decay term moves the weight
         assert params["w"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
@@ -171,7 +184,7 @@ class TestAdamW:
         ref = {n: p.copy() for n, p in params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
-        opt = AdamW(params, sorted(shapes), lr=0.05, weight_decay=weight_decay)
+        opt = AdamW(params, sorted(shapes), weight_decay=weight_decay)
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 7):
             grads = {n: rng.normal(size=s) for n, s in shapes.items()}
@@ -200,7 +213,7 @@ class TestTrain:
         return TrainConfig(**defaults)
 
     def test_zero_epochs_bit_identical(self, tmp_path):
-        init = Checkpoint(small_model(trained=True), step=5, seed=9, config_hash="c")
+        init = Checkpoint(small_model(trained=True), step=5, seed=9)
         save_checkpoint(init, tmp_path / "in.ckpt")
         init = load_checkpoint(tmp_path / "in.ckpt")
         out, metrics = train(self.make_cfg(epochs=0), toy_pairs(), init,
