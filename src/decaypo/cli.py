@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import astuple
@@ -217,19 +218,25 @@ def _cmd_length_bias(r: dict) -> int:
 
 
 def _cmd_mdp_verify(r: dict) -> int:
+    shape = (r["states"], r["actions"], r["horizon"])
+    gammas = r["gammas"]
+    # MDP i is drawn from seed i; a stack holds as many as fit the budget
+    per_stack = max(1, mdp.STACK_ELEMENTS // ((1 + len(gammas)) * math.prod(shape)))
     rows = []
     violations = 0
-    for seed in range(r["seeds"]):
-        m = mdp.random_mdp(r["states"], r["actions"], r["horizon"],
-                           r["reward-bound"], seed)
-        for rep in mdp.verify_bounds(m, mdp.uniform_policy(m), r["beta"], r["gammas"]):
-            holds = int(rep.subopt <= rep.bound_total + 1e-9)
-            violations += 1 - holds
-            rows.append((seed, *astuple(rep), holds))
+    for first in range(0, r["seeds"], per_stack):
+        seeds = range(first, min(first + per_stack, r["seeds"]))
+        mdps = [mdp.random_mdp(*shape, r["reward-bound"], seed) for seed in seeds]
+        stack = mdp.verify_bounds(mdps, mdp.uniform_policy(mdps[0]), r["beta"], gammas)
+        for seed, reports in zip(seeds, stack):
+            for rep in reports:
+                holds = int(rep.subopt <= rep.bound_total + 1e-9)
+                violations += 1 - holds
+                rows.append((seed, *vars(rep).values(), holds))
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("seed", "gamma", "delta1", "delta2", "delta3", "subopt", "term1", "term2",
             "bound", "tv", "holds"), rows))
-    print(json.dumps({"rows": r["seeds"] * len(r["gammas"]),
+    print(json.dumps({"rows": r["seeds"] * len(gammas),
                       "violations": violations}))
     return 0
 

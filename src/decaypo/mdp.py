@@ -1,7 +1,8 @@
 """Finite-horizon tabular MDPs: decayed soft value iteration, exact policy
 evaluation, the suboptimality decomposition, and the discount-tradeoff
 upper bound with its occupancy total-variation term, all from two backward
-passes: a soft backup of stacked discounts, an exact evaluation of pairs."""
+passes over a stack of same-shape MDPs: a soft backup of stacked discounts,
+an exact evaluation of pairs. The single-MDP functions pass a stack of one."""
 
 from __future__ import annotations
 
@@ -88,10 +89,32 @@ def _ref_table(mdp: TabularMDP, pi_ref) -> np.ndarray:
     return validate_policy(mdp, np.array(pi_ref))
 
 
-def _soft_backup(mdp: TabularMDP, ref: np.ndarray, beta: float, gammas, Q=None):
-    """The soft backup of every discount in ``gammas`` at once, from a
-    validated (H, S, A) ``ref``: V (G, H+1, S) and the Boltzmann policies
-    (G, H, S, A); fills Q (G, H, S, A) when it is given."""
+# The most elements of the (B, G, H, S, A) policy tensor that one stack of
+# MDPs may fill; mdp-verify verifies as many same-shape MDPs together as fit.
+STACK_ELEMENTS = 2 ** 16
+
+
+def _stack(mdps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P (B, S, A, S), r (B, S, A) and R (B,) of a non-empty list of MDPs
+    that share (S, A, H)."""
+    if not mdps:
+        raise ValueError("a stack needs at least one MDP")
+    shapes = [(m.S, m.A, m.H) for m in mdps]
+    odd = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+    if odd is not None:
+        raise ValueError(f"every MDP of a stack must have the same (S, A, H): "
+                         f"MDP {odd} has {shapes[odd]}, MDP 0 has {shapes[0]}")
+    R = np.array([m.R for m in mdps])
+    if len(mdps) == 1:  # views: a stack of one copies nothing
+        return mdps[0].P[None], mdps[0].r[None], R
+    return np.stack([m.P for m in mdps]), np.stack([m.r for m in mdps]), R
+
+
+def _soft_backup(P, r, ref: np.ndarray, beta: float, gammas, Q=None):
+    """The soft backup of every stacked MDP (P, r) at every discount in
+    ``gammas`` at once, from a validated (H, S, A) ``ref``: V (B, G, H+1, S)
+    and the Boltzmann policies (B, G, H, S, A); fills Q (B, G, H, S, A) when
+    it is given."""
     if not beta > 0:
         raise ValueError("beta must be > 0")
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -101,42 +124,47 @@ def _soft_backup(mdp: TabularMDP, ref: np.ndarray, beta: float, gammas, Q=None):
     if np.any(ref <= 0):
         raise ValueError("pi_ref must have full support (zero-probability "
                          "action makes beta*log pi_ref = -inf)")
-    G, (H, S, A) = len(gammas), ref.shape
-    base = mdp.r + beta * np.log(ref)
-    PT = mdp.P.reshape(S * A, S).T                 # V @ PT = P V for every (s, a)
-    V, pi = np.zeros((G, H + 1, S)), np.empty((G, H, S, A))
+    (B, S, A), G, H = r.shape, len(gammas), len(ref)
+    base = r[:, None] + beta * np.log(ref)         # (B, H, S, A)
+    PT = P.reshape(B, S * A, S).transpose(0, 2, 1)  # V @ PT = P V for every (s, a)
+    V, pi = np.zeros((B, G, H + 1, S)), np.empty((B, G, H, S, A))
     for t in range(H - 1, -1, -1):
-        q = base[t] + gammas[:, None, None] * (V[:, t + 1] @ PT).reshape(G, S, A)
+        q = base[:, None, t] + gammas[:, None, None] * (V[:, :, t + 1] @ PT).reshape(B, G, S, A)
         if Q is not None:
-            Q[:, t] = q
-        m = q.max(axis=2, keepdims=True)
+            Q[:, :, t] = q
+        m = q.max(axis=3, keepdims=True)
         e = np.exp((q - m) / beta)
-        z = e.sum(axis=2, keepdims=True)
-        V[:, t] = (m + beta * np.log(z))[:, :, 0]  # beta * logsumexp(q / beta)
-        pi[:, t] = e / z                           # exp((q - V) / beta)
+        z = e.sum(axis=3, keepdims=True)
+        V[:, :, t] = (m + beta * np.log(z))[..., 0]  # beta * logsumexp(q / beta)
+        pi[:, :, t] = e / z                          # exp((q - V) / beta)
     return V, pi
 
 
-def _evaluate(mdp: TabularMDP, pis: np.ndarray, gammas) -> np.ndarray:
-    """V[p, d, s]: the exact decayed return of pis[p] at discount gammas[d]
-    from s, by one backward induction; each step forms every policy's state
-    transitions once and applies them to all discounts."""
-    V = np.zeros((len(pis), len(gammas), mdp.S))
+def _evaluate(P, r, pis: np.ndarray, gammas) -> np.ndarray:
+    """V[b, p, d, s]: the exact decayed return of pis[b, p] in MDP b at
+    discount gammas[d] from s, by one backward induction; each step forms
+    every policy's state transitions once and applies them to all discounts."""
+    B, N, H, S, _ = pis.shape
+    V = np.zeros((B, N, len(gammas), S))
     g = np.asarray(gammas, dtype=np.float64)[:, None]
-    reward = np.einsum("phsa,sa->hps", pis, mdp.r)[:, :, None]
-    steps = pis.transpose(1, 2, 0, 3)              # (H, S, P, A)
-    for t in range(mdp.H - 1, -1, -1):
-        M = steps[t] @ mdp.P                       # M[s, p, k] = P^{pi_p}(k | s)
-        V = reward[t] + g * (V @ M.transpose(1, 2, 0))
+    reward = np.einsum("bphsa,bsa->hbps", pis, r)[..., None, :]
+    steps = pis.transpose(2, 0, 3, 1, 4)            # (H, B, S, N, A)
+    for t in range(H - 1, -1, -1):
+        M = steps[t] @ P                            # M[b, s, p, k] = P_b^{pi_p}(k | s)
+        V = reward[t] + g * (V @ M.transpose(0, 2, 3, 1))
     return V
 
 
-def _visitation(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
-    d = np.zeros((mdp.H, mdp.S))
-    d[0, 0] = 1.0
-    for t in range(mdp.H - 1):
-        d[t + 1] = (d[t][:, None] * pi[t]).reshape(-1) @ mdp.P.reshape(-1, mdp.S)
-    return d
+def _visitation(P, pi: np.ndarray) -> np.ndarray:
+    """d[b, t, s]: probability of being in s at step t under pi[b] in MDP b,
+    from state 0."""
+    B, H, S, A = pi.shape
+    d = np.zeros((B, H, 1, S))
+    d[:, 0, 0, 0] = 1.0
+    flat = P.reshape(B, S * A, S)
+    for t in range(H - 1):
+        d[:, t + 1] = (d[:, t, 0, :, None] * pi[:, t]).reshape(B, 1, S * A) @ flat
+    return d[:, :, 0]
 
 
 def soft_value_iteration(mdp: TabularMDP, pi_ref, beta: float, gamma: float):
@@ -146,15 +174,15 @@ def soft_value_iteration(mdp: TabularMDP, pi_ref, beta: float, gamma: float):
     V[t] = beta * logsumexp(Q[t]/beta); the returned policy is the
     Boltzmann optimum exp((Q - V)/beta), normalized by construction.
     """
-    Q = np.empty((1, mdp.H, mdp.S, mdp.A))
-    V, pi = _soft_backup(mdp, _ref_table(mdp, pi_ref), beta, [gamma], Q)
-    return (V[0], Q[0]), pi[0]
+    Q = np.empty((1, 1, mdp.H, mdp.S, mdp.A))
+    V, pi = _soft_backup(mdp.P[None], mdp.r[None], _ref_table(mdp, pi_ref), beta, [gamma], Q)
+    return (V[0, 0], Q[0, 0]), pi[0, 0]
 
 
 def policy_value(mdp: TabularMDP, pi, gamma: float) -> float:
     """Exact expected decayed return from state 0 by backward induction."""
-    V = _evaluate(mdp, validate_policy(mdp, pi)[None], [gamma])
-    return float(V[0, 0, 0])
+    V = _evaluate(mdp.P[None], mdp.r[None], validate_policy(mdp, pi)[None, None], [gamma])
+    return float(V[0, 0, 0, 0])
 
 
 def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float,
@@ -165,7 +193,7 @@ def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float
     deterministic transitions the residual is zero up to roundoff.
     """
     ref = _ref_table(mdp, pi_ref)
-    (V,), (pi_star,) = _soft_backup(mdp, ref, beta, [gamma])
+    ((V,),), ((pi_star,),) = _soft_backup(mdp.P[None], mdp.r[None], ref, beta, [gamma])
     if not 1 <= len(trajectory) <= mdp.H:
         raise ValueError("trajectory length must be in [1, H]")
     for t, (s, a) in enumerate(trajectory):
@@ -210,39 +238,42 @@ class SuboptimalityReport:
     tv_expectation: float = 0.0
 
 
-def _reports(mdp: TabularMDP, pis: np.ndarray, gammas, bound: bool):
-    """Reports of pis[1 + i] against pi* = pis[0] at gammas[i]: the
-    decomposition and, with ``bound``, the occupancy TV and the bound
-    terms, for which pis[1:] is overwritten with |pis[1:] - pis[0]|."""
+def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool):
+    """Per stacked MDP b, the reports of pis[b, 1 + i] against
+    pi* = pis[b, 0] at gammas[i]: the decomposition and, with ``bound``, the
+    occupancy TV and the bound terms, for which pis[:, 1:] is overwritten
+    with |pis[:, 1:] - pis[:, 0]|."""
     if bound and not all(0 < g <= 1 for g in gammas):
         raise ValueError("gamma must be in (0, 1]")
-    V = _evaluate(mdp, pis, [1.0, *gammas])[:, :, 0]
+    H = pis.shape[2]
+    V = _evaluate(P, r, pis, [1.0, *gammas])[..., 0]
     i = np.arange(1, len(gammas) + 1)
-    v1_star, vg_star, vg, v1 = V[0, 0], V[0, i], V[i, i], V[i, 0]
-    reports = [SuboptimalityReport(gamma, *map(float, deltas)) for gamma, *deltas in zip(
-        gammas, v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1)]
+    v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, i], V[:, i, i], V[:, i, 0]
+    columns = [v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1]
     if bound:
-        gaps = np.abs(np.subtract(pis[1:], pis[0], out=pis[1:]), out=pis[1:])
-        tvs = 0.5 * np.einsum("hs,khsa->k", _visitation(mdp, pis[0]), gaps) / mdp.H
-        for rep, tv in zip(reports, tvs):
-            g = discount_horizon(rep.gamma, mdp.H)
-            rep.tv_expectation = float(tv)
-            rep.bound_term1 = 2.0 * (mdp.H - g) * mdp.R
-            rep.bound_term2 = 2.0 * g * g * rep.tv_expectation * mdp.R
-            rep.bound_total = rep.bound_term1 + rep.bound_term2
-    return reports
+        gaps = np.abs(np.subtract(pis[:, 1:], pis[:, :1], out=pis[:, 1:]), out=pis[:, 1:])
+        # products of one MDP's matrices only, so a row does not depend on its stack
+        B, K, _, S, A = gaps.shape
+        d = _visitation(P, pis[:, 0]).reshape(B, 1, 1, H * S)
+        tv = 0.5 * (d @ gaps.reshape(B, K, H * S, A)).sum(axis=(2, 3)) / H
+        g = np.array([discount_horizon(gamma, H) for gamma in gammas])
+        term1 = 2.0 * (H - g) * R[:, None]
+        term2 = 2.0 * g * g * tv * R[:, None]
+        columns += [term1, term2, term1 + term2, tv]
+    return [[SuboptimalityReport(gamma, *row) for gamma, row in zip(gammas, rows)]
+            for rows in np.stack(columns, axis=2).tolist()]
 
 
 def suboptimality_decompose(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
     the policy-gap term at discount gamma (evaluation discount fixed at 1)."""
     pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(mdp, pis, [gamma], bound=False)[0]
+    return _reports(*_stack([mdp]), pis[None], [gamma], bound=False)[0][0]
 
 
 def state_visitation(mdp: TabularMDP, pi) -> np.ndarray:
     """d[t, s]: probability of being in s at step t under pi, from state 0."""
-    return _visitation(mdp, validate_policy(mdp, pi))
+    return _visitation(mdp.P[None], validate_policy(mdp, pi)[None])[0]
 
 
 def occupancy_tv(mdp: TabularMDP, pi_star, pi) -> float:
@@ -262,12 +293,14 @@ def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float) -> Suboptima
     """Full report: deltas, occupancy TV, and the two bound terms
     2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
     pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(mdp, pis, [gamma], bound=True)[0]
+    return _reports(*_stack([mdp]), pis[None], [gamma], bound=True)[0][0]
 
 
-def verify_bounds(mdp: TabularMDP, pi_ref, beta: float, gammas) -> list[SuboptimalityReport]:
-    """suboptimality_bound of the soft optimum at each gamma against pi*, the
-    one at gamma = 1, from a single backup of [1, *gammas]."""
+def verify_bounds(mdps, pi_ref, beta: float, gammas) -> list[list[SuboptimalityReport]]:
+    """Per MDP of ``mdps``, a non-empty list of MDPs of one (S, A, H), the
+    suboptimality_bound of the soft optimum at each gamma against pi*, the
+    one at gamma = 1; one backup of [1, *gammas] serves the whole stack."""
+    P, r, R = _stack(mdps)
     gammas = [float(g) for g in gammas]
-    _, pis = _soft_backup(mdp, _ref_table(mdp, pi_ref), beta, [1.0, *gammas])
-    return _reports(mdp, pis, gammas, bound=True)
+    _, pis = _soft_backup(P, r, _ref_table(mdps[0], pi_ref), beta, [1.0, *gammas])
+    return _reports(P, r, R, pis, gammas, bound=True)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from conftest import BAD_MANIFEST_FIELDS, MISFITS, misfit_params, write_raw_checkpoint
-from decaypo import analysis, cli, data, model as model_module, training
+from decaypo import analysis, cli, data, mdp, model as model_module, training
 from decaypo.cli import COMMANDS, main
 from decaypo.config import atomic_write
 from decaypo.data import load_pairs
@@ -14,6 +15,8 @@ from decaypo.training import Checkpoint, save_checkpoint
 
 SMALL_ARCH = ["--dim", "16", "--context", "48", "--blocks", "2"]
 SMALL_CORPUS = ["--n-prompts", "6", "--min-target-len", "3", "--max-target-len", "6"]
+MDP_HEADER = ("seed", "gamma", "delta1", "delta2", "delta3", "subopt", "term1", "term2",
+              "bound", "tv", "holds")
 
 
 @pytest.fixture(scope="module")
@@ -629,6 +632,50 @@ class TestMdpVerify:
         assert lines[0].startswith("seed,gamma,delta1")
         assert len(lines) == 13
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_zero_seeds_write_the_header_only(self, tmp_path, capsys):
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "0", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"rows": 0, "violations": 0}
+        assert out.read_text() == ",".join(MDP_HEADER) + "\n"
+
+    def test_rows_do_not_depend_on_the_stack(self, tmp_path, monkeypatch, capsys):
+        sizes, verify_bounds = [], mdp.verify_bounds
+
+        def counted(mdps, *args):
+            sizes.append(len(mdps))
+            return verify_bounds(mdps, *args)
+
+        monkeypatch.setattr(mdp, "verify_bounds", counted)
+        args = ["mdp-verify", "--seeds", "100", "--states", "4", "--actions", "3",
+                "--horizon", "8"]
+        assert main([*args, "--out", str(tmp_path / "stacked.csv")]) == 0
+        assert sizes == [100]  # 576 policy elements per MDP
+        monkeypatch.setattr(mdp, "STACK_ELEMENTS", 1)
+        assert main([*args, "--out", str(tmp_path / "single.csv")]) == 0
+        assert sizes == [100] + [1] * 100
+        capsys.readouterr()
+        stacked, single = (np.array(analysis.read_csv(tmp_path / name, MDP_HEADER), dtype=float)
+                           for name in ("stacked.csv", "single.csv"))
+        worst = float(np.max(np.abs(stacked - single)))
+        print(f"max deviation between a stack of 100 and stacks of one: {worst:.2e}")
+        assert stacked.shape == (500, 11) and worst <= 1e-12
+
+    def test_one_mdp_per_stack_matches_per_seed_verify_bounds(self, tmp_path, capsys):
+        # 6 * 128 * 16 * 8 policy elements exceed STACK_ELEMENTS: one MDP per stack
+        S, A, H, gammas = 16, 8, 128, [0.5, 0.9, 0.95, 0.98, 1.0]
+        assert (1 + len(gammas)) * H * S * A > mdp.STACK_ELEMENTS
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "2", "--states", str(S), "--actions", str(A),
+                     "--horizon", str(H), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = analysis.read_csv(out, MDP_HEADER)
+        expected = []
+        for seed in range(2):
+            m = mdp.random_mdp(S, A, H, 1.0, seed)
+            [reports] = mdp.verify_bounds([m], mdp.uniform_policy(m), 0.3, gammas)
+            expected += [[str(seed), *map(repr, astuple(rep))] for rep in reports]
+        assert [row[:-1] for row in rows] == expected  # bit for bit
 
 
     @pytest.mark.parametrize("key,text", [("beta", "0"), ("beta", "-0.3"),

@@ -368,8 +368,8 @@ class TestStackedCoreEquivalence:
                 worst = max(worst, _deviation(V, V_o), _deviation(Q, Q_o),
                             _deviation(pi, pi_o))
                 # every state's value, not only the start state's
-                worst = max(worst, _deviation(mdp._evaluate(m, pi_o[None], [gamma])[0, 0],
-                                              oracle_policy_value(m, pi_o, gamma)),
+                V_all = mdp._evaluate(m.P[None], m.r[None], pi_o[None, None], [gamma])
+                worst = max(worst, _deviation(V_all[0, 0, 0], oracle_policy_value(m, pi_o, gamma)),
                             abs(policy_value(m, pi_o, gamma)
                                 - oracle_policy_value(m, pi_o, gamma)[0]))
                 if gamma == 0.0:
@@ -387,11 +387,12 @@ class TestStackedCoreEquivalence:
     @pytest.mark.parametrize("S,A,H,seeds", SHAPES)
     def test_verify_bounds_matches_per_gamma_bounds(self, S, A, H, seeds):
         worst = 0.0
-        for seed in range(seeds):
-            m = random_mdp(S, A, H, 1.0, seed=seed)
-            ref = uniform_policy(m)
-            beta = 0.3
-            reports = verify_bounds(m, ref, beta, GAMMAS)
+        mdps = [random_mdp(S, A, H, 1.0, seed=seed) for seed in range(seeds)]
+        ref = uniform_policy(mdps[0])
+        beta = 0.3
+        stack = verify_bounds(mdps, ref, beta, GAMMAS)  # every seed in one stack
+        assert len(stack) == seeds
+        for m, reports in zip(mdps, stack):
             assert [r.gamma for r in reports] == GAMMAS
             _, pi_star = soft_value_iteration(m, ref, beta, 1.0)
             _, _, pi_star_o = oracle_soft_value_iteration(m, ref, beta, 1.0)
@@ -407,15 +408,38 @@ class TestStackedCoreEquivalence:
 
     def test_repeated_gammas_give_the_same_rows(self):
         m = random_mdp(4, 3, 8, 1.0, seed=3)
-        a, b, c = verify_bounds(m, uniform_policy(m), 0.3, [0.9, 0.7, 0.9])
+        [(a, b, c)] = verify_bounds([m], uniform_policy(m), 0.3, [0.9, 0.7, 0.9])
         assert _deviation(astuple(a), astuple(c)) <= 1e-12
         assert _deviation(astuple(a), astuple(b)) > 1e-3
+
+    def test_stack_rows_equal_stacks_of_one(self):
+        # each MDP keeps its own reward bound R inside the stack
+        mdps = [random_mdp(5, 2, 12, R, seed=seed) for seed, R in enumerate((0.5, 1.0, 2.0, 3.5))]
+        ref = uniform_policy(mdps[0])
+        stack = verify_bounds(mdps, ref, 0.3, GAMMAS)
+        for m, reports in zip(mdps, stack):
+            [alone] = verify_bounds([m], ref, 0.3, GAMMAS)
+            assert [astuple(r) for r in reports] == [astuple(r) for r in alone]  # bit for bit
+            assert all(r.bound_term1 == 2.0 * (m.H - discount_horizon(r.gamma, m.H)) * m.R
+                       for r in reports)
+
+    def test_verify_bounds_rejects_an_empty_stack(self):
+        m = random_mdp(2, 2, 3, 1.0, seed=0)
+        with pytest.raises(ValueError, match="at least one MDP"):
+            verify_bounds([], uniform_policy(m), 0.3, [0.9])
+
+    @pytest.mark.parametrize("other", [(3, 2, 3), (2, 3, 3), (2, 2, 4)])
+    def test_verify_bounds_rejects_mixed_shapes(self, other):
+        m = random_mdp(2, 2, 3, 1.0, seed=0)
+        mixed = [m, random_mdp(*other, 1.0, seed=1), m]
+        with pytest.raises(ValueError, match=r"same \(S, A, H\): MDP 1 has"):
+            verify_bounds(mixed, uniform_policy(m), 0.3, [0.9])
 
     def test_verify_bounds_rejects_gamma_outside_unit_interval(self):
         m = random_mdp(2, 2, 3, 1.0, seed=0)
         for gammas in ([0.0], [0.5, 1.5], [-0.1]):
             with pytest.raises(ValueError, match="gamma"):
-                verify_bounds(m, uniform_policy(m), 0.3, gammas)
+                verify_bounds([m], uniform_policy(m), 0.3, gammas)
 
 
 class TestDeterministicTransitions:
@@ -457,7 +481,7 @@ PUBLIC_ENTRIES = {
     "soft_value_iteration": lambda m, bad, good: soft_value_iteration(m, bad, 0.3, 0.9),
     "trajectory_identity_check": lambda m, bad, good: trajectory_identity_check(
         m, bad, 0.3, 0.9, [(0, 0)]),
-    "verify_bounds": lambda m, bad, good: verify_bounds(m, bad, 0.3, [0.9]),
+    "verify_bounds": lambda m, bad, good: verify_bounds([m], bad, 0.3, [0.9]),
 }
 
 
