@@ -150,17 +150,12 @@ def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGa
             for (lo, hi), total, count in zip(edges, sums, counts) if count]
 
 
-def _cell(value) -> str:
-    # repr of a Python float round-trips exactly; numpy scalars repr as np.float64(...)
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
-
-
 def write_csv(path, header, rows) -> None:
-    """The one CSV format: the header, then one line per row; floats are
-    written as ``repr(float(x))``, other values with ``str``."""
+    """The one CSV format: the header, then one line per row, every cell
+    written with ``str`` (for a float or float64, repr of the float)."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def read_csv(path, header) -> list[list[str]]:

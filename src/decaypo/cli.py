@@ -226,13 +226,13 @@ def _cmd_mdp_verify(r: dict) -> int:
     violations = 0
     for first in range(0, r["seeds"], per_stack):
         seeds = range(first, min(first + per_stack, r["seeds"]))
-        mdps = [mdp.random_mdp(*shape, r["reward-bound"], seed) for seed in seeds]
-        stack = mdp.verify_bounds(mdps, mdp.uniform_policy(mdps[0]), r["beta"], gammas)
-        for seed, reports in zip(seeds, stack):
-            for rep in reports:
-                holds = int(rep.subopt <= rep.bound_total + 1e-9)
-                violations += 1 - holds
-                rows.append((seed, *vars(rep).values(), holds))
+        stack = mdp.random_stack(*shape, r["reward-bound"], seeds)
+        reports = mdp.verify_bounds(stack, mdp.uniform_policy(stack), r["beta"], gammas)
+        holds = (reports[..., 3] <= reports[..., 6] + 1e-9).astype(int)  # subopt <= bound_total
+        violations += holds.size - int(holds.sum())
+        rows += [(seed, gamma, *fields, hold)
+                 for seed, stack_rows, stack_holds in zip(seeds, reports.tolist(), holds.tolist())
+                 for gamma, fields, hold in zip(gammas, stack_rows, stack_holds)]
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("seed", "gamma", "delta1", "delta2", "delta3", "subopt", "term1", "term2",
             "bound", "tv", "holds"), rows))

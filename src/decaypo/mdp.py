@@ -22,31 +22,47 @@ class TabularMDP:
     H: int
     R: float
 
+    S = property(lambda self: self.P.shape[-3])
+    A = property(lambda self: self.P.shape[-2])
+
     def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=np.float64)
-        self.r = np.asarray(self.r, dtype=np.float64)
-        S, A, S2 = self.P.shape
-        if S2 != S or self.r.shape != (S, A):
+        self.P, self.r = np.asarray(self.P, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
+        MDPStack(self.P[None], self.r[None], self.H, np.array([self.R]))  # checks a stack of one
+
+
+@dataclass
+class MDPStack:
+    """B MDPs of one (S, A, H), each with its own reward bound; every
+    episode starts in state 0."""
+
+    P: np.ndarray        # (B, S, A, S) transition probabilities
+    r: np.ndarray        # (B, S, A) rewards, |r[b]| <= R[b]
+    H: int
+    R: np.ndarray        # (B,) reward bounds
+
+    S, A = TabularMDP.S, TabularMDP.A
+
+    def __post_init__(self):
+        self.P, self.r, self.R = (np.asarray(x, dtype=np.float64) for x in (self.P, self.r, self.R))
+        B, S, A, S2 = self.P.shape
+        if B < 1:
+            raise ValueError("a stack needs at least one MDP")
+        if S2 != S or self.r.shape != (B, S, A) or self.R.shape != (B,):
             raise ValueError("inconsistent transition/reward shapes")
         if self.H < 1:
             raise ValueError("horizon must be >= 1")
-        for name in ("P", "r"):  # NaN would pass every comparison below
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if np.max(np.abs(np.sum(self.P, axis=2) - 1.0)) > 1e-12:
-            raise ValueError("transition rows must sum to 1")
-        if np.any(self.P < 0):
-            raise ValueError("transition probabilities must be nonnegative")
-        if np.max(np.abs(self.r)) > self.R + 1e-12:
-            raise ValueError("rewards exceed the stated bound R")
-
-    @property
-    def S(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def A(self) -> int:
-        return self.P.shape[1]
+        P, r, R = self.P, self.r, self.R[:, None, None]
+        for message, check in {
+                "P must be finite": lambda: np.isfinite(P),  # NaN would pass every later check
+                "r must be finite": lambda: np.isfinite(r),
+                "transition rows must sum to 1": lambda: np.abs(P.sum(axis=3) - 1.0) <= 1e-12,
+                "transition probabilities must be nonnegative": lambda: P >= 0,
+                "rewards exceed the stated bound R": lambda: np.abs(r) <= R + 1e-12,
+        }.items():
+            ok = check()
+            if not ok.all():
+                raise ValueError(message if B == 1 else
+                                 f"{message} (MDP {np.argwhere(~ok)[0, 0]} of the stack)")
 
 
 def validate_policy(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
@@ -63,6 +79,18 @@ def uniform_policy(mdp: TabularMDP) -> np.ndarray:
     return np.full((mdp.H, mdp.S, mdp.A), 1.0 / mdp.A)
 
 
+def _draw(S: int, A: int, H: int, R: float, seed: int, deterministic: bool):
+    """P (S, A, S) and r (S, A) of one MDP, from its own generator rng(seed)."""
+    if S < 1 or A < 1 or H < 1 or not R > 0:
+        raise ValueError("require S, A, H >= 1 and R > 0")
+    draw = rng(seed)
+    if deterministic:
+        P = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
+    else:
+        P = draw.dirichlet(np.ones(S), size=(S, A))
+    return P, draw.uniform(-R, R, size=(S, A))
+
+
 def random_mdp(S: int, A: int, H: int, R: float, seed: int,
                deterministic: bool = False) -> TabularMDP:
     """Dirichlet transitions and uniform rewards in [-R, R].
@@ -71,15 +99,17 @@ def random_mdp(S: int, A: int, H: int, R: float, seed: int,
     reward identity telescopes exactly only in that regime (token-level
     MDPs are deterministic).
     """
-    if S < 1 or A < 1 or H < 1 or not R > 0:
-        raise ValueError("require S, A, H >= 1 and R > 0")
-    draw = rng(seed)
-    if deterministic:
-        P = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
-    else:
-        P = draw.dirichlet(np.ones(S), size=(S, A))
-    r = draw.uniform(-R, R, size=(S, A))
-    return TabularMDP(P=P, r=r, H=H, R=R)
+    return TabularMDP(*_draw(S, A, H, R, seed, deterministic), H=H, R=R)
+
+
+def random_stack(S: int, A: int, H: int, R: float, seeds,
+                 deterministic: bool = False) -> MDPStack:
+    """MDP b is random_mdp(S, A, H, R, seeds[b]), drawn straight into the
+    stack's arrays and checked with the others in one pass."""
+    P, r = np.empty((len(seeds), S, A, S)), np.empty((len(seeds), S, A))
+    for b, seed in enumerate(seeds):
+        P[b], r[b] = _draw(S, A, H, R, seed, deterministic)
+    return MDPStack(P=P, r=r, H=H, R=np.full(len(seeds), float(R)))
 
 
 def _ref_table(mdp: TabularMDP, pi_ref) -> np.ndarray:
@@ -92,22 +122,6 @@ def _ref_table(mdp: TabularMDP, pi_ref) -> np.ndarray:
 # The most elements of the (B, G, H, S, A) policy tensor that one stack of
 # MDPs may fill; mdp-verify verifies as many same-shape MDPs together as fit.
 STACK_ELEMENTS = 2 ** 16
-
-
-def _stack(mdps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P (B, S, A, S), r (B, S, A) and R (B,) of a non-empty list of MDPs
-    that share (S, A, H)."""
-    if not mdps:
-        raise ValueError("a stack needs at least one MDP")
-    shapes = [(m.S, m.A, m.H) for m in mdps]
-    odd = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
-    if odd is not None:
-        raise ValueError(f"every MDP of a stack must have the same (S, A, H): "
-                         f"MDP {odd} has {shapes[odd]}, MDP 0 has {shapes[0]}")
-    R = np.array([m.R for m in mdps])
-    if len(mdps) == 1:  # views: a stack of one copies nothing
-        return mdps[0].P[None], mdps[0].r[None], R
-    return np.stack([m.P for m in mdps]), np.stack([m.r for m in mdps]), R
 
 
 def _soft_backup(P, r, ref: np.ndarray, beta: float, gammas, Q=None):
@@ -238,48 +252,39 @@ class SuboptimalityReport:
     tv_expectation: float = 0.0
 
 
-def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool):
-    """Per stacked MDP b, the reports of pis[b, 1 + i] against
-    pi* = pis[b, 0] at gammas[i]: the decomposition and, with ``bound``, the
-    occupancy TV and the bound terms, for which pis[:, 1:] is overwritten
-    with |pis[:, 1:] - pis[:, 0]|."""
+def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool) -> np.ndarray:
+    """reports[b, i] (B, G, 8): the SuboptimalityReport fields after gamma of
+    pis[b, 1 + i] against pi* = pis[b, 0] at gammas[i] in stacked MDP b: the
+    decomposition and, with ``bound``, the bound terms and occupancy TV (else
+    zeros), for which pis[:, 1:] is overwritten with |pis[:, 1:] - pis[:, 0]|."""
     if bound and not all(0 < g <= 1 for g in gammas):
         raise ValueError("gamma must be in (0, 1]")
-    H = pis.shape[2]
     V = _evaluate(P, r, pis, [1.0, *gammas])[..., 0]
-    i = np.arange(1, len(gammas) + 1)
-    v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, i], V[:, i, i], V[:, i, 0]
+    v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, 1:], V[:, 1:, 1:].diagonal(0, 1, 2), V[:, 1:, 0]
     columns = [v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1]
     if bound:
         gaps = np.abs(np.subtract(pis[:, 1:], pis[:, :1], out=pis[:, 1:]), out=pis[:, 1:])
         # products of one MDP's matrices only, so a row does not depend on its stack
-        B, K, _, S, A = gaps.shape
+        B, K, H, S, A = gaps.shape
         d = _visitation(P, pis[:, 0]).reshape(B, 1, 1, H * S)
         tv = 0.5 * (d @ gaps.reshape(B, K, H * S, A)).sum(axis=(2, 3)) / H
         g = np.array([discount_horizon(gamma, H) for gamma in gammas])
         term1 = 2.0 * (H - g) * R[:, None]
         term2 = 2.0 * g * g * tv * R[:, None]
         columns += [term1, term2, term1 + term2, tv]
-    return [[SuboptimalityReport(gamma, *row) for gamma, row in zip(gammas, rows)]
-            for rows in np.stack(columns, axis=2).tolist()]
+    return np.stack(columns + [np.zeros_like(v1)] * (8 - len(columns)), axis=2)
+
+
+def _report(mdp: TabularMDP, pi_star, pi, gamma: float, bound: bool) -> SuboptimalityReport:
+    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
+    row = _reports(mdp.P[None], mdp.r[None], np.array([mdp.R]), pis[None], [gamma], bound)
+    return SuboptimalityReport(gamma, *row[0, 0].tolist())
 
 
 def suboptimality_decompose(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
     the policy-gap term at discount gamma (evaluation discount fixed at 1)."""
-    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(*_stack([mdp]), pis[None], [gamma], bound=False)[0][0]
-
-
-def state_visitation(mdp: TabularMDP, pi) -> np.ndarray:
-    """d[t, s]: probability of being in s at step t under pi, from state 0."""
-    return _visitation(mdp.P[None], validate_policy(mdp, pi)[None])[0]
-
-
-def occupancy_tv(mdp: TabularMDP, pi_star, pi) -> float:
-    """Expected TV distance between the policies under pi*'s visitation,
-    averaged uniformly (undiscounted) over the H timesteps."""
-    return suboptimality_bound(mdp, pi_star, pi, 1.0).tv_expectation
+    return _report(mdp, pi_star, pi, gamma, bound=False)
 
 
 def discount_horizon(gamma: float, H: int) -> float:
@@ -292,15 +297,14 @@ def discount_horizon(gamma: float, H: int) -> float:
 def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Full report: deltas, occupancy TV, and the two bound terms
     2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
-    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    return _reports(*_stack([mdp]), pis[None], [gamma], bound=True)[0][0]
+    return _report(mdp, pi_star, pi, gamma, bound=True)
 
 
-def verify_bounds(mdps, pi_ref, beta: float, gammas) -> list[list[SuboptimalityReport]]:
-    """Per MDP of ``mdps``, a non-empty list of MDPs of one (S, A, H), the
-    suboptimality_bound of the soft optimum at each gamma against pi*, the
-    one at gamma = 1; one backup of [1, *gammas] serves the whole stack."""
-    P, r, R = _stack(mdps)
+def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
+    """reports[b, i] (B, G, 8): the fields after gamma of the
+    suboptimality_bound of the soft optimum at gammas[i] against pi*, the
+    one at gamma = 1, in MDP b of ``stack``; one backup of [1, *gammas]
+    serves the whole stack."""
     gammas = [float(g) for g in gammas]
-    _, pis = _soft_backup(P, r, _ref_table(mdps[0], pi_ref), beta, [1.0, *gammas])
-    return _reports(P, r, R, pis, gammas, bound=True)
+    _, pis = _soft_backup(stack.P, stack.r, _ref_table(stack, pi_ref), beta, [1.0, *gammas])
+    return _reports(stack.P, stack.r, stack.R, pis, gammas, bound=True)

@@ -242,3 +242,14 @@ class TestCsvRoundTrips:
         rows = analysis.read_csv(path, ("value", "density"))
         assert np.array_equal([float(c) for c, _ in rows], hist.centers)
         assert np.array_equal([float(d) for _, d in rows], hist.density)
+
+    def test_float64_and_python_float_cells_are_the_same_bytes(self, tmp_path):
+        values = [0.0, -0.0, 0.1, 1 / 3, 1e16, 1e-30, 1e30, 5e-324, 1.7976931348623157e308,
+                  -2.5e-7, 123456789.0, np.inf, -np.inf, np.nan]
+        rows = [(i, v, -v) for i, v in enumerate(values)]
+        analysis.write_csv(tmp_path / "py.csv", ("i", "v", "w"), rows)
+        analysis.write_csv(tmp_path / "np.csv", ("i", "v", "w"),
+                           [(np.int64(i), np.float64(v), np.float64(w)) for i, v, w in rows])
+        text = (tmp_path / "py.csv").read_text()
+        assert (tmp_path / "np.csv").read_text() == text
+        assert text.splitlines()[1:] == [f"{i},{v!r},{w!r}" for i, v, w in rows]

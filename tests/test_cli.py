@@ -642,9 +642,9 @@ class TestMdpVerify:
     def test_rows_do_not_depend_on_the_stack(self, tmp_path, monkeypatch, capsys):
         sizes, verify_bounds = [], mdp.verify_bounds
 
-        def counted(mdps, *args):
-            sizes.append(len(mdps))
-            return verify_bounds(mdps, *args)
+        def counted(stack, *args):
+            sizes.append(len(stack.P))
+            return verify_bounds(stack, *args)
 
         monkeypatch.setattr(mdp, "verify_bounds", counted)
         args = ["mdp-verify", "--seeds", "100", "--states", "4", "--actions", "3",
@@ -672,10 +672,47 @@ class TestMdpVerify:
         rows = analysis.read_csv(out, MDP_HEADER)
         expected = []
         for seed in range(2):
-            m = mdp.random_mdp(S, A, H, 1.0, seed)
-            [reports] = mdp.verify_bounds([m], mdp.uniform_policy(m), 0.3, gammas)
-            expected += [[str(seed), *map(repr, astuple(rep))] for rep in reports]
+            stack = mdp.random_stack(S, A, H, 1.0, [seed])
+            [reports] = mdp.verify_bounds(stack, mdp.uniform_policy(stack), 0.3, gammas)
+            expected += [[str(seed), repr(gamma), *map(repr, fields)]
+                         for gamma, fields in zip(gammas, reports.tolist())]
         assert [row[:-1] for row in rows] == expected  # bit for bit
+
+    def test_holds_compares_subopt_with_the_bound_total(self, tmp_path, monkeypatch, capsys):
+        reports = np.zeros((1, 3, 8))
+        reports[0, :, 3] = [2.0, 1.0 + 5e-10, 0.5]  # subopt: above, within 1e-9 of, below
+        reports[0, :, 6] = 1.0                      # bound_total
+        reports[0, :, 5] = 0.1                      # term2, below every subopt
+        monkeypatch.setattr(mdp, "verify_bounds", lambda *args: reports)
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "1", "--gammas", "0.5,0.9,1.0",
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"rows": 3, "violations": 1}
+        assert [row[-1] for row in analysis.read_csv(out, MDP_HEADER)] == ["0", "1", "1"]
+
+    def test_csv_text_is_repr_of_each_seed_s_reports(self, tmp_path, capsys):
+        gammas = [0.5, 0.9, 0.95, 0.98, 1.0]
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "10", "--states", "4", "--actions", "3",
+                     "--horizon", "8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines, worst = [",".join(MDP_HEADER)], 0.0
+        for seed in range(10):
+            m = mdp.random_mdp(4, 3, 8, 1.0, seed)
+            ref = mdp.uniform_policy(m)
+            [reports] = mdp.verify_bounds(mdp.random_stack(4, 3, 8, 1.0, [seed]), ref, 0.3, gammas)
+            _, pi_star = mdp.soft_value_iteration(m, ref, 0.3, 1.0)
+            for gamma, fields in zip(gammas, reports.tolist()):
+                rep = mdp.suboptimality_bound(
+                    m, pi_star, mdp.soft_value_iteration(m, ref, 0.3, gamma)[1], gamma)
+                worst = max(worst, float(np.max(np.abs(np.subtract(astuple(rep)[1:], fields)))))
+                holds = int(rep.subopt <= rep.bound_total + 1e-9)
+                lines.append(",".join([str(seed), repr(gamma), *map(repr, fields), str(holds)]))
+        # one discount at a time rounds differently from a stacked backup and
+        # evaluation of all of them, in the last bits only (observed: 7.3e-15)
+        print(f"max deviation from per-gamma reports: {worst:.2e}")
+        assert worst <= 1e-12
+        assert out.read_text() == "\n".join(lines) + "\n"  # byte for byte
 
 
     @pytest.mark.parametrize("key,text", [("beta", "0"), ("beta", "-0.3"),

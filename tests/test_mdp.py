@@ -5,12 +5,17 @@ import pytest
 from scipy.special import logsumexp
 
 from decaypo import mdp
-from decaypo.mdp import (TabularMDP, discount_horizon, enumerate_trajectories,
-                         occupancy_tv, policy_value, random_mdp,
-                         soft_value_iteration, state_visitation,
-                         suboptimality_decompose, suboptimality_bound,
-                         trajectory_identity_check, uniform_policy,
-                         validate_policy, verify_bounds)
+from decaypo.mdp import (MDPStack, TabularMDP, discount_horizon, enumerate_trajectories,
+                         policy_value, random_mdp, random_stack,
+                         soft_value_iteration, suboptimality_decompose,
+                         suboptimality_bound, trajectory_identity_check,
+                         uniform_policy, validate_policy, verify_bounds)
+
+
+def stack_of(*mdps):
+    """The stack of the given same-shape MDPs, each keeping its own R."""
+    return MDPStack(P=np.stack([m.P for m in mdps]), r=np.stack([m.r for m in mdps]),
+                    H=mdps[0].H, R=np.array([m.R for m in mdps]))
 
 
 class TestTabularMDP:
@@ -203,7 +208,7 @@ class TestOccupancy:
     def test_identical_policies(self):
         m = random_mdp(3, 2, 4, 1.0, seed=15)
         pi = uniform_policy(m)
-        assert occupancy_tv(m, pi, pi) == 0.0
+        assert suboptimality_bound(m, pi, pi, 1.0).tv_expectation == 0.0
 
     def test_total_disagreement(self):
         m = random_mdp(3, 2, 4, 1.0, seed=16)
@@ -211,12 +216,12 @@ class TestOccupancy:
         b = np.zeros((m.H, m.S, m.A))
         a[:, :, 0] = 1.0
         b[:, :, 1] = 1.0
-        assert occupancy_tv(m, a, b) == pytest.approx(1.0, abs=1e-12)
+        assert suboptimality_bound(m, a, b, 1.0).tv_expectation == pytest.approx(1.0, abs=1e-12)
 
     def test_visitation_matches_path_enumeration(self):
         m = random_mdp(3, 2, 3, 1.0, seed=17)
         _, pi = soft_value_iteration(m, uniform_policy(m), 0.5, 0.9)
-        d = state_visitation(m, pi)
+        d = mdp._visitation(m.P[None], pi[None])[0]
         # brute force: sum over all (action, state) paths
         expected = np.zeros((m.H, m.S))
         expected[0, 0] = 1.0
@@ -236,7 +241,7 @@ class TestOccupancy:
             ref = uniform_policy(m)
             _, a = soft_value_iteration(m, ref, 0.2, 1.0)
             _, b = soft_value_iteration(m, ref, 0.2, 0.5)
-            assert 0.0 <= occupancy_tv(m, a, b) <= 1.0
+            assert 0.0 <= suboptimality_bound(m, a, b, 1.0).tv_expectation <= 1.0
 
 
 class TestTheorem1:
@@ -379,67 +384,67 @@ class TestStackedCoreEquivalence:
                             _deviation(astuple(suboptimality_bound(m, pi_star, pi_o, gamma)),
                                        expected),
                             _deviation(astuple(suboptimality_decompose(
-                                m, pi_star, pi_o, gamma))[1:5], expected[1:5]),
-                            abs(occupancy_tv(m, pi_star, pi_o) - expected[-1]))
+                                m, pi_star, pi_o, gamma))[1:5], expected[1:5]))
         print(f"max deviation from the per-discount oracle: {worst:.2e}")
         assert worst <= 1e-12, worst
 
     @pytest.mark.parametrize("S,A,H,seeds", SHAPES)
     def test_verify_bounds_matches_per_gamma_bounds(self, S, A, H, seeds):
         worst = 0.0
-        mdps = [random_mdp(S, A, H, 1.0, seed=seed) for seed in range(seeds)]
-        ref = uniform_policy(mdps[0])
+        ref = uniform_policy(random_mdp(S, A, H, 1.0, seed=0))
         beta = 0.3
-        stack = verify_bounds(mdps, ref, beta, GAMMAS)  # every seed in one stack
-        assert len(stack) == seeds
-        for m, reports in zip(mdps, stack):
-            assert [r.gamma for r in reports] == GAMMAS
+        stack = verify_bounds(random_stack(S, A, H, 1.0, range(seeds)), ref, beta, GAMMAS)
+        assert stack.shape == (seeds, len(GAMMAS), 8)  # every seed in one stack
+        for seed, reports in enumerate(stack):
+            m = random_mdp(S, A, H, 1.0, seed=seed)
             _, pi_star = soft_value_iteration(m, ref, beta, 1.0)
             _, _, pi_star_o = oracle_soft_value_iteration(m, ref, beta, 1.0)
-            for gamma, rep in zip(GAMMAS, reports):
+            for gamma, fields in zip(GAMMAS, reports):
                 _, pi = soft_value_iteration(m, ref, beta, gamma)
                 per_gamma = suboptimality_bound(m, pi_star, pi, gamma)
                 _, _, pi_o = oracle_soft_value_iteration(m, ref, beta, gamma)
-                worst = max(worst, _deviation(astuple(rep), astuple(per_gamma)),
-                            _deviation(astuple(rep), oracle_report(m, pi_star_o, pi_o, gamma)))
-                assert rep.subopt <= rep.bound_total + 1e-9
+                rep = (gamma, *fields)
+                worst = max(worst, _deviation(rep, astuple(per_gamma)),
+                            _deviation(rep, oracle_report(m, pi_star_o, pi_o, gamma)))
+                assert fields[3] <= fields[6] + 1e-9  # subopt <= bound_total
         print(f"max deviation from per-gamma bounds and the oracle: {worst:.2e}")
         assert worst <= 1e-12, worst
 
     def test_repeated_gammas_give_the_same_rows(self):
         m = random_mdp(4, 3, 8, 1.0, seed=3)
-        [(a, b, c)] = verify_bounds([m], uniform_policy(m), 0.3, [0.9, 0.7, 0.9])
-        assert _deviation(astuple(a), astuple(c)) <= 1e-12
-        assert _deviation(astuple(a), astuple(b)) > 1e-3
+        [(a, b, c)] = verify_bounds(stack_of(m), uniform_policy(m), 0.3, [0.9, 0.7, 0.9])
+        assert _deviation(a, c) <= 1e-12
+        assert _deviation(a, b) > 1e-3
 
     def test_stack_rows_equal_stacks_of_one(self):
         # each MDP keeps its own reward bound R inside the stack
         mdps = [random_mdp(5, 2, 12, R, seed=seed) for seed, R in enumerate((0.5, 1.0, 2.0, 3.5))]
         ref = uniform_policy(mdps[0])
-        stack = verify_bounds(mdps, ref, 0.3, GAMMAS)
+        stack = verify_bounds(stack_of(*mdps), ref, 0.3, GAMMAS)
         for m, reports in zip(mdps, stack):
-            [alone] = verify_bounds([m], ref, 0.3, GAMMAS)
-            assert [astuple(r) for r in reports] == [astuple(r) for r in alone]  # bit for bit
-            assert all(r.bound_term1 == 2.0 * (m.H - discount_horizon(r.gamma, m.H)) * m.R
-                       for r in reports)
+            alone = verify_bounds(stack_of(m), ref, 0.3, GAMMAS)[0]
+            assert reports.tobytes() == alone.tobytes()  # bit for bit
+            assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R
+                       for gamma, fields in zip(GAMMAS, reports))  # bound_term1
 
     def test_verify_bounds_rejects_an_empty_stack(self):
-        m = random_mdp(2, 2, 3, 1.0, seed=0)
         with pytest.raises(ValueError, match="at least one MDP"):
-            verify_bounds([], uniform_policy(m), 0.3, [0.9])
+            random_stack(2, 2, 3, 1.0, [])
+        with pytest.raises(ValueError, match="at least one MDP"):
+            MDPStack(P=np.empty((0, 2, 2, 2)), r=np.empty((0, 2, 2)), H=3, R=np.empty(0))
 
     @pytest.mark.parametrize("other", [(3, 2, 3), (2, 3, 3), (2, 2, 4)])
     def test_verify_bounds_rejects_mixed_shapes(self, other):
-        m = random_mdp(2, 2, 3, 1.0, seed=0)
-        mixed = [m, random_mdp(*other, 1.0, seed=1), m]
-        with pytest.raises(ValueError, match=r"same \(S, A, H\): MDP 1 has"):
-            verify_bounds(mixed, uniform_policy(m), 0.3, [0.9])
+        # a stack holds one (S, A, H), and its reference policy must have it too
+        stack = random_stack(2, 2, 3, 1.0, range(3))
+        with pytest.raises(ValueError, match="policy shape"):
+            verify_bounds(stack, uniform_policy(random_mdp(*other, 1.0, seed=1)), 0.3, [0.9])
 
     def test_verify_bounds_rejects_gamma_outside_unit_interval(self):
-        m = random_mdp(2, 2, 3, 1.0, seed=0)
+        stack = random_stack(2, 2, 3, 1.0, [0])
         for gammas in ([0.0], [0.5, 1.5], [-0.1]):
             with pytest.raises(ValueError, match="gamma"):
-                verify_bounds([m], uniform_policy(m), 0.3, gammas)
+                verify_bounds(stack, uniform_policy(stack), 0.3, gammas)
 
 
 class TestDeterministicTransitions:
@@ -459,6 +464,66 @@ class TestDeterministicTransitions:
             assert m.r.tobytes() == r.tobytes()
 
 
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("S,A,H,seeds", [(4, 3, 8, range(100)), (64, 16, 64, [0, 7, 9])])
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_every_mdp_equals_random_mdp_of_its_seed(self, S, A, H, seeds, deterministic):
+        stack = random_stack(S, A, H, 2.5, seeds, deterministic)
+        assert stack.P.shape == (len(seeds), S, A, S) and stack.r.shape == (len(seeds), S, A)
+        assert stack.R.tolist() == [2.5] * len(seeds)
+        for b, seed in enumerate(seeds):
+            m = random_mdp(S, A, H, 2.5, seed, deterministic)
+            assert stack.P[b].tobytes() == m.P.tobytes()  # bit for bit
+            assert stack.r[b].tobytes() == m.r.tobytes()
+
+    @staticmethod
+    def _spoil(kind, P, r):
+        """Make MDP 2 of the stack fail one check."""
+        if kind == "P not finite":
+            P[2, 1, 0] = np.nan
+        elif kind == "P infinite":
+            P[2, 0, 1, 1] = np.inf
+        elif kind == "r not finite":
+            r[2, 2, 1] = -np.inf
+        elif kind == "rows":
+            P[2, 1, 1] *= 0.9
+        elif kind == "negative":
+            P[2, 0, 0] = [-0.5, 1.5, 0.0]  # the row still sums to 1
+        else:
+            r[2, 1, 0] = 1.0 + 1e-9
+
+    @pytest.mark.parametrize("kind", ["P not finite", "P infinite", "r not finite", "rows",
+                                      "negative", "reward"])
+    def test_check_rejects_like_tabular_mdp_and_names_the_mdp(self, kind):
+        good = random_stack(3, 2, 4, 1.0, range(5))
+        P, r = good.P.copy(), good.r.copy()
+        self._spoil(kind, P, r)
+        with pytest.raises(ValueError) as single:
+            TabularMDP(P=P[2], r=r[2], H=4, R=1.0)
+        with pytest.raises(ValueError) as stacked:
+            MDPStack(P=P, r=r, H=4, R=good.R)
+        assert str(stacked.value) == f"{single.value} (MDP 2 of the stack)"
+
+    def test_check_names_the_first_bad_mdp(self):
+        good = random_stack(3, 2, 4, 1.0, range(5))
+        r = good.r.copy()
+        r[4, 0, 0], r[1, 2, 1] = 1.5, -1.5
+        with pytest.raises(ValueError, match=r"^rewards exceed the stated bound R \(MDP 1 "):
+            MDPStack(P=good.P, r=r, H=4, R=good.R)
+        # each MDP is checked against its own bound
+        MDPStack(P=good.P, r=r, H=4, R=np.array([1.0, 1.5, 1.0, 1.0, 1.5]))
+
+    def test_inconsistent_shapes_rejected(self):
+        good = random_stack(3, 2, 4, 1.0, range(2))
+        for P, r, R in [(good.P, good.r[:, :2], good.R), (good.P, good.r[:1], good.R),
+                        (good.P[..., :2], good.r, good.R), (good.P, good.r, good.R[:1])]:
+            with pytest.raises(ValueError, match="inconsistent"):
+                MDPStack(P=P, r=r, H=4, R=R)
+        with pytest.raises(ValueError, match="horizon"):
+            MDPStack(P=good.P, r=good.r, H=0, R=good.R)
+
+
 def _malformed(m):
     good = uniform_policy(m)
     negative = good.copy()
@@ -471,17 +536,18 @@ def _malformed(m):
 PUBLIC_ENTRIES = {
     "validate_policy": lambda m, bad, good: validate_policy(m, bad),
     "policy_value": lambda m, bad, good: policy_value(m, bad, 0.9),
-    "state_visitation": lambda m, bad, good: state_visitation(m, bad),
     "decompose_pi_star": lambda m, bad, good: suboptimality_decompose(m, bad, good, 0.9),
     "decompose_pi": lambda m, bad, good: suboptimality_decompose(m, good, bad, 0.9),
     "bound_pi_star": lambda m, bad, good: suboptimality_bound(m, bad, good, 0.9),
     "bound_pi": lambda m, bad, good: suboptimality_bound(m, good, bad, 0.9),
-    "occupancy_tv_pi_star": lambda m, bad, good: occupancy_tv(m, bad, good),
-    "occupancy_tv_pi": lambda m, bad, good: occupancy_tv(m, good, bad),
+    # the occupancy TV, read from the bound's report at gamma = 1
+    "occupancy_tv_pi_star": lambda m, bad, good: suboptimality_bound(
+        m, bad, good, 1.0).tv_expectation,
+    "occupancy_tv_pi": lambda m, bad, good: suboptimality_bound(m, good, bad, 1.0).tv_expectation,
     "soft_value_iteration": lambda m, bad, good: soft_value_iteration(m, bad, 0.3, 0.9),
     "trajectory_identity_check": lambda m, bad, good: trajectory_identity_check(
         m, bad, 0.3, 0.9, [(0, 0)]),
-    "verify_bounds": lambda m, bad, good: verify_bounds([m], bad, 0.3, [0.9]),
+    "verify_bounds": lambda m, bad, good: verify_bounds(stack_of(m), bad, 0.3, [0.9]),
 }
 
 
