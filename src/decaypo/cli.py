@@ -2,13 +2,15 @@
 
 One binary, one dispatch: train, build-pairs, sample, eval,
 analyze {kl-position | ref-margin | prob-position | length-bias}, mdp-verify.
-Exit codes: 0 success, 1 validation error (diagnostic names the key/flag),
-2 runtime failure. All output files are written atomically.
+Each command declares its options once, as the Option rows of COMMANDS;
+read_argv maps argv onto their names, and config.resolve parses and checks
+flag and file values alike. Exit codes: 0 success, 1 validation error
+(diagnostic names the key/flag), 2 runtime failure. All output files are
+written atomically.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -51,8 +53,8 @@ LOSS_OPTS = [
 ]
 
 ORACLE_OPTS = [
-    Option("oracle-kind", "str", "target_match", valid=one_of(data.ORACLE_KINDS)),
-    Option("brevity-coefficient", "float", 0.0),
+    Option("brevity-coefficient", "float", 0.0,
+           help="length penalty per response byte; nonzero selects the length-penalized oracle"),
     Option("n-prompts", "int", 64, valid=at_least(0)),
     Option("min-target-len", "int", 4, valid=at_least(0)),
     Option("max-target-len", "int", 16, help="not below min-target-len"),
@@ -96,7 +98,8 @@ def _oracle_from(r: dict):
     corpus = data.synthetic_corpus(
         r["n-prompts"], seed_substream(r["seed"], "data"),
         r["min-target-len"], r["max-target-len"])
-    oracle = data.RewardOracle(kind=r["oracle-kind"], targets=corpus,
+    kind = "length_penalized_match" if r["brevity-coefficient"] else "target_match"
+    oracle = data.RewardOracle(kind=kind, targets=corpus,
                                brevity_coefficient=r["brevity-coefficient"])
     return corpus, oracle
 
@@ -114,8 +117,8 @@ def _cmd_train(r: dict) -> int:
                       max_response_len=r["max-response-len"],
                       weight_decay=r["weight-decay"], grad_clip=r["grad-clip"])
     init = _model_from(r, "init", r["seed"])
-    reference = load_checkpoint(r["reference"]) if r.get("reference") else \
-        Checkpoint(init.model.copy(), init.step, init.seed)
+    # train copies init for the policy and only reads the reference
+    reference = load_checkpoint(r["reference"]) if r.get("reference") else init
     ckpt, metrics = train(cfg, pairs, init, reference)
     skipped = sum(m.get("skipped", 0) for m in metrics)
     if skipped:
@@ -328,82 +331,70 @@ COMMANDS = {
         ], _cmd_mdp_verify),
 }
 
-_ANALYZE = {name.removeprefix("analyze-"): name
-            for name in COMMANDS if name.startswith("analyze-")}
+HELP = ("-h", "--help")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage errors as ConfigError (exit code 1)."""
+def read_argv(argv) -> tuple[str | None, dict | None]:
+    """The COMMANDS key that ``argv`` names and its flags as {name: text}.
 
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def _add_options(parser: argparse.ArgumentParser, options) -> None:
-    parser.add_argument("--config", default=None,
-                        help="configuration file (flags override file values)")
-    for opt in options:
-        # kept as text; config.resolve parses and checks flags and file values alike
-        parser.add_argument(f"--{opt.name}",
-                            help="; ".join(filter(None, (opt.help, opt.valid and opt.valid[1]))))
-
-
-def _named_command(argv) -> str | None:
-    """The COMMANDS key that ``argv`` starts with, as ``train`` or
-    ``analyze kl-position``, or None."""
-    words = list(argv[:2])
-    if words[:1] == ["analyze"]:
-        return _ANALYZE.get(words[1]) if len(words) == 2 else None
-    if words and words[0] in COMMANDS and words[0] not in _ANALYZE.values():
-        return words[0]
-    return None
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the command it names, as building every
-    command's options costs several times more than parsing them; the whole
-    tree when it names none, so top-level help and errors list every command."""
-    named = _named_command(argv)
-    parser = _Parser(prog="decaypo",
-                     description="Preference-optimization laboratory with "
-                                 "temporally decayed token weighting")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (options, _) in COMMANDS.items():
-        if name not in _ANALYZE.values() and named in (None, name):
-            _add_options(sub.add_parser(name, prog=f"decaypo {name}"), options)
-    if named is None or named in _ANALYZE.values():
-        analyze = sub.add_parser("analyze")
-        asub = analyze.add_subparsers(dest="analysis", required=True)
-        for short, full in _ANALYZE.items():
-            if named in (None, full):
-                _add_options(asub.add_parser(short, prog=f"decaypo analyze {short}"),
-                             COMMANDS[full][0])
-    return parser
+    A flag is ``--key value`` or ``--key=value``; the value may start with
+    "-", and the last occurrence of a key wins. config.resolve rejects an
+    unknown name. The flags are None for -h or --help, and the key too
+    before a command is named. Anything else raises ConfigError naming the word.
+    """
+    words = iter(argv)
+    command = next(words, None)
+    if command == "analyze":
+        analysis = next(words, None)
+        if analysis in HELP:
+            return None, None
+        known = ", ".join(c.removeprefix("analyze-") for c in COMMANDS if c.startswith("analyze-"))
+        if f"analyze-{analysis}" not in COMMANDS:
+            raise ConfigError(f"analyze needs an analysis: one of {known}" if analysis is None
+                              else f"unknown analysis {analysis!r}: one of {known}")
+        command = f"analyze-{analysis}"
+    elif command in HELP:
+        return None, None
+    elif command not in COMMANDS or command.startswith("analyze-"):
+        known = ", ".join(dict.fromkeys("analyze" if c.startswith("analyze-") else c
+                                        for c in COMMANDS))
+        raise ConfigError(f"missing command: one of {known}" if command is None
+                          else f"unknown command {command!r}: one of {known}")
+    flags = {}
+    for word in words:
+        if word in HELP:
+            return command, None
+        key, glued, value = word[2:].partition("=")
+        if not word.startswith("--") or not key:
+            raise ConfigError(f"unexpected word {word!r}")
+        if not glued:
+            value = next(words, None)
+            if value is None:
+                raise ConfigError(f"flag {word} needs a value")
+        flags[key] = value
+    return command, flags
 
 
-def _glue_values(argv) -> list[str]:
-    """Every option takes exactly one value, so write each ``--flag value``
-    as ``--flag=value``; argparse then reads a value that starts with "-",
-    such as ``--gap-bins -8,0,8``, as the value, not as a flag."""
-    glued, tokens = [], iter(argv)
-    for token in tokens:
-        if token.startswith("--") and "=" not in token and token not in ("--", "--help"):
-            value = next(tokens, None)
-            if value is not None:
-                token = f"{token}={value}"
-        glued.append(token)
-    return glued
+def help_text(command: str | None) -> str:
+    """The commands, or each option of ``command`` with its help and domain."""
+    if command is None:
+        return "usage: decaypo <command> [--key value ...]\n\ncommands:\n" + "\n".join(
+            "  " + c.replace("analyze-", "analyze ") for c in COMMANDS)
+    rows = [("config", "configuration file (flags override file values)")] + [
+        (o.name, "; ".join(filter(None, (o.help, o.valid and o.valid[1]))))
+        for o in COMMANDS[command][0]]
+    return (f"usage: decaypo {command.replace('analyze-', 'analyze ')} [--key value ...]\n\n"
+            "options:\n" + "\n".join(f"  --{name:<20} {text}".rstrip() for name, text in rows))
 
 
 def run_command(argv) -> int:
-    argv = _glue_values(argv)
-    args = build_parser(argv).parse_args(argv)
-    command = args.command
-    if command == "analyze":
-        command = _ANALYZE[args.analysis]
+    command, flags = read_argv(argv)
+    if flags is None:
+        print(help_text(command))
+        return 0
     options, runner = COMMANDS[command]
-    cli_values = {o.name: getattr(args, o.name.replace("-", "_")) for o in options}
-    resolved = resolve(command, options, cli_values, args.config, COMMANDS)
+    config = flags.pop("config", None)
+    resolved = resolve(command, options, flags, config, COMMANDS)
     code = runner(resolved)
     if resolved.get("out"):
         write_resolved_snapshot(f"{resolved['out']}.resolved.cfg", command, resolved)

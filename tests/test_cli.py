@@ -1,5 +1,7 @@
 import json
+import shlex
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from conftest import BAD_MANIFEST_FIELDS, MISFITS, misfit_params, write_raw_checkpoint
 from decaypo import analysis, cli, data, mdp, model as model_module, training
 from decaypo.cli import COMMANDS, main
-from decaypo.config import atomic_write
+from decaypo.config import atomic_write, parse_value
 from decaypo.data import load_pairs
+from decaypo.losses import METHODS
 from decaypo.model import PolicyModel, sample_many
+from decaypo.schedules import KINDS as SCHEDULE_KINDS, ORIGINS
 from decaypo.training import Checkpoint, save_checkpoint
 
 
@@ -189,12 +193,12 @@ OUT_OF_DOMAIN = [
     ("train", "max-steps", "-3"), ("train", "weight-decay", "-1"),
     ("train", "warmup-fraction", "1"), ("train", "warmup-fraction", "-0.5"),
     ("train", "gamma", "0"),
-    ("build-pairs", "oracle-kind", "foo"), ("build-pairs", "n-prompts", "-1"),
+    ("build-pairs", "n-prompts", "-1"),
     ("build-pairs", "min-target-len", "-1"),
     ("build-pairs", "k", "1"), ("build-pairs", "temperature", "-0.5"),
     ("build-pairs", "max-len", "0"),
     ("sample", "temperature", "-1"), ("sample", "max-len", "0"),
-    ("eval", "oracle-kind", "foo"), ("eval", "n-prompts", "-1"), ("eval", "max-len", "0"),
+    ("eval", "n-prompts", "-1"), ("eval", "max-len", "0"),
     ("analyze-kl-position", "max-pos", "-1"), ("analyze-prob-position", "max-pos", "-1"),
     ("analyze-ref-margin", "bins", "1"),
     ("analyze-length-bias", "gap-bins", "5"), ("analyze-length-bias", "gap-bins", "4,0"),
@@ -242,89 +246,130 @@ def test_out_of_domain_value_exit_1_names_key(tmp_path, capsys, command, key, te
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_help_shows_each_domain(capsys, command):
-    with pytest.raises(SystemExit):
-        main([*command_argv(command), "--help"])
+    assert main([*command_argv(command), "--help"]) == 0
     shown = " ".join(capsys.readouterr().out.split())
     for opt in COMMANDS[command][0]:
         if opt.valid:
             assert opt.valid[1] in shown, opt.name
 
 
-def argv_outcome(capsys, run, argv):
-    """(exit code, stdout, stderr) of ``run(argv)``; argparse's help and
-    usage exits count as exit codes."""
-    try:
-        code = run(argv)
-    except SystemExit as e:
-        code = e.code
+def argv_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-def full_parser_main(monkeypatch):
-    """``main`` as it runs when every call builds the whole parser tree."""
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): build(()))
-    return main
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_help_same_from_one_command_and_full_parser(capsys, command):
-    argv = [*command_argv(command), "--help"]
-    one = argv_outcome(capsys, lambda a: cli.build_parser(a).parse_args(a), argv)
-    full = argv_outcome(capsys, lambda a: cli.build_parser(()).parse_args(a), argv)
-    assert one == full
-    assert one[0] == 0 and f"usage: decaypo {' '.join(command_argv(command))}" in one[1]
-
-
 TOP_LEVEL_CASES = {
-    "bare": ([], 1, "the following arguments are required: command"),
+    "bare": ([], 1, "missing command: one of train, build-pairs, sample, eval, analyze, "
+                    "mdp-verify"),
     "help": (["--help"], 0, None),
-    "unknown command": (["bogus"], 1,
-                        "argument command: invalid choice: 'bogus' (choose from 'train', "
-                        "'build-pairs', 'sample', 'eval', 'mdp-verify', 'analyze')"),
-    "bare analyze": (["analyze"], 1, "the following arguments are required: analysis"),
-    "unknown analysis": (["analyze", "bogus"], 1,
-                         "argument analysis: invalid choice: 'bogus' (choose from "
-                         "'kl-position', 'prob-position', 'ref-margin', 'length-bias')"),
-    "unknown flag": (["mdp-verify", "--bogus-flag", "3"], 1,
-                     "unrecognized arguments: --bogus-flag=3"),
+    "unknown command": (["bogus"], 1, "unknown command 'bogus': one of train, build-pairs, "
+                                      "sample, eval, analyze, mdp-verify"),
+    "bare analyze": (["analyze"], 1, "analyze needs an analysis: one of kl-position, "
+                                     "prob-position, ref-margin, length-bias"),
+    "unknown analysis": (["analyze", "bogus"], 1, "unknown analysis 'bogus': one of "
+                                                  "kl-position, prob-position, ref-margin, "
+                                                  "length-bias"),
+    "stray word": (["mdp-verify", "--seeds", "3", "extra"], 1, "unexpected word 'extra'"),
+    "unknown flag": (["mdp-verify", "--bogus-flag", "3"], 1, "unknown flag --bogus-flag"),
     "unknown analysis flag": (["analyze", "ref-margin", "--bogus", "3"], 1,
-                              "unrecognized arguments: --bogus=3"),
-    "missing value": (["sample", "--seed"], 1, "argument --seed: expected one argument"),
-    **{f"{name} seed": (["analyze", name, "--seed", "1"], 1, "unrecognized arguments: --seed=1")
+                              "unknown flag --bogus"),
+    "missing value": (["sample", "--seed"], 1, "flag --seed needs a value"),
+    **{f"{name} seed": (["analyze", name, "--seed", "1"], 1, "unknown flag --seed")
        for name in ("kl-position", "prob-position", "ref-margin")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(TOP_LEVEL_CASES))
-def test_top_level_and_usage_errors_unchanged(capsys, monkeypatch, case):
+def test_top_level_and_usage_errors_unchanged(capsys, case):
     argv, code, err = TOP_LEVEL_CASES[case]
-    got = argv_outcome(capsys, main, argv)
+    got = argv_outcome(capsys, argv)
     if code:
         assert got == (code, "", f"error: {err}\n")
     else:
         assert got[0] == 0 and got[2] == ""
-        assert "{train,build-pairs,sample,eval,mdp-verify,analyze}" in got[1]
-    assert got == argv_outcome(capsys, full_parser_main(monkeypatch), argv)
+        for command in COMMANDS:
+            assert f"  {' '.join(command_argv(command))}\n" in got[1] + "\n", command
 
 
-@pytest.mark.parametrize("argv,built", [
-    (["sample", "--model", "m", "--prompt", "hi"], ["sample"]),
-    (["analyze", "length-bias", "--policy", "p"], ["analyze-length-bias"]),
-    (["mdp-verify"], ["mdp-verify"]),
-    (["analyze"], list(COMMANDS)),
-    (["--help"], list(COMMANDS)),
-    (["analyze-kl-position"], list(COMMANDS)),
-])
-def test_parser_builds_only_the_named_command(monkeypatch, argv, built):
-    seen = []
-    add = cli._add_options
-    monkeypatch.setattr(cli, "_add_options",
-                        lambda parser, options: (seen.append(options), add(parser, options)))
-    cli.build_parser(argv)
-    by_id = {id(options): name for name, (options, _) in COMMANDS.items()}
-    assert sorted(by_id[id(options)] for options in seen) == sorted(built)
+def other_text(opt) -> str:
+    """Text for ``opt`` that its domain accepts and that is not its default;
+    one that starts with "-" where the domain allows it."""
+    texts = {"int": ["-3", "7"], "float": ["-0.25", "0.5"], "ints": ["-8,0,8"],
+             "floats": ["0.5,1.0"]}.get(opt.typ, ["-x", *METHODS, *SCHEDULE_KINDS, *ORIGINS])
+    return next(t for t in texts if parse_value(opt, t) != opt.default
+                and (opt.valid is None or opt.valid[0](parse_value(opt, t))))
+
+
+def spellings(command, key, text):
+    """(argv, config file) pairs that set ``key`` to ``text`` in three ways;
+    every other required option is set by flag."""
+    argv = [*command_argv(command), *(arg for o in COMMANDS[command][0]
+                                      if o.required and o.name != key
+                                      for arg in (f"--{o.name}", "given"))]
+    return [([*argv, f"--{key}", text], None), ([*argv, f"--{key}={text}"], None),
+            ([*argv, "--config", "run.cfg"], f"[{command}]\n{key} = {text}\n")]
+
+
+LENGTH_BIAS = ["analyze", "length-bias", "--policy", "p", "--pairs", "q"]
+SAMPLE = ["sample", "--model", "m", "--prompt", "hi"]
+
+# (argv and config file text of each spelling, expect): expect is the values
+# the command resolves, or (exit code, text of its one stderr line) on an
+# error, or (0, text its help shows)
+READER_CASES = {
+    **{f"{command} {opt.name}": (
+        spellings(command, opt.name, other_text(opt)),
+        {opt.name: parse_value(opt, other_text(opt))})
+       for command, (options, _) in COMMANDS.items() for opt in options},
+    "dash values": ([([*LENGTH_BIAS, "--gap-bins", "-8,0,8", "--seed", "-1"], None)],
+                    {"gap-bins": [-8, 0, 8], "seed": -1}),
+    "last wins": ([([*SAMPLE, "--seed", "1", "--seed=2", "--prompt", "-h"], None)],
+                  {"seed": 2, "prompt": "-h"}),
+    "last wins over both spellings": ([(["mdp-verify", "--gammas=0.5", "--gammas", "0.9,1"],
+                                        None)], {"gammas": [0.9, 1.0]}),
+    "no prefixes": ([(["mdp-verify", "--gam", "0.5"], None)], (1, "unknown flag --gam")),
+    "analyze as one word": ([(["analyze-kl-position"], None)], (1, "'analyze-kl-position'")),
+    "help": ([(["-h"], None), (["--help"], None), (["analyze", "--help"], None)],
+             (0, "analyze length-bias")),
+    "command help": ([([*SAMPLE, "-h"], None), ([*SAMPLE, "--help"], None),
+                      (["sample", "--help", "--bogus"], None)], (0, "--prompt")),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    resolved = {}
+    for command, (options, _) in list(COMMANDS.items()):
+        monkeypatch.setitem(COMMANDS, command, (options, lambda r: resolved.update(r) or 0))
+    forms, expect = READER_CASES[case]
+    for argv, config in forms:
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+        resolved.clear()
+        code, out, err = argv_outcome(capsys, argv)
+        if isinstance(expect, dict):
+            assert (code, err) == (0, ""), (argv, err)
+            assert {key: resolved[key] for key in expect} == expect, argv
+        elif expect[0]:
+            assert code == expect[0] and not resolved, argv
+            assert len(err.splitlines()) == 1 and expect[1] in err, (argv, err)
+        else:
+            assert (code, err) == (0, "") and expect[1] in out, argv
+
+
+def test_readme_cli_lines_name_known_commands_and_flags():
+    """Each ``decaypo`` line of README's CLI block reads as a command whose
+    flags that command declares; nothing runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    read = [cli.read_argv(shlex.split(line)[1:])
+            for line in block.splitlines() if line.startswith("decaypo ")]
+    assert {command for command, _ in read} == set(COMMANDS)
+    for command, flags in read:
+        assert set(flags) <= {o.name for o in COMMANDS[command][0]} | {"config"}, command
 
 
 # options a command declares and its runner never reads, with the reason each stays
@@ -490,6 +535,16 @@ class TestBuildPairsCommand:
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(report) == {"pairs", "skipped"}
+
+    def test_brevity_coefficient_changes_the_pairs(self, workdir, tmp_path):
+        """A nonzero --brevity-coefficient selects the length-penalized oracle."""
+        args = ["build-pairs", *SMALL_ARCH, *SMALL_CORPUS,
+                "--model", str(workdir / "model.ckpt"), "--k", "4",
+                "--temperature", "1.0", "--max-len", "8", "--seed", "0"]
+        outs = [tmp_path / f"b{c}.jsonl" for c in ("0", "-1")]
+        for coefficient, out in zip(("0", "-1"), outs):
+            assert main(args + ["--brevity-coefficient", coefficient, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes()
 
     def test_pairs_parse_and_validate(self, workdir):
         pairs = load_pairs(workdir / "pairs.jsonl")
