@@ -2,7 +2,10 @@
 evaluation, the suboptimality decomposition, and the discount-tradeoff
 upper bound with its occupancy total-variation term, all from two backward
 passes over a stack of same-shape MDPs: a soft backup of stacked discounts,
-an exact evaluation of pairs. The single-MDP functions pass a stack of one."""
+an exact evaluation of pairs. The backup works action-major, so that each
+reduction over actions runs down contiguous rows of states, and returns pi
+and Q state-major like everything else here. The single-MDP functions pass
+a stack of one."""
 
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ class MDPStack:
                 "transition rows must sum to 1": lambda: np.abs(P.sum(axis=3) - 1.0) <= 1e-12,
                 "transition probabilities must be nonnegative": lambda: P >= 0,
                 "rewards exceed the stated bound R": lambda: np.abs(r) <= R + 1e-12,
+                _scale_error(self.H): lambda: self.R <= _largest_R(self.H),
         }.items():
             ok = check()
             if not ok.all():
@@ -79,10 +83,25 @@ def uniform_policy(mdp: TabularMDP) -> np.ndarray:
     return np.full((mdp.H, mdp.S, mdp.A), 1.0 / mdp.A)
 
 
+def _largest_R(H: int) -> float:
+    """The largest reward bound at horizon H. No value the verifier forms
+    exceeds 2 H^2 R in magnitude: the bound's total 2(H - g)R + 2 g^2 tv R
+    peaks there, at g = H and tv = 1. Requiring 4 H^2 R to be finite leaves a
+    factor of two, so returns, gaps and bound terms cannot overflow."""
+    return np.finfo(np.float64).max / (4.0 * H * H)
+
+
+def _scale_error(H: int) -> str:
+    return (f"reward bound R can overflow at horizon H = {H}: "
+            f"4*H*H*R must be finite, so R <= {_largest_R(H):.6g}")
+
+
 def _draw(S: int, A: int, H: int, R: float, seed: int, deterministic: bool):
     """P (S, A, S) and r (S, A) of one MDP, from its own generator rng(seed)."""
     if S < 1 or A < 1 or H < 1 or not R > 0:
         raise ValueError("require S, A, H >= 1 and R > 0")
+    if not R <= _largest_R(H):
+        raise ValueError(_scale_error(H))
     draw = rng(seed)
     if deterministic:
         P = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
@@ -128,7 +147,9 @@ def _soft_backup(P, r, ref: np.ndarray, beta: float, gammas, Q=None):
     """The soft backup of every stacked MDP (P, r) at every discount in
     ``gammas`` at once, from a validated (H, S, A) ``ref``: V (B, G, H+1, S)
     and the Boltzmann policies (B, G, H, S, A); fills Q (B, G, H, S, A) when
-    it is given."""
+    it is given. Each step works on q (B, G, A, S), action-major, so the max
+    and the sum over actions add whole rows of states in place; pi and Q are
+    written back state-major through transposed views."""
     if not beta > 0:
         raise ValueError("beta must be > 0")
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -139,18 +160,24 @@ def _soft_backup(P, r, ref: np.ndarray, beta: float, gammas, Q=None):
         raise ValueError("pi_ref must have full support (zero-probability "
                          "action makes beta*log pi_ref = -inf)")
     (B, S, A), G, H = r.shape, len(gammas), len(ref)
-    base = r[:, None] + beta * np.log(ref)         # (B, H, S, A)
-    PT = P.reshape(B, S * A, S).transpose(0, 2, 1)  # V @ PT = P V for every (s, a)
+    base = (r[:, None] + beta * np.log(ref)).transpose(0, 1, 3, 2).copy()  # (B, H, A, S)
+    PT = P.transpose(0, 3, 2, 1).reshape(B, S, A * S)  # V @ PT = P V, columns (a, s)
     V, pi = np.zeros((B, G, H + 1, S)), np.empty((B, G, H, S, A))
+    q = np.empty((B, G, A, S))
+    flat, g, pi_am = q.reshape(B, G, A * S), gammas[:, None, None], pi.transpose(0, 1, 2, 4, 3)
     for t in range(H - 1, -1, -1):
-        q = base[:, None, t] + gammas[:, None, None] * (V[:, :, t + 1] @ PT).reshape(B, G, S, A)
+        np.matmul(V[:, :, t + 1], PT, out=flat)
+        q *= g
+        q += base[:, None, t]
         if Q is not None:
-            Q[:, :, t] = q
-        m = q.max(axis=3, keepdims=True)
-        e = np.exp((q - m) / beta)
-        z = e.sum(axis=3, keepdims=True)
-        V[:, :, t] = (m + beta * np.log(z))[..., 0]  # beta * logsumexp(q / beta)
-        pi[:, :, t] = e / z                          # exp((q - V) / beta)
+            Q[:, :, t] = q.transpose(0, 1, 3, 2)
+        m = q.max(axis=2)
+        q -= m[:, :, None]
+        q /= beta
+        np.exp(q, out=q)
+        z = q.sum(axis=2)
+        V[:, :, t] = m + beta * np.log(z)              # beta * logsumexp(q / beta)
+        np.divide(q, z[:, :, None], out=pi_am[:, :, t])  # exp((q - V) / beta)
     return V, pi
 
 
@@ -207,7 +234,6 @@ def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float
     deterministic transitions the residual is zero up to roundoff.
     """
     ref = _ref_table(mdp, pi_ref)
-    ((V,),), ((pi_star,),) = _soft_backup(mdp.P[None], mdp.r[None], ref, beta, [gamma])
     if not 1 <= len(trajectory) <= mdp.H:
         raise ValueError("trajectory length must be in [1, H]")
     for t, (s, a) in enumerate(trajectory):
@@ -215,6 +241,7 @@ def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float
             raise ValueError(f"invalid state/action at step {t}")
         if t and mdp.P[trajectory[t - 1][0], trajectory[t - 1][1], s] <= 0.0:
             raise ValueError(f"impossible transition into step {t}")
+    ((V,),), ((pi_star,),) = _soft_backup(mdp.P[None], mdp.r[None], ref, beta, [gamma])
     lhs = sum(gamma ** t * mdp.r[s, a] for t, (s, a) in enumerate(trajectory))
     s0 = trajectory[0][0]
     rhs = V[0][s0] + sum(
@@ -257,8 +284,6 @@ def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool) -> np.ndarray:
     pis[b, 1 + i] against pi* = pis[b, 0] at gammas[i] in stacked MDP b: the
     decomposition and, with ``bound``, the bound terms and occupancy TV (else
     zeros), for which pis[:, 1:] is overwritten with |pis[:, 1:] - pis[:, 0]|."""
-    if bound and not all(0 < g <= 1 for g in gammas):
-        raise ValueError("gamma must be in (0, 1]")
     V = _evaluate(P, r, pis, [1.0, *gammas])[..., 0]
     v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, 1:], V[:, 1:, 1:].diagonal(0, 1, 2), V[:, 1:, 0]
     columns = [v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1]
@@ -273,6 +298,14 @@ def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool) -> np.ndarray:
         term2 = 2.0 * g * g * tv * R[:, None]
         columns += [term1, term2, term1 + term2, tv]
     return np.stack(columns + [np.zeros_like(v1)] * (8 - len(columns)), axis=2)
+
+
+def _bound_gammas(gammas) -> list:
+    """The discounts of a bound as floats, each in (0, 1]."""
+    gammas = [float(g) for g in gammas]
+    if not all(0 < g <= 1 for g in gammas):
+        raise ValueError("gamma must be in (0, 1]")
+    return gammas
 
 
 def _report(mdp: TabularMDP, pi_star, pi, gamma: float, bound: bool) -> SuboptimalityReport:
@@ -297,6 +330,7 @@ def discount_horizon(gamma: float, H: int) -> float:
 def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Full report: deltas, occupancy TV, and the two bound terms
     2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
+    _bound_gammas([gamma])
     return _report(mdp, pi_star, pi, gamma, bound=True)
 
 
@@ -305,6 +339,6 @@ def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
     suboptimality_bound of the soft optimum at gammas[i] against pi*, the
     one at gamma = 1, in MDP b of ``stack``; one backup of [1, *gammas]
     serves the whole stack."""
-    gammas = [float(g) for g in gammas]
+    gammas = _bound_gammas(gammas)  # checked before the backup solves any of them
     _, pis = _soft_backup(stack.P, stack.r, _ref_table(stack, pi_ref), beta, [1.0, *gammas])
     return _reports(stack.P, stack.r, stack.R, pis, gammas, bound=True)

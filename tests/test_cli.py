@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -779,6 +780,20 @@ class TestMdpVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and repr(key) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,horizon", [(["--seeds", "1", "--reward-bound", "1e308"], 8),
+                                              (["--seeds", "2", "--reward-bound", "1e307",
+                                                "--horizon", "64"], 64)])
+    def test_reward_bound_that_can_overflow_exit_2(self, tmp_path, capsys, args, horizon):
+        # overflow used to end in a traceback, or in all-nan rows counted as violations
+        out = tmp_path / "mdp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mdp-verify", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "reward bound R" in err[0] and f"H = {horizon}" in err[0]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestDashValues:

@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -343,9 +345,11 @@ def oracle_report(m, pi_star, pi, gamma):
             term1, term2, term1 + term2, tv)
 
 
-# (S, A, H, seeds): random shapes plus the edge shapes S=1, A=1, H=1
+# (S, A, H, seeds): random shapes plus the edge shapes S=1, A=1, H=1, and two
+# with A >= 8, where the backup's sum over actions adds in another order than
+# numpy's paired sum over a contiguous last axis would
 SHAPES = [(4, 3, 8, 30), (5, 2, 12, 10), (1, 3, 6, 5), (4, 1, 6, 5), (3, 3, 1, 5),
-          (1, 1, 1, 3), (7, 4, 5, 5)]
+          (1, 1, 1, 3), (7, 4, 5, 5), (6, 9, 5, 4), (8, 16, 6, 3)]
 # gamma = 1 and repeated discounts included
 GAMMAS = [0.5, 0.9, 0.9, 0.98, 1.0, 1.0, 0.31]
 
@@ -417,15 +421,18 @@ class TestStackedCoreEquivalence:
         assert _deviation(a, b) > 1e-3
 
     def test_stack_rows_equal_stacks_of_one(self):
-        # each MDP keeps its own reward bound R inside the stack
-        mdps = [random_mdp(5, 2, 12, R, seed=seed) for seed, R in enumerate((0.5, 1.0, 2.0, 3.5))]
-        ref = uniform_policy(mdps[0])
-        stack = verify_bounds(stack_of(*mdps), ref, 0.3, GAMMAS)
-        for m, reports in zip(mdps, stack):
-            alone = verify_bounds(stack_of(m), ref, 0.3, GAMMAS)[0]
-            assert reports.tobytes() == alone.tobytes()  # bit for bit
-            assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R
-                       for gamma, fields in zip(GAMMAS, reports))  # bound_term1
+        # each MDP keeps its own reward bound R inside the stack; A = 16 sums
+        # over actions in the order that A >= 8 changes
+        for S, A, H in ((5, 2, 12), (6, 16, 7)):
+            mdps = [random_mdp(S, A, H, R, seed=seed)
+                    for seed, R in enumerate((0.5, 1.0, 2.0, 3.5))]
+            ref = uniform_policy(mdps[0])
+            stack = verify_bounds(stack_of(*mdps), ref, 0.3, GAMMAS)
+            for m, reports in zip(mdps, stack):
+                alone = verify_bounds(stack_of(m), ref, 0.3, GAMMAS)[0]
+                assert reports.tobytes() == alone.tobytes()  # bit for bit
+                assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R
+                           for gamma, fields in zip(GAMMAS, reports))  # bound_term1
 
     def test_verify_bounds_rejects_an_empty_stack(self):
         with pytest.raises(ValueError, match="at least one MDP"):
@@ -445,6 +452,70 @@ class TestStackedCoreEquivalence:
         for gammas in ([0.0], [0.5, 1.5], [-0.1]):
             with pytest.raises(ValueError, match="gamma"):
                 verify_bounds(stack, uniform_policy(stack), 0.3, gammas)
+
+
+class TestValidatedBeforeSolving:
+    """Bad discounts and trajectories are rejected before the backup runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_backup(self, monkeypatch):
+        def backup(*args, **kwargs):
+            raise AssertionError("the backup ran before the arguments were checked")
+        monkeypatch.setattr(mdp, "_soft_backup", backup)
+
+    @pytest.mark.parametrize("gammas", [[0.0], [0.9, 1.5], [-0.1]])
+    def test_verify_bounds_gamma(self, gammas):
+        stack = random_stack(2, 2, 3, 1.0, [0, 1])
+        with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\]$"):
+            verify_bounds(stack, uniform_policy(stack), 0.3, gammas)
+
+    def test_suboptimality_bound_gamma(self):
+        m = random_mdp(2, 2, 3, 1.0, seed=0)
+        with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\]$"):
+            suboptimality_bound(m, uniform_policy(m), uniform_policy(m), 0.0)
+
+    @pytest.mark.parametrize("trajectory,message", [
+        ([], "trajectory length must be in"), ([(0, 0)] * 4, "trajectory length must be in"),
+        ([(0, 2)], "invalid state/action at step 0"),
+        ([(0, 0), (2, 0)], "invalid state/action at step 1")])
+    def test_trajectory_identity_check(self, trajectory, message):
+        m = random_mdp(2, 2, 3, 1.0, seed=1, deterministic=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            trajectory_identity_check(m, uniform_policy(m), 0.5, 0.9, trajectory)
+
+
+class TestRewardScale:
+    """4 H^2 R must be finite: no report can then overflow."""
+
+    def test_overflowing_draw_rejected_naming_r_and_h(self):
+        for draw in (random_mdp, lambda *args: random_stack(*args[:4], [args[4]])):
+            with pytest.raises(ValueError, match=r"^reward bound R .* H = 3\b"):
+                draw(2, 2, 3, 1e308, 0)
+
+    @pytest.mark.parametrize("H", [8, 64])
+    def test_largest_accepted_bound_gives_finite_reports(self, H):
+        R = mdp._largest_R(H)
+        assert np.isfinite(4.0 * H * H * R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = random_stack(6, 4, H, R, range(3))
+            reports = verify_bounds(stack, uniform_policy(stack), 0.3, [0.5, 0.9, 0.98, 1.0])
+            assert np.isfinite(reports).all()
+            # the largest total the bound can reach: tv = 1 at gamma = 1, 2 H^2 R
+            m = random_mdp(3, 2, H, R, seed=0)
+            a, b = np.zeros((H, 3, 2)), np.zeros((H, 3, 2))
+            a[..., 0], b[..., 1] = 1.0, 1.0
+            total = suboptimality_bound(m, a, b, 1.0).bound_total
+        assert np.isfinite(total) and total == pytest.approx(2.0 * H * H * R, rel=1e-12)
+
+    def test_one_step_larger_bound_rejected(self):
+        H = 64
+        R = np.nextafter(mdp._largest_R(H), np.inf)
+        with pytest.raises(ValueError, match=r"^reward bound R can overflow at horizon H = 64"):
+            random_stack(2, 2, H, R, [0])
+        m = random_mdp(2, 2, H, 1.0, seed=0)
+        with pytest.raises(ValueError, match=r" H = 64: .* \(MDP 1 of the stack\)$"):
+            MDPStack(P=np.stack([m.P, m.P]), r=np.stack([m.r, m.r]), H=H, R=np.array([1.0, R]))
 
 
 class TestDeterministicTransitions:
