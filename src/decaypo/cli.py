@@ -5,8 +5,8 @@ analyze {kl-position | ref-margin | prob-position | length-bias}, mdp-verify.
 Each command declares its options once, as the Option rows of COMMANDS;
 read_argv maps argv onto their names, and config.resolve parses and checks
 flag and file values alike. Exit codes: 0 success, 1 validation error
-(diagnostic names the key/flag), 2 runtime failure. All output files are
-written atomically.
+(diagnostic names the key/flag), 2 runtime failure, running out of
+memory included. All output files are written atomically.
 """
 
 from __future__ import annotations
@@ -409,8 +409,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as e:
-        print(f"runtime error: {e}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as e:
+        print(f"runtime error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

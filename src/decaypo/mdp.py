@@ -4,8 +4,8 @@ upper bound with its occupancy total-variation term, all from two backward
 passes over a stack of same-shape MDPs: a soft backup of stacked discounts,
 an exact evaluation of pairs. The backup works action-major, so that each
 reduction over actions runs down contiguous rows of states, and returns pi
-and Q state-major like everything else here. The single-MDP functions pass
-a stack of one."""
+and Q state-major like everything else here. MDPStack is the one MDP type:
+a single MDP is a stack of one, and the single-MDP functions take one."""
 
 from __future__ import annotations
 
@@ -14,23 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import rng
-
-
-@dataclass
-class TabularMDP:
-    """Every episode starts in state 0."""
-
-    P: np.ndarray        # (S, A, S) transition probabilities
-    r: np.ndarray        # (S, A) rewards, |r| <= R
-    H: int
-    R: float
-
-    S = property(lambda self: self.P.shape[-3])
-    A = property(lambda self: self.P.shape[-2])
-
-    def __post_init__(self):
-        self.P, self.r = np.asarray(self.P, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
-        MDPStack(self.P[None], self.r[None], self.H, np.array([self.R]))  # checks a stack of one
 
 
 @dataclass
@@ -43,7 +26,8 @@ class MDPStack:
     H: int
     R: np.ndarray        # (B,) reward bounds
 
-    S, A = TabularMDP.S, TabularMDP.A
+    S = property(lambda self: self.P.shape[1])
+    A = property(lambda self: self.P.shape[2])
 
     def __post_init__(self):
         self.P, self.r, self.R = (np.asarray(x, dtype=np.float64) for x in (self.P, self.r, self.R))
@@ -69,17 +53,30 @@ class MDPStack:
                                  f"{message} (MDP {np.argwhere(~ok)[0, 0]} of the stack)")
 
 
-def validate_policy(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
-    """A policy table is (H, S, A); rows are distributions over actions."""
+def _one(mdp: MDPStack) -> MDPStack:
+    """``mdp`` itself, which a single-MDP function needs to be a stack of one."""
+    if len(mdp.P) != 1:
+        raise ValueError(f"expected a stack of one MDP, got a stack of {len(mdp.P)}")
+    return mdp
+
+
+def _policy(stack: MDPStack, pi) -> np.ndarray:
+    """A policy table is (H, S, A), shared by every MDP of ``stack``; rows
+    are distributions over actions."""
     pi = np.asarray(pi, dtype=np.float64)
-    if pi.shape != (mdp.H, mdp.S, mdp.A):
-        raise ValueError(f"policy shape {pi.shape} != {(mdp.H, mdp.S, mdp.A)}")
+    if pi.shape != (stack.H, stack.S, stack.A):
+        raise ValueError(f"policy shape {pi.shape} != {(stack.H, stack.S, stack.A)}")
     if (pi < 0).any() or not abs(pi.sum(axis=2) - 1.0).max() <= 1e-12:  # NaN fails too
         raise ValueError("policy rows must be distributions")
     return pi
 
 
-def uniform_policy(mdp: TabularMDP) -> np.ndarray:
+def validate_policy(mdp: MDPStack, pi: np.ndarray) -> np.ndarray:
+    """The (H, S, A) policy table ``pi`` of a stack of one, checked."""
+    return _policy(_one(mdp), pi)
+
+
+def uniform_policy(mdp: MDPStack) -> np.ndarray:
     return np.full((mdp.H, mdp.S, mdp.A), 1.0 / mdp.A)
 
 
@@ -96,46 +93,42 @@ def _scale_error(H: int) -> str:
             f"4*H*H*R must be finite, so R <= {_largest_R(H):.6g}")
 
 
-def _draw(S: int, A: int, H: int, R: float, seed: int, deterministic: bool):
-    """P (S, A, S) and r (S, A) of one MDP, from its own generator rng(seed)."""
-    if S < 1 or A < 1 or H < 1 or not R > 0:
-        raise ValueError("require S, A, H >= 1 and R > 0")
-    if not R <= _largest_R(H):
-        raise ValueError(_scale_error(H))
-    draw = rng(seed)
-    if deterministic:
-        P = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
-    else:
-        P = draw.dirichlet(np.ones(S), size=(S, A))
-    return P, draw.uniform(-R, R, size=(S, A))
-
-
 def random_mdp(S: int, A: int, H: int, R: float, seed: int,
-               deterministic: bool = False) -> TabularMDP:
-    """Dirichlet transitions and uniform rewards in [-R, R].
+               deterministic: bool = False) -> MDPStack:
+    """The stack of one random_stack(S, A, H, R, [seed], deterministic)."""
+    return random_stack(S, A, H, R, [seed], deterministic)
+
+
+def random_stack(S: int, A: int, H: int, R: float, seeds,
+                 deterministic: bool = False) -> MDPStack:
+    """MDP b has Dirichlet transitions and uniform rewards in [-R, R], drawn
+    from its own generator rng(seeds[b]) straight into the stack's arrays
+    and checked with the others in one pass.
 
     ``deterministic`` draws one-hot transitions instead; the trajectory
     reward identity telescopes exactly only in that regime (token-level
     MDPs are deterministic).
     """
-    return TabularMDP(*_draw(S, A, H, R, seed, deterministic), H=H, R=R)
-
-
-def random_stack(S: int, A: int, H: int, R: float, seeds,
-                 deterministic: bool = False) -> MDPStack:
-    """MDP b is random_mdp(S, A, H, R, seeds[b]), drawn straight into the
-    stack's arrays and checked with the others in one pass."""
+    if S < 1 or A < 1 or H < 1 or not R > 0:
+        raise ValueError("require S, A, H >= 1 and R > 0")
+    if not R <= _largest_R(H):
+        raise ValueError(_scale_error(H))
     P, r = np.empty((len(seeds), S, A, S)), np.empty((len(seeds), S, A))
     for b, seed in enumerate(seeds):
-        P[b], r[b] = _draw(S, A, H, R, seed, deterministic)
+        draw = rng(seed)
+        if deterministic:
+            P[b] = np.eye(S)[draw.integers(0, S, size=(S, A))]   # one-hot next states
+        else:
+            P[b] = draw.dirichlet(np.ones(S), size=(S, A))
+        r[b] = draw.uniform(-R, R, size=(S, A))
     return MDPStack(P=P, r=r, H=H, R=np.full(len(seeds), float(R)))
 
 
-def _ref_table(mdp: TabularMDP, pi_ref) -> np.ndarray:
+def _ref_table(stack: MDPStack, pi_ref) -> np.ndarray:
     pi_ref = np.asarray(pi_ref, dtype=np.float64)
-    if pi_ref.shape == (mdp.S, mdp.A):
-        pi_ref = np.broadcast_to(pi_ref, (mdp.H, mdp.S, mdp.A))
-    return validate_policy(mdp, np.array(pi_ref))
+    if pi_ref.shape == (stack.S, stack.A):
+        pi_ref = np.broadcast_to(pi_ref, (stack.H, stack.S, stack.A))
+    return _policy(stack, np.array(pi_ref))
 
 
 # The most elements of the (B, G, H, S, A) policy tensor that one stack of
@@ -165,19 +158,22 @@ def _soft_backup(P, r, ref: np.ndarray, beta: float, gammas, Q=None):
     V, pi = np.zeros((B, G, H + 1, S)), np.empty((B, G, H, S, A))
     q = np.empty((B, G, A, S))
     flat, g, pi_am = q.reshape(B, G, A * S), gammas[:, None, None], pi.transpose(0, 1, 2, 4, 3)
-    for t in range(H - 1, -1, -1):
-        np.matmul(V[:, :, t + 1], PT, out=flat)
-        q *= g
-        q += base[:, None, t]
-        if Q is not None:
-            Q[:, :, t] = q.transpose(0, 1, 3, 2)
-        m = q.max(axis=2)
-        q -= m[:, :, None]
-        q /= beta
-        np.exp(q, out=q)
-        z = q.sum(axis=2)
-        V[:, :, t] = m + beta * np.log(z)              # beta * logsumexp(q / beta)
-        np.divide(q, z[:, :, None], out=pi_am[:, :, t])  # exp((q - V) / beta)
+    # a tiny beta can take (q - max) / beta below -1.8e308; that overflow is
+    # harmless, since the -inf it gives exps to an exact 0
+    with np.errstate(over="ignore"):
+        for t in range(H - 1, -1, -1):
+            np.matmul(V[:, :, t + 1], PT, out=flat)
+            q *= g
+            q += base[:, None, t]
+            if Q is not None:
+                Q[:, :, t] = q.transpose(0, 1, 3, 2)
+            m = q.max(axis=2)
+            q -= m[:, :, None]
+            q /= beta
+            np.exp(q, out=q)
+            z = q.sum(axis=2)
+            V[:, :, t] = m + beta * np.log(z)              # beta * logsumexp(q / beta)
+            np.divide(q, z[:, :, None], out=pi_am[:, :, t])  # exp((q - V) / beta)
     return V, pi
 
 
@@ -208,41 +204,42 @@ def _visitation(P, pi: np.ndarray) -> np.ndarray:
     return d[:, :, 0]
 
 
-def soft_value_iteration(mdp: TabularMDP, pi_ref, beta: float, gamma: float):
+def soft_value_iteration(mdp: MDPStack, pi_ref, beta: float, gamma: float):
     """Backward induction of the decayed soft Bellman recursion.
 
     Q[t] = r + beta*log pi_ref + gamma * P V[t+1];
     V[t] = beta * logsumexp(Q[t]/beta); the returned policy is the
     Boltzmann optimum exp((Q - V)/beta), normalized by construction.
     """
+    ref = _ref_table(_one(mdp), pi_ref)
     Q = np.empty((1, 1, mdp.H, mdp.S, mdp.A))
-    V, pi = _soft_backup(mdp.P[None], mdp.r[None], _ref_table(mdp, pi_ref), beta, [gamma], Q)
+    V, pi = _soft_backup(mdp.P, mdp.r, ref, beta, [gamma], Q)
     return (V[0, 0], Q[0, 0]), pi[0, 0]
 
 
-def policy_value(mdp: TabularMDP, pi, gamma: float) -> float:
+def policy_value(mdp: MDPStack, pi, gamma: float) -> float:
     """Exact expected decayed return from state 0 by backward induction."""
-    V = _evaluate(mdp.P[None], mdp.r[None], validate_policy(mdp, pi)[None, None], [gamma])
+    V = _evaluate(mdp.P, mdp.r, validate_policy(mdp, pi)[None, None], [gamma])
     return float(V[0, 0, 0, 0])
 
 
-def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float,
+def trajectory_identity_check(mdp: MDPStack, pi_ref, beta: float, gamma: float,
                               trajectory):
     """Decayed trajectory reward vs the value-plus-log-ratio telescoping.
 
     Returns (lhs, rhs, residual). For full-horizon trajectories through
     deterministic transitions the residual is zero up to roundoff.
     """
-    ref = _ref_table(mdp, pi_ref)
+    ref = _ref_table(_one(mdp), pi_ref)
     if not 1 <= len(trajectory) <= mdp.H:
         raise ValueError("trajectory length must be in [1, H]")
     for t, (s, a) in enumerate(trajectory):
         if not (0 <= s < mdp.S and 0 <= a < mdp.A):
             raise ValueError(f"invalid state/action at step {t}")
-        if t and mdp.P[trajectory[t - 1][0], trajectory[t - 1][1], s] <= 0.0:
+        if t and mdp.P[0, trajectory[t - 1][0], trajectory[t - 1][1], s] <= 0.0:
             raise ValueError(f"impossible transition into step {t}")
-    ((V,),), ((pi_star,),) = _soft_backup(mdp.P[None], mdp.r[None], ref, beta, [gamma])
-    lhs = sum(gamma ** t * mdp.r[s, a] for t, (s, a) in enumerate(trajectory))
+    ((V,),), ((pi_star,),) = _soft_backup(mdp.P, mdp.r, ref, beta, [gamma])
+    lhs = sum(gamma ** t * mdp.r[0, s, a] for t, (s, a) in enumerate(trajectory))
     s0 = trajectory[0][0]
     rhs = V[0][s0] + sum(
         gamma ** t * beta * np.log(pi_star[t, s, a] / ref[t, s, a])
@@ -250,8 +247,9 @@ def trajectory_identity_check(mdp: TabularMDP, pi_ref, beta: float, gamma: float
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 
 
-def enumerate_trajectories(mdp: TabularMDP):
+def enumerate_trajectories(mdp: MDPStack):
     """All positive-probability full-length (s, a) trajectories from state 0."""
+    (P,) = _one(mdp).P
 
     def extend(prefix, s, t):
         if t == mdp.H:
@@ -259,45 +257,43 @@ def enumerate_trajectories(mdp: TabularMDP):
             return
         for a in range(mdp.A):
             prefix.append((s, a))
-            for s2 in np.nonzero(mdp.P[s, a] > 0)[0]:
+            for s2 in np.nonzero(P[s, a] > 0)[0]:
                 yield from extend(prefix, int(s2), t + 1)
             prefix.pop()
 
-    yield from extend([], 0, 0)
+    return extend([], 0, 0)
 
 
 @dataclass
 class SuboptimalityReport:
     gamma: float
-    delta1: float = 0.0
-    delta2: float = 0.0
-    delta3: float = 0.0
-    subopt: float = 0.0
-    bound_term1: float = 0.0
-    bound_term2: float = 0.0
-    bound_total: float = 0.0
-    tv_expectation: float = 0.0
+    delta1: float
+    delta2: float
+    delta3: float
+    subopt: float
+    bound_term1: float
+    bound_term2: float
+    bound_total: float
+    tv_expectation: float
 
 
-def _reports(P, r, R, pis: np.ndarray, gammas, bound: bool) -> np.ndarray:
+def _reports(P, r, R, pis: np.ndarray, gammas) -> np.ndarray:
     """reports[b, i] (B, G, 8): the SuboptimalityReport fields after gamma of
     pis[b, 1 + i] against pi* = pis[b, 0] at gammas[i] in stacked MDP b: the
-    decomposition and, with ``bound``, the bound terms and occupancy TV (else
-    zeros), for which pis[:, 1:] is overwritten with |pis[:, 1:] - pis[:, 0]|."""
+    decomposition, the bound terms and the occupancy TV, for which
+    pis[:, 1:] is overwritten with |pis[:, 1:] - pis[:, 0]|."""
     V = _evaluate(P, r, pis, [1.0, *gammas])[..., 0]
     v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, 1:], V[:, 1:, 1:].diagonal(0, 1, 2), V[:, 1:, 0]
-    columns = [v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1]
-    if bound:
-        gaps = np.abs(np.subtract(pis[:, 1:], pis[:, :1], out=pis[:, 1:]), out=pis[:, 1:])
-        # products of one MDP's matrices only, so a row does not depend on its stack
-        B, K, H, S, A = gaps.shape
-        d = _visitation(P, pis[:, 0]).reshape(B, 1, 1, H * S)
-        tv = 0.5 * (d @ gaps.reshape(B, K, H * S, A)).sum(axis=(2, 3)) / H
-        g = np.array([discount_horizon(gamma, H) for gamma in gammas])
-        term1 = 2.0 * (H - g) * R[:, None]
-        term2 = 2.0 * g * g * tv * R[:, None]
-        columns += [term1, term2, term1 + term2, tv]
-    return np.stack(columns + [np.zeros_like(v1)] * (8 - len(columns)), axis=2)
+    gaps = np.abs(np.subtract(pis[:, 1:], pis[:, :1], out=pis[:, 1:]), out=pis[:, 1:])
+    # products of one MDP's matrices only, so a row does not depend on its stack
+    B, K, H, S, A = gaps.shape
+    d = _visitation(P, pis[:, 0]).reshape(B, 1, 1, H * S)
+    tv = 0.5 * (d @ gaps.reshape(B, K, H * S, A)).sum(axis=(2, 3)) / H
+    g = np.array([discount_horizon(gamma, H) for gamma in gammas])
+    term1 = 2.0 * (H - g) * R[:, None]
+    term2 = 2.0 * g * g * tv * R[:, None]
+    return np.stack([v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1,
+                     term1, term2, term1 + term2, tv], axis=2)
 
 
 def _bound_gammas(gammas) -> list:
@@ -308,18 +304,6 @@ def _bound_gammas(gammas) -> list:
     return gammas
 
 
-def _report(mdp: TabularMDP, pi_star, pi, gamma: float, bound: bool) -> SuboptimalityReport:
-    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
-    row = _reports(mdp.P[None], mdp.r[None], np.array([mdp.R]), pis[None], [gamma], bound)
-    return SuboptimalityReport(gamma, *row[0, 0].tolist())
-
-
-def suboptimality_decompose(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
-    """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
-    the policy-gap term at discount gamma (evaluation discount fixed at 1)."""
-    return _report(mdp, pi_star, pi, gamma, bound=False)
-
-
 def discount_horizon(gamma: float, H: int) -> float:
     """(1 - gamma^H) / (1 - gamma), analytic H at gamma = 1."""
     if gamma == 1.0:
@@ -327,11 +311,22 @@ def discount_horizon(gamma: float, H: int) -> float:
     return float((1.0 - gamma ** H) / (1.0 - gamma))
 
 
-def suboptimality_bound(mdp: TabularMDP, pi_star, pi, gamma: float) -> SuboptimalityReport:
+def suboptimality_decompose(mdp: MDPStack, pi_star, pi, gamma: float) -> SuboptimalityReport:
+    """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
+    the policy-gap term at discount gamma (evaluation discount fixed at 1),
+    with the bound terms and occupancy TV of suboptimality_bound; gamma is
+    not checked, and the bound holds only for gamma in (0, 1]."""
+    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
+    row = _reports(mdp.P, mdp.r, mdp.R, pis[None], [gamma])
+    return SuboptimalityReport(gamma, *row[0, 0].tolist())
+
+
+def suboptimality_bound(mdp: MDPStack, pi_star, pi, gamma: float) -> SuboptimalityReport:
     """Full report: deltas, occupancy TV, and the two bound terms
-    2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
+    2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma), for gamma
+    in (0, 1]."""
     _bound_gammas([gamma])
-    return _report(mdp, pi_star, pi, gamma, bound=True)
+    return suboptimality_decompose(mdp, pi_star, pi, gamma)
 
 
 def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
@@ -341,4 +336,4 @@ def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
     serves the whole stack."""
     gammas = _bound_gammas(gammas)  # checked before the backup solves any of them
     _, pis = _soft_backup(stack.P, stack.r, _ref_table(stack, pi_ref), beta, [1.0, *gammas])
-    return _reports(stack.P, stack.r, stack.R, pis, gammas, bound=True)
+    return _reports(stack.P, stack.r, stack.R, pis, gammas)

@@ -795,6 +795,54 @@ class TestMdpVerify:
         assert len(err) == 1 and "reward bound R" in err[0] and f"H = {horizon}" in err[0]
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
+    def test_tiny_beta_runs_without_warnings(self, tmp_path, capsys):
+        # (q - max) / beta overflows to -inf, which exps to an exact 0; the
+        # backup used to warn of it, a traceback under -W error
+        out = tmp_path / "mdp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mdp-verify", "--seeds", "2", "--beta", "1e-310",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == TINY_BETA_CSV  # the rows it wrote with warnings ignored
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 179. GiB for an array"),
+         "runtime error: Unable to allocate 179. GiB for an array"),
+        (MemoryError(), "runtime error: MemoryError")])
+    def test_out_of_memory_exit_2_one_line(self, tmp_path, monkeypatch, capsys, error, line):
+        def draw(*args):
+            raise error
+
+        monkeypatch.setattr(mdp, "random_stack", draw)
+        out = tmp_path / "mdp.csv"
+        assert main(["mdp-verify", "--seeds", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+# mdp-verify --seeds 2 --beta 1e-310 at the default S4 A3 H8
+TINY_BETA_CSV = (
+    "seed,gamma,delta1,delta2,delta3,subopt,term1,term2,bound,tv,holds\n"
+    "0,0.5,1.682257974346612,0.0,-1.682257974346612,0.0,12.015625,0.0,12.015625,0.0,1\n"
+    "0,0.9,0.6528204926958145,0.0,-0.6528204926958145,0.0,"
+    "4.609344199999999,0.0,4.609344199999999,0.0,1\n"
+    "0,0.95,0.35966170627266925,0.0,-0.35966170627266925,0.0,"
+    "2.5368172515625016,0.0,2.5368172515625016,0.0,1\n"
+    "0,0.98,0.15268318494913258,0.0,-0.15268318494913258,0.0,"
+    "1.0763022581785613,0.0,1.0763022581785613,0.0,1\n"
+    "0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1\n"
+    "1,0.5,3.242111462665885,-0.13974942934166956,-2.992918484942713,0.10944354838150261,"
+    "12.015625,2.090387281071741,14.106012281071742,0.26335182785912653,1\n"
+    "1,0.9,1.2383606461204142,-0.0007200149171091574,-1.227899008112153,0.009741623091152007,"
+    "4.609344199999999,2.492453444704647,7.1017976447046465,0.03842019753623568,1\n"
+    "1,0.95,0.681232039643751,0.0,-0.681232039643751,0.0,"
+    "2.5368172515625016,0.0,2.5368172515625016,0.0,1\n"
+    "1,0.98,0.2889483557992527,0.0,-0.2889483557992527,0.0,"
+    "1.0763022581785613,0.0,1.0763022581785613,0.0,1\n"
+    "1,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1\n")
+
 
 class TestDashValues:
     """Every option takes one value, even one that starts with "-"."""

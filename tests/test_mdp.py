@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from decaypo import mdp
-from decaypo.mdp import (MDPStack, TabularMDP, discount_horizon, enumerate_trajectories,
+from decaypo.mdp import (MDPStack, discount_horizon, enumerate_trajectories,
                          policy_value, random_mdp, random_stack,
                          soft_value_iteration, suboptimality_decompose,
                          suboptimality_bound, trajectory_identity_check,
@@ -15,15 +15,23 @@ from decaypo.mdp import (MDPStack, TabularMDP, discount_horizon, enumerate_traje
 
 
 def stack_of(*mdps):
-    """The stack of the given same-shape MDPs, each keeping its own R."""
-    return MDPStack(P=np.stack([m.P for m in mdps]), r=np.stack([m.r for m in mdps]),
-                    H=mdps[0].H, R=np.array([m.R for m in mdps]))
+    """The stack of the given stacks of same-shape MDPs, each keeping its own R."""
+    return MDPStack(P=np.concatenate([m.P for m in mdps]), r=np.concatenate([m.r for m in mdps]),
+                    H=mdps[0].H, R=np.concatenate([m.R for m in mdps]))
+
+
+def one_mdp(P, r, H, R):
+    """The stack of one MDP with transitions P (S, A, S) and rewards r (S, A)."""
+    return MDPStack(P=np.asarray(P)[None], r=np.asarray(r)[None], H=H, R=[R])
 
 
 class TestTabularMDP:
+    """A single MDP: a stack of one."""
+
     def test_single_state_single_action(self):
         m = random_mdp(1, 1, 3, 1.0, seed=0)
-        assert m.P[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert m.P.shape == (1, 1, 1, 1) and m.R.shape == (1,)
+        assert m.P[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_per_seed(self):
         a, b = random_mdp(4, 3, 5, 2.0, seed=9), random_mdp(4, 3, 5, 2.0, seed=9)
@@ -32,18 +40,18 @@ class TestTabularMDP:
     def test_invariant_sweep(self):
         for seed in range(200):
             m = random_mdp(3, 2, 4, 1.5, seed=seed)
-            assert np.max(np.abs(np.sum(m.P, axis=2) - 1.0)) <= 1e-12
+            assert np.max(np.abs(np.sum(m.P[0], axis=2) - 1.0)) <= 1e-12
             assert np.max(np.abs(m.r)) <= 1.5
 
     def test_bad_transitions_rejected(self):
         P = np.ones((2, 2, 2)) * 0.6
         with pytest.raises(ValueError):
-            TabularMDP(P=P, r=np.zeros((2, 2)), H=2, R=1.0)
+            one_mdp(P=P, r=np.zeros((2, 2)), H=2, R=1.0)
 
     def test_reward_bound_enforced(self):
         m = random_mdp(2, 2, 2, 1.0, seed=1)
         with pytest.raises(ValueError):
-            TabularMDP(P=m.P, r=m.r * 5, H=2, R=1.0)
+            MDPStack(P=m.P, r=m.r * 5, H=2, R=m.R)
 
     @pytest.mark.parametrize("field", ["P", "r"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -51,18 +59,18 @@ class TestTabularMDP:
         m = random_mdp(2, 2, 3, 1.0, 0)
         arrays = {"P": m.P.copy(), "r": m.r.copy()}
         if field == "P":
-            arrays["P"][1, 0] = bad  # one whole transition row
+            arrays["P"][0, 1, 0] = bad  # one whole transition row
         else:
-            arrays["r"][0, 1] = bad
+            arrays["r"][0, 0, 1] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            TabularMDP(P=arrays["P"], r=arrays["r"], H=3, R=1.0)
+            MDPStack(P=arrays["P"], r=arrays["r"], H=3, R=m.R)
 
 
 class TestSoftValueIteration:
     def test_one_step_hand_check(self):
         # H=1, A=2, rewards [1, 0], uniform ref, beta=1
         P = np.ones((1, 2, 1))
-        m = TabularMDP(P=P, r=np.array([[1.0, 0.0]]), H=1, R=1.0)
+        m = one_mdp(P=P, r=np.array([[1.0, 0.0]]), H=1, R=1.0)
         (V, Q), pi = soft_value_iteration(m, uniform_policy(m), beta=1.0, gamma=1.0)
         assert Q[0, 0] == pytest.approx([1 + np.log(0.5), np.log(0.5)], abs=1e-12)
         assert V[0, 0] == pytest.approx(np.log((np.e + 1) / 2), abs=1e-12)
@@ -81,7 +89,7 @@ class TestSoftValueIteration:
         m = random_mdp(3, 2, 5, 1.0, seed=4)
         ref = uniform_policy(m)
         (V, Q), _ = soft_value_iteration(m, ref, beta=0.5, gamma=0.0)
-        expected = m.r + 0.5 * np.log(0.5)
+        expected = m.r[0] + 0.5 * np.log(0.5)
         for t in range(m.H):
             assert np.allclose(Q[t], expected, atol=1e-12)
 
@@ -103,12 +111,13 @@ class TestSoftValueIteration:
         beta = 0.4
         (V, Q), _ = soft_value_iteration(m, ref, beta, 1.0)
         # independent recursion with explicit loops
+        P, r = m.P[0], m.r[0]
         V2 = np.zeros(m.S)
         for t in range(m.H - 1, -1, -1):
             Q2 = np.empty((m.S, m.A))
             for s in range(m.S):
                 for a in range(m.A):
-                    Q2[s, a] = m.r[s, a] + beta * np.log(ref[t, s, a]) + m.P[s, a] @ V2
+                    Q2[s, a] = r[s, a] + beta * np.log(ref[t, s, a]) + P[s, a] @ V2
             V2 = beta * np.log(np.sum(np.exp(Q2 / beta), axis=1))
             assert np.allclose(Q[t], Q2, atol=1e-10)
         assert np.allclose(V[0], V2, atol=1e-10)
@@ -120,7 +129,7 @@ class TestPolicyValue:
         P = np.zeros((S, 1, S))
         for s in range(S):
             P[s, 0, (s + 1) % S] = 1.0
-        m = TabularMDP(P=P, r=np.full((S, 1), c), H=H, R=1.0)
+        m = one_mdp(P=P, r=np.full((S, 1), c), H=H, R=1.0)
         pi = uniform_policy(m)
         for gamma in (0.5, 0.9):
             expected = c * (1 - gamma ** H) / (1 - gamma)
@@ -139,9 +148,9 @@ class TestPolicyValue:
         for t in range(m.H):
             u = rng.random(n)
             actions = (u[:, None] > np.cumsum(pi[t][states], axis=1)).sum(axis=1)
-            returns += gamma ** t * m.r[states, actions]
+            returns += gamma ** t * m.r[0, states, actions]
             u2 = rng.random(n)
-            states = (u2[:, None] > np.cumsum(m.P[states, actions], axis=1)).sum(axis=1)
+            states = (u2[:, None] > np.cumsum(m.P[0, states, actions], axis=1)).sum(axis=1)
         se = np.std(returns, ddof=1) / np.sqrt(n)
         assert abs(np.mean(returns) - exact) <= 3 * se
 
@@ -153,7 +162,7 @@ class TestTrajectoryIdentity:
             lhs, rhs, res = trajectory_identity_check(
                 m, uniform_policy(m), beta=0.7, gamma=0.9, trajectory=[(0, a)])
             assert res <= 1e-12
-            assert lhs == pytest.approx(m.r[0, a], abs=1e-12)
+            assert lhs == pytest.approx(m.r[0, 0, a], abs=1e-12)
 
     def test_full_length_deterministic(self):
         for seed in range(5):
@@ -167,7 +176,7 @@ class TestTrajectoryIdentity:
     def test_impossible_transition_rejected(self):
         m = random_mdp(2, 2, 3, 1.0, seed=1, deterministic=True)
         s0, a0 = 0, 0
-        next_state = int(np.argmax(m.P[s0, a0]))
+        next_state = int(np.argmax(m.P[0, s0, a0]))
         bad_state = 1 - next_state
         with pytest.raises(ValueError):
             trajectory_identity_check(m, uniform_policy(m), 0.5, 0.9,
@@ -205,6 +214,16 @@ class TestDecomposition:
             assert rep.delta1 + rep.delta2 + rep.delta3 == \
                 pytest.approx(rep.subopt, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.9, 1.0])
+    def test_decompose_reports_equal_bound_reports(self, gamma):
+        m = random_mdp(4, 3, 8, 1.0, seed=22)
+        ref = uniform_policy(m)
+        _, pi_star = soft_value_iteration(m, ref, 0.3, 1.0)
+        _, pi = soft_value_iteration(m, ref, 0.3, 0.5)
+        rep = suboptimality_decompose(m, pi_star, pi, gamma)
+        assert rep == suboptimality_bound(m, pi_star, pi, gamma)  # field for field
+        assert rep.tv_expectation > 0 and rep.bound_total > 0
+
 
 class TestOccupancy:
     def test_identical_policies(self):
@@ -223,7 +242,7 @@ class TestOccupancy:
     def test_visitation_matches_path_enumeration(self):
         m = random_mdp(3, 2, 3, 1.0, seed=17)
         _, pi = soft_value_iteration(m, uniform_policy(m), 0.5, 0.9)
-        d = mdp._visitation(m.P[None], pi[None])[0]
+        d = mdp._visitation(m.P, pi[None])[0]
         # brute force: sum over all (action, state) paths
         expected = np.zeros((m.H, m.S))
         expected[0, 0] = 1.0
@@ -233,7 +252,7 @@ class TestOccupancy:
                     for s in range(m.S):
                         expected[t, s] += (expected[t - 1, s_prev]
                                            * pi[t - 1, s_prev, a]
-                                           * m.P[s_prev, a, s])
+                                           * m.P[0, s_prev, a, s])
             assert np.sum(expected[t]) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(d, expected, atol=1e-12)
 
@@ -263,7 +282,7 @@ class TestTheorem1:
         rep = suboptimality_bound(m, pi_star, pi, gamma=1.0)
         assert rep.bound_term1 == 0.0
         assert rep.bound_term2 == pytest.approx(
-            2 * m.H ** 2 * rep.tv_expectation * m.R, abs=1e-12)
+            2 * m.H ** 2 * rep.tv_expectation * m.R[0], abs=1e-12)
 
     def test_bound_holds_on_random_sweep(self):
         for seed in range(50):
@@ -275,8 +294,8 @@ class TestTheorem1:
                 rep = suboptimality_bound(m, pi_star, pi, gamma)
                 assert rep.subopt <= rep.bound_total + 1e-9
                 g = discount_horizon(gamma, m.H)
-                assert rep.delta1 <= (m.H - g) * m.R + 1e-9
-                assert rep.delta3 <= (m.H - g) * m.R + 1e-9
+                assert rep.delta1 <= (m.H - g) * m.R[0] + 1e-9
+                assert rep.delta3 <= (m.H - g) * m.R[0] + 1e-9
 
     def test_delta2_bound_with_gamma_optimal_pi_star(self):
         # Lemma-level check: when pi* is optimal for the same gamma the
@@ -309,11 +328,12 @@ class TestValidation:
 def oracle_soft_value_iteration(m, ref, beta, gamma):
     """One discount at a time, with scipy's logsumexp and an explicit
     renormalization of each policy row."""
+    P, r = m.P[0], m.r[0]
     V = np.zeros((m.H + 1, m.S))
     Q = np.zeros((m.H, m.S, m.A))
     pi = np.zeros((m.H, m.S, m.A))
     for t in range(m.H - 1, -1, -1):
-        Q[t] = m.r + beta * np.log(ref[t]) + gamma * (m.P @ V[t + 1])
+        Q[t] = r + beta * np.log(ref[t]) + gamma * (P @ V[t + 1])
         V[t] = beta * logsumexp(Q[t] / beta, axis=1)
         pi[t] = np.exp((Q[t] - V[t][:, None]) / beta)
         pi[t] /= np.sum(pi[t], axis=1, keepdims=True)
@@ -323,7 +343,7 @@ def oracle_soft_value_iteration(m, ref, beta, gamma):
 def oracle_policy_value(m, pi, gamma):
     V = np.zeros(m.S)
     for t in range(m.H - 1, -1, -1):
-        V = np.sum(pi[t] * (m.r + gamma * (m.P @ V)), axis=1)
+        V = np.sum(pi[t] * (m.r[0] + gamma * (m.P[0] @ V)), axis=1)
     return V
 
 
@@ -331,7 +351,7 @@ def oracle_occupancy_tv(m, pi_star, pi):
     d = np.zeros((m.H, m.S))
     d[0, 0] = 1.0
     for t in range(m.H - 1):
-        d[t + 1] = np.einsum("sa,sak->k", d[t][:, None] * pi_star[t], m.P)
+        d[t + 1] = np.einsum("sa,sak->k", d[t][:, None] * pi_star[t], m.P[0])
     return float(np.mean(np.sum(d * 0.5 * np.sum(np.abs(pi_star - pi), axis=2), axis=1)))
 
 
@@ -340,7 +360,7 @@ def oracle_report(m, pi_star, pi, gamma):
     vg, v1 = (oracle_policy_value(m, pi, g)[0] for g in (gamma, 1.0))
     g = discount_horizon(gamma, m.H)
     tv = oracle_occupancy_tv(m, pi_star, pi)
-    term1, term2 = 2.0 * (m.H - g) * m.R, 2.0 * g * g * tv * m.R
+    term1, term2 = 2.0 * (m.H - g) * m.R[0], 2.0 * g * g * tv * m.R[0]
     return (gamma, v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1,
             term1, term2, term1 + term2, tv)
 
@@ -377,7 +397,7 @@ class TestStackedCoreEquivalence:
                 worst = max(worst, _deviation(V, V_o), _deviation(Q, Q_o),
                             _deviation(pi, pi_o))
                 # every state's value, not only the start state's
-                V_all = mdp._evaluate(m.P[None], m.r[None], pi_o[None, None], [gamma])
+                V_all = mdp._evaluate(m.P, m.r, pi_o[None, None], [gamma])
                 worst = max(worst, _deviation(V_all[0, 0, 0], oracle_policy_value(m, pi_o, gamma)),
                             abs(policy_value(m, pi_o, gamma)
                                 - oracle_policy_value(m, pi_o, gamma)[0]))
@@ -388,7 +408,7 @@ class TestStackedCoreEquivalence:
                             _deviation(astuple(suboptimality_bound(m, pi_star, pi_o, gamma)),
                                        expected),
                             _deviation(astuple(suboptimality_decompose(
-                                m, pi_star, pi_o, gamma))[1:5], expected[1:5]))
+                                m, pi_star, pi_o, gamma)), expected))
         print(f"max deviation from the per-discount oracle: {worst:.2e}")
         assert worst <= 1e-12, worst
 
@@ -431,7 +451,7 @@ class TestStackedCoreEquivalence:
             for m, reports in zip(mdps, stack):
                 alone = verify_bounds(stack_of(m), ref, 0.3, GAMMAS)[0]
                 assert reports.tobytes() == alone.tobytes()  # bit for bit
-                assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R
+                assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R[0]
                            for gamma, fields in zip(GAMMAS, reports))  # bound_term1
 
     def test_verify_bounds_rejects_an_empty_stack(self):
@@ -515,7 +535,8 @@ class TestRewardScale:
             random_stack(2, 2, H, R, [0])
         m = random_mdp(2, 2, H, 1.0, seed=0)
         with pytest.raises(ValueError, match=r" H = 64: .* \(MDP 1 of the stack\)$"):
-            MDPStack(P=np.stack([m.P, m.P]), r=np.stack([m.r, m.r]), H=H, R=np.array([1.0, R]))
+            MDPStack(P=np.concatenate([m.P, m.P]), r=np.concatenate([m.r, m.r]), H=H,
+                     R=np.array([1.0, R]))
 
 
 class TestDeterministicTransitions:
@@ -531,8 +552,8 @@ class TestDeterministicTransitions:
                 for a in range(A):
                     P[s, a, nxt[s, a]] = 1.0
             r = rng.uniform(-1.5, 1.5, size=(S, A))
-            assert m.P.tobytes() == P.tobytes() and m.P.shape == P.shape
-            assert m.r.tobytes() == r.tobytes()
+            assert m.P[0].tobytes() == P.tobytes() and m.P[0].shape == P.shape
+            assert m.r[0].tobytes() == r.tobytes()
 
 
 
@@ -545,8 +566,8 @@ class TestStackedDraw:
         assert stack.R.tolist() == [2.5] * len(seeds)
         for b, seed in enumerate(seeds):
             m = random_mdp(S, A, H, 2.5, seed, deterministic)
-            assert stack.P[b].tobytes() == m.P.tobytes()  # bit for bit
-            assert stack.r[b].tobytes() == m.r.tobytes()
+            assert stack.P[b].tobytes() == m.P[0].tobytes()  # bit for bit
+            assert stack.r[b].tobytes() == m.r[0].tobytes()
 
     @staticmethod
     def _spoil(kind, P, r):
@@ -571,7 +592,7 @@ class TestStackedDraw:
         P, r = good.P.copy(), good.r.copy()
         self._spoil(kind, P, r)
         with pytest.raises(ValueError) as single:
-            TabularMDP(P=P[2], r=r[2], H=4, R=1.0)
+            MDPStack(P=P[2:3], r=r[2:3], H=4, R=good.R[2:3])  # a stack of one
         with pytest.raises(ValueError) as stacked:
             MDPStack(P=P, r=r, H=4, R=good.R)
         assert str(stacked.value) == f"{single.value} (MDP 2 of the stack)"
@@ -628,3 +649,19 @@ def test_every_public_entry_rejects_malformed_policy(entry, kind):
     m = random_mdp(3, 2, 4, 1.0, seed=21)
     with pytest.raises(ValueError, match="policy"):
         PUBLIC_ENTRIES[entry](m, _malformed(m)[kind], uniform_policy(m))
+
+
+ONE_MDP = r"^expected a stack of one MDP, got a stack of 2$"
+
+
+@pytest.mark.parametrize("entry", sorted(set(PUBLIC_ENTRIES) - {"verify_bounds"}))
+def test_every_single_mdp_entry_rejects_a_stack_of_two(entry):
+    two = random_stack(3, 2, 4, 1.0, [21, 22])
+    good = uniform_policy(two)
+    with pytest.raises(ValueError, match=ONE_MDP):
+        PUBLIC_ENTRIES[entry](two, good, good)
+
+
+def test_enumerate_trajectories_rejects_a_stack_of_two():
+    with pytest.raises(ValueError, match=ONE_MDP):
+        enumerate_trajectories(random_stack(2, 2, 3, 1.0, [0, 1], deterministic=True))
