@@ -110,19 +110,14 @@ def _oracle_from(r: dict):
 def _cmd_train(r: dict) -> int:
     loss_cfg = _loss_config(r, r["seed"])
     pairs = data.load_pairs(r["pairs"])
-    cfg = TrainConfig(loss=loss_cfg, base_lr=r["base-lr"],
-                      lr_multiplier=r["lr-multiplier"], batch_size=r["batch-size"],
-                      warmup_fraction=r["warmup-fraction"], epochs=r["epochs"],
-                      max_steps=r["max-steps"], seed=r["seed"],
-                      max_response_len=r["max-response-len"],
-                      weight_decay=r["weight-decay"], grad_clip=r["grad-clip"])
+    cfg = TrainConfig(loss=loss_cfg, lr_multiplier=r["lr-multiplier"],
+                      batch_size=r["batch-size"], epochs=r["epochs"],
+                      max_steps=r["max-steps"], seed=r["seed"])
     init = _model_from(r, "init", r["seed"])
     # train copies init for the policy and only reads the reference
     reference = load_checkpoint(r["reference"]) if r.get("reference") else init
     ckpt, metrics = train(cfg, pairs, init, reference)
-    skipped = sum(m.get("skipped", 0) for m in metrics)
-    if skipped:
-        print(f"warning: skipped {skipped} context-overflow examples", file=sys.stderr)
+    _warn_skipped(sum(m["skipped"] for m in metrics))
     lines = [json.dumps({"step": m["step"], "loss": m["loss"], "margin": m["margin"],
                          "grad_norm": m["grad_norm"], "lr": m["lr"]})
              for m in metrics]
@@ -170,6 +165,21 @@ def _cmd_eval(r: dict) -> int:
     return 0
 
 
+def _warn_skipped(skipped: int) -> None:
+    if skipped:
+        print(f"warning: skipped {skipped} context-overflow examples", file=sys.stderr)
+
+
+def _fitting(pairs, context: int, chosen_only: bool = False) -> list:
+    """The pairs whose sequences, or only the chosen one, fit ``context``,
+    as train keeps them; warns of the rest as train does."""
+    kept = [p for p in pairs
+            if all(make_sequence(p.prompt, response).fits(context)
+                   for response in ((p.chosen,) if chosen_only else (p.chosen, p.rejected)))]
+    _warn_skipped(len(pairs) - len(kept))
+    return kept
+
+
 def _sequences(pairs):
     return [make_sequence(p.prompt, p.chosen) for p in pairs]
 
@@ -177,7 +187,7 @@ def _sequences(pairs):
 def _cmd_kl_position(r: dict) -> int:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
-    pairs = data.load_pairs(r["pairs"])
+    pairs = _fitting(data.load_pairs(r["pairs"]), policy.context, chosen_only=True)
     curve = analysis.kl_per_position(policy, reference, _sequences(pairs), r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     return 0
@@ -185,7 +195,7 @@ def _cmd_kl_position(r: dict) -> int:
 
 def _cmd_prob_position(r: dict) -> int:
     model = load_checkpoint(r["model"]).model
-    pairs = data.load_pairs(r["pairs"])
+    pairs = _fitting(data.load_pairs(r["pairs"]), model.context, chosen_only=True)
     curve = analysis.prob_per_position(model, _sequences(pairs), r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     return 0
@@ -193,7 +203,7 @@ def _cmd_prob_position(r: dict) -> int:
 
 def _cmd_ref_margin(r: dict) -> int:
     reference = load_checkpoint(r["reference"]).model
-    pairs = data.load_pairs(r["pairs"])
+    pairs = _fitting(data.load_pairs(r["pairs"]), reference.context)
     hist = analysis.ref_margin_density(reference, pairs, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
     return 0
@@ -207,12 +217,12 @@ def _cmd_length_bias(r: dict) -> int:
     policy = load_checkpoint(r["policy"]).model
     ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
     pairs = data.load_pairs(r["pairs"])
-    # max_response_len = context truncates nothing that would fit; packs of
-    # analysis.PACK sequences keep each pass small
+    # packs of analysis.PACK sequences keep each pass small
     batch = [(p, i) for i, p in enumerate(pairs)]
     step = analysis.PACK // 2
     scored = [score for i in range(0, len(batch), step)
-              for score in score_pairs(policy, ref_model, batch[i:i + step], policy.context)[0]]
+              for score in score_pairs(policy, ref_model, batch[i:i + step])[0]]
+    _warn_skipped(len(batch) - len(scored))
     rows = analysis.loss_by_length_gap(cfg, scored, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),
@@ -252,17 +262,11 @@ COMMANDS = {
             Option("reference", "str", help="reference checkpoint (defaults to init)"),
             Option("out", "str", "model.ckpt"),
             Option("metrics", "str", "metrics.jsonl"),
-            Option("base-lr", "float", 5e-7, valid=above(0)),
             Option("lr-multiplier", "float", 1e3, valid=above(0)),
             Option("batch-size", "int", 32, valid=at_least(1)),
-            Option("warmup-fraction", "float", 0.10,
-                   valid=(lambda v: 0 <= v < 1, "must be in [0, 1)")),
             Option("epochs", "int", 1, valid=at_least(0)),
             Option("max-steps", "int", valid=at_least(0)),
             SEED_OPT,
-            Option("max-response-len", "int", 256, valid=at_least(1)),
-            Option("weight-decay", "float", 0.0, valid=at_least(0)),
-            Option("grad-clip", "float", help="gradient-norm clip if set", valid=above(0)),
         ], _cmd_train),
     "build-pairs": (
         ARCH_OPTS + ORACLE_OPTS + SAMPLING_OPTS + [

@@ -62,6 +62,8 @@ class LossConfig:
             raise ValueError(f"unknown loss method {self.method!r}")
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
+        if not self.tau > 0:
+            raise ValueError("tau must be > 0")
 
 
 def _array(x) -> np.ndarray:
@@ -82,8 +84,6 @@ def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: 
     if method == "simpo":
         return np.full(T_w, 1.0 / T_w), np.full(T_l, 1.0 / T_l), cfg.beta, cfg.target_margin
     if method == "ipo":
-        if not cfg.tau > 0:
-            raise ValueError("ipo requires tau > 0")
         return np.ones(T_w), np.ones(T_l), 1.0, 1.0 / (2.0 * cfg.tau)
     if method == "sampo":
         idx_w, idx_l = sampo_indices(T_w, T_l, cfg.sampo_seed, score.example_id)

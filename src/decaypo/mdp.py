@@ -238,11 +238,13 @@ def trajectory_identity_check(mdp: MDPStack, pi_ref, beta: float, gamma: float,
             raise ValueError(f"invalid state/action at step {t}")
         if t and mdp.P[0, trajectory[t - 1][0], trajectory[t - 1][1], s] <= 0.0:
             raise ValueError(f"impossible transition into step {t}")
-    ((V,),), ((pi_star,),) = _soft_backup(mdp.P, mdp.r, ref, beta, [gamma])
+    (V, Q), _ = soft_value_iteration(mdp, pi_ref, beta, gamma)
     lhs = sum(gamma ** t * mdp.r[0, s, a] for t, (s, a) in enumerate(trajectory))
     s0 = trajectory[0][0]
+    # beta*log(pi*/pi_ref) as Q - beta*log pi_ref - V: every term is finite,
+    # where pi* itself underflows to 0 for a small beta
     rhs = V[0][s0] + sum(
-        gamma ** t * beta * np.log(pi_star[t, s, a] / ref[t, s, a])
+        gamma ** t * (Q[t, s, a] - beta * np.log(ref[t, s, a]) - V[t][s])
         for t, (s, a) in enumerate(trajectory))
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 

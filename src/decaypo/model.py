@@ -52,6 +52,10 @@ class TokenSequence:
     def response_len(self) -> int:
         return len(self.response_tokens)
 
+    def fits(self, context: int) -> bool:
+        """Whether a model of ``context`` can score the whole sequence."""
+        return self.prompt_len + self.response_len <= context
+
 
 def make_sequence(prompt: bytes, response: bytes) -> TokenSequence:
     return TokenSequence([BOS] + list(prompt), list(response) + [EOS])

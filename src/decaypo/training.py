@@ -19,29 +19,26 @@ from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
 from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
 
 
+BASE_LR = 5e-7           # scaled up by TrainConfig.lr_multiplier for desk-scale runs
+WARMUP_FRACTION = 0.10   # of the run's steps, warming up linearly to the peak rate
+
+
 @dataclass
 class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
-    base_lr: float = 5e-7          # scaled up by lr_multiplier for desk-scale runs
     lr_multiplier: float = 1e3     # desk-scale models want ~5e-4
     batch_size: int = 32
-    warmup_fraction: float = 0.10
     epochs: int = 1
     max_steps: int | None = None
     seed: int = 0
-    max_response_len: int = 256
-    weight_decay: float = 0.0
-    grad_clip: float | None = None
 
     def __post_init__(self):
-        if not self.base_lr * self.lr_multiplier > 0:
+        if not BASE_LR * self.lr_multiplier > 0:
             raise ValueError("learning rate must be > 0")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError("warmup fraction must be in [0, 1)")
 
     @property
     def lr(self) -> float:
-        return self.base_lr * self.lr_multiplier
+        return BASE_LR * self.lr_multiplier
 
 
 def cosine_lr(step: int, total_steps: int, warmup_fraction: float, base_lr: float) -> float:
@@ -145,13 +142,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # AdamW's moment decays and denominator f
 
 
 class AdamW:
-    """Adam with decoupled weight decay; update order is the fixed
-    parameter-name order, so runs are bit-reproducible."""
+    """AdamW with its weight decay fixed at 0, so Adam; update order is the
+    fixed parameter-name order, so runs are bit-reproducible."""
 
-    def __init__(self, params: dict, names, weight_decay: float = 0.0):
+    def __init__(self, params: dict, names):
         self.params = params
         self.names = list(names)
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(params[n]) for n in self.names}
         self.v = {n: np.zeros_like(params[n]) for n in self.names}
@@ -161,7 +157,7 @@ class AdamW:
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # update = (m/c1) / (sqrt(v/c2) + eps) + wd*param, in place: the same
+        # update = (m/c1) / (sqrt(v/c2) + eps), in place: the same
         # operations in the same order, so the same bits, with two fresh
         # arrays per parameter instead of one per operation
         for n in self.names:
@@ -178,25 +174,21 @@ class AdamW:
             scratch += EPS
             update = m / c1
             update /= scratch
-            if self.weight_decay:
-                np.multiply(self.weight_decay, self.params[n], out=scratch)
-                update += scratch
             update *= lr
             self.params[n] -= update
 
 
 def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
-                max_response_len: int, param_tensors: dict | None = None):
+                param_tensors: dict | None = None):
     """(PairScores, skipped count) of the (pair, example_id) items of ``batch``:
-    responses cut to ``max_response_len`` bytes, pairs that overflow the
-    context skipped, and one packed pass per model. The policy log-probs are
-    tensors when ``param_tensors`` is given, else arrays; the reference ones
-    (None without ``reference``) are arrays from the same arithmetic."""
-    kept = [([make_sequence(pair.prompt, response[:max_response_len])
-              for response in (pair.chosen, pair.rejected)], example_id)
+    pairs that overflow the context skipped, and one packed pass per model.
+    The policy log-probs are tensors when ``param_tensors`` is given, else
+    arrays; the reference ones (None without ``reference``) are arrays from
+    the same arithmetic."""
+    kept = [([make_sequence(pair.prompt, response) for response in (pair.chosen, pair.rejected)],
+             example_id)
             for pair, example_id in batch]
-    kept = [(seqs, i) for seqs, i in kept
-            if all(s.prompt_len + s.response_len <= policy.context for s in seqs)]
+    kept = [(seqs, i) for seqs, i in kept if all(s.fits(policy.context) for s in seqs)]
     if not kept:
         return [], len(batch)
     seqs = [seq for pair_seqs, _ in kept for seq in pair_seqs]
@@ -223,7 +215,7 @@ def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
     or (None, skipped) when every example overflowed the context."""
     with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
         leaves = {n: ad.leaf(tape, policy.params[n]) for n in policy.param_names()}
-        scores, skipped = score_pairs(policy, reference, batch, cfg.max_response_len, leaves)
+        scores, skipped = score_pairs(policy, reference, batch, leaves)
         if not scores:
             return None, skipped
         loss = batch_loss(scores, cfg.loss)
@@ -249,7 +241,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     ref_model = reference.model if needs_reference else None
     policy = init.model.copy()
     names = policy.param_names()
-    opt = AdamW(policy.params, names, weight_decay=cfg.weight_decay)
+    opt = AdamW(policy.params, names)
     n_batches = max(1, math.ceil(len(pairs) / cfg.batch_size))
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
@@ -265,15 +257,12 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             batch = [(pairs[i], int(i)) for i in idx]
             result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
-            lr = cosine_lr(step, total_steps, cfg.warmup_fraction, cfg.lr)
+            lr = cosine_lr(step, total_steps, WARMUP_FRACTION, cfg.lr)
             loss = margin = None
             gn = 0.0
             if result is not None:  # else every example overflowed the context
                 loss, margin, grads = result
                 gn = grad_norm(grads, names)
-                if cfg.grad_clip is not None and gn > cfg.grad_clip:
-                    scale = cfg.grad_clip / gn
-                    grads = {n: g * scale for n, g in grads.items()}
                 opt.step(grads, lr=lr)
             metrics.append({"step": step, "loss": loss, "margin": margin,
                             "grad_norm": gn, "lr": lr, "skipped": skipped})

@@ -66,6 +66,12 @@ class TestErrors:
         assert main(["mdp-verify", "--config", str(cfg)]) == 1
         assert "not-a-key" in capsys.readouterr().err
 
+    def test_removed_train_key_in_old_snapshot_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "old.resolved.cfg"
+        cfg.write_text("[train]\nbase-lr = 5e-07\nbatch-size = 32\n")
+        assert main(["train", "--pairs", "absent", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown key 'base-lr' in section [train]\n"
+
     @pytest.mark.parametrize("damage", ["empty", "two_bytes", "list_manifest",
                                         "short_payload", "trailing_bytes"])
     def test_malformed_checkpoint_exit_2_one_line(self, workdir, tmp_path, capsys, damage):
@@ -187,13 +193,9 @@ class TestErrors:
 OUT_OF_DOMAIN = [
     ("train", "dim", "0"), ("train", "context", "0"), ("train", "blocks", "-1"),
     ("train", "method", "foo"), ("train", "schedule", "foo"), ("train", "origin", "foo"),
-    ("train", "beta", "0"), ("train", "tau", "0"), ("train", "base-lr", "0"),
-    ("train", "lr-multiplier", "-1"), ("train", "grad-clip", "-1"), ("train", "grad-clip", "0"),
-    ("train", "batch-size", "0"), ("train", "batch-size", "-1"),
-    ("train", "max-response-len", "0"), ("train", "epochs", "-1"),
-    ("train", "max-steps", "-3"), ("train", "weight-decay", "-1"),
-    ("train", "warmup-fraction", "1"), ("train", "warmup-fraction", "-0.5"),
-    ("train", "gamma", "0"),
+    ("train", "beta", "0"), ("train", "tau", "0"), ("train", "lr-multiplier", "-1"),
+    ("train", "batch-size", "0"), ("train", "batch-size", "-1"), ("train", "epochs", "-1"),
+    ("train", "max-steps", "-3"), ("train", "gamma", "0"),
     ("build-pairs", "n-prompts", "-1"),
     ("build-pairs", "min-target-len", "-1"),
     ("build-pairs", "k", "1"), ("build-pairs", "temperature", "-0.5"),
@@ -279,6 +281,11 @@ TOP_LEVEL_CASES = {
     "missing value": (["sample", "--seed"], 1, "flag --seed needs a value"),
     **{f"{name} seed": (["analyze", name, "--seed", "1"], 1, "unknown flag --seed")
        for name in ("kl-position", "prob-position", "ref-margin")},
+    # train fixes these at the one value every caller used
+    **{f"train {key}": (["train", f"--{key}", value], 1, f"unknown flag --{key}")
+       for key, value in (("base-lr", "1"), ("warmup-fraction", "0.1"),
+                          ("max-response-len", "9"), ("weight-decay", "0.1"),
+                          ("grad-clip", "1"))},
 }
 
 
@@ -673,6 +680,36 @@ class TestAnalyzeCommands:
                    "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("gap_lo,gap_hi,mean_loss,count\n")
+
+    @pytest.mark.parametrize("name,header", [
+        ("kl-position", ("position", "value")), ("prob-position", ("position", "value")),
+        ("ref-margin", ("value", "density")),
+        ("length-bias", ("gap_lo", "gap_hi", "mean_loss", "count"))])
+    def test_context_overflow_pair_skipped_with_trains_warning(self, workdir, tmp_path,
+                                                               capsys, name, header):
+        other = PolicyModel(dim=16, context=48, blocks=2, seed=1)
+        other.params["w_out"] = np.random.default_rng(1).normal(
+            0, 0.08, size=other.params["w_out"].shape)
+        save_checkpoint(Checkpoint(other), tmp_path / "other.ckpt")
+        model = str(workdir / "model.ckpt")
+        models = {"kl-position": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model],
+                  "prob-position": ["--model", model], "ref-margin": ["--reference", model],
+                  "length-bias": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model]}
+        pairs = load_pairs(workdir / "pairs.jsonl")
+        # first, so that every pack after it holds other sequences than before
+        long = data.PreferencePair(id="long", prompt=b"q?", chosen=b"c" * 300, rejected=b"r")
+        data.save_pairs([long, *pairs], tmp_path / "with_long.jsonl")
+        columns = []
+        for path in (workdir / "pairs.jsonl", tmp_path / "with_long.jsonl"):
+            out = tmp_path / f"{path.stem}.csv"
+            assert main(["analyze", name, *models[name], "--pairs", str(path),
+                         "--out", str(out)]) == 0
+            columns.append(csv_columns(out, header))
+            err = capsys.readouterr().err.splitlines()
+            assert err == ([] if path.stem == "pairs" else
+                           ["warning: skipped 1 context-overflow examples"])
+        assert columns[0].shape == columns[1].shape
+        assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12
 
 
 class TestMdpVerify:

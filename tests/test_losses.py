@@ -324,6 +324,13 @@ def test_plain_batch_loss_equals_taped_bit_for_bit(method, rng):
         assert plain == float(batch_loss(taped, cfg).value)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_config_rejects_nonpositive_tau_for_every_method(method):
+    # as the CLI's --tau domain does, whether or not the method reads tau
+    with pytest.raises(ValueError, match="tau must be > 0"):
+        LossConfig(method=method, tau=0.0)
+
+
 @pytest.mark.parametrize("method", ["kto", "orpo"])
 def test_margin_loss_rejects_non_margin_methods(method, rng):
     with pytest.raises(ValueError, match="not a margin method"):

@@ -173,6 +173,17 @@ class TestTrajectoryIdentity:
                         m, uniform_policy(m), 0.5, gamma, traj)
                     assert res <= 1e-8
 
+    @pytest.mark.parametrize("beta", [1e-3, 1e-310])
+    def test_small_beta_finite(self, beta):
+        # the soft optimum of a non-greedy action underflows to 0 here, but
+        # its log-ratio to the reference, (Q - V)/beta - log ref, is finite
+        m = random_mdp(3, 2, 4, 1.0, 0, deterministic=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for traj in enumerate_trajectories(m):
+                _, _, res = trajectory_identity_check(m, uniform_policy(m), beta, 0.9, traj)
+                assert res <= 1e-8
+
     def test_impossible_transition_rejected(self):
         m = random_mdp(2, 2, 3, 1.0, seed=1, deterministic=True)
         s0, a0 = 0, 0
