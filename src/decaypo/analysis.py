@@ -136,6 +136,8 @@ def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGa
     boundaries = list(gap_bins)
     if boundaries != sorted(boundaries) or len(boundaries) < 2:
         raise ValueError("gap_bins must be >= 2 sorted boundaries")
+    if not scored_pairs:
+        raise ValueError("loss_by_length_gap requires scored pairs")
     n_bins = len(boundaries) - 1
     sums = np.zeros(n_bins + 1)
     counts = np.zeros(n_bins + 1, dtype=np.int64)

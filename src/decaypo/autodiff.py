@@ -1,8 +1,8 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
-The primitive set is fixed and small on purpose: matmul, add, elementwise
-multiply, scalar scale, sum, weighted sum, square, logsigmoid, sigmoid,
-log1mexp, a log-softmax gather, a row gather and a segmented causal running
+The primitive set is fixed and small on purpose, twelve functions: add,
+sub, mul, scale, matmul, weighted_sum, logsigmoid, sigmoid, log1mexp,
+log_softmax_gather, gather_rows and causal_mean, a segmented causal running
 mean. That is exactly what the toy policy model and the preference losses
 need, and it keeps the finite-difference oracle in the tests exhaustive.
 
@@ -70,9 +70,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -204,22 +201,12 @@ def causal_mean(a, bounds=None):
                  (a, lambda g: _segment_cumsum((g / counts)[::-1], back)[::-1]))
 
 
-def arraysum(a):
-    av = _value(a)
-    return _node(np.sum(av), (a, lambda g: np.full(av.shape, float(g))))
-
-
 def weighted_sum(a, w):
     """sum(w * a) with constant weights w (same shape as a)."""
     av, w = _value(a), np.asarray(w, dtype=np.float64)
     if w.shape != av.shape:
         raise ValueError(f"weight shape {w.shape} does not match {av.shape}")
     return _node(np.sum(w * av), (a, lambda g: float(g) * w))
-
-
-def square(a):
-    av = _value(a)
-    return _node(av * av, (a, lambda g: g * 2.0 * av))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

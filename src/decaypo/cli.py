@@ -84,8 +84,11 @@ def _loss_config(r: dict, root_seed: int) -> LossConfig:
 
 
 def _model_from(r: dict, key: str, root_seed: int) -> Checkpoint:
+    """The checkpoint r[key], its architecture written into r, or a fresh model."""
     if r.get(key):
-        return load_checkpoint(r[key])
+        ckpt = load_checkpoint(r[key])
+        r.update(dim=ckpt.model.dim, context=ckpt.model.context, blocks=ckpt.model.blocks)
+        return ckpt
     model = PolicyModel(dim=r["dim"], context=r["context"], blocks=r["blocks"],
                         seed=seed_substream(root_seed, "init"))
     return Checkpoint(model=model, step=0, seed=model.seed)

@@ -4,7 +4,8 @@ Every pairwise method but kto and orpo is margin_loss, one margin form:
 link(c * (sum_t w_w[t] r_w[t] - sum_t w_l[t] r_l[t]) - offset), where r is
 the log-ratio to the reference, or the raw log-prob for the REFERENCE_FREE
 methods, and the link is the square for ipo and -log sigma for the rest.
-_margin_form gives each method's weights w_w and w_l, scale c and offset.
+_margin_form gives each method's weights w_w and w_l, scale c and offset,
+and _sides the two scaled sums; kto puts a sigma link on each side of dpo's.
 
 Each loss has one definition, written with the autodiff primitives: given
 a :class:`PairScore` of autodiff tensors it returns a tensor on their tape,
@@ -75,10 +76,6 @@ def _require_ref(score: PairScore):
         raise ValueError("reference log-probs are required for this loss")
 
 
-def _ratios(logps, ref_logps):
-    return logps if ref_logps is None else ad.sub(logps, _array(ref_logps))
-
-
 def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: int):
     """(w_w, w_l, c, offset) of ``method``'s margin."""
     if method == "simpo":
@@ -98,21 +95,27 @@ def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: 
     raise ValueError(f"{method!r} is not a margin method")
 
 
-def margin_loss(score: PairScore, cfg: LossConfig, method: str):
-    """The margin form of ``method`` (module docstring); cfg.method is not read."""
-    use_ref = method not in REFERENCE_FREE
-    if use_ref:
+def _sides(score: PairScore, cfg: LossConfig, method: str):
+    """(c * sum_t w_w[t] r_w[t], c * sum_t w_l[t] r_l[t], offset) of ``method``."""
+    r_w, r_l = score.chosen_logps, score.rejected_logps
+    if method not in REFERENCE_FREE:
         _require_ref(score)
-    r_w = _ratios(score.chosen_logps, score.chosen_ref_logps if use_ref else None)
-    r_l = _ratios(score.rejected_logps, score.rejected_ref_logps if use_ref else None)
+        r_w = ad.sub(r_w, _array(score.chosen_ref_logps))
+        r_l = ad.sub(r_l, _array(score.rejected_ref_logps))
     w_w, w_l, c, offset = _margin_form(method, score, cfg, len(_array(r_w)), len(_array(r_l)))
     s_w, s_l = ad.weighted_sum(r_w, w_w), ad.weighted_sum(r_l, w_l)
     if c != 1.0:  # scaling by 1 is exact, so it would only lengthen the tape
         s_w, s_l = ad.scale(s_w, c), ad.scale(s_l, c)
+    return s_w, s_l, offset
+
+
+def margin_loss(score: PairScore, cfg: LossConfig, method: str):
+    """The margin form of ``method`` (module docstring); cfg.method is not read."""
+    s_w, s_l, offset = _sides(score, cfg, method)
     margin = ad.sub(s_w, s_l)
     if offset:
         margin = ad.sub(margin, offset)
-    return ad.square(margin) if method == "ipo" else -ad.logsigmoid(margin)
+    return ad.mul(margin, margin) if method == "ipo" else -ad.logsigmoid(margin)
 
 
 # margin_loss with the method fixed; each ignores cfg.method
@@ -134,13 +137,11 @@ def kto_loss(batch, cfg: LossConfig, z_ref: float):
     z = max(0.0, float(z_ref))
     items = []
     for score, label in batch:
-        _require_ref(score)
-        rw = ad.arraysum(_ratios(score.chosen_logps, score.chosen_ref_logps))
-        rl = ad.arraysum(_ratios(score.rejected_logps, score.rejected_ref_logps))
+        rw, rl, _ = _sides(score, cfg, "dpo")  # beta * the summed log-ratios
         if not label:
             rw, rl = rl, rw
-        term_w = ad.scale(ad.sigmoid(ad.sub(ad.scale(rw, cfg.beta), z)), -cfg.lambda_w)
-        term_l = ad.scale(ad.sigmoid(ad.sub(z, ad.scale(rl, cfg.beta))), cfg.lambda_l)
+        term_w = ad.scale(ad.sigmoid(ad.sub(rw, z)), -cfg.lambda_w)
+        term_l = ad.scale(ad.sigmoid(ad.sub(z, rl)), cfg.lambda_l)
         items.append(ad.add(term_w, term_l))
     return ad.scale(reduce(ad.add, items), 1.0 / len(batch))
 

@@ -176,6 +176,11 @@ class TestLossByLengthGap:
         assert rows[0].gap_lo == float("-inf")
         assert rows[0].count == 6
 
+    def test_no_scores_rejected(self):
+        """No pair left to bin is an error, as in the other three analyses."""
+        with pytest.raises(ValueError, match="requires scored pairs"):
+            loss_by_length_gap(LossConfig(), [], [-4, 0, 4])
+
     def test_bad_bins_rejected(self, rng):
         with pytest.raises(ValueError):
             loss_by_length_gap(LossConfig(), [], [5])

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -137,32 +138,61 @@ class TestSequenceLogprobs:
             logprobs_of(np.zeros((2, 3)), [0, 3])
 
 
-# The primitives the forward-pass test below does not cover, each as a
-# function of its array operands; every operand here is a 3 x 4 matrix with
-# entries in (-3, -0.1), inside every primitive's domain, except matmul's
-# right operand, which is 4 x 3.
+# Every primitive as a function of its array operands, and the shapes of
+# those operands, whose entries are drawn in (-3, -0.1), inside every
+# primitive's domain. test_table_names_every_primitive keeps the table whole.
 W = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-UNARY = {"scale": lambda a: ad.scale(a, -1.5), "arraysum": ad.arraysum,
-         "weighted_sum": lambda a: ad.weighted_sum(a, W), "square": ad.square,
-         "sigmoid": ad.sigmoid, "log1mexp": ad.log1mexp}
-BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul}
-
-
-def operand(rng, shape=(3, 4)):
-    return -rng.uniform(0.1, 3.0, size=shape)
+PRIMITIVES = {
+    "add": (ad.add, [(3, 4), (3, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda a: ad.scale(a, -1.5), [(3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 3)]),
+    "weighted_sum": (lambda a: ad.weighted_sum(a, W), [(3, 4)]),
+    "logsigmoid": (ad.logsigmoid, [(3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "log1mexp": (ad.log1mexp, [(3, 4)]),
+    "log_softmax_gather": (lambda a: ad.log_softmax_gather(a, [3, 0, 3]), [(3, 4)]),
+    "gather_rows": (lambda a: ad.gather_rows(a, [2, 0, 2, 1]), [(3, 4)]),
+    "causal_mean": (lambda a: ad.causal_mean(a, (0, 1, 3)), [(3, 4)]),
+}
+BINARY = [name for name, (_, shapes) in PRIMITIVES.items() if len(shapes) == 2]
 
 
 def operands(rng, name):
-    return [operand(rng)] if name in UNARY else \
-        [operand(rng), operand(rng, (4, 3) if name == "matmul" else (3, 4))]
+    return [-rng.uniform(0.1, 3.0, size=shape) for shape in PRIMITIVES[name][1]]
 
 
 def primitive(name):
-    return UNARY.get(name) or BINARY[name]
+    return PRIMITIVES[name][0]
+
+
+def test_table_names_every_primitive():
+    """The public functions of decaypo.autodiff that record a node are
+    exactly the table's, so none lacks its finite-difference check."""
+    recorders = {name for name, f in vars(ad).items()
+                 if inspect.isfunction(f) and f.__module__ == ad.__name__
+                 and not name.startswith("_") and "_node(" in inspect.getsource(f)}
+    assert recorders == set(PRIMITIVES)
+
+
+@pytest.mark.parametrize("name", list(PRIMITIVES))
+def test_primitive_gradient_matches_central_differences(rng, name):
+    args = operands(rng, name)
+    w = rng.normal(0, 1, size=np.shape(primitive(name)(*args)))
+    t = ad.Tape()
+    leaves = [ad.leaf(t, v) for v in args]
+    grads = ad.gradients(ad.weighted_sum(primitive(name)(*leaves), w), leaves)
+    for i, leaf in enumerate(leaves):
+        def f(v):
+            return float(np.sum(w * primitive(name)(*args[:i], v, *args[i + 1:])))
+
+        assert np.allclose(grads[leaf], central_difference(f, args[i]),
+                           rtol=1e-4, atol=1e-8), (name, i)
 
 
 class TestPlainOperands:
-    @pytest.mark.parametrize("name", [*UNARY, *BINARY])
+    @pytest.mark.parametrize("name", list(PRIMITIVES))
     def test_all_plain_call_returns_array_and_records_nothing(self, rng, monkeypatch, name):
         args = operands(rng, name)
         t = ad.Tape()
@@ -174,21 +204,21 @@ class TestPlainOperands:
         assert np.array_equal(plain, taped.value)
 
     @pytest.mark.parametrize("side", [0, 1], ids=["tensor-plain", "plain-tensor"])
-    @pytest.mark.parametrize("name", list(BINARY))
+    @pytest.mark.parametrize("name", BINARY)
     def test_one_plain_operand_is_a_constant(self, rng, name, side):
         args = operands(rng, name)
-        w = rng.normal(0, 1, size=np.shape(BINARY[name](*args)))
+        w = rng.normal(0, 1, size=np.shape(primitive(name)(*args)))
 
         def f(v):
             mixed = list(args)
             mixed[side] = ad.leaf(ad.Tape(), v)
-            return BINARY[name](*mixed)
+            return primitive(name)(*mixed)
 
         out = f(args[side])
         x = out.parents[0]
         assert len(out.parents) == 1 and x.is_leaf
         assert len(out.tape.nodes) == 2  # the leaf and the primitive's node
-        assert np.array_equal(out.value, BINARY[name](*args))
+        assert np.array_equal(out.value, primitive(name)(*args))
         g = ad.gradients(ad.weighted_sum(out, w))[x]
         fd = central_difference(lambda v: np.sum(w * f(v).value), args[side])
         assert np.allclose(g, fd, rtol=1e-4, atol=1e-8)
@@ -196,9 +226,10 @@ class TestPlainOperands:
 
 class TestGradients:
     def test_square(self):
+        """x * x as mul(x, x): both of its edges reach x, and add up."""
         t = ad.Tape()
         x = ad.leaf(t, 3.0)
-        g = ad.gradients(ad.square(x))
+        g = ad.gradients(ad.mul(x, x))
         assert g[x] == pytest.approx(6.0, abs=1e-12)
 
     def test_logsigmoid_at_zero(self):
@@ -211,13 +242,13 @@ class TestGradients:
         t = ad.Tape()
         x = ad.leaf(t, np.ones(3))
         with pytest.raises(ValueError):
-            ad.gradients(ad.square(x))
+            ad.gradients(ad.mul(x, x))
 
     def test_nonparticipating_leaf_is_exact_zero(self):
         t = ad.Tape()
         x = ad.leaf(t, 2.0)
         y = ad.leaf(t, np.ones(4))
-        g = ad.gradients(ad.square(x))
+        g = ad.gradients(ad.mul(x, x))
         assert g[y].shape == (4,)
         assert np.all(g[y] == 0.0)
 
@@ -229,7 +260,7 @@ class TestGradients:
             prod = ad.matmul(a, b)                       # (3, 3)
             gated = ad.mul(prod, ad.logsigmoid(prod))
             s = ad.weighted_sum(gated, np.arange(9.0).reshape(3, 3) / 9.0)
-            out = ad.add(ad.square(s), ad.arraysum(ad.sigmoid(prod)))
+            out = ad.add(ad.mul(s, s), ad.weighted_sum(ad.sigmoid(prod), np.ones((3, 3))))
             return out, a, b
 
         for _ in range(20):
@@ -249,11 +280,11 @@ class TestGradients:
         def f(v):
             t = ad.Tape()
             x = ad.leaf(t, v)
-            return ad.arraysum(ad.log_softmax_gather(x, targets))
+            return ad.weighted_sum(ad.log_softmax_gather(x, targets), np.ones(4))
 
         t = ad.Tape()
         x = ad.leaf(t, logits_val)
-        g = ad.gradients(ad.arraysum(ad.log_softmax_gather(x, targets)))
+        g = ad.gradients(ad.weighted_sum(ad.log_softmax_gather(x, targets), np.ones(4)))
         fd = central_difference(lambda v: f(v).value, logits_val)
         assert np.allclose(g[x], fd, rtol=1e-4, atol=1e-7)
 
@@ -262,11 +293,11 @@ class TestGradients:
 
         def f(v):
             t = ad.Tape()
-            return ad.arraysum(ad.log1mexp(ad.leaf(t, v))).value
+            return ad.weighted_sum(ad.log1mexp(ad.leaf(t, v)), np.ones(6)).value
 
         t = ad.Tape()
         x = ad.leaf(t, x_val)
-        g = ad.gradients(ad.arraysum(ad.log1mexp(x)))
+        g = ad.gradients(ad.weighted_sum(ad.log1mexp(x), np.ones(6)))
         fd = central_difference(f, x_val)
         assert np.allclose(g[x], fd, rtol=1e-4, atol=1e-8)
 
@@ -380,7 +411,7 @@ class TestGradients:
         def run():
             t = ad.Tape()
             a = ad.leaf(t, a_val)
-            out = ad.arraysum(ad.mul(ad.logsigmoid(a), a))
+            out = ad.weighted_sum(ad.mul(ad.logsigmoid(a), a), np.ones((5, 5)))
             return ad.gradients(out)[a]
 
         g1, g2 = run(), run()
@@ -390,7 +421,7 @@ class TestGradients:
         t = ad.Tape()
         a, b, c = (ad.leaf(t, np.full(3, v)) for v in (1.0, 2.0, 3.0))
         # add passes its cotangent to both operands unchanged
-        g = ad.gradients(ad.arraysum(ad.add(ad.add(a, a), ad.add(b, c))))
+        g = ad.gradients(ad.weighted_sum(ad.add(ad.add(a, a), ad.add(b, c)), np.ones(3)))
         assert np.array_equal(g[a], np.full(3, 2.0))
         assert np.array_equal(g[b], np.ones(3)) and np.array_equal(g[c], np.ones(3))
         for u, v in ((a, b), (a, c), (b, c)):

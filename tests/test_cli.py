@@ -15,7 +15,7 @@ from decaypo.data import load_pairs
 from decaypo.losses import METHODS
 from decaypo.model import PolicyModel, sample_many
 from decaypo.schedules import KINDS as SCHEDULE_KINDS, ORIGINS
-from decaypo.training import Checkpoint, save_checkpoint
+from decaypo.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
 SMALL_ARCH = ["--dim", "16", "--context", "48", "--blocks", "2"]
@@ -437,6 +437,86 @@ def test_every_declared_option_is_read(workdir, tmp_path, monkeypatch, command):
     assert {o.name for o in options} - read == UNREAD.get(command, set())
 
 
+def trained_like(seed):
+    """A checkpoint model of the workdir's architecture with a random output head."""
+    m = PolicyModel(dim=16, context=48, blocks=2, seed=seed)
+    m.params["w_out"] = np.random.default_rng(seed).normal(0, 0.08, size=m.params["w_out"].shape)
+    return Checkpoint(m)
+
+
+def replay_argv(command, workdir, other):
+    """One run of ``command`` that writes --out (and train's --metrics) in
+    the working directory, reading its inputs from absolute paths."""
+    model, pairs = str(workdir / "model.ckpt"), str(workdir / "pairs.jsonl")
+    return {
+        "train": ["train", "--pairs", pairs, "--init", model, "--reference", other,
+                  "--batch-size", "4", "--max-steps", "2", "--gamma", "0.9",
+                  "--out", "o.ckpt", "--metrics", "m.jsonl"],
+        "build-pairs": ["build-pairs", *SMALL_CORPUS, "--model", model, "--k", "3",
+                        "--temperature", "1.0", "--max-len", "6", "--seed", "4",
+                        "--out", "o.jsonl"],
+        "sample": ["sample", "--model", model, "--prompt", "ab", "--temperature", "1.0",
+                   "--max-len", "6", "--seed", "2", "--out", "o.txt"],
+        "eval": ["eval", *SMALL_CORPUS, "--candidate", model, "--baseline", other,
+                 "--temperature", "1.0", "--max-len", "6", "--seed", "3", "--out", "o.json"],
+        "analyze-kl-position": ["analyze", "kl-position", "--policy", other,
+                                "--reference", model, "--pairs", pairs, "--max-pos", "6",
+                                "--out", "o.csv"],
+        "analyze-prob-position": ["analyze", "prob-position", "--model", model,
+                                  "--pairs", pairs, "--max-pos", "6", "--out", "o.csv"],
+        "analyze-ref-margin": ["analyze", "ref-margin", "--reference", model, "--pairs", pairs,
+                               "--bins", "6", "--out", "o.csv"],
+        "analyze-length-bias": ["analyze", "length-bias", "--policy", other, "--reference", model,
+                                "--pairs", pairs, "--gap-bins=-4,0,4", "--method", "ipo",
+                                "--out", "o.csv"],
+        "mdp-verify": ["mdp-verify", "--seeds", "3", "--gammas", "0.5,1.0", "--states", "3",
+                       "--actions", "2", "--horizon", "4", "--out", "o.csv"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_snapshot_replays_the_run(workdir, tmp_path, monkeypatch, capsys, command):
+    """A command, then ``decaypo <command> --config <out>.resolved.cfg`` in a
+    fresh directory: the same files, snapshot included, byte for byte, and
+    the same stdout and stderr."""
+    save_checkpoint(trained_like(1), tmp_path / "other.ckpt")
+    argv = replay_argv(command, workdir, str(tmp_path / "other.ckpt"))
+    snapshot = tmp_path / "first" / f"{argv[argv.index('--out') + 1]}.resolved.cfg"
+    runs = []
+    for name, args in (("first", argv),
+                       ("replay", [*argv[:2 if command.startswith("analyze-") else 1],
+                                   "--config", str(snapshot)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(args) == 0, args
+        runs.append(({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()},
+                     capsys.readouterr()))
+    assert snapshot.name in runs[0][0]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "build-pairs"])
+def test_snapshot_records_the_checkpoints_architecture(workdir, tmp_path, command):
+    """A checkpoint's architecture wins over --dim, --context and --blocks,
+    and the snapshot names the model that ran."""
+    model = str(workdir / "model.ckpt")
+    out = tmp_path / "o"
+    argv = {"train": ["train", "--pairs", str(workdir / "pairs.jsonl"), "--init", model,
+                      "--max-steps", "1", "--metrics", str(tmp_path / "m.jsonl")],
+            "build-pairs": ["build-pairs", *SMALL_CORPUS, "--model", model, "--k", "2",
+                            "--max-len", "4"]}[command]
+    assert main([*argv, "--dim", "8", "--context", "1024", "--blocks", "1",
+                 "--out", str(out)]) == 0
+    assert {"dim = 16", "context = 48", "blocks = 2"} <= set(read_snapshot(out))
+
+
+def overflowing_pairs(path, n=3):
+    """``n`` pairs whose chosen and rejected sequences both overflow context 48."""
+    data.save_pairs([data.PreferencePair(id=str(i), prompt=b"q?", chosen=b"c" * 60,
+                                         rejected=b"r" * (50 + i)) for i in range(n)], path)
+    return str(path)
+
+
 class TestAtomicWrite:
     def test_failed_writer_leaves_nothing(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -506,6 +586,19 @@ class TestTrainCommand:
         first = metrics.read_bytes()
         assert main(["train", "--config", snapshot]) == 0
         assert metrics.read_bytes() == first
+
+    def test_every_pair_overflowing_writes_null_metrics(self, workdir, tmp_path):
+        metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
+        assert main(["train", "--pairs", overflowing_pairs(tmp_path / "long.jsonl"),
+                     "--init", str(workdir / "model.ckpt"), "--batch-size", "2",
+                     "--metrics", str(metrics), "--out", str(out)]) == 0
+        lines = metrics.read_text().splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith('{"step": %d, "loss": null, "margin": null, '
+                                   '"grad_norm": 0.0, "lr": ' % i) for i, line in enumerate(lines))
+        init = load_checkpoint(workdir / "model.ckpt").model.params
+        for name, value in load_checkpoint(out).model.params.items():
+            assert value.tobytes() == init[name].tobytes()
 
     def test_env_seed_overrides_default(self, workdir, monkeypatch):
         by_flag = workdir / "seed5.jsonl"
@@ -687,10 +780,7 @@ class TestAnalyzeCommands:
         ("length-bias", ("gap_lo", "gap_hi", "mean_loss", "count"))])
     def test_context_overflow_pair_skipped_with_trains_warning(self, workdir, tmp_path,
                                                                capsys, name, header):
-        other = PolicyModel(dim=16, context=48, blocks=2, seed=1)
-        other.params["w_out"] = np.random.default_rng(1).normal(
-            0, 0.08, size=other.params["w_out"].shape)
-        save_checkpoint(Checkpoint(other), tmp_path / "other.ckpt")
+        save_checkpoint(trained_like(1), tmp_path / "other.ckpt")
         model = str(workdir / "model.ckpt")
         models = {"kl-position": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model],
                   "prob-position": ["--model", model], "ref-margin": ["--reference", model],
@@ -710,6 +800,22 @@ class TestAnalyzeCommands:
                            ["warning: skipped 1 context-overflow examples"])
         assert columns[0].shape == columns[1].shape
         assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12
+
+    @pytest.mark.parametrize("name,flags", [
+        ("kl-position", ["--policy", "--reference"]), ("prob-position", ["--model"]),
+        ("ref-margin", ["--reference"]), ("length-bias", ["--policy", "--reference"])])
+    def test_every_pair_overflowing_exit_2_one_runtime_error(self, workdir, tmp_path, capsys,
+                                                             name, flags):
+        """With nothing left to analyse, each analysis warns as train does,
+        then exits 2 with one line and writes nothing."""
+        out = tmp_path / "o.csv"
+        models = [word for flag in flags for word in (flag, str(workdir / "model.ckpt"))]
+        assert main(["analyze", name, *models, "--pairs",
+                     overflowing_pairs(tmp_path / "long.jsonl"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == "warning: skipped 3 context-overflow examples"
+        assert err[1].startswith("runtime error: ") and "requires" in err[1]
+        assert not out.exists()
 
 
 class TestMdpVerify:

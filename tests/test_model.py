@@ -214,7 +214,7 @@ class TestTokenLogprobs:
         seq = make_sequence(b"ab", b"cd")
         t = ad.Tape()
         leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
-        loss = ad.scale(ad.arraysum(token_logprobs(m, seq, t, leaves)), -1.0)
+        loss = ad.weighted_sum(token_logprobs(m, seq, t, leaves), np.full(3, -1.0))
         grads = ad.gradients(loss, list(leaves.values()))
         for name in ("embed", "pos", "w1_0", "w2_0", "w3_1", "w_out"):
             sub = np.s_[:3, :3]

@@ -13,7 +13,7 @@ from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
 from decaypo.losses import METHODS, LossConfig, PairScore, batch_loss, d2po_loss
 from decaypo.model import PolicyModel, make_sequence, token_logprobs
 from decaypo.schedules import DecaySchedule, UNIFORM, weights
-from decaypo.training import (AdamW, Checkpoint, TrainConfig, cosine_lr,
+from decaypo.training import (WARMUP_FRACTION, AdamW, Checkpoint, TrainConfig, cosine_lr,
                               evaluate_winrate, load_checkpoint, pretrain_nll,
                               save_checkpoint, score_pairs, train, _batch_gradients,
                               grad_norm)
@@ -253,6 +253,24 @@ class TestTrain:
         cfg = self.make_cfg(batch_size=8, max_steps=1)
         _, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
         assert sum(m["skipped"] for m in metrics) == 1
+
+    def test_every_example_overflowing_leaves_the_policy_as_it_was(self):
+        """Steps whose pairs all overflow record no loss or margin, a zero
+        gradient norm and the schedule's rate, and take no optimizer step."""
+        init = Checkpoint(small_model(trained=True), step=3, seed=9)
+        pairs = [PreferencePair(id=str(i), prompt=b"p" * 30, chosen=b"c" * 30,
+                                rejected=b"r" * (20 + i)) for i in range(5)]
+        cfg = self.make_cfg(batch_size=2, epochs=2)
+        batch = [(p, i) for i, p in enumerate(pairs[:2])]
+        assert score_pairs(init.model, init.model, batch) == ([], 2)
+        assert _batch_gradients(init.model, init.model, batch, cfg) == (None, 2)
+        out, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
+        assert metrics == [{"step": s, "loss": None, "margin": None, "grad_norm": 0.0,
+                            "lr": cosine_lr(s, 6, WARMUP_FRACTION, cfg.lr),
+                            "skipped": 1 if s % 3 == 2 else 2} for s in range(6)]
+        assert (out.step, out.seed) == (9, cfg.seed)
+        for name in init.model.param_names():
+            assert out.model.params[name].tobytes() == init.model.params[name].tobytes()
 
     def test_grad_norm_matches_independent_backward(self):
         init = Checkpoint(small_model(trained=True))
