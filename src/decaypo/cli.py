@@ -136,6 +136,11 @@ def _cmd_build_pairs(r: dict) -> int:
         ckpt.model, oracle, list(corpus), K=r["k"], temperature=r["temperature"],
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
     atomic_write(r["out"], lambda p: data.save_pairs(pairs, p))
+    # a response sampled to the context without EOS scores one token too long
+    overflow = sum(not _fits(p, ckpt.model.context) for p in pairs)
+    if overflow:
+        print(f"warning: {overflow} of {len(pairs)} pairs exceed context {ckpt.model.context}; "
+              f"train and the analyses will skip them", file=sys.stderr)
     print(json.dumps({"pairs": len(pairs), "skipped": skipped}))
     return 0
 
@@ -173,12 +178,16 @@ def _warn_skipped(skipped: int) -> None:
         print(f"warning: skipped {skipped} context-overflow examples", file=sys.stderr)
 
 
+def _fits(pair, context: int, chosen_only: bool = False) -> bool:
+    """Whether the pair's sequences, or only the chosen one, fit ``context``,
+    as train keeps them."""
+    return all(make_sequence(pair.prompt, response).fits(context)
+               for response in ((pair.chosen,) if chosen_only else (pair.chosen, pair.rejected)))
+
+
 def _fitting(pairs, context: int, chosen_only: bool = False) -> list:
-    """The pairs whose sequences, or only the chosen one, fit ``context``,
-    as train keeps them; warns of the rest as train does."""
-    kept = [p for p in pairs
-            if all(make_sequence(p.prompt, response).fits(context)
-                   for response in ((p.chosen,) if chosen_only else (p.chosen, p.rejected)))]
+    """The pairs that fit ``context`` by _fits; warns of the rest as train does."""
+    kept = [p for p in pairs if _fits(p, context, chosen_only)]
     _warn_skipped(len(pairs) - len(kept))
     return kept
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape
 from .config import rng
 
 VOCAB_SIZE = 258
@@ -214,12 +213,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def token_logprobs(model: PolicyModel, seq: TokenSequence,
-                   tape: Tape | None = None, param_tensors: dict | None = None):
+                   param_tensors: dict | None = None):
     """Per-token conditional log-probabilities of the response: packed_logprobs
     of the one sequence.
 
-    Returns a numpy array, or a differentiable tensor on ``tape``, the tape of
-    the leaves, when ``param_tensors`` is supplied.
+    Returns a numpy array, or a differentiable tensor on the leaves' tape
+    when ``param_tensors`` is supplied.
     """
     return packed_logprobs(model, [seq], param_tensors)[0]
 
@@ -237,12 +236,13 @@ def sample_many(model: PolicyModel, rows, temperature: float,
                 max_len: int) -> list[TokenSequence]:
     """Autoregressive sampling of every (prompt tokens, seed) row in lockstep.
 
-    Temperature 0 is argmax with lowest-id ties. Rows are grouped by prompt
+    Temperature 0 is argmax with lowest-id ties; otherwise row i's t-th token
+    is drawn at the t-th uniform of the generator of its own seed, so its
+    tokens do not depend on the other rows. Rows are grouped by prompt
     length; each distinct prompt of a group is prefilled once, and one
-    decoder step then advances every live row of the group. Row i draws its
-    uniforms from the generator of its own seed, in order, so its tokens do
-    not depend on the other rows. A row leaves the batch at EOS or after
-    min(max_len, context - prompt length) tokens.
+    decoder step then advances every live row of the group. A row leaves the
+    batch on the step that draws its EOS, or after min(max_len, context -
+    prompt length) tokens.
     """
     if not 0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
@@ -264,49 +264,34 @@ def sample_many(model: PolicyModel, rows, temperature: float,
         for column in np.array(list(distinct)).T:
             logits = decoder.step(column)
         decoder.take(which)
+        logits = logits[which]
         limit = min(max_len, model.context - n)
-        uniforms = None
         if temperature > 0.0:   # row i's draws, in order, from its own seed
             uniforms = np.array([rng(rows[i][1]).random(limit) for i in members])
-        responses = _decode(decoder, logits[which], temperature, uniforms, limit)
+        responses: list[list[int]] = [[] for _ in members]
+        live = list(range(len(members)))
+        drawn: list[list[int]] = []   # live rows' tokens since a row left: one append a step
+        for t in range(limit):
+            if t:
+                logits = decoder.step(tok)
+            if temperature == 0.0:
+                tok = logits.argmax(axis=-1)
+            else:
+                tok = sample_token_id(_softmax(logits / temperature), uniforms[live, t])
+            drawn.append(tok.tolist())
+            if EOS in drawn[-1] or t == limit - 1:
+                for j, column in zip(live, zip(*drawn)):
+                    responses[j] += column
+                kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
+                drawn.clear()
+                live = [live[k] for k in kept]
+                if not live:
+                    break
+                tok = tok[kept]
+                decoder.take(kept)
         for i, response in zip(members, responses):
             out[i] = TokenSequence(rows[i][0], response)
     return out
-
-
-def _decode(decoder: _Decoder, logits: np.ndarray, temperature: float,
-            uniforms: np.ndarray | None, limit: int) -> list[list[int]]:
-    """The responses of the decoder's rows, from the logits after their
-    prompts: the argmax at temperature 0, else row i's t-th token drawn at
-    ``uniforms[i, t]``. A step does array operations over the live rows
-    only; a row leaves on the step that draws its EOS."""
-    responses: list[list[int]] = [[] for _ in logits]
-    live = list(range(len(logits)))
-    drawn: list[list[int]] = []   # the live rows' tokens since a row last left
-
-    def flush():
-        for j, column in zip(live, zip(*drawn)):
-            responses[j] += column
-        drawn.clear()
-
-    for t in range(limit):
-        if t:
-            logits = decoder.step(tok)
-        if temperature == 0.0:
-            tok = logits.argmax(axis=-1)
-        else:
-            tok = sample_token_id(_softmax(logits / temperature), uniforms[live, t])
-        drawn.append(tok.tolist())
-        if EOS in drawn[-1]:
-            kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
-            flush()
-            live = [live[k] for k in kept]
-            if not live:
-                break
-            tok = tok[kept]
-            decoder.take(kept)
-    flush()
-    return responses
 
 
 def sample(model: PolicyModel, prompt, temperature: float, max_len: int,

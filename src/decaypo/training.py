@@ -101,12 +101,18 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(manifest, dict) or manifest.get("format") != "decaypo-checkpoint-v1":
         raise ValueError(f"not a checkpoint file: {path}")
     try:
-        if type(manifest["step"]) is not int or manifest["step"] < 0:  # a bool is not an int
-            raise ValueError(f"manifest key 'step' must be a non-negative integer, "
-                             f"got {manifest['step']!r}")
         if type(manifest["seed"]) is not int:  # the root seed, which may be negative
             raise ValueError(f"manifest key 'seed' must be an integer, got {manifest['seed']!r}")
         arch = manifest["architecture"]
+        if arch["kind"] != PolicyModel.architecture:
+            raise ValueError(f"manifest key 'kind' must be {PolicyModel.architecture!r}, "
+                             f"got {arch['kind']!r}")
+        # step, and the architecture as the command line bounds it
+        for where, key, low in ((manifest, "step", 0), (arch, "dim", 1),
+                                (arch, "context", 1), (arch, "blocks", 1)):
+            if type(where[key]) is not int or where[key] < low:  # a bool is not an int
+                raise ValueError(f"manifest key {key!r} must be an integer >= {low}, "
+                                 f"got {where[key]!r}")
         params = {}
         for entry in manifest["params"]:
             shape = tuple(entry["shape"])
@@ -233,7 +239,8 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     """Run preference optimization; returns (Checkpoint, metrics list).
 
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
-    lr, skipped. Fully deterministic in (cfg, pairs, init, reference).
+    lr, skipped. Step k trains on batch k mod B of epoch k // B's shuffle.
+    Fully deterministic in (cfg, pairs, init, reference).
     """
     needs_reference = cfg.loss.method not in REFERENCE_FREE
     if needs_reference and reference is None:
@@ -246,30 +253,27 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps) if cfg.epochs else cfg.max_steps
-    order_rng = rng(cfg.seed, 0)  # data substream
+    order_rng = rng(cfg.seed, 0)  # data substream: one shuffle per epoch
     metrics = []
-    step = 0
-    while step < total_steps:
-        order = order_rng.permutation(len(pairs))
-        for b in range(n_batches):
-            if step >= total_steps:
-                break
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            batch = [(pairs[i], int(i)) for i in idx]
-            result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
-            lr = cosine_lr(step, total_steps, WARMUP_FRACTION, cfg.lr)
-            loss = margin = None
-            gn = 0.0
-            if result is not None:  # else every example overflowed the context
-                loss, margin, grads = result
-                gn = grad_norm(grads, names)
-                opt.step(grads, lr=lr)
-            metrics.append({"step": step, "loss": loss, "margin": margin,
-                            "grad_norm": gn, "lr": lr, "skipped": skipped})
-            step += 1
-    if step == 0:
-        return Checkpoint(policy, init.step, init.seed), metrics
-    return Checkpoint(policy, init.step + step, cfg.seed), metrics
+    for step in range(total_steps):
+        b = step % n_batches
+        if b == 0:
+            order = order_rng.permutation(len(pairs))
+        idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+        batch = [(pairs[i], int(i)) for i in idx]
+        result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
+        lr = cosine_lr(step, total_steps, WARMUP_FRACTION, cfg.lr)
+        loss = margin = None
+        gn = 0.0
+        if result is not None:  # else every example overflowed the context
+            loss, margin, grads = result
+            gn = grad_norm(grads, names)
+            opt.step(grads, lr=lr)
+        metrics.append({"step": step, "loss": loss, "margin": margin,
+                        "grad_norm": gn, "lr": lr, "skipped": skipped})
+    # a run of no steps leaves the checkpoint as it was, seed included
+    return Checkpoint(policy, init.step + total_steps,
+                      cfg.seed if total_steps else init.seed), metrics
 
 
 def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,

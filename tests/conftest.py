@@ -56,12 +56,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2, **fields):
+def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2,
+                         kind="causal-mixer", **fields):
     """A checkpoint file holding exactly ``params`` under the given
     architecture, whether or not they fit it; ``fields`` override or add
     manifest keys."""
     manifest = {"format": "decaypo-checkpoint-v1",
-                "architecture": {"kind": "causal-mixer", "dim": dim,
+                "architecture": {"kind": kind, "dim": dim,
                                  "context": context, "blocks": blocks},
                 "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
                 "step": 0, "seed": 0, **fields}
@@ -71,10 +72,15 @@ def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2, **fie
         f.write(struct.pack("<I", len(blob)) + blob + payload)
 
 
-# manifest fields of the wrong type -> (key, value) a loader must reject, naming the key
+# manifest fields of the wrong type or out of range -> (key, value) a loader must
+# reject, naming the key
 BAD_MANIFEST_FIELDS = {"step_text": ("step", "abc"), "step_float": ("step", 1.5),
                        "step_negative": ("step", -1), "step_bool": ("step", True),
-                       "seed_text": ("seed", "x"), "seed_null": ("seed", None)}
+                       "seed_text": ("seed", "x"), "seed_null": ("seed", None),
+                       "kind_other": ("kind", "transformer"), "dim_zero": ("dim", 0),
+                       "dim_bool": ("dim", True), "dim_float": ("dim", 16.0),
+                       "context_zero": ("context", 0), "blocks_zero": ("blocks", 0),
+                       "blocks_negative": ("blocks", -1)}
 
 
 # damaged parameter tables of a dim-16, 2-block model -> the name a loader must report

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shlex
 import warnings
@@ -12,10 +13,10 @@ from decaypo import analysis, cli, data, mdp, model as model_module, training
 from decaypo.cli import COMMANDS, main
 from decaypo.config import atomic_write, parse_value
 from decaypo.data import load_pairs
-from decaypo.losses import METHODS
+from decaypo.losses import METHODS, LossConfig
 from decaypo.model import PolicyModel, sample_many
-from decaypo.schedules import KINDS as SCHEDULE_KINDS, ORIGINS
-from decaypo.training import Checkpoint, load_checkpoint, save_checkpoint
+from decaypo.schedules import KINDS as SCHEDULE_KINDS, ORIGINS, DecaySchedule
+from decaypo.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 
 SMALL_ARCH = ["--dim", "16", "--context", "48", "--blocks", "2"]
@@ -380,6 +381,39 @@ def test_readme_cli_lines_name_known_commands_and_flags():
         assert set(flags) <= {o.name for o in COMMANDS[command][0]} | {"config"}, command
 
 
+# CLI option -> (library owner, parameter) whose default the option mirrors
+LIBRARY_DEFAULTS = {
+    "dim": (PolicyModel, "dim"), "context": (PolicyModel, "context"),
+    "blocks": (PolicyModel, "blocks"),
+    "method": (LossConfig, "method"), "beta": (LossConfig, "beta"), "tau": (LossConfig, "tau"),
+    "lambda-w": (LossConfig, "lambda_w"), "lambda-l": (LossConfig, "lambda_l"),
+    "lambda-orpo": (LossConfig, "lambda_orpo"), "target-margin": (LossConfig, "target_margin"),
+    "schedule": (DecaySchedule, "kind"), "gamma": (DecaySchedule, "gamma"),
+    "origin": (DecaySchedule, "origin"),
+    "lr-multiplier": (TrainConfig, "lr_multiplier"), "batch-size": (TrainConfig, "batch_size"),
+    "epochs": (TrainConfig, "epochs"), "max-steps": (TrainConfig, "max_steps"),
+    "seed": (TrainConfig, "seed"),
+    "brevity-coefficient": (data.RewardOracle, "brevity_coefficient"),
+    "min-target-len": (data.synthetic_corpus, "min_target_len"),
+    "max-target-len": (data.synthetic_corpus, "max_target_len"),
+    "k": (data.build_onpolicy_pairs, "K"),
+    "temperature": (data.build_onpolicy_pairs, "temperature"),
+    "max-len": (data.build_onpolicy_pairs, "max_len"),
+}
+NO_LIBRARY_TWIN = {("mdp-verify", "beta")}   # the MDP's soft-value temperature
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_DEFAULTS))
+def test_cli_default_equals_the_library_default(name):
+    """Every command declaring the option defaults it as the library does."""
+    owner, param = LIBRARY_DEFAULTS[name]
+    want = inspect.signature(owner).parameters[param].default
+    declared = [(command, o.default) for command, (options, _) in COMMANDS.items()
+                for o in options if o.name == name and (command, name) not in NO_LIBRARY_TWIN]
+    assert declared
+    assert [(command, want) for command, _ in declared] == declared
+
+
 # options a command declares and its runner never reads, with the reason each stays
 UNREAD = {"mdp-verify": {"seed"}}  # MDP i is drawn from seed i; benchmarks/workloads.py passes it
 
@@ -646,6 +680,23 @@ class TestBuildPairsCommand:
         for coefficient, out in zip(("0", "-1"), outs):
             assert main(args + ["--brevity-coefficient", coefficient, "--out", str(out)]) == 0
         assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    def test_pairs_that_overflow_the_context_are_counted_on_stderr(self, tmp_path, capsys):
+        """Responses sampled up to the context without EOS make pairs one
+        token too long to score; the pairs are still written, as before."""
+        argv = ["build-pairs", "--dim", "16", "--context", "32", *SMALL_CORPUS, "--k", "3",
+                "--seed", "0"]
+        assert main([*argv, "--max-len", "40", "--out", str(tmp_path / "long.jsonl")]) == 0
+        out, err = capsys.readouterr()
+        pairs = load_pairs(tmp_path / "long.jsonl")
+        overflow = sum(not all(model_module.make_sequence(p.prompt, r).fits(32)
+                               for r in (p.chosen, p.rejected)) for p in pairs)
+        assert overflow > 0
+        assert err == (f"warning: {overflow} of {len(pairs)} pairs exceed context 32; "
+                       f"train and the analyses will skip them\n")
+        assert json.loads(out)["pairs"] == len(pairs)
+        assert main([*argv, "--max-len", "8", "--out", str(tmp_path / "short.jsonl")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_pairs_parse_and_validate(self, workdir):
         pairs = load_pairs(workdir / "pairs.jsonl")

@@ -214,7 +214,7 @@ class TestTokenLogprobs:
         seq = make_sequence(b"ab", b"cd")
         t = ad.Tape()
         leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
-        loss = ad.weighted_sum(token_logprobs(m, seq, t, leaves), np.full(3, -1.0))
+        loss = ad.weighted_sum(token_logprobs(m, seq, leaves), np.full(3, -1.0))
         grads = ad.gradients(loss, list(leaves.values()))
         for name in ("embed", "pos", "w1_0", "w2_0", "w3_1", "w_out"):
             sub = np.s_[:3, :3]
@@ -410,13 +410,14 @@ class TestLockstepSampling:
                    [BOS] * 47,                     # exactly one free position
                    [BOS] + list(b"xyz?"), [BOS, 97]]
         rows = [(prompts[i % len(prompts)], seed) for i, seed in enumerate(range(40, 72))]
-        got = sample_many(m, rows, temperature, 20)
-        want = [full_forward_sample(m, prompt, temperature, 20, seed) for prompt, seed in rows]
+        got = sample_many(m, rows, temperature, 15)
+        want = [full_forward_sample(m, prompt, temperature, 15, seed) for prompt, seed in rows]
         assert [seq.response_tokens for seq in got] == want
         assert [seq.prompt_tokens for seq in got] == [prompt for prompt, _ in rows]
         ends = {len(w) for w in want if w[-1] == EOS}
         assert len(ends) >= 3, "rows should stop by EOS at different steps"
-        assert any(len(w) == 20 and w[-1] != EOS for w in want), "some row reaches its limit"
+        assert any(len(w) == 15 and w[-1] != EOS for w in want), "some row reaches its limit"
+        assert 15 in ends, "some row draws EOS on its last allowed step"
         assert [len(w) for w in want][5::8] == [1] * 4
 
     def test_batched_decoder_logits_match_one_row_steps(self):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (BAD_MANIFEST_FIELDS, MISFITS, forward_logits, misfit_params,
                       write_raw_checkpoint)
 from decaypo import autodiff as ad
+from decaypo import training as training_module
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
 from decaypo.losses import METHODS, LossConfig, PairScore, batch_loss, d2po_loss
 from decaypo.model import PolicyModel, make_sequence, token_logprobs
@@ -272,6 +273,32 @@ class TestTrain:
         for name in init.model.param_names():
             assert out.model.params[name].tobytes() == init.model.params[name].tobytes()
 
+    @pytest.mark.parametrize("epochs, max_steps, steps", [
+        (3, None, 9),   # whole epochs
+        (2, 5, 5),      # max_steps stops mid-way through the second epoch
+        (0, 7, 7),      # epochs 0: max_steps alone sets the length
+    ])
+    def test_batch_order_is_one_permutation_per_epoch(self, monkeypatch, epochs,
+                                                      max_steps, steps):
+        """Step s trains on batch s mod 3 of the permutation that the data
+        substream draws for epoch s // 3, whether or not the run stops
+        mid-epoch."""
+        seen = []
+
+        def record(policy, reference, batch, cfg):
+            seen.append([i for _, i in batch])
+            return None, len(batch)
+
+        monkeypatch.setattr(training_module, "_batch_gradients", record)
+        cfg = self.make_cfg(batch_size=3, epochs=epochs, max_steps=max_steps)
+        init = Checkpoint(small_model(), step=2, seed=9)
+        out, metrics = train(cfg, toy_pairs(7), init, init)
+        draw = training_module.rng(cfg.seed, 0)
+        orders = [draw.permutation(7).tolist() for _ in range(math.ceil(steps / 3))]
+        assert seen == [orders[s // 3][3 * (s % 3):3 * (s % 3) + 3] for s in range(steps)]
+        assert [m["step"] for m in metrics] == list(range(steps))
+        assert (out.step, out.seed) == (2 + steps, cfg.seed)
+
     def test_grad_norm_matches_independent_backward(self):
         init = Checkpoint(small_model(trained=True))
         cfg = self.make_cfg()
@@ -309,7 +336,7 @@ def per_sequence_batch_gradients(policy, reference, batch, cfg):
         if max(s.prompt_len + s.response_len for s in (seq_w, seq_l)) > policy.context:
             continue
         scores.append(PairScore(
-            token_logprobs(policy, seq_w, tape, leaves), token_logprobs(policy, seq_l, tape, leaves),
+            token_logprobs(policy, seq_w, leaves), token_logprobs(policy, seq_l, leaves),
             None if reference is None else token_logprobs(reference, seq_w),
             None if reference is None else token_logprobs(reference, seq_l),
             prompt_len=seq_w.prompt_len, example_id=example_id))
