@@ -11,6 +11,8 @@ memory included. All output files are written atomically.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -117,8 +119,10 @@ def _cmd_train(r: dict) -> int:
                       batch_size=r["batch-size"], epochs=r["epochs"],
                       max_steps=r["max-steps"], seed=r["seed"])
     init = _model_from(r, "init", r["seed"])
-    # train copies init for the policy and only reads the reference
-    reference = load_checkpoint(r["reference"]) if r.get("reference") else init
+    # train copies init for the policy and only reads the reference, so a
+    # reference that is init's file, or none, is init itself
+    same = r.get("reference") in (None, "", r.get("init"))
+    reference = init if same else load_checkpoint(r["reference"])
     ckpt, metrics = train(cfg, pairs, init, reference)
     _warn_skipped(sum(m["skipped"] for m in metrics))
     lines = [json.dumps({"step": m["step"], "loss": m["loss"], "margin": m["margin"],
@@ -136,11 +140,6 @@ def _cmd_build_pairs(r: dict) -> int:
         ckpt.model, oracle, list(corpus), K=r["k"], temperature=r["temperature"],
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
     atomic_write(r["out"], lambda p: data.save_pairs(pairs, p))
-    # a response sampled to the context without EOS scores one token too long
-    overflow = sum(not _fits(p, ckpt.model.context) for p in pairs)
-    if overflow:
-        print(f"warning: {overflow} of {len(pairs)} pairs exceed context {ckpt.model.context}; "
-              f"train and the analyses will skip them", file=sys.stderr)
     print(json.dumps({"pairs": len(pairs), "skipped": skipped}))
     return 0
 
@@ -417,7 +416,34 @@ def run_command(argv) -> int:
     return code
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep a training step's freed memory in the heap for the next step.
+
+    glibc by default maps large arrays afresh and trims the free heap top
+    back to the OS, so every step faulted its tape's arrays back in. Arrays
+    up to 32 MiB now come from the heap, and up to 256 MiB of it stays free
+    but mapped. The trim threshold alone would pin the mmap threshold at
+    128 KiB, so it is set only once the mmap threshold is. Without glibc's
+    mallopt, or where it refuses a value, nothing changes; no number moves
+    either way. Called from main, not on import, to leave a host process's
+    allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     if argv is None:
         argv = sys.argv[1:]
     try:

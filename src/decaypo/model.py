@@ -233,7 +233,7 @@ def sample_token_id(probs: np.ndarray, u):
 
 
 def sample_many(model: PolicyModel, rows, temperature: float,
-                max_len: int) -> list[TokenSequence]:
+                max_len: int, eos_room: bool = False) -> list[TokenSequence]:
     """Autoregressive sampling of every (prompt tokens, seed) row in lockstep.
 
     Temperature 0 is argmax with lowest-id ties; otherwise row i's t-th token
@@ -241,8 +241,11 @@ def sample_many(model: PolicyModel, rows, temperature: float,
     tokens do not depend on the other rows. Rows are grouped by prompt
     length; each distinct prompt of a group is prefilled once, and one
     decoder step then advances every live row of the group. A row leaves the
-    batch on the step that draws its EOS, or after min(max_len, context -
-    prompt length) tokens.
+    batch on the step that draws its EOS, or after min(max_len, end -
+    prompt length) tokens, where end is the context, or one less with
+    ``eos_room``, which keeps room for the EOS that scoring appends to a
+    response that has none. A row that stops before that cap draws the same
+    tokens at any cap.
     """
     if not 0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
@@ -251,10 +254,12 @@ def sample_many(model: PolicyModel, rows, temperature: float,
     rows = [(list(prompt), seed) for prompt, seed in rows]
     _check_context(model, [t for prompt, _ in rows for t in prompt],
                    [len(prompt) for prompt, _ in rows])
+    end = model.context - eos_room
     groups: dict[int, list[int]] = {}
     for i, (prompt, _) in enumerate(rows):
-        if len(prompt) >= model.context:
-            raise ValueError("prompt leaves no room for a response")
+        if len(prompt) >= end:
+            raise ValueError("prompt leaves no room for a response"
+                             + (" and its EOS" if eos_room else ""))
         groups.setdefault(len(prompt), []).append(i)
     out: list[TokenSequence] = [None] * len(rows)
     for n, members in groups.items():
@@ -265,7 +270,7 @@ def sample_many(model: PolicyModel, rows, temperature: float,
             logits = decoder.step(column)
         decoder.take(which)
         logits = logits[which]
-        limit = min(max_len, model.context - n)
+        limit = min(max_len, end - n)
         if temperature > 0.0:   # row i's draws, in order, from its own seed
             uniforms = np.array([rng(rows[i][1]).random(limit) for i in members])
         responses: list[list[int]] = [[] for _ in members]

@@ -621,6 +621,23 @@ class TestTrainCommand:
         assert main(["train", "--config", snapshot]) == 0
         assert metrics.read_bytes() == first
 
+    def test_reference_named_as_init_is_loaded_once(self, workdir, tmp_path, monkeypatch):
+        """The loaded init serves as the reference too, with the same output
+        as a reference read from a copy of the file."""
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes((workdir / "model.ckpt").read_bytes())
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or load_checkpoint(path))
+        outputs = []
+        for name, reference in (("same", workdir / "model.ckpt"), ("copy", copy)):
+            loads.clear()
+            metrics, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.ckpt"
+            assert run_train(workdir, metrics, out, "--reference", str(reference)) == 0
+            outputs.append((len(loads), metrics.read_bytes(), out.read_bytes()))
+        assert [n for n, *_ in outputs] == [1, 2]
+        assert outputs[0][1:] == outputs[1][1:]
+
     def test_every_pair_overflowing_writes_null_metrics(self, workdir, tmp_path):
         metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
         assert main(["train", "--pairs", overflowing_pairs(tmp_path / "long.jsonl"),
@@ -681,22 +698,28 @@ class TestBuildPairsCommand:
             assert main(args + ["--brevity-coefficient", coefficient, "--out", str(out)]) == 0
         assert outs[0].read_bytes() != outs[1].read_bytes()
 
-    def test_pairs_that_overflow_the_context_are_counted_on_stderr(self, tmp_path, capsys):
-        """Responses sampled up to the context without EOS make pairs one
-        token too long to score; the pairs are still written, as before."""
+    def test_every_written_pair_fits_the_context(self, tmp_path, capsys):
+        """A response stops one token short of the context, so that it fits
+        with the EOS that scoring appends, and nothing goes to stderr."""
         argv = ["build-pairs", "--dim", "16", "--context", "32", *SMALL_CORPUS, "--k", "3",
-                "--seed", "0"]
-        assert main([*argv, "--max-len", "40", "--out", str(tmp_path / "long.jsonl")]) == 0
+                "--seed", "0", "--max-len", "40", "--out", str(tmp_path / "long.jsonl")]
+        assert main(argv) == 0
         out, err = capsys.readouterr()
         pairs = load_pairs(tmp_path / "long.jsonl")
-        overflow = sum(not all(model_module.make_sequence(p.prompt, r).fits(32)
-                               for r in (p.chosen, p.rejected)) for p in pairs)
-        assert overflow > 0
-        assert err == (f"warning: {overflow} of {len(pairs)} pairs exceed context 32; "
-                       f"train and the analyses will skip them\n")
-        assert json.loads(out)["pairs"] == len(pairs)
-        assert main([*argv, "--max-len", "8", "--out", str(tmp_path / "short.jsonl")]) == 0
-        assert capsys.readouterr().err == ""
+        assert err == "" and json.loads(out)["pairs"] == len(pairs) > 0
+        scored = [(p.prompt, r) for p in pairs for r in (p.chosen, p.rejected)]
+        assert all(model_module.make_sequence(prompt, r).fits(32) for prompt, r in scored)
+        assert 32 - 6 - 1 in [len(r) for _, r in scored], "some response reaches the cap"
+
+    @pytest.mark.parametrize("context, code", [(7, 2), (8, 0)])
+    def test_prompt_needs_room_for_a_response_and_its_eos(self, tmp_path, capsys,
+                                                           context, code):
+        """The synthetic prompts are 6 tokens with BOS."""
+        assert main(["build-pairs", "--dim", "8", "--context", str(context), *SMALL_CORPUS,
+                     "--k", "2", "--out", str(tmp_path / "p.jsonl")]) == code
+        err = capsys.readouterr().err
+        assert err == ("runtime error: prompt leaves no room for a response and its EOS\n"
+                       if code else "")
 
     def test_pairs_parse_and_validate(self, workdir):
         pairs = load_pairs(workdir / "pairs.jsonl")
@@ -730,9 +753,9 @@ class TestSampleEval:
         build-pairs', so an eval baseline never replays a training sample."""
         seeds = []
 
-        def spy(model, rows, temperature, max_len):
+        def spy(model, rows, *args):
             seeds.extend(seed for _, seed in rows)
-            return sample_many(model, rows, temperature, max_len)
+            return sample_many(model, rows, *args)
 
         for module in (cli, data, model_module, training):
             for name, obj in list(vars(module).items()):

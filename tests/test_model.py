@@ -420,6 +420,25 @@ class TestLockstepSampling:
         assert 15 in ends, "some row draws EOS on its last allowed step"
         assert [len(w) for w in want][5::8] == [1] * 4
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_eos_room_stops_a_row_one_token_earlier(self, temperature):
+        """With eos_room a row stops one token short of the context, so that
+        it fits with the EOS that scoring appends; up to there it draws the
+        tokens it draws without."""
+        m = eos_prone_model()
+        prompts = [[BOS, 97], [BOS, 98], [BOS] * 36, [BOS] * 46]
+        rows = [(prompts[i % len(prompts)], seed) for i, seed in enumerate(range(80, 112))]
+        free = sample_many(m, rows, temperature, m.context)
+        roomy = sample_many(m, rows, temperature, m.context, eos_room=True)
+        caps = [m.context - len(prompt) - 1 for prompt, _ in rows]
+        assert [r.response_tokens for r in roomy] == [
+            f.response_tokens[:cap] for f, cap in zip(free, caps)]
+        assert all(r.prompt_len + r.response_len + (r.response_tokens[-1] != EOS) <= m.context
+                   for r in roomy)
+        assert any(f.response_len > cap for f, cap in zip(free, caps)), "the cap cuts some row"
+        with pytest.raises(ValueError, match="^prompt leaves no room for a response and its EOS$"):
+            sample_many(m, [([BOS] * 47, 0)], temperature, 8, eos_room=True)
+
     def test_batched_decoder_logits_match_one_row_steps(self):
         """A (rows x d) matrix product rounds differently from a vector one,
         so a batched step may move the logits by a few ulps; at the CLI's
