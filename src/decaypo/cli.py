@@ -69,7 +69,7 @@ SAMPLING_OPTS = [
 ]
 
 
-def _loss_config(r: dict, root_seed: int) -> LossConfig:
+def _loss_config(r: dict) -> LossConfig:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -82,17 +82,17 @@ def _loss_config(r: dict, root_seed: int) -> LossConfig:
         method=r["method"], beta=r["beta"], schedule=schedule,
         tau=r["tau"], lambda_w=r["lambda-w"], lambda_l=r["lambda-l"],
         lambda_orpo=r["lambda-orpo"], target_margin=r["target-margin"],
-        sampo_seed=seed_substream(root_seed, "sampo"))
+        sampo_seed=seed_substream(r["seed"], "sampo"))
 
 
-def _model_from(r: dict, key: str, root_seed: int) -> Checkpoint:
+def _model_from(r: dict, key: str) -> Checkpoint:
     """The checkpoint r[key], its architecture written into r, or a fresh model."""
     if r.get(key):
         ckpt = load_checkpoint(r[key])
         r.update(dim=ckpt.model.dim, context=ckpt.model.context, blocks=ckpt.model.blocks)
         return ckpt
     model = PolicyModel(dim=r["dim"], context=r["context"], blocks=r["blocks"],
-                        seed=seed_substream(root_seed, "init"))
+                        seed=seed_substream(r["seed"], "init"))
     return Checkpoint(model=model, step=0, seed=model.seed)
 
 
@@ -113,12 +113,12 @@ def _oracle_from(r: dict):
 # command runners
 
 def _cmd_train(r: dict) -> int:
-    loss_cfg = _loss_config(r, r["seed"])
+    loss_cfg = _loss_config(r)
     pairs = data.load_pairs(r["pairs"])
     cfg = TrainConfig(loss=loss_cfg, lr_multiplier=r["lr-multiplier"],
                       batch_size=r["batch-size"], epochs=r["epochs"],
                       max_steps=r["max-steps"], seed=r["seed"])
-    init = _model_from(r, "init", r["seed"])
+    init = _model_from(r, "init")
     # train copies init for the policy and only reads the reference, so a
     # reference that is init's file, or none, is init itself
     same = r.get("reference") in (None, "", r.get("init"))
@@ -135,7 +135,7 @@ def _cmd_train(r: dict) -> int:
 
 def _cmd_build_pairs(r: dict) -> int:
     corpus, oracle = _oracle_from(r)
-    ckpt = _model_from(r, "model", r["seed"])
+    ckpt = _model_from(r, "model")
     pairs, skipped = data.build_onpolicy_pairs(
         ckpt.model, oracle, list(corpus), K=r["k"], temperature=r["temperature"],
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
@@ -221,7 +221,7 @@ def _cmd_ref_margin(r: dict) -> int:
 
 
 def _cmd_length_bias(r: dict) -> int:
-    cfg = _loss_config(r, r["seed"])
+    cfg = _loss_config(r)
     needs_reference = cfg.method not in REFERENCE_FREE
     if needs_reference and not r.get("reference"):
         raise ConfigError(f"method {cfg.method!r} needs a reference: pass --reference")

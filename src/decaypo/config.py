@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENV_SEED = "DECAYPO_SEED"
-
 # named substreams off the root seed; components never share raw seeds
 SEED_TAGS = {"data": 0, "sampling": 1, "sampo": 2, "init": 3, "eval": 4}
 
@@ -22,11 +20,6 @@ def _seed_sequence(keys) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(k) & (2**63 - 1) for k in keys])
 
 
-def derive_seed(*keys) -> int:
-    """The 63-bit seed that a tuple of integer keys names."""
-    return int(_seed_sequence(keys).generate_state(1, np.uint64)[0] & (2**63 - 1))
-
-
 def rng(*keys) -> np.random.Generator:
     """The generator that a tuple of integer keys names: the one seed recipe
     of every random draw."""
@@ -34,9 +27,11 @@ def rng(*keys) -> np.random.Generator:
 
 
 def seed_substream(root_seed: int, tag: str) -> int:
+    """The 63-bit seed of the substream ``tag`` of ``root_seed``."""
     if tag not in SEED_TAGS:
         raise ValueError(f"unknown seed substream {tag!r}")
-    return derive_seed(root_seed, SEED_TAGS[tag])
+    state = _seed_sequence((root_seed, SEED_TAGS[tag])).generate_state(1, np.uint64)[0]
+    return int(state & (2**63 - 1))
 
 
 class ConfigError(ValueError):
@@ -107,23 +102,17 @@ def load_config_file(path) -> dict:
 
 def resolve(command: str, options, cli_values: dict,
             config_path: str | None, commands) -> dict:
-    """Merge defaults, the seed env var, config-file section and CLI flags.
+    """Merge defaults, config-file section and CLI flags.
 
-    Precedence (lowest to highest): registry defaults, DECAYPO_SEED for
-    the root seed, config file, explicit CLI flags. Flag values arrive as
-    text, like file values, and both go through parse_value; every value
-    that is not None must then pass its option's ``valid`` test. A config file
-    may hold a section for any of ``commands``; unknown sections and
-    unknown keys in the ``command`` section are rejected with the name.
+    Precedence (lowest to highest): registry defaults, config file,
+    explicit CLI flags. Flag values arrive as text, like file values, and
+    both go through parse_value; every value that is not None must then
+    pass its option's ``valid`` test. A config file may hold a section
+    for any of ``commands``; unknown sections and unknown keys in the
+    ``command`` section are rejected with the name.
     """
     by_name = {o.name: o for o in options}
     resolved = {o.name: o.default for o in options}
-    env = os.environ.get(ENV_SEED)
-    if env is not None and "seed" in by_name:
-        try:
-            resolved["seed"] = int(env)
-        except ValueError as e:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from e
     if config_path is not None:
         sections = load_config_file(config_path)
         for key, text in sections.get(command, {}).items():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import derive_seed, rng
+from .config import rng
 from .model import BOS, PolicyModel, TokenSequence, sample_many
 
 
@@ -212,16 +212,16 @@ def response_bytes(seq: TokenSequence) -> bytes:
 
 
 def sample_and_score(model: PolicyModel, oracle: RewardOracle, prompts,
-                     temperature: float, max_len: int, seeds,
+                     temperature: float, max_len: int, seed: int,
                      eos_room: bool = False) -> tuple[list[bytes], list[float]]:
-    """A sampled response to each of ``prompts``, the i-th drawn from
-    ``seeds[i]``, and the oracle scores: the on-policy step that building
-    pairs and evaluating a win rate share. Every row is sampled in lockstep
-    (model.sample_many, which also reads ``eos_room``)."""
+    """A sampled response to each of ``prompts`` and the oracle scores: the
+    on-policy step that building pairs and evaluating a win rate share.
+    Every row is sampled in one lockstep call of model.sample_many, which
+    reads ``seed`` and ``eos_room``: response i is drawn at row i of the
+    call's one block of uniforms."""
     prompts = [bytes(p) for p in prompts]
-    rows = [([BOS] + list(p), s) for p, s in zip(prompts, seeds, strict=True)]
-    responses = [response_bytes(seq)
-                 for seq in sample_many(model, rows, temperature, max_len, eos_room)]
+    responses = [response_bytes(seq) for seq in sample_many(
+        model, [[BOS] + list(p) for p in prompts], temperature, max_len, seed, eos_room)]
     return responses, [oracle_score(oracle, p, r) for p, r in zip(prompts, responses)]
 
 
@@ -232,19 +232,18 @@ def build_onpolicy_pairs(model: PolicyModel, oracle: RewardOracle, prompts,
 
     Returns (pairs, skipped) where skipped counts prompts whose K samples
     all tied at one score. A response stops one token short of the context,
-    so that it fits with the EOS that scoring appends. Each sample draws
-    from its own seed, derived from (seed, prompt index, sample index), and
-    all prompts x K samples run as one lockstep batch. So every sampled
-    token is independent of scheduling order and of the other rows; only
-    the logits may move by a few ulps with the make-up of the batch (a
-    matrix product rounds differently from a vector one).
+    so that it fits with the EOS that scoring appends. All prompts x K
+    samples run as one lockstep sample_and_score call of ``seed``, in which
+    row i*K + k is prompt i's k-th sample. So every sampled token depends
+    on the seed and its row only, not on the other rows; only the logits
+    may move by a few ulps with the make-up of the batch (a matrix product
+    rounds differently from a vector one).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     prompts = [bytes(p) for p in prompts]
     sampled, scored = sample_and_score(
-        model, oracle, [p for p in prompts for _ in range(K)], temperature, max_len,
-        [derive_seed(seed, i, k) for i in range(len(prompts)) for k in range(K)],
+        model, oracle, [p for p in prompts for _ in range(K)], temperature, max_len, seed,
         eos_room=True)
     pairs = []
     skipped = 0

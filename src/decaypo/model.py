@@ -232,47 +232,49 @@ def sample_token_id(probs: np.ndarray, u):
     return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)
 
 
-def sample_many(model: PolicyModel, rows, temperature: float,
-                max_len: int, eos_room: bool = False) -> list[TokenSequence]:
-    """Autoregressive sampling of every (prompt tokens, seed) row in lockstep.
+def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
+                seed: int, eos_room: bool = False) -> list[TokenSequence]:
+    """Autoregressive sampling of every prompt (a token list) in lockstep.
 
-    Temperature 0 is argmax with lowest-id ties; otherwise row i's t-th token
-    is drawn at the t-th uniform of the generator of its own seed, so its
-    tokens do not depend on the other rows. Rows are grouped by prompt
-    length; each distinct prompt of a group is prefilled once, and one
-    decoder step then advances every live row of the group. A row leaves the
-    batch on the step that draws its EOS, or after min(max_len, end -
-    prompt length) tokens, where end is the context, or one less with
-    ``eos_room``, which keeps room for the EOS that scoring appends to a
-    response that has none. A row that stops before that cap draws the same
-    tokens at any cap.
+    Temperature 0 is argmax with lowest-id ties; otherwise the call draws
+    one block u = rng(seed).random((rows, context - 1)) and row i's t-th
+    token is drawn at u[i, t], so a row's tokens depend on the seed, its
+    index and the context only. Rows are grouped by prompt length; each
+    distinct prompt of a group is prefilled once, and one decoder step then
+    advances every live row of the group. A row leaves the batch on the
+    step that draws its EOS, or after min(max_len, end - prompt length)
+    tokens, where end is the context, or one less with ``eos_room``, which
+    keeps room for the EOS that scoring appends to a response that has
+    none. A row that stops before that cap draws the same tokens at any cap.
     """
     if not 0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rows = [(list(prompt), seed) for prompt, seed in rows]
-    _check_context(model, [t for prompt, _ in rows for t in prompt],
-                   [len(prompt) for prompt, _ in rows])
+    prompts = [list(prompt) for prompt in prompts]
+    _check_context(model, [t for prompt in prompts for t in prompt],
+                   [len(prompt) for prompt in prompts])
     end = model.context - eos_room
     groups: dict[int, list[int]] = {}
-    for i, (prompt, _) in enumerate(rows):
+    for i, prompt in enumerate(prompts):
         if len(prompt) >= end:
             raise ValueError("prompt leaves no room for a response"
                              + (" and its EOS" if eos_room else ""))
         groups.setdefault(len(prompt), []).append(i)
-    out: list[TokenSequence] = [None] * len(rows)
+    if temperature > 0.0:
+        u = rng(seed).random((len(prompts), model.context - 1))
+    out: list[TokenSequence] = [None] * len(prompts)
     for n, members in groups.items():
         distinct: dict[tuple, int] = {}
-        which = [distinct.setdefault(tuple(rows[i][0]), len(distinct)) for i in members]
+        which = [distinct.setdefault(tuple(prompts[i]), len(distinct)) for i in members]
         decoder = _Decoder(model, len(distinct))
         for column in np.array(list(distinct)).T:
             logits = decoder.step(column)
         decoder.take(which)
         logits = logits[which]
         limit = min(max_len, end - n)
-        if temperature > 0.0:   # row i's draws, in order, from its own seed
-            uniforms = np.array([rng(rows[i][1]).random(limit) for i in members])
+        if temperature > 0.0:
+            uniforms = u[members, :limit]
         responses: list[list[int]] = [[] for _ in members]
         live = list(range(len(members)))
         drawn: list[list[int]] = []   # live rows' tokens since a row left: one append a step
@@ -295,11 +297,11 @@ def sample_many(model: PolicyModel, rows, temperature: float,
                 tok = tok[kept]
                 decoder.take(kept)
         for i, response in zip(members, responses):
-            out[i] = TokenSequence(rows[i][0], response)
+            out[i] = TokenSequence(prompts[i], response)
     return out
 
 
 def sample(model: PolicyModel, prompt, temperature: float, max_len: int,
            seed: int) -> TokenSequence:
-    """Autoregressive sampling of one row: sample_many of [(prompt, seed)]."""
-    return sample_many(model, [(prompt, seed)], temperature, max_len)[0]
+    """Autoregressive sampling of one prompt: sample_many of [prompt]."""
+    return sample_many(model, [prompt], temperature, max_len, seed)[0]

@@ -64,8 +64,10 @@ def weights(schedule: DecaySchedule, response_len: int, prompt_len: int = 0) -> 
         return np.ones(T)
     if schedule.kind == "exponential":
         # Written as gamma^o * gamma^t so the prompt-start weights equal the
-        # answer-start weights times the scalar gamma^l bit-for-bit.
-        return (g ** o) * np.power(g, t)
+        # answer-start weights times the scalar gamma^l bit-for-bit; the
+        # float64 power rounds as Python's but overflows to inf, not an error.
+        with np.errstate(over="ignore"):
+            return (np.float64(g) ** o) * np.power(g, t)
     if schedule.kind == "head":
         return (t < ceil(g * T)).astype(np.float64)
     if schedule.kind == "linear":
@@ -73,5 +75,7 @@ def weights(schedule: DecaySchedule, response_len: int, prompt_len: int = 0) -> 
         w = 1.0 - t / (g * T)
         w[t >= cut] = 0.0
         return w
-    # power-law; positions counted from 1 to avoid division by zero at t=0
-    return 1.0 / np.power(o + t + 1.0, g)
+    # power-law; positions counted from 1 to avoid division by zero at t=0;
+    # a power that overflows gives the right weight, 1/inf = 0
+    with np.errstate(over="ignore"):
+        return 1.0 / np.power(o + t + 1.0, g)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .config import derive_seed, rng
+from .config import rng
 from .data import RewardOracle, sample_and_score
 from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
 from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
@@ -240,6 +240,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
 
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
     lr, skipped. Step k trains on batch k mod B of epoch k // B's shuffle.
+    A step whose loss or gradient norm is not finite raises ValueError.
     Fully deterministic in (cfg, pairs, init, reference).
     """
     needs_reference = cfg.loss.method not in REFERENCE_FREE
@@ -261,13 +262,15 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
             order = order_rng.permutation(len(pairs))
         idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         batch = [(pairs[i], int(i)) for i in idx]
-        result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
+        with np.errstate(all="ignore"):  # a non-finite step raises below
+            result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
+            gn = 0.0 if result is None else grad_norm(result[2], names)
         lr = cosine_lr(step, total_steps, WARMUP_FRACTION, cfg.lr)
         loss = margin = None
-        gn = 0.0
         if result is not None:  # else every example overflowed the context
             loss, margin, grads = result
-            gn = grad_norm(grads, names)
+            if not (math.isfinite(loss) and math.isfinite(gn)):
+                raise ValueError(f"step {step} is not finite: loss {loss}, gradient norm {gn}")
             opt.step(grads, lr=lr)
         metrics.append({"step": step, "loss": loss, "margin": margin,
                         "grad_norm": gn, "lr": lr, "skipped": skipped})
@@ -300,12 +303,12 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
 def evaluate_winrate(candidate: Checkpoint, baseline: Checkpoint,
                      oracle: RewardOracle, prompts, temperature: float,
                      seed: int, max_len: int = 256):
-    """Paired-seed sampling; (win, tie, lose) for the candidate. Each model
-    samples every prompt in one lockstep batch."""
+    """(win, tie, lose) for the candidate. Each model samples every prompt
+    in one lockstep call of the same ``seed``, so the two responses to
+    prompt i are drawn at the same uniforms."""
     prompts = list(prompts)
-    seeds = [derive_seed(seed, 2, i) for i in range(len(prompts))]
-    _, sc = sample_and_score(candidate.model, oracle, prompts, temperature, max_len, seeds)
-    _, sb = sample_and_score(baseline.model, oracle, prompts, temperature, max_len, seeds)
+    _, sc = sample_and_score(candidate.model, oracle, prompts, temperature, max_len, seed)
+    _, sb = sample_and_score(baseline.model, oracle, prompts, temperature, max_len, seed)
     win = sum(c > b for c, b in zip(sc, sb))
     tie = sum(c == b for c, b in zip(sc, sb))
     return win, tie, len(prompts) - win - tie

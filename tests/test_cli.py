@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import BAD_MANIFEST_FIELDS, MISFITS, misfit_params, write_raw_checkpoint
-from decaypo import analysis, cli, data, mdp, model as model_module, training
+from decaypo import analysis, cli, config, data, mdp, model as model_module, training
 from decaypo.cli import COMMANDS, main
-from decaypo.config import atomic_write, parse_value
+from decaypo.config import atomic_write, parse_value, seed_substream
 from decaypo.data import load_pairs
 from decaypo.losses import METHODS, LossConfig
 from decaypo.model import PolicyModel, sample_many
@@ -651,28 +651,35 @@ class TestTrainCommand:
         for name, value in load_checkpoint(out).model.params.items():
             assert value.tobytes() == init[name].tobytes()
 
-    def test_env_seed_overrides_default(self, workdir, monkeypatch):
-        by_flag = workdir / "seed5.jsonl"
-        assert run_train(workdir, by_flag, workdir / "seed5.ckpt",
-                         "--seed", "5") == 0
-        monkeypatch.setenv("DECAYPO_SEED", "5")
-        by_env = workdir / "env5.jsonl"
-        assert run_train(workdir, by_env, workdir / "env5.ckpt") == 0
-        assert by_env.read_bytes() == by_flag.read_bytes()
+    def test_decaypo_seed_env_changes_nothing(self, workdir, tmp_path, monkeypatch):
+        """The root seed comes from the flag or the config file only."""
+        outputs = []
+        for env in (None, "5"):
+            if env is not None:
+                monkeypatch.setenv("DECAYPO_SEED", env)
+            metrics, out = tmp_path / f"{env}.jsonl", tmp_path / f"{env}.ckpt"
+            assert run_train(workdir, metrics, out) == 0
+            assert "seed = 0" in read_snapshot(out)
+            outputs.append((metrics.read_bytes(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
-    def test_flag_seed_beats_env(self, workdir, monkeypatch):
-        monkeypatch.setenv("DECAYPO_SEED", "5")
-        out = workdir / "flag3.ckpt"
-        assert run_train(workdir, workdir / "flag3.jsonl", out, "--seed", "3") == 0
-        assert "seed = 3" in read_snapshot(out)
-
-    def test_file_seed_beats_env(self, workdir, monkeypatch):
-        cfg = workdir / "seed4.cfg"
-        cfg.write_text("[train]\nseed = 4\n")
-        monkeypatch.setenv("DECAYPO_SEED", "5")
-        out = workdir / "file4.ckpt"
-        assert run_train(workdir, workdir / "file4.jsonl", out, "--config", str(cfg)) == 0
-        assert "seed = 4" in read_snapshot(out)
+    @pytest.mark.parametrize("args, error", [
+        (("--method", "ipo", "--tau", "1e-320"), "step 0 is not finite: loss inf, "),
+        (("--beta", "1e308"), "step 0 is not finite: loss 0.69"),
+        # the schedule's weights overflow to inf, so the margin is not finite
+        (("--gamma", "1e300"), "logsigmoid requires finite input")], ids=["tau", "beta", "gamma"])
+    def test_non_finite_step_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, args,
+                                                      error):
+        metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
+        assert run_train(workdir, metrics, out, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        if args[0] == "--gamma":   # gamma > 1 warns before the run
+            assert lines.pop(0).startswith("warning: key 'gamma': gamma > 1 ")
+        assert len(lines) == 1 and captured.err.endswith("\n")
+        assert lines[0].startswith("runtime error: " + error)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBuildPairsCommand:
@@ -749,13 +756,15 @@ class TestSampleEval:
         assert result["winrate"] == 0.5
 
     def test_eval_draws_no_build_pairs_seed(self, workdir, monkeypatch):
-        """Under one --seed, eval's sampling seeds are disjoint from
-        build-pairs', so an eval baseline never replays a training sample."""
+        """Each command samples all of its rows from one seed per call, and
+        under one --seed eval's differs from build-pairs', so an eval
+        baseline never replays a training sample. Both eval models get the
+        same seed, so their draws stay paired."""
         seeds = []
 
-        def spy(model, rows, *args):
-            seeds.extend(seed for _, seed in rows)
-            return sample_many(model, rows, *args)
+        def spy(model, prompts, temperature, max_len, seed, eos_room=False):
+            seeds.append(seed)
+            return sample_many(model, prompts, temperature, max_len, seed, eos_room)
 
         for module in (cli, data, model_module, training):
             for name, obj in list(vars(module).items()):
@@ -765,12 +774,58 @@ class TestSampleEval:
         assert main(["build-pairs", *SMALL_ARCH, *SMALL_CORPUS, "--model", model,
                      "--k", "4", "--temperature", "1.0", "--max-len", "4",
                      "--seed", "0", "--out", str(workdir / "seeds.jsonl")]) == 0
-        built = set(seeds)
+        built = list(seeds)
         seeds.clear()
         assert main(["eval", *SMALL_CORPUS, "--candidate", model, "--baseline", model,
                      "--temperature", "1.0", "--max-len", "4", "--seed", "0"]) == 0
-        assert len(built) == 6 * 4 and len(set(seeds)) == 6
-        assert built.isdisjoint(seeds)
+        assert len(built) == 1 and len(seeds) == 2
+        assert seeds[0] == seeds[1] != built[0]
+
+    def test_sample_draws_build_pairs_row_0(self, workdir, monkeypatch):
+        """sample and build-pairs both sample from the sampling substream,
+        so under one --seed sample draws what build-pairs' row 0 draws."""
+        rows = []
+
+        def spy(*args):
+            seqs = sample_many(*args)
+            rows.append(seqs[0].response_tokens)
+            return seqs
+
+        monkeypatch.setattr(model_module, "sample_many", spy)
+        monkeypatch.setattr(data, "sample_many", spy)
+        model = str(workdir / "model.ckpt")
+        flags = ["--model", model, "--temperature", "1.0", "--max-len", "6", "--seed", "3"]
+        assert main(["build-pairs", *SMALL_CORPUS, *flags, "--k", "3",
+                     "--out", str(workdir / "row0.jsonl")]) == 0
+        first = next(iter(data.synthetic_corpus(6, seed_substream(3, "data"), 3, 6)))
+        assert main(["sample", *flags, "--prompt", first.decode()]) == 0
+        assert len(rows) == 2 and len(rows[0]) > 1
+        assert rows[0] == rows[1]
+
+    def test_one_sampling_generator_per_call(self, workdir, monkeypatch):
+        """build-pairs builds one generator for all of its rows, and eval one
+        per model; the seed hashes of a build-pairs call do not grow with K."""
+        built, hashes = [], []
+        make_rng, seed_sequence = model_module.rng, config._seed_sequence
+        monkeypatch.setattr(model_module, "rng",
+                            lambda *keys: built.append(keys) or make_rng(*keys))
+        monkeypatch.setattr(config, "_seed_sequence",
+                            lambda keys: hashes.append(keys) or seed_sequence(keys))
+        model = str(workdir / "model.ckpt")
+        counts = []
+        for k in ("2", "4"):
+            built.clear()
+            hashes.clear()
+            assert main(["build-pairs", *SMALL_ARCH, *SMALL_CORPUS, "--model", model,
+                         "--k", k, "--temperature", "1.0", "--max-len", "4",
+                         "--seed", "0", "--out", str(workdir / "gens.jsonl")]) == 0
+            counts.append((len(built), len(hashes)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 1
+        built.clear()
+        assert main(["eval", *SMALL_CORPUS, "--candidate", model, "--baseline", model,
+                     "--temperature", "1.0", "--max-len", "4", "--seed", "0"]) == 0
+        assert len(built) == 2 and built[0] == built[1]
 
 
 def csv_columns(path, header):

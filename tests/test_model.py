@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decaypo import autodiff as ad
-from decaypo.config import derive_seed
+from decaypo.config import rng
 from decaypo.data import (RewardOracle, build_onpolicy_pairs, oracle_score, response_bytes,
                           synthetic_corpus)
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
@@ -69,10 +69,10 @@ def eos_prone_model():
     return m
 
 
-def full_forward_sample(model, prompt, temperature, max_len, seed):
+def full_forward_sample(model, prompt, temperature, max_len, uniforms):
     """sample() one row at a time, rerunning forward_logits over the whole
-    prefix per token and drawing by searchsorted on one 1-D cumsum."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    prefix per token and drawing token t by searchsorted on one 1-D cumsum
+    at ``uniforms[t]``."""
     context, response = list(prompt), []
     for _ in range(min(max_len, model.context - len(prompt))):
         logits = forward_logits(model, context)[-1]
@@ -82,7 +82,8 @@ def full_forward_sample(model, prompt, temperature, max_len, seed):
             z = logits / temperature
             e = np.exp(z - np.max(z))
             cdf = np.cumsum(e / np.sum(e))
-            tok = int(np.searchsorted(cdf, rng.random(), side="right").clip(0, VOCAB_SIZE - 1))
+            tok = int(np.searchsorted(cdf, uniforms[len(response)], side="right")
+                      .clip(0, VOCAB_SIZE - 1))
         response.append(tok)
         context.append(tok)
         if tok == EOS:
@@ -165,7 +166,8 @@ class TestEquivalence:
         for seed in range(3):
             for prompt in ([BOS], [BOS, 104, 105], [BOS] + list(range(200))):
                 got = sample(m, prompt, temperature, 40, seed).response_tokens
-                assert got == full_forward_sample(m, prompt, temperature, 40, seed)
+                want = full_forward_sample(m, prompt, temperature, 40, rng(seed).random(40))
+                assert got == want
 
 
 class TestTokenLogprobs:
@@ -380,13 +382,19 @@ class TestSampling:
         assert np.all(np.abs(freq - probs) <= 3 * se + 1e-12)
 
     def test_sample_first_token_matches_mechanism(self):
+        """Every token, the first included, is the inverse-CDF draw at the
+        next uniform of one sequential rng(seed)."""
         m = small_model(trained=True)
         prompt = [BOS, 33]
-        probs = next_token_distribution(m, prompt)  # temperature 1
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(21)))
-        expected = sample_token_id(probs, rng.random())
-        seq = sample(m, prompt, 1.0, 1, seed=21)
-        assert seq.response_tokens[0] == expected
+        seq = sample(m, prompt, 1.0, 20, seed=21)
+        draw = rng(21)
+        context = list(prompt)
+        for tok in seq.response_tokens:
+            probs = next_token_distribution(m, context)  # temperature 1
+            assert tok == sample_token_id(probs, draw.random())
+            context.append(tok)
+        assert seq.response_len == 20 or seq.response_tokens[-1] == EOS
+        assert seq.response_len > 5
 
 
 class TestLockstepSampling:
@@ -405,15 +413,19 @@ class TestLockstepSampling:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     def test_rows_match_one_row_full_forward_sampler(self, temperature):
+        """Row j of a call is the one-row sampler at row j of the call's
+        uniform block."""
         m = eos_prone_model()
         prompts = [[BOS, 97], [BOS, 98], [BOS, 99], [BOS, 102], [BOS, 105],
                    [BOS] * 47,                     # exactly one free position
                    [BOS] + list(b"xyz?"), [BOS, 97]]
-        rows = [(prompts[i % len(prompts)], seed) for i, seed in enumerate(range(40, 72))]
-        got = sample_many(m, rows, temperature, 15)
-        want = [full_forward_sample(m, prompt, temperature, 15, seed) for prompt, seed in rows]
+        prompts = [prompts[i % len(prompts)] for i in range(32)]
+        got = sample_many(m, prompts, temperature, 15, 40)
+        u = rng(40).random((len(prompts), m.context - 1))
+        want = [full_forward_sample(m, prompt, temperature, 15, u[j])
+                for j, prompt in enumerate(prompts)]
         assert [seq.response_tokens for seq in got] == want
-        assert [seq.prompt_tokens for seq in got] == [prompt for prompt, _ in rows]
+        assert [seq.prompt_tokens for seq in got] == prompts
         ends = {len(w) for w in want if w[-1] == EOS}
         assert len(ends) >= 3, "rows should stop by EOS at different steps"
         assert any(len(w) == 15 and w[-1] != EOS for w in want), "some row reaches its limit"
@@ -427,17 +439,45 @@ class TestLockstepSampling:
         tokens it draws without."""
         m = eos_prone_model()
         prompts = [[BOS, 97], [BOS, 98], [BOS] * 36, [BOS] * 46]
-        rows = [(prompts[i % len(prompts)], seed) for i, seed in enumerate(range(80, 112))]
-        free = sample_many(m, rows, temperature, m.context)
-        roomy = sample_many(m, rows, temperature, m.context, eos_room=True)
-        caps = [m.context - len(prompt) - 1 for prompt, _ in rows]
+        prompts = [prompts[i % len(prompts)] for i in range(32)]
+        free = sample_many(m, prompts, temperature, m.context, 80)
+        roomy = sample_many(m, prompts, temperature, m.context, 80, eos_room=True)
+        caps = [m.context - len(prompt) - 1 for prompt in prompts]
         assert [r.response_tokens for r in roomy] == [
             f.response_tokens[:cap] for f, cap in zip(free, caps)]
         assert all(r.prompt_len + r.response_len + (r.response_tokens[-1] != EOS) <= m.context
                    for r in roomy)
         assert any(f.response_len > cap for f, cap in zip(free, caps)), "the cap cuts some row"
         with pytest.raises(ValueError, match="^prompt leaves no room for a response and its EOS$"):
-            sample_many(m, [([BOS] * 47, 0)], temperature, 8, eos_room=True)
+            sample_many(m, [[BOS] * 47], temperature, 8, 0, eos_room=True)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_max_len_and_eos_room_only_cut_a_row_at_its_cap(self, temperature):
+        m = eos_prone_model()
+        prompts = [[BOS, 97], [BOS, 98], [BOS] * 30, [BOS] * 44, [BOS, 99, 100]] * 4
+        free = [seq.response_tokens for seq in sample_many(m, prompts, temperature, 48, 6)]
+        assert any(len(f) > 10 for f in free)
+        for max_len in (1, 3, 10, 17, 48):
+            for eos_room in (False, True):
+                got = sample_many(m, prompts, temperature, max_len, 6, eos_room)
+                caps = [min(max_len, m.context - len(p) - eos_room) for p in prompts]
+                assert [seq.response_tokens for seq in got] == [
+                    f[:cap] for f, cap in zip(free, caps)], (max_len, eos_room)
+
+    def test_a_row_does_not_depend_on_the_other_rows(self):
+        """At temperature > 0 row i's tokens depend only on the seed, i and
+        the context: appending rows, or changing the other rows' prompts,
+        leaves them as they are."""
+        m = eos_prone_model()
+        prompts = [[BOS, 97], [BOS, 98], [BOS] * 30, [BOS, 97], [BOS, 99, 100]] * 3
+        base = [seq.response_tokens for seq in sample_many(m, prompts, 0.8, 20, 13)]
+        assert len(set(map(tuple, base))) > 10
+        more = sample_many(m, prompts + [[BOS, 101]] * 5 + [[BOS] * 40], 0.8, 20, 13)
+        assert [seq.response_tokens for seq in more[:len(prompts)]] == base
+        others = [[BOS, 120 + i] if i % 3 else p for i, p in enumerate(prompts)]
+        mixed = sample_many(m, others, 0.8, 20, 13)
+        assert [seq.response_tokens for seq in mixed][::3] == base[::3]
+        assert [seq.response_tokens for seq in mixed] != base
 
     def test_batched_decoder_logits_match_one_row_steps(self):
         """A (rows x d) matrix product rounds differently from a vector one,
@@ -479,12 +519,14 @@ class TestLockstepSampling:
         oracle = RewardOracle(kind="target_match", targets=corpus)
         prompts, K, seed = list(corpus), 4, 17
 
-        def sampled(model, prompt, s):
-            return response_bytes(sample(model, [BOS] + list(prompt), 0.8, 12, s))
+        def sampled(model, prompt, uniforms):
+            tokens = full_forward_sample(model, [BOS] + list(prompt), 0.8, 12, uniforms)
+            return response_bytes(TokenSequence([BOS], tokens))
 
+        u = rng(seed).random((len(prompts) * K, m.context - 1))
         want, skipped = [], 0
         for i, prompt in enumerate(prompts):
-            got = [sampled(m, prompt, derive_seed(seed, i, k)) for k in range(K)]
+            got = [sampled(m, prompt, u[i * K + k]) for k in range(K)]
             scores = [oracle_score(oracle, prompt, g) for g in got]
             best, worst = int(np.argmax(scores)), int(np.argmin(scores))
             if scores[best] == scores[worst]:
@@ -498,9 +540,8 @@ class TestLockstepSampling:
 
         wins = [0, 0, 0]
         for i, prompt in enumerate(prompts):
-            s = derive_seed(seed, 2, i)
-            sc = oracle_score(oracle, prompt, sampled(m, prompt, s))
-            sb = oracle_score(oracle, prompt, sampled(other, prompt, s))
+            sc = oracle_score(oracle, prompt, sampled(m, prompt, u[i]))
+            sb = oracle_score(oracle, prompt, sampled(other, prompt, u[i]))
             wins[0 if sc > sb else 1 if sc == sb else 2] += 1
         assert evaluate_winrate(Checkpoint(m), Checkpoint(other), oracle, prompts, 0.8, seed,
                                 max_len=12) == tuple(wins)

@@ -27,6 +27,20 @@ class TestExamples:
         s = DecaySchedule(kind="powerlaw", gamma=1.0, origin="answer_start")
         assert weights(s, 3, 5) == pytest.approx([1.0, 0.5, 1.0 / 3.0], abs=1e-15)
 
+    def test_powerlaw_power_that_overflows_weighs_zero(self):
+        """(o + t + 1)^gamma overflows to inf, whose reciprocal 0 is the right
+        weight; no overflow warning is raised on the way."""
+        for origin, l, want in (("answer_start", 3, [1.0, 0.0, 0.0, 0.0]),
+                                ("prompt_start", 3, [0.0] * 4)):
+            s = DecaySchedule(kind="powerlaw", gamma=1e308, origin=origin)
+            assert weights(s, 4, l).tolist() == want
+
+    def test_exponential_power_that_overflows_is_inf(self):
+        """Not an OverflowError from the Python power gamma^o."""
+        with pytest.warns(UserWarning, match="gamma > 1"):
+            s = DecaySchedule(kind="exponential", gamma=1e300, origin="prompt_start")
+        assert weights(s, 3, 2).tolist() == [np.inf] * 3
+
     def test_uniform_ignores_origin(self):
         for origin in ("prompt_start", "answer_start"):
             s = DecaySchedule(kind="uniform", gamma=1.0, origin=origin)
