@@ -4,14 +4,13 @@ probability per position, and loss binned by chosen/rejected length gap."""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .autodiff import row_logsumexp
-from .losses import LossConfig, pair_loss
+from .losses import LossConfig, pair_losses, segment_sums
 from .model import PolicyModel, make_sequence, packed_logprobs, response_logits
 from .model import token_logprobs  # unused here; benchmarks/test_benchmarks.py reads it
 
@@ -40,11 +39,16 @@ class DensityHistogram:
 PACK = 32
 
 
-def _per_sequence(score, seqs):
-    """One array per sequence, in order, from ``score(pack) -> (flat rows,
-    offsets)`` run over consecutive packs of at most PACK sequences."""
+def _packs(score, seqs):
+    """``score(pack) -> (flat rows, offsets)`` over consecutive packs of at
+    most PACK sequences."""
     for i in range(0, len(seqs), PACK):
-        flat, offsets = score(seqs[i:i + PACK])
+        yield score(seqs[i:i + PACK])
+
+
+def _per_sequence(score, seqs):
+    """One array per sequence, in order, from the packs of ``_packs``."""
+    for flat, offsets in _packs(score, seqs):
         yield from np.split(flat, offsets[1:-1])
 
 
@@ -107,8 +111,8 @@ def ref_margin_density(reference: PolicyModel, pairs, bins: int) -> DensityHisto
     if bins < 2:
         raise ValueError("bins must be >= 2")
     seqs = [make_sequence(p.prompt, response) for p in pairs for response in (p.chosen, p.rejected)]
-    sums = np.array([np.sum(logps) for logps in
-                     _per_sequence(partial(packed_logprobs, reference), seqs)])
+    sums = np.concatenate([segment_sums(flat, np.diff(offsets)) for flat, offsets
+                           in _packs(partial(packed_logprobs, reference), seqs)])
     margins = sums[0::2] - sums[1::2]
     lo, hi = float(np.min(margins)), float(np.max(margins))
     if hi == lo:
@@ -129,7 +133,9 @@ class LengthGapRow:
 
 
 def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGapRow]:
-    """Mean configured loss per length-gap (T_w - T_l) bin.
+    """Mean configured loss per length-gap (T_w - T_l) bin over the pairs of
+    the PairScores ``scored_pairs``, each pair's loss as ``pair_losses``
+    gives it; a loss that is not finite raises ValueError.
 
     gap_bins is a sorted list of integer boundaries; gaps outside all bins
     land in an overflow row."""
@@ -139,14 +145,15 @@ def loss_by_length_gap(cfg: LossConfig, scored_pairs, gap_bins) -> list[LengthGa
     if not scored_pairs:
         raise ValueError("loss_by_length_gap requires scored pairs")
     n_bins = len(boundaries) - 1
-    sums = np.zeros(n_bins + 1)
-    counts = np.zeros(n_bins + 1, dtype=np.int64)
-    for score in scored_pairs:
-        gap = np.shape(score.chosen_logps)[0] - np.shape(score.rejected_logps)[0]
-        b = bisect.bisect_right(boundaries, gap) - 1
-        idx = b if 0 <= b < n_bins else n_bins  # the last slot is the overflow
-        sums[idx] += pair_loss(score, cfg)
-        counts[idx] += 1
+    losses = np.concatenate([pair_losses(score, cfg) for score in scored_pairs])
+    if not np.all(np.isfinite(losses)):  # as train rejects a step
+        raise ValueError(f"a pair is not finite: loss {losses[~np.isfinite(losses)][0]}")
+    gaps = np.concatenate([score.chosen_lens - score.rejected_lens for score in scored_pairs])
+    b = np.searchsorted(boundaries, gaps, side="right") - 1
+    idx = np.where((b >= 0) & (b < n_bins), b, n_bins)  # the last slot is the overflow
+    # bincount adds each bin's losses in pair order, from 0
+    sums = np.bincount(idx, weights=losses, minlength=n_bins + 1)
+    counts = np.bincount(idx, minlength=n_bins + 1)
     edges = [*zip(boundaries, boundaries[1:]), (float("-inf"), float("inf"))]
     return [LengthGapRow(lo, hi, float(total / count), int(count))
             for (lo, hi), total, count in zip(edges, sums, counts) if count]

@@ -1,10 +1,11 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
 The primitive set is fixed and small on purpose, twelve functions: add,
-sub, mul, scale, matmul, weighted_sum, logsigmoid, sigmoid, log1mexp,
-log_softmax_gather, gather_rows and causal_mean, a segmented causal running
-mean. That is exactly what the toy policy model and the preference losses
-need, and it keeps the finite-difference oracle in the tests exhaustive.
+sub, mul, scale, matmul, weighted_sum (whole or per segment), logsigmoid,
+sigmoid, log1mexp, log_softmax_gather, gather_rows and causal_mean, a
+segmented causal running mean. That is exactly what the toy policy model
+and the preference losses need, and it keeps the finite-difference oracle
+in the tests exhaustive.
 
 Every primitive takes tensors or plain arrays. A plain operand is a
 constant: it gets no gradient and no node. A call with no tensor operand
@@ -179,21 +180,27 @@ def _segment_cumsum(x: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
+def _segments(bounds, n: int) -> np.ndarray:
+    """Checked segment offsets 0 = b_0 <= ... <= b_k = n of n rows (default (0, n))."""
+    bounds = np.asarray((0, n) if bounds is None else bounds, dtype=np.int64)
+    if bounds.ndim != 1 or bounds[:1].tolist() != [0] or bounds[-1] != n \
+            or np.any(np.diff(bounds) < 0):
+        raise ValueError(f"segment bounds must rise from 0 to {n}, got {bounds.tolist()}")
+    return bounds
+
+
 def causal_mean(a, bounds=None):
     """Row i is the mean of the rows from the start of its segment to i.
 
-    ``bounds`` are the segment offsets 0 = b_0 <= b_1 <= ... <= b_k = n of a
-    matrix of n packed sequences (default one segment, (0, n)). Each segment
-    is a cumulative sum divided by 1, 2, ..., exactly as if it stood alone.
+    ``bounds`` are the segment offsets of a matrix of n packed sequences
+    (``_segments``). Each segment is a cumulative sum divided by 1, 2, ...,
+    exactly as if it stood alone.
     """
     av = _value(a)
     if av.ndim != 2:
         raise ValueError(f"causal_mean needs a matrix, got shape {av.shape}")
     n = av.shape[0]
-    bounds = np.asarray((0, n) if bounds is None else bounds, dtype=np.int64)
-    if bounds.ndim != 1 or bounds[:1].tolist() != [0] or bounds[-1] != n \
-            or np.any(np.diff(bounds) < 0):
-        raise ValueError(f"segment bounds must rise from 0 to {n}, got {bounds.tolist()}")
+    bounds = _segments(bounds, n)
     starts = np.repeat(bounds[:-1], np.diff(bounds))
     counts = (np.arange(1, n + 1) - starts).astype(np.float64)[:, None]
     back = (n - bounds[::-1]).tolist()  # the same segments, rows reversed
@@ -201,12 +208,22 @@ def causal_mean(a, bounds=None):
                  (a, lambda g: _segment_cumsum((g / counts)[::-1], back)[::-1]))
 
 
-def weighted_sum(a, w):
-    """sum(w * a) with constant weights w (same shape as a)."""
+def weighted_sum(a, w, bounds=None):
+    """sum(w * a) with constant weights w (same shape as a), added in index
+    order as a chain of adds would (0 when empty). With ``bounds``, segment
+    offsets of a vector (``_segments``), the vector of one np.sum per
+    segment, each with the bits it has standing alone."""
     av, w = _value(a), np.asarray(w, dtype=np.float64)
     if w.shape != av.shape:
         raise ValueError(f"weight shape {w.shape} does not match {av.shape}")
-    return _node(np.sum(w * av), (a, lambda g: float(g) * w))
+    if bounds is None:
+        total = np.cumsum(w * av)
+        return _node(total[-1] if total.size else 0.0, (a, lambda g: float(g) * w))
+    if av.ndim != 1:
+        raise ValueError(f"segmented weighted_sum needs a vector, got shape {av.shape}")
+    bounds, x = _segments(bounds, len(av)), w * av
+    return _node([np.sum(x[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                 (a, lambda g: np.repeat(g, np.diff(bounds)) * w))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

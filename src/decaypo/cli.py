@@ -19,6 +19,8 @@ import sys
 import warnings
 from dataclasses import astuple
 
+import numpy as np
+
 from . import analysis, data, mdp
 from .config import (ConfigError, Option, above, at_least, atomic_write, one_of, resolve,
                      seed_substream, write_resolved_snapshot)
@@ -231,10 +233,12 @@ def _cmd_length_bias(r: dict) -> int:
     # packs of analysis.PACK sequences keep each pass small
     batch = [(p, i) for i, p in enumerate(pairs)]
     step = analysis.PACK // 2
-    scored = [score for i in range(0, len(batch), step)
-              for score in score_pairs(policy, ref_model, batch[i:i + step])[0]]
-    _warn_skipped(len(batch) - len(scored))
-    rows = analysis.loss_by_length_gap(cfg, scored, r["gap-bins"])
+    with np.errstate(all="ignore"):  # a loss that is not finite raises, as in train
+        scored = [score_pairs(policy, ref_model, batch[i:i + step])
+                  for i in range(0, len(batch), step)]
+        _warn_skipped(sum(skipped for _, skipped in scored))
+        rows = analysis.loss_by_length_gap(cfg, [s for s, _ in scored if s is not None],
+                                           r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),
         [astuple(row) for row in rows]))

@@ -1,21 +1,25 @@
 """Pairwise preference losses over per-token log-probability records.
 
-Every pairwise method but kto and orpo is margin_loss, one margin form:
+A :class:`PairScore` holds k >= 1 pairs; one pair is a batch of one.
+pair_losses gives every pair's loss, a (k,) vector, from two (k,) side
+sums of one segmented weighted_sum each, and a batch's loss is its mean,
+added in index order: a graph that does not grow with k. Every method but
+kto and orpo is one margin form:
 link(c * (sum_t w_w[t] r_w[t] - sum_t w_l[t] r_l[t]) - offset), where r is
 the log-ratio to the reference, or the raw log-prob for the REFERENCE_FREE
 methods, and the link is the square for ipo and -log sigma for the rest.
-_margin_form gives each method's weights w_w and w_l, scale c and offset,
-and _sides the two scaled sums; kto puts a sigma link on each side of dpo's.
+_margin_form gives a pair's weights w_w and w_l, scale c and offset, and
+_sides the two scaled sums; kto puts a sigma link on each side of dpo's.
 
 Each loss has one definition, written with the autodiff primitives: given
-a :class:`PairScore` of autodiff tensors it returns a tensor on their tape,
-and given plain arrays it returns a plain value from the same arithmetic
+a PairScore of autodiff tensors it returns a tensor on their tape, and
+given plain arrays it returns a plain value from the same arithmetic
 (batch_loss and pair_loss return it as a float).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -31,8 +35,12 @@ REFERENCE_FREE = ("d2po_ref_free", "simpo", "orpo")
 
 @dataclass
 class PairScore:
-    """Per-token log-probabilities for one preference pair.
+    """Per-token log-probabilities of k >= 1 preference pairs.
 
+    Each side's arrays hold the pairs' responses end to end, and
+    ``chosen_lens`` and ``rejected_lens`` give each response's length
+    (default: the whole array, one pair). ``prompt_len`` and ``example_id``
+    take one value per pair (an int: one pair). All four become int arrays.
     Reference log-probs are absent (None) in reference-free mode. Arrays may
     be numpy arrays or autodiff tensors; reference arrays are always treated
     as constants.
@@ -42,8 +50,20 @@ class PairScore:
     rejected_logps: object
     chosen_ref_logps: object = None
     rejected_ref_logps: object = None
-    prompt_len: int = 0
-    example_id: int = 0
+    prompt_len: object = 0
+    example_id: object = 0
+    chosen_lens: object = None
+    rejected_lens: object = None
+
+    def __post_init__(self):
+        names = ("chosen_lens", "rejected_lens", "prompt_len", "example_id")
+        whole = (len(_array(self.chosen_logps)), len(_array(self.rejected_logps)), 0, 0)
+        for name, default in zip(names, whole):
+            value = default if getattr(self, name) is None else getattr(self, name)
+            setattr(self, name, np.atleast_1d(np.asarray(value, dtype=np.int64)))
+        if len({getattr(self, name).shape for name in names}) != 1:
+            raise ValueError("a PairScore needs one of each response length, prompt_len "
+                             "and example_id per pair")
 
 
 @dataclass
@@ -71,51 +91,109 @@ def _array(x) -> np.ndarray:
     return np.asarray(x.value if isinstance(x, Tensor) else x, dtype=np.float64)
 
 
+def segment_sums(x, lens, w=None):
+    """Each response's sum of w * x (w 1 by default), x holding responses of
+    lengths ``lens`` end to end: a vector from one segmented weighted_sum."""
+    return ad.weighted_sum(x, np.ones(len(_array(x))) if w is None else w,
+                           np.cumsum([0, *lens]))
+
+
 def _require_ref(score: PairScore):
     if score.chosen_ref_logps is None or score.rejected_ref_logps is None:
         raise ValueError("reference log-probs are required for this loss")
 
 
-def _margin_form(method: str, score: PairScore, cfg: LossConfig, T_w: int, T_l: int):
-    """(w_w, w_l, c, offset) of ``method``'s margin."""
+def _margin_form(method: str, cfg: LossConfig, T_w: int, T_l: int, prompt_len: int,
+                 example_id: int):
+    """(w_w, w_l, c, offset) of ``method``'s margin for one pair."""
     if method == "simpo":
         return np.full(T_w, 1.0 / T_w), np.full(T_l, 1.0 / T_l), cfg.beta, cfg.target_margin
     if method == "ipo":
         return np.ones(T_w), np.ones(T_l), 1.0, 1.0 / (2.0 * cfg.tau)
     if method == "sampo":
-        idx_w, idx_l = sampo_indices(T_w, T_l, cfg.sampo_seed, score.example_id)
+        idx_w, idx_l = sampo_indices(T_w, T_l, cfg.sampo_seed, example_id)
         w_w, w_l = np.zeros(T_w), np.zeros(T_l)
         w_w[idx_w] = 1.0
         w_l[idx_l] = 1.0
         return w_w, w_l, cfg.beta, 0.0
-    if method in ("d2po", "d2po_ref_free", "dpo"):
-        schedule = UNIFORM if method == "dpo" else cfg.schedule
-        return (weights(schedule, T_w, score.prompt_len),
-                weights(schedule, T_l, score.prompt_len), cfg.beta, 0.0)
-    raise ValueError(f"{method!r} is not a margin method")
+    schedule = UNIFORM if method == "dpo" else cfg.schedule  # d2po, d2po_ref_free, dpo
+    return weights(schedule, T_w, prompt_len), weights(schedule, T_l, prompt_len), cfg.beta, 0.0
 
 
 def _sides(score: PairScore, cfg: LossConfig, method: str):
-    """(c * sum_t w_w[t] r_w[t], c * sum_t w_l[t] r_l[t], offset) of ``method``."""
+    """(c * sum_t w_w[t] r_w[t], c * sum_t w_l[t] r_l[t], offset) of
+    ``method``, each sum a (k,) vector of one entry per pair."""
     r_w, r_l = score.chosen_logps, score.rejected_logps
     if method not in REFERENCE_FREE:
         _require_ref(score)
         r_w = ad.sub(r_w, _array(score.chosen_ref_logps))
         r_l = ad.sub(r_l, _array(score.rejected_ref_logps))
-    w_w, w_l, c, offset = _margin_form(method, score, cfg, len(_array(r_w)), len(_array(r_l)))
-    s_w, s_l = ad.weighted_sum(r_w, w_w), ad.weighted_sum(r_l, w_l)
+    per_pair = (score.chosen_lens, score.rejected_lens, score.prompt_len, score.example_id)
+    w_w, w_l, c, offset = zip(*[_margin_form(method, cfg, *pair)
+                                for pair in zip(*(v.tolist() for v in per_pair))])
+    s_w = segment_sums(r_w, score.chosen_lens, np.concatenate(w_w))
+    s_l = segment_sums(r_l, score.rejected_lens, np.concatenate(w_l))
+    c, offset = c[0], offset[0]
     if c != 1.0:  # scaling by 1 is exact, so it would only lengthen the tape
         s_w, s_l = ad.scale(s_w, c), ad.scale(s_l, c)
     return s_w, s_l, offset
 
 
-def margin_loss(score: PairScore, cfg: LossConfig, method: str):
-    """The margin form of ``method`` (module docstring); cfg.method is not read."""
-    s_w, s_l, offset = _sides(score, cfg, method)
+def _logsigmoid(margin):
+    """log sigma of per-pair margins, nan where a margin is not finite (which
+    logsigmoid refuses), with a nan gradient there and 0 elsewhere."""
+    m = _array(margin)
+    bad = ~np.isfinite(m)
+    if not bad.any():
+        return ad.logsigmoid(margin)
+    return ad.add(ad.mul(margin, np.where(bad, np.nan, 0.0)),
+                  ad.logsigmoid(np.where(bad, 0.0, m)))
+
+
+def _mean(*losses):
+    """The mean of the entries of per-pair loss vectors, added in index
+    order as a chain of adds would."""
+    total = reduce(ad.add, [ad.weighted_sum(v, np.ones(len(_array(v)))) for v in losses])
+    return ad.scale(total, 1.0 / sum(len(_array(v)) for v in losses))
+
+
+def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool = True):
+    """Each pair's loss under cfg.method, a (k,) vector: what a batch of that
+    pair alone gives it. KTO anchors each pair at its own z_ref, or at the
+    constant ``z_ref`` when given, clamped at 0; ``desirable`` False swaps
+    its roles of chosen and rejected."""
+    if cfg.method == "orpo":
+        T_w, T_l = score.chosen_lens, score.rejected_lens
+        mean_w = segment_sums(score.chosen_logps, T_w, np.repeat(1.0 / T_w, T_w))
+        mean_l = segment_sums(score.rejected_logps, T_l, np.repeat(1.0 / T_l, T_l))
+        if np.any(_array(mean_w) >= 0.0) or np.any(_array(mean_l) >= 0.0):
+            raise ValueError("orpo requires strictly negative mean log-probs "
+                             "(odds are singular at probability 1)")
+        # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
+        lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
+        lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
+        penalty = ad.scale(_logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
+        return ad.add(ad.scale(mean_w, -1.0), penalty)
+    s_w, s_l, offset = _sides(score, cfg, "dpo" if cfg.method == "kto" else cfg.method)
+    if cfg.method == "kto":  # s_w and s_l are beta * the summed log-ratios
+        z = _z_terms(score, cfg) if z_ref is None else np.full(s_w.shape, float(z_ref))
+        z = np.where(z > 0.0, z, 0.0)  # a constant: no gradient flows through it
+        if not desirable:
+            s_w, s_l = s_l, s_w
+        return ad.add(ad.scale(ad.sigmoid(ad.sub(s_w, z)), -cfg.lambda_w),
+                      ad.scale(ad.sigmoid(ad.sub(z, s_l)), cfg.lambda_l))
     margin = ad.sub(s_w, s_l)
     if offset:
-        margin = ad.sub(margin, offset)
-    return ad.mul(margin, margin) if method == "ipo" else -ad.logsigmoid(margin)
+        margin = ad.sub(margin, np.full(margin.shape, offset))
+    return ad.mul(margin, margin) if cfg.method == "ipo" else -_logsigmoid(margin)
+
+
+def margin_loss(score: PairScore, cfg: LossConfig, method: str):
+    """The batch mean of the margin form of ``method`` (module docstring);
+    cfg.method is not read."""
+    if method in ("kto", "orpo"):
+        raise ValueError(f"{method!r} is not a margin method")
+    return _mean(pair_losses(score, replace(cfg, method=method)))
 
 
 # margin_loss with the method fixed; each ignores cfg.method
@@ -127,23 +205,27 @@ ipo_loss = partial(margin_loss, method="ipo")
 sampo_loss = partial(margin_loss, method="sampo")
 
 
+def orpo_loss(score: PairScore, cfg: LossConfig):
+    return _mean(pair_losses(score, replace(cfg, method="orpo")))
+
+
 def kto_loss(batch, cfg: LossConfig, z_ref: float):
-    """Mean KTO loss over a batch of (PairScore, chosen_is_desirable) items.
+    """Mean KTO loss over the pairs of a batch of (PairScore,
+    chosen_is_desirable) items.
 
     z_ref is a constant (no gradient flows through it), clamped at 0.
     """
     if not batch:
         raise ValueError("kto_loss requires a nonempty batch")
-    z = max(0.0, float(z_ref))
-    items = []
-    for score, label in batch:
-        rw, rl, _ = _sides(score, cfg, "dpo")  # beta * the summed log-ratios
-        if not label:
-            rw, rl = rl, rw
-        term_w = ad.scale(ad.sigmoid(ad.sub(rw, z)), -cfg.lambda_w)
-        term_l = ad.scale(ad.sigmoid(ad.sub(z, rl)), cfg.lambda_l)
-        items.append(ad.add(term_w, term_l))
-    return ad.scale(reduce(ad.add, items), 1.0 / len(batch))
+    kto = replace(cfg, method="kto")
+    return _mean(*(pair_losses(score, kto, z_ref, desirable) for score, desirable in batch))
+
+
+def _z_terms(score: PairScore, cfg: LossConfig) -> np.ndarray:
+    """Each pair's beta * (rejected sequence log-ratio) / T_l."""
+    _require_ref(score)
+    ratio = _array(score.rejected_logps) - _array(score.rejected_ref_logps)
+    return cfg.beta * segment_sums(ratio, score.rejected_lens) / score.rejected_lens
 
 
 def estimate_z_ref(batch, cfg: LossConfig) -> float:
@@ -152,28 +234,7 @@ def estimate_z_ref(batch, cfg: LossConfig) -> float:
     Mean over rejected responses of beta * (sequence log-ratio) / T,
     clamped at 0. Treated as a detached constant by kto_loss.
     """
-    vals = []
-    for score, _label in batch:
-        _require_ref(score)
-        rl, rr = _array(score.rejected_logps), _array(score.rejected_ref_logps)
-        vals.append(cfg.beta * float(np.sum(rl - rr)) / rl.shape[0])
-    return max(0.0, float(np.mean(vals)))
-
-
-def orpo_loss(score: PairScore, cfg: LossConfig):
-    cw, cl = score.chosen_logps, score.rejected_logps
-    Tw, Tl = len(_array(cw)), len(_array(cl))
-    mean_w = ad.weighted_sum(cw, np.full(Tw, 1.0 / Tw))
-    mean_l = ad.weighted_sum(cl, np.full(Tl, 1.0 / Tl))
-    if float(_array(mean_w)) >= 0.0 or float(_array(mean_l)) >= 0.0:
-        raise ValueError("orpo requires strictly negative mean log-probs "
-                         "(odds are singular at probability 1)")
-    # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
-    lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
-    lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
-    penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
-    nll = ad.scale(mean_w, -1.0)
-    return ad.add(nll, penalty)
+    return max(0.0, float(np.mean(np.concatenate([_z_terms(s, cfg) for s, _ in batch]))))
 
 
 def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
@@ -195,21 +256,14 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
 
 def pair_loss(score: PairScore, cfg: LossConfig):
     """The loss of one pair under cfg.method: batch_loss of a batch of one."""
-    return batch_loss([score], cfg)
+    return batch_loss(score, cfg)
 
 
-def batch_loss(scores, cfg: LossConfig):
-    """Arithmetic mean of per-example losses in index order.
-
-    KTO is handled batch-natively with z_ref estimated from the batch.
-    """
-    if not scores:
+def batch_loss(score: PairScore, cfg: LossConfig):
+    """Mean of the losses of a PairScore's pairs, added in index order; KTO
+    anchors every pair at z_ref estimated from the batch."""
+    if not len(score.example_id):
         raise ValueError("batch_loss requires a nonempty batch")
-    if cfg.method == "kto":
-        batch = [(s, True) for s in scores]
-        loss = kto_loss(batch, cfg, estimate_z_ref(batch, cfg))
-    else:
-        loss = ad.scale(reduce(ad.add, [orpo_loss(s, cfg) if cfg.method == "orpo"
-                                        else margin_loss(s, cfg, cfg.method)
-                                        for s in scores]), 1.0 / len(scores))
+    z_ref = estimate_z_ref([(score, True)], cfg) if cfg.method == "kto" else None
+    loss = _mean(pair_losses(score, cfg, z_ref))
     return loss if isinstance(loss, Tensor) else float(loss)

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .config import rng
 from .data import RewardOracle, sample_and_score
-from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss
+from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss, segment_sums
 from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
 
 
@@ -186,29 +186,29 @@ class AdamW:
 
 def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
                 param_tensors: dict | None = None):
-    """(PairScores, skipped count) of the (pair, example_id) items of ``batch``:
-    pairs that overflow the context skipped, and one packed pass per model.
-    The policy log-probs are tensors when ``param_tensors`` is given, else
-    arrays; the reference ones (None without ``reference``) are arrays from
-    the same arithmetic."""
+    """(PairScore, skipped count) of the (pair, example_id) items of ``batch``:
+    one PairScore of the pairs that fit the context, in order (None if no
+    pair does), from one packed pass per model. The policy log-probs are
+    tensors when ``param_tensors`` is given, else arrays; the reference ones
+    (None without ``reference``) are arrays from the same arithmetic."""
     kept = [([make_sequence(pair.prompt, response) for response in (pair.chosen, pair.rejected)],
              example_id)
             for pair, example_id in batch]
     kept = [(seqs, i) for seqs, i in kept if all(s.fits(policy.context) for s in seqs)]
     if not kept:
-        return [], len(batch)
+        return None, len(batch)
     seqs = [seq for pair_seqs, _ in kept for seq in pair_seqs]
     logps, offsets = packed_logprobs(policy, seqs, param_tensors)
     ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
-
-    def cut(flat):
-        return [None if flat is None else ad.gather_rows(flat, np.arange(lo, hi))
-                for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-    pol, ref = cut(logps), cut(ref_logps)
-    return [PairScore(pol[2 * k], pol[2 * k + 1], ref[2 * k], ref[2 * k + 1],
-                      seqs[2 * k].prompt_len, example_id)
-            for k, (_, example_id) in enumerate(kept)], len(batch) - len(kept)
+    lens = np.diff(offsets)
+    chosen = np.repeat(np.arange(len(seqs)) % 2 == 0, lens)  # the chosen responses' rows
+    rows = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    # policy then reference, chosen then rejected: one gather per side
+    return PairScore(*[None if flat is None else ad.gather_rows(flat, side)
+                       for flat in (logps, ref_logps) for side in rows],
+                     prompt_len=[pair_seqs[0].prompt_len for pair_seqs, _ in kept],
+                     example_id=[i for _, i in kept],
+                     chosen_lens=lens[0::2], rejected_lens=lens[1::2]), len(batch) - len(kept)
 
 
 def _gradients(loss, leaves: dict) -> dict:
@@ -221,12 +221,12 @@ def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
     or (None, skipped) when every example overflowed the context."""
     with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
         leaves = {n: ad.leaf(tape, policy.params[n]) for n in policy.param_names()}
-        scores, skipped = score_pairs(policy, reference, batch, leaves)
-        if not scores:
+        score, skipped = score_pairs(policy, reference, batch, leaves)
+        if score is None:
             return None, skipped
-        loss = batch_loss(scores, cfg.loss)
-        margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
-                   for s in scores]
+        loss = batch_loss(score, cfg.loss)
+        margins = (segment_sums(score.chosen_logps.value, score.chosen_lens)
+                   - segment_sums(score.rejected_logps.value, score.rejected_lens))
         return (float(loss.value), float(np.mean(margins)), _gradients(loss, leaves)), skipped
 
 
@@ -240,7 +240,8 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
 
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
     lr, skipped. Step k trains on batch k mod B of epoch k // B's shuffle.
-    A step whose loss or gradient norm is not finite raises ValueError.
+    A step whose loss or gradient norm is not finite (a margin that is not
+    makes the loss nan) raises ValueError naming the step.
     Fully deterministic in (cfg, pairs, init, reference).
     """
     needs_reference = cfg.loss.method not in REFERENCE_FREE

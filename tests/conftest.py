@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import struct
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from decaypo.losses import PairScore
+from decaypo import autodiff as ad
+from decaypo.losses import PairScore, kto_loss, pair_loss
 from decaypo.model import PolicyModel, _check_context, _forward
 
 
@@ -24,6 +27,30 @@ def random_pairscore(rng, with_ref=True, max_len=8, prompt_len=None):
         prompt_len=int(rng.integers(0, 6)) if prompt_len is None else prompt_len,
         example_id=int(rng.integers(0, 1000)),
     )
+
+
+def join_pairs(scores):
+    """One PairScore of the pairs of PairScores of plain arrays."""
+    def joined(name):
+        parts = [getattr(s, name) for s in scores]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return PairScore(*(joined(f.name) for f in dataclasses.fields(PairScore)))
+
+
+def pairwise_batch_loss(scores, cfg):
+    """A batch's loss built pair by pair from single-pair PairScores: each
+    pair's own graph, KTO's at the batch's z_ref (the mean of beta times
+    each rejected response's mean log-ratio, clamped at 0), added in order
+    and scaled by 1/k. The oracle of the batched losses."""
+    if cfg.method == "kto":
+        terms = [cfg.beta * float(np.sum(ad._value(s.rejected_logps) - s.rejected_ref_logps))
+                 / len(s.rejected_ref_logps) for s in scores]
+        z_ref = max(0.0, float(np.mean(terms)))
+        losses = [kto_loss([(s, True)], cfg, z_ref) for s in scores]
+    else:
+        losses = [pair_loss(s, cfg) for s in scores]
+    return ad.scale(reduce(ad.add, losses), 1.0 / len(scores))
 
 
 def central_difference(f, x, eps=1e-5):

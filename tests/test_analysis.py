@@ -10,7 +10,7 @@ from decaypo.data import PreferencePair, response_bytes, synthetic_corpus
 from decaypo.losses import LossConfig, batch_loss
 from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
                            token_logprobs)
-from conftest import random_pairscore
+from conftest import join_pairs, random_pairscore
 
 
 def margins_under(model, triples):
@@ -159,7 +159,8 @@ class TestLossByLengthGap:
         rows = loss_by_length_gap(cfg, scores, [-100, 100])
         assert len(rows) == 1
         assert rows[0].count == 10
-        assert rows[0].mean_loss == pytest.approx(batch_loss(scores, cfg), abs=1e-12)
+        assert rows[0].mean_loss == pytest.approx(batch_loss(join_pairs(scores), cfg),
+                                                  abs=1e-12)
 
     def test_identical_pairs_equal_means(self, rng):
         cfg = LossConfig(method="d2po")

@@ -666,8 +666,11 @@ class TestTrainCommand:
     @pytest.mark.parametrize("args, error", [
         (("--method", "ipo", "--tau", "1e-320"), "step 0 is not finite: loss inf, "),
         (("--beta", "1e308"), "step 0 is not finite: loss 0.69"),
+        # each side's scaled sum overflows to -inf, so the margin is not finite
+        (("--method", "simpo", "--beta", "1e308"), "step 0 is not finite: loss nan, "),
         # the schedule's weights overflow to inf, so the margin is not finite
-        (("--gamma", "1e300"), "logsigmoid requires finite input")], ids=["tau", "beta", "gamma"])
+        (("--gamma", "1e300"), "step 0 is not finite: loss nan, ")],
+        ids=["tau", "beta", "simpo-beta", "gamma"])
     def test_non_finite_step_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, args,
                                                       error):
         metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
@@ -884,6 +887,26 @@ class TestAnalyzeCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "warning: key 'gamma': gamma > 1 emphasizes late tokens"), err
+
+    @pytest.mark.parametrize("args, error", [
+        (("--method", "ipo", "--tau", "1e-320"), "a pair is not finite: loss inf"),
+        (("--method", "simpo", "--beta", "1e308"), "a pair is not finite: loss nan"),
+        (("--gamma", "1e300"), "a pair is not finite: loss nan")],
+        ids=["tau", "simpo-beta", "gamma"])
+    def test_length_bias_non_finite_exit_2_one_line_no_file(self, workdir, tmp_path, capsys,
+                                                            args, error):
+        """As train rejects a step, a loss that is not finite is one
+        runtime error line, with no numpy warning before it and no file."""
+        rc = main(["analyze", "length-bias", "--policy", str(workdir / "model.ckpt"),
+                   "--reference", str(workdir / "model.ckpt"),
+                   "--pairs", str(workdir / "pairs.jsonl"), *args,
+                   "--out", str(tmp_path / "bias.csv")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        if args[0] == "--gamma":   # gamma > 1 warns before the run
+            assert lines.pop(0).startswith("warning: key 'gamma': gamma > 1 ")
+        assert lines == ["runtime error: " + error]
+        assert list(tmp_path.iterdir()) == []
 
     def test_length_bias_needs_reference(self, workdir, tmp_path, capsys):
         out = tmp_path / "bias.csv"

@@ -8,10 +8,11 @@ from decaypo import autodiff as ad
 from decaypo.losses import (METHODS, REFERENCE_FREE, LossConfig, PairScore,
                             batch_loss, d2po_loss, d2po_ref_free_loss, dpo_loss,
                             estimate_z_ref, ipo_loss, kto_loss, margin_loss,
-                            orpo_loss, pair_loss, sampo_indices, sampo_loss,
-                            simpo_loss)
+                            orpo_loss, pair_loss, pair_losses, sampo_indices,
+                            sampo_loss, simpo_loss)
 from decaypo.schedules import DecaySchedule, UNIFORM
-from conftest import central_difference, random_pairscore
+from conftest import (central_difference, join_pairs, pairwise_batch_loss,
+                      random_pairscore)
 
 LN2 = np.log(2.0)
 
@@ -290,23 +291,34 @@ class TestBatchLoss:
     def test_singleton(self, rng):
         s = random_pairscore(rng)
         cfg = LossConfig(method="d2po")
-        assert batch_loss([s], cfg) == pair_loss(s, cfg)
+        assert batch_loss(join_pairs([s]), cfg) == pair_loss(s, cfg)
 
     def test_duplicates(self, rng):
         s = random_pairscore(rng)
         cfg = LossConfig(method="ipo")
-        assert batch_loss([s, s], cfg) == pytest.approx(pair_loss(s, cfg), abs=1e-12)
+        assert batch_loss(join_pairs([s, s]), cfg) == pytest.approx(pair_loss(s, cfg), abs=1e-12)
 
     def test_mean_of_individual_calls(self, rng):
         cfg = LossConfig(method="d2po",
                          schedule=DecaySchedule(kind="exponential", gamma=0.9))
         scores = [random_pairscore(rng) for _ in range(8)]
         individual = [pair_loss(s, cfg) for s in scores]
-        assert batch_loss(scores, cfg) == pytest.approx(np.mean(individual), abs=1e-12)
+        assert batch_loss(join_pairs(scores), cfg) == pytest.approx(np.mean(individual),
+                                                                    abs=1e-12)
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            batch_loss([], LossConfig())
+        """A well-formed PairScore of no pairs is one error for every method."""
+        empty = PairScore(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), prompt_len=[],
+                          example_id=[], chosen_lens=[], rejected_lens=[])
+        for method in METHODS:
+            with pytest.raises(ValueError, match="batch_loss requires a nonempty batch"):
+                batch_loss(empty, LossConfig(method=method))
+
+
+def taped(tape, score):
+    """``score`` with its policy log-probs as leaves of ``tape``."""
+    return replace(score, chosen_logps=ad.leaf(tape, score.chosen_logps),
+                   rejected_logps=ad.leaf(tape, score.rejected_logps))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -315,13 +327,83 @@ def test_plain_batch_loss_equals_taped_bit_for_bit(method, rng):
     cfg = LossConfig(method=method, schedule=DecaySchedule(kind="exponential", gamma=0.9),
                      target_margin=0.3, sampo_seed=5)
     for _ in range(200):
-        scores = [random_pairscore(rng) for _ in range(int(rng.integers(2, 9)))]
-        tape = ad.Tape()
-        taped = [replace(s, chosen_logps=ad.leaf(tape, s.chosen_logps),
-                         rejected_logps=ad.leaf(tape, s.rejected_logps)) for s in scores]
-        plain = batch_loss(scores, cfg)
+        score = join_pairs([random_pairscore(rng) for _ in range(int(rng.integers(2, 9)))])
+        plain = batch_loss(score, cfg)
         assert type(plain) is float
-        assert plain == float(batch_loss(taped, cfg).value)
+        assert plain == float(batch_loss(taped(ad.Tape(), score), cfg).value)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_batch_equals_its_pairs_bit_for_bit(method, rng):
+    """Batched per-pair losses, batch loss and gradients, plain and taped,
+    are those of the pairs scored one by one, for 1 to 12 pairs of mixed
+    response and prompt lengths (and SamPO draws by example_id)."""
+    cfg = LossConfig(method=method, schedule=DecaySchedule(kind="exponential", gamma=0.9),
+                     target_margin=0.3, sampo_seed=5, beta=0.7)
+    for k in [*range(1, 13), 8, 11, 12]:
+        singles = [random_pairscore(rng, max_len=12) for _ in range(k)]
+        batch = join_pairs(singles)
+        want = [pair_loss(s, cfg) for s in singles]
+        assert pair_losses(batch, cfg).tolist() == want
+        assert batch_loss(batch, cfg) == float(pairwise_batch_loss(singles, cfg))
+
+        tape = ad.Tape()
+        batch_t = taped(tape, batch)
+        assert pair_losses(batch_t, cfg).value.tolist() == want
+        loss = batch_loss(batch_t, cfg)
+        grads = ad.gradients(loss, [batch_t.chosen_logps, batch_t.rejected_logps])
+        singles_t = [taped(tape, s) for s in singles]
+        want_loss = pairwise_batch_loss(singles_t, cfg)
+        want_grads = ad.gradients(want_loss, [t for s in singles_t
+                                              for t in (s.chosen_logps, s.rejected_logps)])
+        assert float(loss.value) == float(want_loss.value)
+        for side, name in ((batch_t.chosen_logps, "chosen_logps"),
+                           (batch_t.rejected_logps, "rejected_logps")):
+            want_side = np.concatenate([want_grads[getattr(s, name)] for s in singles_t])
+            assert grads[side].tobytes() == want_side.tobytes(), (method, k, name)
+
+
+def test_pair_score_holds_one_value_per_pair(rng):
+    s = join_pairs([random_pairscore(rng) for _ in range(3)])
+    assert [len(v) for v in (s.chosen_lens, s.rejected_lens, s.prompt_len, s.example_id)] \
+        == [3] * 4
+    assert PairScore(np.ones(4), np.ones(2), prompt_len=5).chosen_lens.tolist() == [4]
+    with pytest.raises(ValueError, match="one of each"):
+        replace(s, prompt_len=2)
+    with pytest.raises(ValueError, match="does not match"):  # lengths that overrun the side
+        batch_loss(replace(s, chosen_lens=s.chosen_lens + 1), LossConfig())
+
+
+@pytest.mark.parametrize("method", ["d2po", "simpo", "orpo"])
+def test_a_margin_that_is_not_finite_makes_only_its_pair_nan(method):
+    """A margin that overflows (for orpo: a log-prob of -inf) is a nan loss
+    for its pair alone, plain and taped, so the batch mean is nan; the
+    other pairs keep their losses."""
+    cfg = LossConfig(method=method, beta=1e10)
+    bad = [-np.inf, -1.0] if method == "orpo" else [-1e300, -1.0]
+    singles = [PairScore(np.array([-1.0, -1.0]), np.array(rejected), np.zeros(2), np.zeros(2))
+               for rejected in ([-2.0, -1.0], bad)]
+    batch = join_pairs(singles)
+    with np.errstate(all="ignore"):  # as train and analyze length-bias score
+        losses = pair_losses(batch, cfg)
+        assert losses[0] == pair_loss(singles[0], cfg) and np.isfinite(losses[0])
+        assert np.isnan(losses[1]) and np.isnan(pair_loss(singles[1], cfg))
+        assert np.isnan(batch_loss(batch, cfg))
+        assert np.array_equal(pair_losses(taped(ad.Tape(), batch), cfg).value, losses,
+                              equal_nan=True)
+        assert np.isnan(batch_loss(taped(ad.Tape(), batch), cfg).value)
+
+
+def test_kto_loss_takes_several_items(rng):
+    """kto_loss and estimate_z_ref read every item of the batch, each with
+    its own label: the items' pairs added in order, as one by one."""
+    cfg = LossConfig(method="kto")
+    items = [(random_pairscore(rng), label) for label in (True, False, True)]
+    want = (kto_loss(items[:1], cfg, 0.2) + kto_loss(items[1:2], cfg, 0.2)
+            + kto_loss(items[2:], cfg, 0.2)) / 3
+    assert kto_loss(items, cfg, 0.2) == pytest.approx(want, abs=1e-15)
+    assert estimate_z_ref(items, cfg) == estimate_z_ref(
+        [(join_pairs([s for s, _ in items]), True)], cfg)
 
 
 @pytest.mark.parametrize("method", METHODS)

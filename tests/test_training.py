@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (BAD_MANIFEST_FIELDS, MISFITS, forward_logits, misfit_params,
-                      write_raw_checkpoint)
+                      pairwise_batch_loss, write_raw_checkpoint)
 from decaypo import autodiff as ad
 from decaypo import training as training_module
 from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
@@ -263,7 +263,7 @@ class TestTrain:
                                 rejected=b"r" * (20 + i)) for i in range(5)]
         cfg = self.make_cfg(batch_size=2, epochs=2)
         batch = [(p, i) for i, p in enumerate(pairs[:2])]
-        assert score_pairs(init.model, init.model, batch) == ([], 2)
+        assert score_pairs(init.model, init.model, batch) == (None, 2)
         assert _batch_gradients(init.model, init.model, batch, cfg) == (None, 2)
         out, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
         assert metrics == [{"step": s, "loss": None, "margin": None, "grad_norm": 0.0,
@@ -340,7 +340,7 @@ def per_sequence_batch_gradients(policy, reference, batch, cfg):
             None if reference is None else token_logprobs(reference, seq_w),
             None if reference is None else token_logprobs(reference, seq_l),
             prompt_len=seq_w.prompt_len, example_id=example_id))
-    loss = batch_loss(scores, cfg.loss)
+    loss = pairwise_batch_loss(scores, cfg.loss)
     grads = ad.gradients(loss, [leaves[n] for n in names])
     margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
                for s in scores]
@@ -403,6 +403,24 @@ class TestPackedStep:
         assert max(deviations) <= self.MAX_DEVIATION
         assert max(float(np.max(np.abs(g))) for g in grads.values()) > 1e-3
 
+    def test_a_batch_of_eight_records_at_most_50_tape_nodes(self, monkeypatch):
+        """One loss graph per batch: a batch-8 d2po step records the packed
+        forward pass and a loss graph whose size does not grow with the
+        batch."""
+        nodes = []
+        gradients = ad.gradients
+
+        def counting(output, inputs=None):
+            nodes.append(len(output.tape.nodes))
+            return gradients(output, inputs)
+
+        monkeypatch.setattr(ad, "gradients", counting)
+        pairs = [pair for pair, _ in mixed_length_batch() if pair.id != "long"]
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8, max_steps=1)
+        _, metrics = train(cfg, pairs, Checkpoint(wide_model(1)), Checkpoint(wide_model(2)))
+        assert len(pairs) == 8 and metrics[0]["skipped"] == 0
+        assert len(nodes) == 1 and nodes[0] <= 50, nodes
+
     def test_copy_free_backward_matches_a_copying_accumulator(self):
         policy, reference = wide_model(1), wide_model(2)
         cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=9)
@@ -410,8 +428,8 @@ class TestPackedStep:
         names = policy.param_names()
         with ad.Tape() as tape:   # the tape _batch_gradients records
             leaves = [ad.leaf(tape, policy.params[n]) for n in names]
-            scores, _ = score_pairs(policy, reference, batch, dict(zip(names, leaves)))
-            loss = batch_loss(scores, cfg.loss)
+            score, _ = score_pairs(policy, reference, batch, dict(zip(names, leaves)))
+            loss = batch_loss(score, cfg.loss)
             want = copying_gradients(loss, leaves)
             got = ad.gradients(loss, leaves)
         (_, _, grads), _ = _batch_gradients(policy, reference, batch, cfg)
