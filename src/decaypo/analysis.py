@@ -10,8 +10,8 @@ from functools import partial
 import numpy as np
 
 from .autodiff import row_logsumexp
-from .losses import LossConfig, pair_losses, segment_sums
-from .model import PolicyModel, make_sequence, packed_logprobs, response_logits
+from .losses import LossConfig, pair_losses, sequence_margins
+from .model import PolicyModel, packed_logprobs, response_logits
 from .model import token_logprobs  # unused here; benchmarks/test_benchmarks.py reads it
 
 
@@ -46,12 +46,6 @@ def _packs(score, seqs):
         yield score(seqs[i:i + PACK])
 
 
-def _per_sequence(score, seqs):
-    """One array per sequence, in order, from the packs of ``_packs``."""
-    for flat, offsets in _packs(score, seqs):
-        yield from np.split(flat, offsets[1:-1])
-
-
 def _position_distribution_logs(model: PolicyModel, seqs):
     """Log next-token distributions at every response position of a packed
     pass over ``seqs`` (R x V), and the offsets that cut them per sequence."""
@@ -77,43 +71,38 @@ def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
         raise ValueError("kl_per_position requires samples")
     if policy.context != reference.context:
         raise ValueError("models must share context length")
-    return _survivor_mean((kl.tolist() for kl in _per_sequence(
-        partial(_position_kl, policy, reference), samples)), max_pos)
+    return _survivor_mean(_packs(partial(_position_kl, policy, reference), samples), max_pos)
 
 
 def prob_per_position(model: PolicyModel, samples, max_pos: int) -> PositionCurve:
     """Survivor-mean realized next-token probability per response position."""
     if not samples:
         raise ValueError("prob_per_position requires samples")
-    return _survivor_mean((np.exp(logps).tolist() for logps in
-                           _per_sequence(partial(packed_logprobs, model), samples)), max_pos)
+    return _survivor_mean(((np.exp(logps), offsets) for logps, offsets in
+                           _packs(partial(packed_logprobs, model), samples)), max_pos)
 
 
-def _survivor_mean(rows, max_pos: int) -> PositionCurve:
-    """Mean at each position p <= max_pos over the rows that reach p; each
-    row is an iterable of one sequence's per-position values, summed in
-    sequence order."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for row in rows:
-        for p, value in zip(range(max_pos + 1), row):
-            sums[p] = sums.get(p, 0.0) + value
-            counts[p] = counts.get(p, 0) + 1
-    positions = sorted(sums)
-    return PositionCurve(positions, [sums[p] / counts[p] for p in positions])
+def _survivor_mean(packs, max_pos: int) -> PositionCurve:
+    """Mean at each position p <= max_pos over the sequences that reach p,
+    from (flat values, offsets) packs of sequences end to end; each sum adds
+    its values in sequence order, from 0."""
+    flats, offsets = zip(*packs)
+    pos = np.concatenate([np.arange(o[-1]) - np.repeat(o[:-1], np.diff(o)) for o in offsets])
+    keep = pos <= max_pos
+    # bincount adds each position's values in index order, so in sequence order
+    sums = np.bincount(pos[keep], weights=np.concatenate(flats)[keep])
+    counts = np.bincount(pos[keep])
+    return PositionCurve(list(range(len(counts))), (sums / counts).tolist())
 
 
-def ref_margin_density(reference: PolicyModel, pairs, bins: int) -> DensityHistogram:
-    """Histogram density of chosen-minus-rejected sequence log-prob margins
-    under the reference model."""
-    if not pairs:
-        raise ValueError("ref_margin_density requires pairs")
+def ref_margin_density(scores, bins: int) -> DensityHistogram:
+    """Histogram density of the chosen-minus-rejected sequence log-prob
+    margins of the pairs of ``scores``, PairScores under the reference model."""
+    if not scores:
+        raise ValueError("ref_margin_density requires scored pairs")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    seqs = [make_sequence(p.prompt, response) for p in pairs for response in (p.chosen, p.rejected)]
-    sums = np.concatenate([segment_sums(flat, np.diff(offsets)) for flat, offsets
-                           in _packs(partial(packed_logprobs, reference), seqs)])
-    margins = sums[0::2] - sums[1::2]
+    margins = np.concatenate([sequence_margins(score) for score in scores])
     lo, hi = float(np.min(margins)), float(np.max(margins))
     if hi == lo:
         # degenerate single spike; give it one unit-width bin

@@ -179,45 +179,46 @@ def _warn_skipped(skipped: int) -> None:
         print(f"warning: skipped {skipped} context-overflow examples", file=sys.stderr)
 
 
-def _fits(pair, context: int, chosen_only: bool = False) -> bool:
-    """Whether the pair's sequences, or only the chosen one, fit ``context``,
-    as train keeps them."""
-    return all(make_sequence(pair.prompt, response).fits(context)
-               for response in ((pair.chosen,) if chosen_only else (pair.chosen, pair.rejected)))
-
-
-def _fitting(pairs, context: int, chosen_only: bool = False) -> list:
-    """The pairs that fit ``context`` by _fits; warns of the rest as train does."""
-    kept = [p for p in pairs if _fits(p, context, chosen_only)]
-    _warn_skipped(len(pairs) - len(kept))
+def _chosen_sequences(pairs, context: int) -> list:
+    """The chosen sequences of ``pairs`` that fit ``context``; warns of the rest as train does."""
+    seqs = [make_sequence(p.prompt, p.chosen) for p in pairs]
+    kept = [seq for seq in seqs if seq.fits(context)]
+    _warn_skipped(len(seqs) - len(kept))
     return kept
 
 
-def _sequences(pairs):
-    return [make_sequence(p.prompt, p.chosen) for p in pairs]
+def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> list:
+    """The PairScores of ``pairs`` from score_pairs over packs of analysis.PACK // 2
+    pairs, with their file indices as example ids; warns of the pairs that do not fit."""
+    batch = [(p, i) for i, p in enumerate(pairs)]
+    step = analysis.PACK // 2
+    scored = [score_pairs(policy, reference, batch[i:i + step])
+              for i in range(0, len(batch), step)]
+    _warn_skipped(sum(skipped for _, skipped in scored))
+    return [score for score, _ in scored if score is not None]
 
 
 def _cmd_kl_position(r: dict) -> int:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
-    pairs = _fitting(data.load_pairs(r["pairs"]), policy.context, chosen_only=True)
-    curve = analysis.kl_per_position(policy, reference, _sequences(pairs), r["max-pos"])
+    seqs = _chosen_sequences(data.load_pairs(r["pairs"]), policy.context)
+    curve = analysis.kl_per_position(policy, reference, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     return 0
 
 
 def _cmd_prob_position(r: dict) -> int:
     model = load_checkpoint(r["model"]).model
-    pairs = _fitting(data.load_pairs(r["pairs"]), model.context, chosen_only=True)
-    curve = analysis.prob_per_position(model, _sequences(pairs), r["max-pos"])
+    seqs = _chosen_sequences(data.load_pairs(r["pairs"]), model.context)
+    curve = analysis.prob_per_position(model, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
     return 0
 
 
 def _cmd_ref_margin(r: dict) -> int:
     reference = load_checkpoint(r["reference"]).model
-    pairs = _fitting(data.load_pairs(r["pairs"]), reference.context)
-    hist = analysis.ref_margin_density(reference, pairs, r["bins"])
+    scores = _scored_pairs(reference, None, data.load_pairs(r["pairs"]))
+    hist = analysis.ref_margin_density(scores, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
     return 0
 
@@ -229,16 +230,9 @@ def _cmd_length_bias(r: dict) -> int:
         raise ConfigError(f"method {cfg.method!r} needs a reference: pass --reference")
     policy = load_checkpoint(r["policy"]).model
     ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
-    pairs = data.load_pairs(r["pairs"])
-    # packs of analysis.PACK sequences keep each pass small
-    batch = [(p, i) for i, p in enumerate(pairs)]
-    step = analysis.PACK // 2
     with np.errstate(all="ignore"):  # a loss that is not finite raises, as in train
-        scored = [score_pairs(policy, ref_model, batch[i:i + step])
-                  for i in range(0, len(batch), step)]
-        _warn_skipped(sum(skipped for _, skipped in scored))
-        rows = analysis.loss_by_length_gap(cfg, [s for s, _ in scored if s is not None],
-                                           r["gap-bins"])
+        scores = _scored_pairs(policy, ref_model, data.load_pairs(r["pairs"]))
+        rows = analysis.loss_by_length_gap(cfg, scores, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),
         [astuple(row) for row in rows]))

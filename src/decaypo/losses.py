@@ -39,8 +39,10 @@ class PairScore:
 
     Each side's arrays hold the pairs' responses end to end, and
     ``chosen_lens`` and ``rejected_lens`` give each response's length
-    (default: the whole array, one pair). ``prompt_len`` and ``example_id``
-    take one value per pair (an int: one pair). All four become int arrays.
+    (default: the whole array, one pair), each at least 1 and adding up,
+    side by side, to each of that side's arrays; a ValueError names a side
+    that breaks this. ``prompt_len`` and ``example_id`` take one value per
+    pair (an int: one pair). All four become int arrays.
     Reference log-probs are absent (None) in reference-free mode. Arrays may
     be numpy arrays or autodiff tensors; reference arrays are always treated
     as constants.
@@ -64,6 +66,13 @@ class PairScore:
         if len({getattr(self, name).shape for name in names}) != 1:
             raise ValueError("a PairScore needs one of each response length, prompt_len "
                              "and example_id per pair")
+        for side in ("chosen", "rejected"):
+            lens = getattr(self, f"{side}_lens")
+            arrays = (getattr(self, f"{side}_logps"), getattr(self, f"{side}_ref_logps"))
+            sizes = [len(_array(a)) for a in arrays if a is not None]
+            if np.any(lens < 1) or any(size != lens.sum() for size in sizes):
+                raise ValueError(f"{side} response lengths {lens.tolist()} must be >= 1 and "
+                                 f"add up to each {side} array, of {sizes} tokens")
 
 
 @dataclass
@@ -96,6 +105,12 @@ def segment_sums(x, lens, w=None):
     lengths ``lens`` end to end: a vector from one segmented weighted_sum."""
     return ad.weighted_sum(x, np.ones(len(_array(x))) if w is None else w,
                            np.cumsum([0, *lens]))
+
+
+def sequence_margins(score: PairScore) -> np.ndarray:
+    """Each pair's chosen-minus-rejected summed log-probs, from plain values."""
+    return (segment_sums(_array(score.chosen_logps), score.chosen_lens)
+            - segment_sums(_array(score.rejected_logps), score.rejected_lens))
 
 
 def _require_ref(score: PairScore):
@@ -188,25 +203,18 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
     return ad.mul(margin, margin) if cfg.method == "ipo" else -_logsigmoid(margin)
 
 
-def margin_loss(score: PairScore, cfg: LossConfig, method: str):
-    """The batch mean of the margin form of ``method`` (module docstring);
-    cfg.method is not read."""
-    if method in ("kto", "orpo"):
-        raise ValueError(f"{method!r} is not a margin method")
+def _mean_loss(score: PairScore, cfg: LossConfig, method: str):
+    """The batch mean of the pair losses of ``method``; cfg.method is not read."""
     return _mean(pair_losses(score, replace(cfg, method=method)))
 
 
-# margin_loss with the method fixed; each ignores cfg.method
-d2po_loss = partial(margin_loss, method="d2po")
-dpo_loss = partial(margin_loss, method="dpo")
-d2po_ref_free_loss = partial(margin_loss, method="d2po_ref_free")
-simpo_loss = partial(margin_loss, method="simpo")
-ipo_loss = partial(margin_loss, method="ipo")
-sampo_loss = partial(margin_loss, method="sampo")
-
-
-def orpo_loss(score: PairScore, cfg: LossConfig):
-    return _mean(pair_losses(score, replace(cfg, method="orpo")))
+d2po_loss = partial(_mean_loss, method="d2po")
+dpo_loss = partial(_mean_loss, method="dpo")
+d2po_ref_free_loss = partial(_mean_loss, method="d2po_ref_free")
+simpo_loss = partial(_mean_loss, method="simpo")
+ipo_loss = partial(_mean_loss, method="ipo")
+sampo_loss = partial(_mean_loss, method="sampo")
+orpo_loss = partial(_mean_loss, method="orpo")
 
 
 def kto_loss(batch, cfg: LossConfig, z_ref: float):

@@ -71,11 +71,6 @@ def _policy(stack: MDPStack, pi) -> np.ndarray:
     return pi
 
 
-def validate_policy(mdp: MDPStack, pi: np.ndarray) -> np.ndarray:
-    """The (H, S, A) policy table ``pi`` of a stack of one, checked."""
-    return _policy(_one(mdp), pi)
-
-
 def uniform_policy(mdp: MDPStack) -> np.ndarray:
     return np.full((mdp.H, mdp.S, mdp.A), 1.0 / mdp.A)
 
@@ -219,7 +214,7 @@ def soft_value_iteration(mdp: MDPStack, pi_ref, beta: float, gamma: float):
 
 def policy_value(mdp: MDPStack, pi, gamma: float) -> float:
     """Exact expected decayed return from state 0 by backward induction."""
-    V = _evaluate(mdp.P, mdp.r, validate_policy(mdp, pi)[None, None], [gamma])
+    V = _evaluate(mdp.P, mdp.r, _policy(_one(mdp), pi)[None, None], [gamma])
     return float(V[0, 0, 0, 0])
 
 
@@ -318,7 +313,7 @@ def suboptimality_decompose(mdp: MDPStack, pi_star, pi, gamma: float) -> Subopti
     the policy-gap term at discount gamma (evaluation discount fixed at 1),
     with the bound terms and occupancy TV of suboptimality_bound; gamma is
     not checked, and the bound holds only for gamma in (0, 1]."""
-    pis = np.stack([validate_policy(mdp, pi_star), validate_policy(mdp, pi)])
+    pis = np.stack([_policy(_one(mdp), pi_star), _policy(mdp, pi)])
     row = _reports(mdp.P, mdp.r, mdp.R, pis[None], [gamma])
     return SuboptimalityReport(gamma, *row[0, 0].tolist())
 

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .config import rng
 from .data import RewardOracle, sample_and_score
-from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss, segment_sums
+from .losses import REFERENCE_FREE, LossConfig, PairScore, batch_loss, sequence_margins
 from .model import VOCAB_SIZE, PolicyModel, make_sequence, packed_logprobs, param_shapes
 
 
@@ -41,11 +41,11 @@ class TrainConfig:
         return BASE_LR * self.lr_multiplier
 
 
-def cosine_lr(step: int, total_steps: int, warmup_fraction: float, base_lr: float) -> float:
-    """Linear warmup to base_lr, then a half cosine down to zero."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup to base_lr over WARMUP_FRACTION of the steps, then a half cosine to 0."""
     if not 0 <= step <= total_steps:
         raise ValueError("step must be in [0, total_steps]")
-    warmup = math.ceil(warmup_fraction * total_steps)
+    warmup = math.ceil(WARMUP_FRACTION * total_steps)
     if step < warmup:
         return base_lr * step / warmup
     if total_steps == warmup:
@@ -225,9 +225,8 @@ def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
         if score is None:
             return None, skipped
         loss = batch_loss(score, cfg.loss)
-        margins = (segment_sums(score.chosen_logps.value, score.chosen_lens)
-                   - segment_sums(score.rejected_logps.value, score.rejected_lens))
-        return (float(loss.value), float(np.mean(margins)), _gradients(loss, leaves)), skipped
+        margin = float(np.mean(sequence_margins(score)))
+        return (float(loss.value), margin, _gradients(loss, leaves)), skipped
 
 
 def grad_norm(grads: dict, names) -> float:
@@ -266,7 +265,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         with np.errstate(all="ignore"):  # a non-finite step raises below
             result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
             gn = 0.0 if result is None else grad_norm(result[2], names)
-        lr = cosine_lr(step, total_steps, WARMUP_FRACTION, cfg.lr)
+        lr = cosine_lr(step, total_steps, cfg.lr)
         loss = margin = None
         if result is not None:  # else every example overflowed the context
             loss, margin, grads = result

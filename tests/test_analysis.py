@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from decaypo.data import PreferencePair, response_bytes, synthetic_corpus
 from decaypo.losses import LossConfig, batch_loss
 from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
                            token_logprobs)
+from decaypo.training import score_pairs
 from conftest import join_pairs, random_pairscore
 
 
@@ -20,6 +23,13 @@ def margins_under(model, triples):
     logps, offsets = packed_logprobs(model, seqs)
     sums = np.add.reduceat(logps, offsets[:-1])
     return sums[0::2] - sums[1::2]
+
+
+def reference_scores(model, pairs):
+    """One PairScore of every pair of ``pairs``, scored by ``model``."""
+    score, skipped = score_pairs(model, None, [(p, i) for i, p in enumerate(pairs)])
+    assert skipped == 0
+    return [score]
 
 
 def small_model(seed=0, trained=False):
@@ -100,6 +110,60 @@ class TestProbPerPosition:
         assert all(0.0 < v <= 1.0 for v in curve.values)
 
 
+def dict_survivor_mean(rows, max_pos):
+    """The survivor mean as a per-sequence dict loop: each position's sum
+    adds the sequences' values in order, from 0. The oracle of the packed
+    form."""
+    sums, counts = {}, {}
+    for row in rows:
+        for p, value in zip(range(max_pos + 1), row):
+            sums[p] = sums.get(p, 0.0) + value
+            counts[p] = counts.get(p, 0) + 1
+    positions = sorted(sums)
+    return PositionCurve(positions, [sums[p] / counts[p] for p in positions])
+
+
+class TestSurvivorMean:
+    @pytest.mark.parametrize("max_pos", [0, 5, 40])
+    @pytest.mark.parametrize("cuts", [(), (1,), (3, 7), (1, 2, 3, 4, 5, 6, 7, 8)])
+    def test_packs_equal_the_dict_loop_bit_for_bit(self, max_pos, cuts):
+        """Ragged sequences (longest 17) of values spread over many scales, so
+        that any other order of addition would change bits, in one pack or
+        cut into several."""
+        rng = np.random.default_rng(8)
+        lens = rng.integers(1, 18, size=9)
+        lens[4] = 17
+        rows = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n) for n in lens]
+        bounds = [0, *cuts, len(rows)]
+        packs = [(np.concatenate(rows[lo:hi]), np.cumsum([0, *map(len, rows[lo:hi])]))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        got = analysis._survivor_mean(packs, max_pos)
+        want = dict_survivor_mean([row.tolist() for row in rows], max_pos)
+        assert got.positions == want.positions == list(range(min(max_pos, 16) + 1))
+        assert got.values == want.values
+
+    def test_curves_equal_the_dict_loop_over_sequences(self, monkeypatch):
+        """kl_per_position and prob_per_position, in packs of 2 and of 32,
+        against the dict loop over each sequence's values cut from the same
+        packs."""
+        policy, ref = small_model(seed=1, trained=True), small_model(seed=2, trained=True)
+        seqs = sample_sequences(policy, 9, seed=40)
+
+        def per_sequence(score):
+            return [row for flat, offsets in analysis._packs(score, seqs)
+                    for row in np.split(flat, offsets[1:-1])]
+
+        for pack in (2, 32):
+            monkeypatch.setattr(analysis, "PACK", pack)
+            rows = per_sequence(partial(packed_logprobs, policy))
+            kls = per_sequence(partial(analysis._position_kl, policy, ref))
+            for max_pos in (0, 4, 30):
+                assert prob_per_position(policy, seqs, max_pos) == dict_survivor_mean(
+                    [np.exp(row).tolist() for row in rows], max_pos)
+                assert kl_per_position(policy, ref, seqs, max_pos) == dict_survivor_mean(
+                    [kl.tolist() for kl in kls], max_pos)
+
+
 class TestRefMarginDensity:
     def make_pairs(self, n=12):
         rng = np.random.default_rng(3)
@@ -115,7 +179,7 @@ class TestRefMarginDensity:
 
     def test_density_integrates_to_one(self):
         m = small_model(trained=True)
-        hist = ref_margin_density(m, self.make_pairs(), bins=8)
+        hist = ref_margin_density(reference_scores(m, self.make_pairs()), bins=8)
         assert np.sum(hist.density) * hist.bin_width == pytest.approx(1.0, abs=1e-6)
         assert np.all(hist.density >= 0)
 
@@ -124,7 +188,7 @@ class TestRefMarginDensity:
         pair = PreferencePair(id="d", prompt=b"p?", chosen=b"ab", rejected=b"cd")
         object.__setattr__(pair, "rejected", b"ab")
         m = small_model()
-        hist = ref_margin_density(m, [pair, pair], bins=4)
+        hist = ref_margin_density(reference_scores(m, [pair, pair]), bins=4)
         assert np.sum(hist.density > 0) == 1
         assert np.sum(hist.density) * hist.bin_width == pytest.approx(1.0, abs=1e-6)
 
@@ -146,10 +210,10 @@ class TestRefMarginDensity:
 
     def test_requires_pairs_and_bins(self):
         m = small_model()
-        with pytest.raises(ValueError):
-            ref_margin_density(m, [], bins=4)
-        with pytest.raises(ValueError):
-            ref_margin_density(m, self.make_pairs(2), bins=1)
+        with pytest.raises(ValueError, match="requires scored pairs"):
+            ref_margin_density([], bins=4)
+        with pytest.raises(ValueError, match="bins"):
+            ref_margin_density(reference_scores(m, self.make_pairs(2)), bins=1)
 
 
 class TestLossByLengthGap:
@@ -191,7 +255,7 @@ class TestLossByLengthGap:
 
 class TestPackedAnalyses:
     """The analyses score packs of at most analysis.PACK sequences per pass,
-    and analyze length-bias packs of analysis.PACK // 2 pairs."""
+    and analyze ref-margin and length-bias packs of analysis.PACK // 2 pairs."""
 
     def test_results_do_not_depend_on_pack_size(self, monkeypatch, tmp_path):
         from decaypo.cli import main
@@ -210,21 +274,23 @@ class TestPackedAnalyses:
 
         def results(pack):
             monkeypatch.setattr(analysis, "PACK", pack)
-            out = tmp_path / f"bias{pack}.csv"
+            flags = ["--reference", str(tmp_path / "ref.ckpt"),
+                     "--pairs", str(tmp_path / "pairs.jsonl")]
+            assert main(["analyze", "ref-margin", *flags, "--bins", "5",
+                         "--out", str(tmp_path / "margin.csv")]) == 0
             assert main(["analyze", "length-bias", "--policy", str(tmp_path / "policy.ckpt"),
-                         "--reference", str(tmp_path / "ref.ckpt"),
-                         "--pairs", str(tmp_path / "pairs.jsonl"),
-                         "--gap-bins=-4,0,4", "--out", str(out)]) == 0
-            bias = [float(v) for row in analysis.read_csv(out, ("gap_lo", "gap_hi",
-                                                               "mean_loss", "count"))
-                    for v in row[2:]]
+                         *flags, "--gap-bins=-4,0,4", "--out", str(tmp_path / "bias.csv")]) == 0
+            margin = analysis.read_csv(tmp_path / "margin.csv", ("value", "density"))
+            bias = analysis.read_csv(tmp_path / "bias.csv", ("gap_lo", "gap_hi",
+                                                             "mean_loss", "count"))
             return np.concatenate([kl_per_position(policy, ref, seqs, 12).values,
                                    prob_per_position(policy, seqs, 12).values,
-                                   ref_margin_density(ref, pairs, bins=5).centers, bias])
+                                   [float(v) for row in margin for v in row],
+                                   [float(v) for row in bias for v in row[2:]]])
 
-        smallest = results(2)  # one pair per length-bias pass
+        smallest = results(2)  # one pair per ref-margin and length-bias pass
         margins = margins_under(ref, [(p.prompt, p.chosen, p.rejected) for p in pairs])
-        assert ref_margin_density(ref, pairs, bins=5).centers[0] == pytest.approx(
+        assert ref_margin_density(reference_scores(ref, pairs), bins=5).centers[0] == pytest.approx(
             min(margins) + (max(margins) - min(margins)) / 10, abs=1e-12)
         for pack in (4, 32):
             assert np.max(np.abs(results(pack) - smallest)) <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from decaypo import autodiff as ad
 from decaypo.losses import (METHODS, REFERENCE_FREE, LossConfig, PairScore,
                             batch_loss, d2po_loss, d2po_ref_free_loss, dpo_loss,
-                            estimate_z_ref, ipo_loss, kto_loss, margin_loss,
+                            estimate_z_ref, ipo_loss, kto_loss,
                             orpo_loss, pair_loss, pair_losses, sampo_indices,
                             sampo_loss, simpo_loss)
 from decaypo.schedules import DecaySchedule, UNIFORM
@@ -85,6 +85,19 @@ class TestD2PO:
             # loss = log(1 + e^{-m}) so m recovers from the answer-start loss
             expected = np.log1p(np.exp(-(gamma ** l) * m))
             assert d2po_loss(score, cfg_p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["d2po", "d2po_ref_free"])
+    def test_prompt_start_at_beta_is_answer_start_at_beta_gamma_l(self, method, rng):
+        """Prompt-start weights are gamma^l times the answer-start ones, so
+        with prompt length l a pair's loss at beta is its answer-start loss
+        at beta * gamma^l (at gamma 0.98 a 200-token prompt leaves beta * 0.018)."""
+        prompt = LossConfig(method=method, beta=0.5, schedule=DecaySchedule(gamma=0.98))
+        answer = replace(prompt, schedule=DecaySchedule(gamma=0.98, origin="answer_start"))
+        for _ in range(200):
+            score = random_pairscore(rng, max_len=40, prompt_len=int(rng.integers(0, 201)))
+            l = int(score.prompt_len[0])
+            want = pair_losses(score, replace(answer, beta=0.5 * 0.98 ** l))
+            assert pair_losses(score, prompt) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_swap_negates_margin(self, rng):
         cfg = LossConfig(method="d2po",
@@ -370,8 +383,36 @@ def test_pair_score_holds_one_value_per_pair(rng):
     assert PairScore(np.ones(4), np.ones(2), prompt_len=5).chosen_lens.tolist() == [4]
     with pytest.raises(ValueError, match="one of each"):
         replace(s, prompt_len=2)
-    with pytest.raises(ValueError, match="does not match"):  # lengths that overrun the side
-        batch_loss(replace(s, chosen_lens=s.chosen_lens + 1), LossConfig())
+    with pytest.raises(ValueError, match="^chosen response lengths"):  # they overrun the side
+        replace(s, chosen_lens=s.chosen_lens + 1)
+
+
+# PairScore fields -> the side whose lengths do not fit its arrays
+LAYOUT_ERRORS = {
+    # lengths that add up to 4 of 5 tokens
+    "chosen_short": ("chosen", dict(chosen_lens=[1, 3])),
+    "rejected_long": ("rejected", dict(rejected_lens=[2, 2])),
+    # a reference array one entry short
+    "chosen_ref_short": ("chosen", dict(chosen_ref_logps=np.full(4, -1.0))),
+    "rejected_ref_short": ("rejected", dict(rejected_ref_logps=np.full(2, -1.0))),
+    # a response of no tokens, though the lengths add up
+    "chosen_empty": ("chosen", dict(chosen_lens=[0, 5])),
+    "rejected_empty": ("rejected", dict(rejected_lens=[3, 0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_ERRORS))
+def test_pair_score_checks_its_layout(case):
+    """Each side's lengths are at least 1 and add up to its log-prob array
+    and its reference array, or the PairScore names the side."""
+    fields = dict(chosen_logps=np.full(5, -1.0), rejected_logps=np.full(3, -1.0),
+                  chosen_ref_logps=np.full(5, -1.0), rejected_ref_logps=np.full(3, -1.0),
+                  prompt_len=[0, 0], example_id=[0, 1], chosen_lens=[2, 3],
+                  rejected_lens=[1, 2])
+    side, bad = LAYOUT_ERRORS[case]
+    PairScore(**fields)
+    with pytest.raises(ValueError, match=f"^{side} response lengths"):
+        PairScore(**{**fields, **bad})
 
 
 @pytest.mark.parametrize("method", ["d2po", "simpo", "orpo"])
@@ -411,12 +452,6 @@ def test_config_rejects_nonpositive_tau_for_every_method(method):
     # as the CLI's --tau domain does, whether or not the method reads tau
     with pytest.raises(ValueError, match="tau must be > 0"):
         LossConfig(method=method, tau=0.0)
-
-
-@pytest.mark.parametrize("method", ["kto", "orpo"])
-def test_margin_loss_rejects_non_margin_methods(method, rng):
-    with pytest.raises(ValueError, match="not a margin method"):
-        margin_loss(random_pairscore(rng), LossConfig(method=method), method)
 
 
 FD_METHODS = ["d2po", "d2po_ref_free", "simpo", "ipo", "kto", "orpo", "sampo"]

@@ -11,7 +11,7 @@ from decaypo.mdp import (MDPStack, discount_horizon, enumerate_trajectories,
                          policy_value, random_mdp, random_stack,
                          soft_value_iteration, suboptimality_decompose,
                          suboptimality_bound, trajectory_identity_check,
-                         uniform_policy, validate_policy, verify_bounds)
+                         uniform_policy, verify_bounds)
 
 
 def stack_of(*mdps):
@@ -324,13 +324,13 @@ class TestTheorem1:
 class TestValidation:
     def test_policy_shape(self):
         m = random_mdp(2, 2, 3, 1.0, seed=19)
-        with pytest.raises(ValueError):
-            validate_policy(m, np.ones((2, 2, 2)) / 2)
+        with pytest.raises(ValueError, match="policy shape"):
+            policy_value(m, np.ones((2, 2, 2)) / 2, 0.9)
 
     def test_policy_rows_must_normalize(self):
         m = random_mdp(2, 2, 3, 1.0, seed=20)
-        with pytest.raises(ValueError):
-            validate_policy(m, np.full((3, 2, 2), 0.3))
+        with pytest.raises(ValueError, match="policy rows must be distributions"):
+            policy_value(m, np.full((3, 2, 2), 0.3), 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +637,6 @@ def _malformed(m):
 
 
 PUBLIC_ENTRIES = {
-    "validate_policy": lambda m, bad, good: validate_policy(m, bad),
     "policy_value": lambda m, bad, good: policy_value(m, bad, 0.9),
     "decompose_pi_star": lambda m, bad, good: suboptimality_decompose(m, bad, good, 0.9),
     "decompose_pi": lambda m, bad, good: suboptimality_decompose(m, good, bad, 0.9),

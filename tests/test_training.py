@@ -43,21 +43,23 @@ def toy_pairs(n=12, seed=0):
 
 class TestCosineLR:
     def test_anchors(self):
-        assert cosine_lr(0, 100, 0.1, 1.0) == 0.0
-        assert cosine_lr(10, 100, 0.1, 1.0) == 1.0
-        assert abs(cosine_lr(100, 100, 0.1, 1.0)) < 1e-12
+        assert WARMUP_FRACTION == 0.1  # so 10 warmup steps of 100
+        assert cosine_lr(0, 100, 1.0) == 0.0
+        assert cosine_lr(10, 100, 1.0) == 1.0
+        assert abs(cosine_lr(100, 100, 1.0)) < 1e-12
 
     def test_continuous_at_warmup_boundary(self):
-        before = cosine_lr(9, 100, 0.1, 2.0)
-        at = cosine_lr(10, 100, 0.1, 2.0)
+        before = cosine_lr(9, 100, 2.0)
+        at = cosine_lr(10, 100, 2.0)
         assert at == 2.0 and before == pytest.approx(1.8, abs=1e-12)
 
     def test_no_warmup(self):
-        assert cosine_lr(0, 10, 0.0, 1.0) == 1.0
+        """A run of no steps rounds its warmup to none: the peak rate."""
+        assert cosine_lr(0, 0, 1.0) == 1.0
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            cosine_lr(11, 10, 0.1, 1.0)
+            cosine_lr(11, 10, 1.0)
 
 
 class TestCheckpointIO:
@@ -267,7 +269,7 @@ class TestTrain:
         assert _batch_gradients(init.model, init.model, batch, cfg) == (None, 2)
         out, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
         assert metrics == [{"step": s, "loss": None, "margin": None, "grad_norm": 0.0,
-                            "lr": cosine_lr(s, 6, WARMUP_FRACTION, cfg.lr),
+                            "lr": cosine_lr(s, 6, cfg.lr),
                             "skipped": 1 if s % 3 == 2 else 2} for s in range(6)]
         assert (out.step, out.seed) == (9, cfg.seed)
         for name in init.model.param_names():
