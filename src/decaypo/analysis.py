@@ -39,11 +39,10 @@ class DensityHistogram:
 PACK = 32
 
 
-def _packs(score, seqs):
-    """``score(pack) -> (flat rows, offsets)`` over consecutive packs of at
-    most PACK sequences."""
-    for i in range(0, len(seqs), PACK):
-        yield score(seqs[i:i + PACK])
+def _packs(score, items, size=PACK):
+    """``score(pack)`` over consecutive packs of at most ``size`` items."""
+    for i in range(0, len(items), size):
+        yield score(items[i:i + size])
 
 
 def _position_distribution_logs(model: PolicyModel, seqs):

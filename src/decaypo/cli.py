@@ -190,10 +190,8 @@ def _chosen_sequences(pairs, context: int) -> list:
 def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> list:
     """The PairScores of ``pairs`` from score_pairs over packs of analysis.PACK // 2
     pairs, with their file indices as example ids; warns of the pairs that do not fit."""
-    batch = [(p, i) for i, p in enumerate(pairs)]
-    step = analysis.PACK // 2
-    scored = [score_pairs(policy, reference, batch[i:i + step])
-              for i in range(0, len(batch), step)]
+    scored = list(analysis._packs(functools.partial(score_pairs, policy, reference),
+                                  [(p, i) for i, p in enumerate(pairs)], analysis.PACK // 2))
     _warn_skipped(sum(skipped for _, skipped in scored))
     return [score for score, _ in scored if score is not None]
 

@@ -177,10 +177,8 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
     pair alone gives it. KTO anchors each pair at its own z_ref, or at the
     constant ``z_ref`` when given, clamped at 0; ``desirable`` False swaps
     its roles of chosen and rejected."""
-    if cfg.method == "orpo":
-        T_w, T_l = score.chosen_lens, score.rejected_lens
-        mean_w = segment_sums(score.chosen_logps, T_w, np.repeat(1.0 / T_w, T_w))
-        mean_l = segment_sums(score.rejected_logps, T_l, np.repeat(1.0 / T_l, T_l))
+    if cfg.method == "orpo":  # simpo's sides at beta 1 are the mean log-probs
+        mean_w, mean_l, _ = _sides(score, replace(cfg, beta=1.0), "simpo")
         if np.any(_array(mean_w) >= 0.0) or np.any(_array(mean_l) >= 0.0):
             raise ValueError("orpo requires strictly negative mean log-probs "
                              "(odds are singular at probability 1)")

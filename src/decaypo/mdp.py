@@ -119,13 +119,6 @@ def random_stack(S: int, A: int, H: int, R: float, seeds,
     return MDPStack(P=P, r=r, H=H, R=np.full(len(seeds), float(R)))
 
 
-def _ref_table(stack: MDPStack, pi_ref) -> np.ndarray:
-    pi_ref = np.asarray(pi_ref, dtype=np.float64)
-    if pi_ref.shape == (stack.S, stack.A):
-        pi_ref = np.broadcast_to(pi_ref, (stack.H, stack.S, stack.A))
-    return _policy(stack, np.array(pi_ref))
-
-
 # The most elements of the (B, G, H, S, A) policy tensor that one stack of
 # MDPs may fill; mdp-verify verifies as many same-shape MDPs together as fit.
 STACK_ELEMENTS = 2 ** 16
@@ -206,7 +199,7 @@ def soft_value_iteration(mdp: MDPStack, pi_ref, beta: float, gamma: float):
     V[t] = beta * logsumexp(Q[t]/beta); the returned policy is the
     Boltzmann optimum exp((Q - V)/beta), normalized by construction.
     """
-    ref = _ref_table(_one(mdp), pi_ref)
+    ref = _policy(_one(mdp), pi_ref)
     Q = np.empty((1, 1, mdp.H, mdp.S, mdp.A))
     V, pi = _soft_backup(mdp.P, mdp.r, ref, beta, [gamma], Q)
     return (V[0, 0], Q[0, 0]), pi[0, 0]
@@ -225,7 +218,7 @@ def trajectory_identity_check(mdp: MDPStack, pi_ref, beta: float, gamma: float,
     Returns (lhs, rhs, residual). For full-horizon trajectories through
     deterministic transitions the residual is zero up to roundoff.
     """
-    ref = _ref_table(_one(mdp), pi_ref)
+    ref = _policy(_one(mdp), pi_ref)
     if not 1 <= len(trajectory) <= mdp.H:
         raise ValueError("trajectory length must be in [1, H]")
     for t, (s, a) in enumerate(trajectory):
@@ -332,5 +325,5 @@ def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
     one at gamma = 1, in MDP b of ``stack``; one backup of [1, *gammas]
     serves the whole stack."""
     gammas = _bound_gammas(gammas)  # checked before the backup solves any of them
-    _, pis = _soft_backup(stack.P, stack.r, _ref_table(stack, pi_ref), beta, [1.0, *gammas])
+    _, pis = _soft_backup(stack.P, stack.r, _policy(stack, pi_ref), beta, [1.0, *gammas])
     return _reports(stack.P, stack.r, stack.R, pis, gammas)

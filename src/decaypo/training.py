@@ -4,6 +4,7 @@ init, and oracle-based win-rate evaluation."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -113,28 +114,19 @@ def load_checkpoint(path) -> Checkpoint:
             if type(where[key]) is not int or where[key] < low:  # a bool is not an int
                 raise ValueError(f"manifest key {key!r} must be an integer >= {low}, "
                                  f"got {where[key]!r}")
-        params = {}
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            if min(shape, default=0) < 0:
-                raise ValueError(f"negative dimension in parameter shape {shape}")
-            if end + 4 * count > len(blob):
-                raise ValueError("truncated checkpoint payload")
-            data = np.frombuffer(blob, dtype="<f4", count=count, offset=end)
-            params[entry["name"]] = data.astype(np.float64).reshape(shape)
-            end += 4 * count
-        if end != len(blob):
-            raise ValueError(f"{len(blob) - end} trailing bytes after the checkpoint payload")
-        expected = param_shapes(arch["dim"], arch["context"], arch["blocks"])
-        for name, shape in expected.items():
-            if name not in params:
-                raise ValueError(f"missing parameter {name!r}")
-            if params[name].shape != shape:
-                raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
-                                 f"the architecture needs {shape}")
-        if params.keys() != expected.keys():
-            raise ValueError(f"unknown parameters {sorted(params.keys() - expected.keys())}")
+        # the table lists the architecture's parameters in param_shapes order;
+        # JSON text tells an integer dimension from a float or a bool
+        shapes = param_shapes(arch["dim"], arch["context"], arch["blocks"])
+        table = [(entry["name"], entry["shape"]) for entry in manifest["params"]]
+        for got, want in itertools.zip_longest(table, shapes.items()):
+            if json.dumps(got) != json.dumps(want):
+                raise ValueError(f"parameter table has {got or 'nothing'} for {want or 'nothing'}")
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if len(blob) - end != 4 * sum(sizes):
+            raise ValueError(f"payload of {len(blob) - end} bytes, not {sum(sizes)} float32 values")
+        offsets = end + 4 * np.cumsum([0, *sizes])
+        params = {name: np.frombuffer(blob, "<f4", size, offset).astype(np.float64).reshape(shape)
+                  for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
         model = PolicyModel(dim=arch["dim"], context=arch["context"],
                             blocks=arch["blocks"], seed=manifest["seed"], params=params)
         return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"])

@@ -83,18 +83,18 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def write_raw_checkpoint(path, params: dict, dim=16, context=48, blocks=2,
+def write_raw_checkpoint(path, arrays: dict, dim=16, context=48, blocks=2,
                          kind="causal-mixer", **fields):
-    """A checkpoint file holding exactly ``params`` under the given
+    """A checkpoint file holding exactly ``arrays`` under the given
     architecture, whether or not they fit it; ``fields`` override or add
-    manifest keys."""
+    manifest keys (``params``: the parameter table)."""
     manifest = {"format": "decaypo-checkpoint-v1",
                 "architecture": {"kind": kind, "dim": dim,
                                  "context": context, "blocks": blocks},
-                "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
+                "params": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
                 "step": 0, "seed": 0, **fields}
     blob = json.dumps(manifest).encode("utf-8")
-    payload = b"".join(np.asarray(a).astype("<f4").tobytes() for a in params.values())
+    payload = b"".join(np.asarray(a).astype("<f4").tobytes() for a in arrays.values())
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(blob)) + blob + payload)
 

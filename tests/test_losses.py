@@ -9,7 +9,7 @@ from decaypo.losses import (METHODS, REFERENCE_FREE, LossConfig, PairScore,
                             batch_loss, d2po_loss, d2po_ref_free_loss, dpo_loss,
                             estimate_z_ref, ipo_loss, kto_loss,
                             orpo_loss, pair_loss, pair_losses, sampo_indices,
-                            sampo_loss, simpo_loss)
+                            sampo_loss, segment_sums, simpo_loss)
 from decaypo.schedules import DecaySchedule, UNIFORM
 from conftest import (central_difference, join_pairs, pairwise_batch_loss,
                       random_pairscore)
@@ -264,6 +264,37 @@ class TestORPO:
         score = PairScore(np.array([0.0]), np.array([-1.0]))
         with pytest.raises(ValueError):
             orpo_loss(score, LossConfig(method="orpo"))
+
+    @staticmethod
+    def own_weights_oracle(score, cfg):
+        """orpo's per-pair losses with the mean log-probs from their own
+        1/T weights, not simpo's margin form."""
+        T_w, T_l = score.chosen_lens, score.rejected_lens
+        mean_w = segment_sums(score.chosen_logps, T_w, np.repeat(1.0 / T_w, T_w))
+        mean_l = segment_sums(score.rejected_logps, T_l, np.repeat(1.0 / T_l, T_l))
+        lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
+        lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
+        penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
+        return ad.add(ad.scale(mean_w, -1.0), penalty)
+
+    def test_means_from_simpo_sides_bit_identical_to_own_weights(self, rng):
+        """Losses, gradients and tape length equal the oracle's exactly on
+        ragged batches of 1 to 8 pairs of 1 to 39 tokens a response."""
+        for _ in range(300):
+            cfg = LossConfig(method="orpo", lambda_orpo=float(rng.uniform(0.1, 2.0)))
+            score = join_pairs([random_pairscore(rng, with_ref=False, max_len=39)
+                                for _ in range(int(rng.integers(1, 9)))])
+            w = rng.normal(size=len(score.example_id))
+            runs = []
+            for loss_fn in (pair_losses, self.own_weights_oracle):
+                tape = ad.Tape()
+                s = taped(tape, score)
+                losses = loss_fn(s, cfg)
+                grads = ad.gradients(ad.weighted_sum(losses, w),
+                                     [s.chosen_logps, s.rejected_logps])
+                runs.append((losses.value.tobytes(), grads[s.chosen_logps].tobytes(),
+                             grads[s.rejected_logps].tobytes(), len(tape.nodes)))
+            assert runs[0] == runs[1]
 
 
 class TestSamPO:

@@ -633,7 +633,8 @@ def _malformed(m):
     negative[0, 0, 0], negative[0, 0, 1] = -0.5, negative[0, 0, 1] + 0.5 + good[0, 0, 0]
     nan = good.copy()
     nan[-1, -1, 0] = np.nan
-    return {"shape": good[:-1], "negative": negative, "unnormalized": good * 0.9, "nan": nan}
+    return {"shape": good[:-1], "state_action": good[0], "negative": negative,
+            "unnormalized": good * 0.9, "nan": nan}
 
 
 PUBLIC_ENTRIES = {
@@ -654,7 +655,7 @@ PUBLIC_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
-@pytest.mark.parametrize("kind", ["shape", "negative", "unnormalized", "nan"])
+@pytest.mark.parametrize("kind", ["shape", "state_action", "negative", "unnormalized", "nan"])
 def test_every_public_entry_rejects_malformed_policy(entry, kind):
     m = random_mdp(3, 2, 4, 1.0, seed=21)
     with pytest.raises(ValueError, match="policy"):

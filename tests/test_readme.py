@@ -1,0 +1,56 @@
+"""Every name of the package that README.md quotes still exists.
+
+A backticked span that starts with a module of decaypo and an attribute,
+such as `losses.PairScore` or `training.score_pairs(policy, ...)`, or with
+`decaypo.`, must resolve by import and getattr; a file name such as
+`mdp.py` is not a name. Fenced code blocks hold commands, not names.
+"""
+
+import importlib
+import os
+import pkgutil
+import re
+
+import decaypo
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+MODULES = {m.name for m in pkgutil.iter_modules(decaypo.__path__)}
+FILE_NAME = re.compile(r"[\w.-]+\.(py|md|toml|ckpt|jsonl|json|csv|cfg)")
+
+
+def readme_names() -> list[str]:
+    """The dotted names of the package quoted in README, without decaypo."""
+    with open(README, encoding="utf-8") as f:
+        text = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+    names = []
+    for span in re.findall(r"`([^`]+)`", text):
+        m = re.match(r"(decaypo\.)?(\w+(?:\.\w+)*)", span)
+        if not m or FILE_NAME.fullmatch(span):
+            continue
+        if m[1] or (m[2].split(".")[0] in MODULES and "." in m[2]):
+            names.append(m[2])
+    return names
+
+
+def resolves(name: str) -> bool:
+    module, *attrs = name.split(".")
+    try:
+        obj = importlib.import_module(f"decaypo.{module}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    names = readme_names()
+    assert len(names) > 40  # the parser finds the API section's names
+    assert [name for name in names if not resolves(name)] == []
+
+
+def test_stale_names_are_caught():
+    assert not resolves("losses.margin_loss") and not resolves("mdp.validate_policy")
+    assert not resolves("nomodule.x") and resolves("losses.PairScore.__post_init__")

@@ -159,6 +159,32 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert repr(MISFITS[case]) in str(err.value)
 
+    @pytest.mark.parametrize("case, name", [("reordered", "embed"), ("float_shape", "w1_0"),
+                                            ("float_short", None), ("float_long", None)])
+    def test_table_in_param_shapes_order_and_payload_exact(self, tmp_path, case, name):
+        """The table lists the parameters in param_shapes order with integer
+        shapes, and the payload holds exactly their float32 values: a file
+        that breaks this is rejected naming it, and a damaged table also
+        names the parameter the architecture needs at the first entry out of
+        place. A table in another order, with its payload in that order too,
+        is rejected though its names and shapes all fit."""
+        params = dict(PolicyModel(dim=16, context=48, blocks=2, seed=0).params)
+        path = tmp_path / "bad.ckpt"
+        if case == "reordered":
+            write_raw_checkpoint(path, {"pos": params["pos"], **params})
+        elif case == "float_shape":
+            table = [{"name": n, "shape": [16.0, 16] if n == "w1_0" else list(a.shape)}
+                     for n, a in params.items()]
+            write_raw_checkpoint(path, params, params=table)
+        else:
+            write_raw_checkpoint(path, params)
+            blob = path.read_bytes()
+            path.write_bytes(blob[:-4] if case == "float_short" else blob + blob[-4:])
+        with pytest.raises(ValueError, match="bad.ckpt") as err:
+            load_checkpoint(path)
+        if name is not None:
+            assert repr(name) in str(err.value)
+
 
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
