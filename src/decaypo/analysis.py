@@ -42,7 +42,9 @@ PACK = 32
 def _packs(score, items, size=PACK):
     """``score(pack)`` over consecutive packs of at most ``size`` items."""
     for i in range(0, len(items), size):
-        yield score(items[i:i + size])
+        with np.errstate(all="ignore"):  # each analysis rejects a value that is not finite
+            scored = score(items[i:i + size])
+        yield scored
 
 
 def _position_distribution_logs(model: PolicyModel, seqs):
@@ -102,6 +104,8 @@ def ref_margin_density(scores, bins: int) -> DensityHistogram:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     margins = np.concatenate([sequence_margins(score) for score in scores])
+    if not np.all(np.isfinite(margins)):  # as loss_by_length_gap rejects a loss
+        raise ValueError(f"a pair is not finite: margin {margins[~np.isfinite(margins)][0]}")
     lo, hi = float(np.min(margins)), float(np.max(margins))
     if hi == lo:
         # degenerate single spike; give it one unit-width bin

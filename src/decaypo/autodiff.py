@@ -14,11 +14,12 @@ So one definition, of the model's forward pass or of a loss, serves a taped
 pass and a tape-free one, and both do the same arithmetic.
 
 logsigmoid is min(x, 0) - log1p(exp(-|x|)), vectorized ufuncs in one scratch
-array (``_logsigmoid``, which the decoder calls too). A taped call keeps
-e = exp(-|x|) for its vjp, sigma(-x) = where(x < 0, 1, e) / (1 + e), so the
-backward pass takes no second exp. The backward pass never writes to a
-cotangent: a vjp may return its input unchanged, so gradients accumulate out
-of place, and only an array that would be returned for two inputs is copied.
+array (``_logsigmoid``, which the decoder calls too), and nan where x is not
+finite. A taped call keeps e = exp(-|x|) for its vjp, sigma(-x) =
+where(x < 0, 1, e) / (1 + e), so the backward pass takes no second exp. The
+backward pass never writes to a cotangent: a vjp may return its input
+unchanged, so gradients accumulate out of place, and only an array that
+would be returned for two inputs is copied.
 """
 
 from __future__ import annotations
@@ -226,12 +227,6 @@ def weighted_sum(a, w, bounds=None):
                  (a, lambda g: np.repeat(g, np.diff(bounds)) * w))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows to inf for x < -709, and 1 / inf is the right limit, 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 # Read-only 0-d operands for _logsigmoid: a Python float operand costs each
 # ufunc call a scalar conversion, as much as the arithmetic on the one-row
 # arrays of a decoder step.
@@ -252,8 +247,7 @@ def _logsigmoid(x: np.ndarray, exp_out: np.ndarray | None = None) -> np.ndarray:
 
 def logsigmoid(a):
     av = _value(a)
-    if not np.all(np.isfinite(av)):
-        raise ValueError("logsigmoid requires finite input")
+    av = np.where(np.isfinite(av), av, np.nan)  # nan, and a nan gradient, where not finite
     if not isinstance(a, Tensor):
         return _node(_logsigmoid(av))
     e = np.empty_like(av)
@@ -271,7 +265,9 @@ def logsigmoid(a):
 
 
 def sigmoid(a):
-    s = _sigmoid(_value(a))
+    # exp(-x) overflows to inf for x < -709, and 1 / inf is the right limit, 0.
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-_value(a)))
     return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 

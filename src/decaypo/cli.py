@@ -114,7 +114,7 @@ def _oracle_from(r: dict):
 # ---------------------------------------------------------------------------
 # command runners
 
-def _cmd_train(r: dict) -> int:
+def _cmd_train(r: dict) -> None:
     loss_cfg = _loss_config(r)
     pairs = data.load_pairs(r["pairs"])
     cfg = TrainConfig(loss=loss_cfg, lr_multiplier=r["lr-multiplier"],
@@ -126,16 +126,17 @@ def _cmd_train(r: dict) -> int:
     same = r.get("reference") in (None, "", r.get("init"))
     reference = init if same else load_checkpoint(r["reference"])
     ckpt, metrics = train(cfg, pairs, init, reference)
-    _warn_skipped(sum(m["skipped"] for m in metrics))
+    # the first epoch's steps draw each pair at most once, and every pair
+    # when later epochs run, so they skip each overflowing pair once
+    _warn_skipped(sum(m["skipped"] for m in metrics[:math.ceil(len(pairs) / cfg.batch_size)]))
     lines = [json.dumps({"step": m["step"], "loss": m["loss"], "margin": m["margin"],
                          "grad_norm": m["grad_norm"], "lr": m["lr"]})
              for m in metrics]
     atomic_write(r["metrics"], "".join(line + "\n" for line in lines))
     atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
-    return 0
 
 
-def _cmd_build_pairs(r: dict) -> int:
+def _cmd_build_pairs(r: dict) -> None:
     corpus, oracle = _oracle_from(r)
     ckpt = _model_from(r, "model")
     pairs, skipped = data.build_onpolicy_pairs(
@@ -143,10 +144,9 @@ def _cmd_build_pairs(r: dict) -> int:
         seed=seed_substream(r["seed"], "sampling"), max_len=r["max-len"])
     atomic_write(r["out"], lambda p: data.save_pairs(pairs, p))
     print(json.dumps({"pairs": len(pairs), "skipped": skipped}))
-    return 0
 
 
-def _cmd_sample(r: dict) -> int:
+def _cmd_sample(r: dict) -> None:
     ckpt = load_checkpoint(r["model"])
     prompt = [BOS] + list(r["prompt"].encode("utf-8"))
     seq = sample_tokens(ckpt.model, prompt, r["temperature"], r["max-len"],
@@ -155,10 +155,9 @@ def _cmd_sample(r: dict) -> int:
     if r.get("out"):
         atomic_write(r["out"], text + "\n")
     print(text)
-    return 0
 
 
-def _cmd_eval(r: dict) -> int:
+def _cmd_eval(r: dict) -> None:
     _, oracle = _oracle_from(r)
     candidate = load_checkpoint(r["candidate"])
     baseline = load_checkpoint(r["baseline"])
@@ -171,7 +170,6 @@ def _cmd_eval(r: dict) -> int:
     if r.get("out"):
         atomic_write(r["out"], json.dumps(result) + "\n")
     print(json.dumps(result))
-    return 0
 
 
 def _warn_skipped(skipped: int) -> None:
@@ -196,32 +194,29 @@ def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> 
     return [score for score, _ in scored if score is not None]
 
 
-def _cmd_kl_position(r: dict) -> int:
+def _cmd_kl_position(r: dict) -> None:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
     seqs = _chosen_sequences(data.load_pairs(r["pairs"]), policy.context)
     curve = analysis.kl_per_position(policy, reference, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
-    return 0
 
 
-def _cmd_prob_position(r: dict) -> int:
+def _cmd_prob_position(r: dict) -> None:
     model = load_checkpoint(r["model"]).model
     seqs = _chosen_sequences(data.load_pairs(r["pairs"]), model.context)
     curve = analysis.prob_per_position(model, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
-    return 0
 
 
-def _cmd_ref_margin(r: dict) -> int:
+def _cmd_ref_margin(r: dict) -> None:
     reference = load_checkpoint(r["reference"]).model
     scores = _scored_pairs(reference, None, data.load_pairs(r["pairs"]))
     hist = analysis.ref_margin_density(scores, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
-    return 0
 
 
-def _cmd_length_bias(r: dict) -> int:
+def _cmd_length_bias(r: dict) -> None:
     cfg = _loss_config(r)
     needs_reference = cfg.method not in REFERENCE_FREE
     if needs_reference and not r.get("reference"):
@@ -234,10 +229,9 @@ def _cmd_length_bias(r: dict) -> int:
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),
         [astuple(row) for row in rows]))
-    return 0
 
 
-def _cmd_mdp_verify(r: dict) -> int:
+def _cmd_mdp_verify(r: dict) -> None:
     shape = (r["states"], r["actions"], r["horizon"])
     gammas = r["gammas"]
     # MDP i is drawn from seed i; a stack holds as many as fit the budget
@@ -258,7 +252,6 @@ def _cmd_mdp_verify(r: dict) -> int:
             "bound", "tv", "holds"), rows))
     print(json.dumps({"rows": r["seeds"] * len(gammas),
                       "violations": violations}))
-    return 0
 
 
 COMMANDS = {
@@ -406,10 +399,10 @@ def run_command(argv) -> int:
     options, runner = COMMANDS[command]
     config = flags.pop("config", None)
     resolved = resolve(command, options, flags, config, COMMANDS)
-    code = runner(resolved)
+    runner(resolved)
     if resolved.get("out"):
         write_resolved_snapshot(f"{resolved['out']}.resolved.cfg", command, resolved)
-    return code
+    return 0
 
 
 # glibc's mallopt parameters (malloc.h)

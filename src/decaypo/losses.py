@@ -14,7 +14,7 @@ _sides the two scaled sums; kto puts a sigma link on each side of dpo's.
 Each loss has one definition, written with the autodiff primitives: given
 a PairScore of autodiff tensors it returns a tensor on their tape, and
 given plain arrays it returns a plain value from the same arithmetic
-(batch_loss and pair_loss return it as a float).
+(batch_loss, also named pair_loss, returns it as a float).
 """
 
 from __future__ import annotations
@@ -154,17 +154,6 @@ def _sides(score: PairScore, cfg: LossConfig, method: str):
     return s_w, s_l, offset
 
 
-def _logsigmoid(margin):
-    """log sigma of per-pair margins, nan where a margin is not finite (which
-    logsigmoid refuses), with a nan gradient there and 0 elsewhere."""
-    m = _array(margin)
-    bad = ~np.isfinite(m)
-    if not bad.any():
-        return ad.logsigmoid(margin)
-    return ad.add(ad.mul(margin, np.where(bad, np.nan, 0.0)),
-                  ad.logsigmoid(np.where(bad, 0.0, m)))
-
-
 def _mean(*losses):
     """The mean of the entries of per-pair loss vectors, added in index
     order as a chain of adds would."""
@@ -185,7 +174,7 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
         # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
         lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
         lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
-        penalty = ad.scale(_logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
+        penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
         return ad.add(ad.scale(mean_w, -1.0), penalty)
     s_w, s_l, offset = _sides(score, cfg, "dpo" if cfg.method == "kto" else cfg.method)
     if cfg.method == "kto":  # s_w and s_l are beta * the summed log-ratios
@@ -198,7 +187,7 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
     margin = ad.sub(s_w, s_l)
     if offset:
         margin = ad.sub(margin, np.full(margin.shape, offset))
-    return ad.mul(margin, margin) if cfg.method == "ipo" else -_logsigmoid(margin)
+    return ad.mul(margin, margin) if cfg.method == "ipo" else -ad.logsigmoid(margin)
 
 
 def _mean_loss(score: PairScore, cfg: LossConfig, method: str):
@@ -260,11 +249,6 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
     return idx_w, idx_l
 
 
-def pair_loss(score: PairScore, cfg: LossConfig):
-    """The loss of one pair under cfg.method: batch_loss of a batch of one."""
-    return batch_loss(score, cfg)
-
-
 def batch_loss(score: PairScore, cfg: LossConfig):
     """Mean of the losses of a PairScore's pairs, added in index order; KTO
     anchors every pair at z_ref estimated from the batch."""
@@ -273,3 +257,6 @@ def batch_loss(score: PairScore, cfg: LossConfig):
     z_ref = estimate_z_ref([(score, True)], cfg) if cfg.method == "kto" else None
     loss = _mean(pair_losses(score, cfg, z_ref))
     return loss if isinstance(loss, Tensor) else float(loss)
+
+
+pair_loss = partial(batch_loss)  # one pair's loss; unlike an alias, keeps batch_loss's span name

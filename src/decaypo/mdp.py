@@ -301,22 +301,18 @@ def discount_horizon(gamma: float, H: int) -> float:
     return float((1.0 - gamma ** H) / (1.0 - gamma))
 
 
-def suboptimality_decompose(mdp: MDPStack, pi_star, pi, gamma: float) -> SuboptimalityReport:
-    """Split V_1^{pi*} - V_1^{pi} into the two discount-mismatch terms and
-    the policy-gap term at discount gamma (evaluation discount fixed at 1),
-    with the bound terms and occupancy TV of suboptimality_bound; gamma is
-    not checked, and the bound holds only for gamma in (0, 1]."""
+def suboptimality_bound(mdp: MDPStack, pi_star, pi, gamma: float) -> SuboptimalityReport:
+    """Full report at discount gamma in (0, 1] (evaluation discount fixed at
+    1): V_1^{pi*} - V_1^{pi} split into the two discount-mismatch terms and
+    the policy-gap term, the occupancy TV, and the two bound terms
+    2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
+    _bound_gammas([gamma])
     pis = np.stack([_policy(_one(mdp), pi_star), _policy(mdp, pi)])
     row = _reports(mdp.P, mdp.r, mdp.R, pis[None], [gamma])
     return SuboptimalityReport(gamma, *row[0, 0].tolist())
 
 
-def suboptimality_bound(mdp: MDPStack, pi_star, pi, gamma: float) -> SuboptimalityReport:
-    """Full report: deltas, occupancy TV, and the two bound terms
-    2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma), for gamma
-    in (0, 1]."""
-    _bound_gammas([gamma])
-    return suboptimality_decompose(mdp, pi_star, pi, gamma)
+suboptimality_decompose = suboptimality_bound  # the decomposition is the report's deltas
 
 
 def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:

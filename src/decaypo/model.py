@@ -239,8 +239,8 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
     Temperature 0 is argmax with lowest-id ties; otherwise the call draws
     one block u = rng(seed).random((rows, context - 1)) and row i's t-th
     token is drawn at u[i, t], so a row's tokens depend on the seed, its
-    index and the context only. Rows are grouped by prompt length; each
-    distinct prompt of a group is prefilled once, and one decoder step then
+    index and the context only. Rows are grouped by prompt length; each row
+    of a group is prefilled as a row of its own, and one decoder step then
     advances every live row of the group. A row leaves the batch on the
     step that draws its EOS, or after min(max_len, end - prompt length)
     tokens, where end is the context, or one less with ``eos_room``, which
@@ -265,13 +265,9 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
         u = rng(seed).random((len(prompts), model.context - 1))
     out: list[TokenSequence] = [None] * len(prompts)
     for n, members in groups.items():
-        distinct: dict[tuple, int] = {}
-        which = [distinct.setdefault(tuple(prompts[i]), len(distinct)) for i in members]
-        decoder = _Decoder(model, len(distinct))
-        for column in np.array(list(distinct)).T:
+        decoder = _Decoder(model, len(members))
+        for column in np.array([prompts[i] for i in members]).T:
             logits = decoder.step(column)
-        decoder.take(which)
-        logits = logits[which]
         limit = min(max_len, end - n)
         if temperature > 0.0:
             uniforms = u[members, :limit]

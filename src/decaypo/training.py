@@ -273,7 +273,8 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
 
 def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
                  batch_size: int, seed: int) -> PolicyModel:
-    """Plain NLL training on (prompt -> target) items; builds the SFT init."""
+    """Plain NLL training on (prompt -> target) items; builds the SFT init.
+    A step whose loss is not finite raises ValueError naming the step."""
     model = model.copy()
     opt = AdamW(model.params, model.param_names())
     items = list(corpus.items())
@@ -284,10 +285,13 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
         # the batch mean of each sequence's mean NLL: weight -1/(T*B) per token
         weights = np.concatenate([np.full(seq.response_len, 1.0 / seq.response_len)
                                   for seq in seqs]) * (-1.0 / batch_size)
-        with Tape() as tape:
+        with Tape() as tape, np.errstate(all="ignore"):  # a non-finite step raises below
             leaves = {n: ad.leaf(tape, model.params[n]) for n in model.param_names()}
             logps, _ = packed_logprobs(model, seqs, leaves)
-            grads = _gradients(ad.weighted_sum(logps, weights), leaves)
+            loss = ad.weighted_sum(logps, weights)
+            grads = _gradients(loss, leaves)
+        if not math.isfinite(loss.value):
+            raise ValueError(f"step {step} is not finite: loss {loss.value}")
         opt.step(grads, lr=lr)
     return model
 

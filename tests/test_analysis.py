@@ -216,6 +216,17 @@ class TestRefMarginDensity:
             ref_margin_density(reference_scores(m, self.make_pairs(2)), bins=1)
 
 
+    def test_margin_that_is_not_finite_rejected(self):
+        """A margin that is not finite is named in the analysis' own words,
+        as loss_by_length_gap names a loss, before any histogram is built."""
+        m = small_model(trained=True)
+        m.params["w1_0"][0, 3] = np.inf
+        with np.errstate(all="ignore"):
+            scores = reference_scores(m, self.make_pairs(4))
+        with pytest.raises(ValueError, match=r"^a pair is not finite: margin nan$"):
+            ref_margin_density(scores, bins=4)
+
+
 class TestLossByLengthGap:
     def test_single_bin_equals_batch_loss(self, rng):
         cfg = LossConfig(method="d2po")

@@ -31,10 +31,23 @@ class TestLogsigmoid:
         out = ad.logsigmoid(ad.leaf(t, np.array([-1e4, 1e4])))
         assert np.all(np.isfinite(out.value))
 
-    def test_nonfinite_rejected(self):
+    def test_nonfinite_entries_give_nan_value_and_gradient(self):
+        """+inf, -inf and nan give nan with a nan gradient; the finite entries
+        of the same array keep the kernel's bits and its exact gradient."""
+        x = np.array([0.0, np.inf, -3.5, -np.inf, 1e-300, np.nan, 745.0, -745.0])
+        bad = ~np.isfinite(x)
         t = ad.Tape()
-        with pytest.raises(ValueError):
-            ad.logsigmoid(ad.leaf(t, np.array([0.0, np.inf])))
+        leaf = ad.leaf(t, x)
+        out = ad.logsigmoid(leaf)
+        g = ad.gradients(ad.weighted_sum(out, np.ones_like(x)))[leaf]
+        assert np.isnan(out.value[bad]).all() and np.isnan(g[bad]).all()
+        finite = x[~bad]
+        assert out.value[~bad].tobytes() == ad._logsigmoid(finite).tobytes()
+        assert ad.logsigmoid(x)[~bad].tobytes() == ad._logsigmoid(finite).tobytes()
+        t2 = ad.Tape()
+        alone = ad.leaf(t2, finite)
+        want = ad.gradients(ad.weighted_sum(ad.logsigmoid(alone), np.ones_like(finite)))[alone]
+        assert g[~bad].tobytes() == want.tobytes()
 
     def test_monotone_and_nonpositive(self):
         x = np.linspace(-50, 50, 301)

@@ -684,6 +684,23 @@ class TestTrainCommand:
         assert lines[0].startswith("runtime error: " + error)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epochs, max_steps", [(1, None), (3, None), (0, 7)])
+    def test_each_skipped_pair_counted_once(self, workdir, tmp_path, capsys, epochs,
+                                            max_steps):
+        """Two overflowing pairs are two skipped examples, however many
+        epochs draw them; the metrics still hold one line per step."""
+        pairs = [*load_pairs(workdir / "pairs.jsonl"),
+                 *load_pairs(overflowing_pairs(tmp_path / "long.jsonl", n=2))]
+        data.save_pairs(pairs, tmp_path / "mixed.jsonl")
+        metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
+        limit = [] if max_steps is None else ["--max-steps", str(max_steps)]
+        assert main(["train", "--pairs", str(tmp_path / "mixed.jsonl"),
+                     "--init", str(workdir / "model.ckpt"), "--batch-size", "1",
+                     "--epochs", str(epochs), *limit,
+                     "--metrics", str(metrics), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: skipped 2 context-overflow examples\n"
+        assert len(metrics.read_text().splitlines()) == (max_steps or 3 * epochs)
+
 
 class TestBuildPairsCommand:
     def test_deterministic_output(self, workdir, capsys):
@@ -968,6 +985,40 @@ class TestAnalyzeCommands:
         assert len(err) == 2 and err[0] == "warning: skipped 3 context-overflow examples"
         assert err[1].startswith("runtime error: ") and "requires" in err[1]
         assert not out.exists()
+
+
+class TestNonFiniteWeight:
+    """A checkpoint with one weight that is not finite makes every command
+    that scores pairs with it exit 2 with one line of its own, and write
+    nothing."""
+
+    LINES = {"train": "runtime error: step 0 is not finite: loss nan, gradient norm nan",
+             "kl-position": "runtime error: curve values must be finite",
+             "prob-position": "runtime error: curve values must be finite",
+             "ref-margin": "runtime error: a pair is not finite: margin nan",
+             "length-bias": "runtime error: a pair is not finite: loss nan"}
+
+    @pytest.mark.parametrize("weight, value", [("w1_0", np.inf), ("w3_1", -np.inf),
+                                               ("w_out", np.nan)])
+    @pytest.mark.parametrize("command", sorted(LINES))
+    def test_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, command, weight,
+                                      value):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        ckpt.model.params[weight][0, 3] = value
+        bad, model = str(tmp_path / "bad.ckpt"), str(workdir / "model.ckpt")
+        save_checkpoint(ckpt, bad)
+        out = tmp_path / "out" / "o"
+        out.parent.mkdir()
+        models = {"train": ["--init", bad, "--metrics", str(out.parent / "m.jsonl")],
+                  "kl-position": ["--policy", bad, "--reference", model],
+                  "prob-position": ["--model", bad], "ref-margin": ["--reference", bad],
+                  "length-bias": ["--policy", bad, "--reference", model]}[command]
+        argv = ["train"] if command == "train" else ["analyze", command]
+        assert main([*argv, *models, "--pairs", str(workdir / "pairs.jsonl"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.LINES[command] + "\n")
+        assert list(out.parent.iterdir()) == []
 
 
 class TestMdpVerify:

@@ -502,8 +502,11 @@ class TestValidatedBeforeSolving:
 
     def test_suboptimality_bound_gamma(self):
         m = random_mdp(2, 2, 3, 1.0, seed=0)
-        with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\]$"):
-            suboptimality_bound(m, uniform_policy(m), uniform_policy(m), 0.0)
+        rows = [(suboptimality_bound, 0.0)] + [
+            (suboptimality_decompose, gamma) for gamma in (0.0, 1.5, float("nan"))]
+        for report, gamma in rows:
+            with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\]$"):
+                report(m, uniform_policy(m), uniform_policy(m), gamma)
 
     @pytest.mark.parametrize("trajectory,message", [
         ([], "trajectory length must be in"), ([(0, 0)] * 4, "trajectory length must be in"),

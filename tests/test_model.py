@@ -397,7 +397,73 @@ class TestSampling:
         assert seq.response_len > 5
 
 
+def distinct_prefill_sample_many(model, prompts, temperature, max_len, seed, eos_room=False):
+    """sample_many as it was when each distinct prompt of a prompt-length
+    group was prefilled once and its decoder row then copied to every row
+    that repeats it; valid prompts only."""
+    end = model.context - eos_room
+    groups = {}
+    for i, prompt in enumerate(prompts):
+        groups.setdefault(len(prompt), []).append(i)
+    u = rng(seed).random((len(prompts), model.context - 1))
+    out = [None] * len(prompts)
+    for n, members in groups.items():
+        distinct = {}
+        which = [distinct.setdefault(tuple(prompts[i]), len(distinct)) for i in members]
+        decoder = _Decoder(model, len(distinct))
+        for column in np.array(list(distinct)).T:
+            logits = decoder.step(column)
+        decoder.take(which)
+        logits = logits[which]
+        limit = min(max_len, end - n)
+        responses = [[] for _ in members]
+        live = list(range(len(members)))
+        drawn = []
+        for t in range(limit):
+            if t:
+                logits = decoder.step(tok)
+            if temperature == 0.0:
+                tok = logits.argmax(axis=-1)
+            else:
+                tok = sample_token_id(_softmax(logits / temperature), u[members][live, t])
+            drawn.append(tok.tolist())
+            if EOS in drawn[-1] or t == limit - 1:
+                for j, column in zip(live, zip(*drawn)):
+                    responses[j] += column
+                kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
+                drawn.clear()
+                live = [live[k] for k in kept]
+                if not live:
+                    break
+                tok = tok[kept]
+                decoder.take(kept)
+        for i, response in zip(members, responses):
+            out[i] = response
+    return out
+
+
 class TestLockstepSampling:
+    @pytest.mark.parametrize("temperature", [0.0, 0.8, 1.5])
+    @pytest.mark.parametrize("eos_room", [False, True])
+    def test_per_row_prefill_matches_distinct_prompt_prefill(self, temperature, eos_room):
+        """Prefilling every row on its own draws the tokens that prefilling
+        each distinct prompt once and copying its row drew, over prompts of
+        mixed lengths, each repeated up to four times."""
+        m = eos_prone_model()
+        r = np.random.default_rng(int(10 * temperature) + eos_room)
+        distinct = [[BOS] + r.integers(97, 123, size=r.integers(0, 6)).tolist()
+                    for _ in range(12)] + [[BOS] * 44]
+        prompts = [p for p in distinct for _ in range(r.integers(1, 5))]
+        prompts = [prompts[i] for i in r.permutation(len(prompts))]
+        got = sample_many(m, prompts, temperature, 20, 9, eos_room)
+        want = distinct_prefill_sample_many(m, prompts, temperature, 20, 9, eos_room)
+        assert [seq.response_tokens for seq in got] == want
+        assert len(prompts) > len(distinct)
+        assert any(w[-1] == EOS for w in want), "some row ends at EOS"
+        caps = [min(20, m.context - len(p) - eos_room) for p in prompts]
+        assert any(len(w) == cap and w[-1] != EOS for w, cap in zip(want, caps)), \
+            "some row ends at its cap"
+
     def test_draw_is_searchsorted_right(self):
         r = np.random.default_rng(8)
         probs = r.dirichlet(np.full(VOCAB_SIZE, 0.3), size=64)

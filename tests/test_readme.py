@@ -1,4 +1,5 @@
-"""Every name of the package that README.md quotes still exists.
+"""Every name of the package that README.md quotes still exists, and
+every command line of its CLI block still reads.
 
 A backticked span that starts with a module of decaypo and an attribute,
 such as `losses.PairScore` or `training.score_pairs(policy, ...)`, or with
@@ -10,8 +11,10 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
 
 import decaypo
+from decaypo import cli, config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 MODULES = {m.name for m in pkgutil.iter_modules(decaypo.__path__)}
@@ -54,3 +57,23 @@ def test_readme_names_resolve():
 def test_stale_names_are_caught():
     assert not resolves("losses.margin_loss") and not resolves("mdp.validate_policy")
     assert not resolves("nomodule.x") and resolves("losses.PairScore.__post_init__")
+
+
+def cli_block_lines() -> list[str]:
+    """The ``decaypo ...`` lines of the fenced block under README's "## CLI"."""
+    with open(README, encoding="utf-8") as f:
+        section = f.read().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.S)[1]
+    return [line for line in block.splitlines() if line.startswith("decaypo ")]
+
+
+def test_cli_block_lines_read_and_resolve():
+    """Each example reads as argv and resolves against its command's options
+    (no file is opened: resolving checks names and values only)."""
+    lines = cli_block_lines()
+    assert len(lines) == len(cli.COMMANDS)
+    for line in lines:
+        command, flags = cli.read_argv(shlex.split(line)[1:])
+        assert flags is not None, line
+        options, _ = cli.COMMANDS[command]
+        config.resolve(command, options, flags, None, cli.COMMANDS)

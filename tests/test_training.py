@@ -545,6 +545,16 @@ class TestPretrainNLL:
         # the input model is untouched
         assert mean_nll(m) == before
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_step_that_is_not_finite_raises_naming_it(self, value):
+        """A weight that is not finite makes the first step's loss nan, and
+        the step is named instead of training on to nan parameters."""
+        m = small_model()
+        m.params["w1_0"][0, 3] = value
+        corpus = synthetic_corpus(4, seed=2, min_target_len=3, max_target_len=5)
+        with pytest.raises(ValueError, match=r"^step 0 is not finite: loss nan$"):
+            pretrain_nll(m, corpus, steps=3, lr=5e-3, batch_size=4, seed=0)
+
 
 class TestWinrate:
     def test_identical_models_all_tie(self):
