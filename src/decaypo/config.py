@@ -56,8 +56,8 @@ def above(n) -> tuple:
     return (lambda v: v > n, f"must be > {n}")
 
 
-def one_of(names) -> tuple:
-    return (lambda v: v in names, f"must be one of {', '.join(names)}")
+def one_of(choices) -> tuple:
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
 
 
 def parse_value(opt: Option, text: str):

@@ -8,12 +8,12 @@ The forward pass is built from the autodiff primitive set and costs
 O(n*d^2) for n tokens at width d. One forward definition scores any number
 of sequences packed end to end (positions and running means restart at each
 one, and only the rows that predict a response token reach the output
-projection): with parameter tensors it records a tape for training, and
-with the plain parameter arrays it records nothing, for the reference model
-and the analyses. Because the running mean is a recurrence, sampling is
-recurrent too: it carries one running sum per block and spends
-O(blocks*d^2 + d*V) per token instead of rerunning the prefix. It runs in
-lockstep: one decoder step advances a stack of rows at one position.
+projection). On the model that ``taped(tape)`` returns it records the tape,
+and on plain arrays nothing, for the reference and the analyses. Because the
+running mean is a recurrence, sampling is recurrent too: it carries one
+running sum per block and spends O(blocks*d^2 + d*V) per token instead of
+rerunning the prefix. It runs in lockstep: one decoder step advances a stack
+of rows at one position.
 """
 
 from __future__ import annotations
@@ -74,8 +74,12 @@ class PolicyModel:
         if self.params is None:
             self.params = init_params(self.dim, self.context, self.blocks, self.seed)
 
-    def param_names(self):
-        return list(param_shapes(self.dim, self.context, self.blocks))
+    def taped(self, tape) -> "PolicyModel":
+        """This model with each parameter a leaf of ``tape``, in param_shapes
+        order, sharing its arrays: a pass through it records on the tape."""
+        return PolicyModel(self.dim, self.context, self.blocks, self.seed,
+                           {n: ad.leaf(tape, self.params[n])
+                            for n in param_shapes(self.dim, self.context, self.blocks)})
 
     def copy(self) -> "PolicyModel":
         return PolicyModel(self.dim, self.context, self.blocks, self.seed,
@@ -122,12 +126,12 @@ def _block(x, m, w1, w2, w3, logsigmoid):
     return x + (u @ w2 + (x * m) @ w3)
 
 
-def _forward(model: PolicyModel, p: dict, tokens, positions, bounds, rows=None):
+def _forward(model: PolicyModel, tokens, positions, bounds, rows=None):
     """Logits at ``rows`` (every row when None) of ``tokens``: sequences
     packed end to end, the segment ``bounds`` (0, n_1, n_1 + n_2, ...) and
-    ``positions`` restarting at each. ``p`` maps each parameter name to a
-    tensor, for a taped pass, or to its array, for a plain one; both run the
-    same arithmetic."""
+    ``positions`` restarting at each. A taped model's pass gives a tensor,
+    a plain one's an array, from the same arithmetic."""
+    p = model.params
     x = ad.gather_rows(p["embed"], tokens) + ad.gather_rows(p["pos"], positions)
     for b in range(model.blocks):
         x = _block(x, ad.causal_mean(x, bounds), p[f"w1_{b}"], p[f"w2_{b}"], p[f"w3_{b}"],
@@ -137,15 +141,12 @@ def _forward(model: PolicyModel, p: dict, tokens, positions, bounds, rows=None):
     return x @ p["w_out"]
 
 
-def response_logits(model: PolicyModel, seqs: list[TokenSequence],
-                    param_tensors: dict | None = None):
+def response_logits(model: PolicyModel, seqs: list[TokenSequence]):
     """Logits of the rows that predict the response tokens of ``seqs`` (R x V,
     R their total response length), from one forward pass over the sequences
     packed end to end, and the offsets that cut them per sequence: sequence i
-    owns rows offsets[i]:offsets[i + 1].
-
-    The logits are a tensor when ``param_tensors`` is given, else an array,
-    and then nothing is recorded on any tape.
+    owns rows offsets[i]:offsets[i + 1]. The logits are a tensor when the
+    model is taped, else an array recorded on no tape.
     """
     if not seqs:
         raise ValueError("no sequences to score")
@@ -161,20 +162,15 @@ def response_logits(model: PolicyModel, seqs: list[TokenSequence],
         rows += range(start + seq.prompt_len - 1, start + len(ids) - 1)
         bounds.append(len(tokens))
     tokens = _check_context(model, tokens, np.diff(bounds).tolist())
-    p = model.params if param_tensors is None else param_tensors
     offsets = np.cumsum([0] + [seq.response_len for seq in seqs])
-    return _forward(model, p, tokens, positions, bounds, rows), offsets
+    return _forward(model, tokens, positions, bounds, rows), offsets
 
 
-def packed_logprobs(model: PolicyModel, seqs: list[TokenSequence],
-                    param_tensors: dict | None = None):
+def packed_logprobs(model: PolicyModel, seqs: list[TokenSequence]):
     """Per-token conditional log-probabilities of the responses of ``seqs``,
-    flat, from one packed forward pass, and the offsets of response_logits.
-
-    The log-probs are a differentiable tensor when ``param_tensors`` is
-    given, else an array recorded on no tape.
-    """
-    logits, offsets = response_logits(model, seqs, param_tensors)
+    flat, from one packed forward pass, and the offsets of response_logits:
+    a tensor when the model is taped, else an array."""
+    logits, offsets = response_logits(model, seqs)
     targets = [t for seq in seqs for t in seq.response_tokens]
     return ad.log_softmax_gather(logits, targets), offsets
 
@@ -206,21 +202,18 @@ class _Decoder:
         self.sums = [s[rows] for s in self.sums]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each row (of a vector, or of each row of a matrix)."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Softmax of each row of logits / temperature. The row maximum comes out
+    before the division, so a tiny temperature sends the other logits to
+    -inf (an overflow for the caller to silence), never the maximum."""
+    e = np.exp((logits - logits.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def token_logprobs(model: PolicyModel, seq: TokenSequence,
-                   param_tensors: dict | None = None):
+def token_logprobs(model: PolicyModel, seq: TokenSequence):
     """Per-token conditional log-probabilities of the response: packed_logprobs
-    of the one sequence.
-
-    Returns a numpy array, or a differentiable tensor on the leaves' tape
-    when ``param_tensors`` is supplied.
-    """
-    return packed_logprobs(model, [seq], param_tensors)[0]
+    of the one sequence."""
+    return packed_logprobs(model, [seq])[0]
 
 
 def sample_token_id(probs: np.ndarray, u):
@@ -264,36 +257,37 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
     if temperature > 0.0:
         u = rng(seed).random((len(prompts), model.context - 1))
     out: list[TokenSequence] = [None] * len(prompts)
-    for n, members in groups.items():
-        decoder = _Decoder(model, len(members))
-        for column in np.array([prompts[i] for i in members]).T:
-            logits = decoder.step(column)
-        limit = min(max_len, end - n)
-        if temperature > 0.0:
-            uniforms = u[members, :limit]
-        responses: list[list[int]] = [[] for _ in members]
-        live = list(range(len(members)))
-        drawn: list[list[int]] = []   # live rows' tokens since a row left: one append a step
-        for t in range(limit):
-            if t:
-                logits = decoder.step(tok)
-            if temperature == 0.0:
-                tok = logits.argmax(axis=-1)
-            else:
-                tok = sample_token_id(_softmax(logits / temperature), uniforms[live, t])
-            drawn.append(tok.tolist())
-            if EOS in drawn[-1] or t == limit - 1:
-                for j, column in zip(live, zip(*drawn)):
-                    responses[j] += column
-                kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
-                drawn.clear()
-                live = [live[k] for k in kept]
-                if not live:
-                    break
-                tok = tok[kept]
-                decoder.take(kept)
-        for i, response in zip(members, responses):
-            out[i] = TokenSequence(prompts[i], response)
+    with np.errstate(over="ignore"):  # see _softmax; entered once, not per token
+        for n, members in groups.items():
+            decoder = _Decoder(model, len(members))
+            for column in np.array([prompts[i] for i in members]).T:
+                logits = decoder.step(column)
+            limit = min(max_len, end - n)
+            if temperature > 0.0:
+                uniforms = u[members, :limit]
+            responses: list[list[int]] = [[] for _ in members]
+            live = list(range(len(members)))
+            drawn: list[list[int]] = []   # live rows' tokens since a row left: one append a step
+            for t in range(limit):
+                if t:
+                    logits = decoder.step(tok)
+                if temperature == 0.0:
+                    tok = logits.argmax(axis=-1)
+                else:
+                    tok = sample_token_id(_softmax(logits, temperature), uniforms[live, t])
+                drawn.append(tok.tolist())
+                if EOS in drawn[-1] or t == limit - 1:
+                    for j, column in zip(live, zip(*drawn)):
+                        responses[j] += column
+                    kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
+                    drawn.clear()
+                    live = [live[k] for k in kept]
+                    if not live:
+                        break
+                    tok = tok[kept]
+                    decoder.take(kept)
+            for i, response in zip(members, responses):
+                out[i] = TokenSequence(prompts[i], response)
     return out
 
 

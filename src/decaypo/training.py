@@ -67,7 +67,7 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     model = ckpt.model
-    names = model.param_names()
+    names = param_shapes(model.dim, model.context, model.blocks)
     manifest = {
         "format": "decaypo-checkpoint-v1",
         "architecture": {"kind": model.architecture, "dim": model.dim,
@@ -127,6 +127,9 @@ def load_checkpoint(path) -> Checkpoint:
         offsets = end + 4 * np.cumsum([0, *sizes])
         params = {name: np.frombuffer(blob, "<f4", size, offset).astype(np.float64).reshape(shape)
                   for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"parameter {name} is not finite")
         model = PolicyModel(dim=arch["dim"], context=arch["context"],
                             blocks=arch["blocks"], seed=manifest["seed"], params=params)
         return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"])
@@ -141,14 +144,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # AdamW's moment decays and denominator f
 
 class AdamW:
     """AdamW with its weight decay fixed at 0, so Adam; update order is the
-    fixed parameter-name order, so runs are bit-reproducible."""
+    order of the ``params`` dict, so runs are bit-reproducible."""
 
-    def __init__(self, params: dict, names):
+    def __init__(self, params: dict):
         self.params = params
-        self.names = list(names)
         self.t = 0
-        self.m = {n: np.zeros_like(params[n]) for n in self.names}
-        self.v = {n: np.zeros_like(params[n]) for n in self.names}
+        self.m = {n: np.zeros_like(p) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in params.items()}
 
     def step(self, grads: dict, lr: float):
         self.t += 1
@@ -158,7 +160,7 @@ class AdamW:
         # update = (m/c1) / (sqrt(v/c2) + eps), in place: the same
         # operations in the same order, so the same bits, with two fresh
         # arrays per parameter instead of one per operation
-        for n in self.names:
+        for n, p in self.params.items():
             g, m, v = grads[n], self.m[n], self.v[n]
             m *= BETA1
             scratch = (1.0 - BETA1) * g
@@ -173,16 +175,15 @@ class AdamW:
             update = m / c1
             update /= scratch
             update *= lr
-            self.params[n] -= update
+            p -= update
 
 
-def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
-                param_tensors: dict | None = None):
+def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch):
     """(PairScore, skipped count) of the (pair, example_id) items of ``batch``:
     one PairScore of the pairs that fit the context, in order (None if no
     pair does), from one packed pass per model. The policy log-probs are
-    tensors when ``param_tensors`` is given, else arrays; the reference ones
-    (None without ``reference``) are arrays from the same arithmetic."""
+    tensors when the policy is taped, else arrays; the reference ones (None
+    without ``reference``) are arrays from the same arithmetic."""
     kept = [([make_sequence(pair.prompt, response) for response in (pair.chosen, pair.rejected)],
              example_id)
             for pair, example_id in batch]
@@ -190,7 +191,7 @@ def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
     if not kept:
         return None, len(batch)
     seqs = [seq for pair_seqs, _ in kept for seq in pair_seqs]
-    logps, offsets = packed_logprobs(policy, seqs, param_tensors)
+    logps, offsets = packed_logprobs(policy, seqs)
     ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
     lens = np.diff(offsets)
     chosen = np.repeat(np.arange(len(seqs)) % 2 == 0, lens)  # the chosen responses' rows
@@ -203,26 +204,26 @@ def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch,
                      chosen_lens=lens[0::2], rejected_lens=lens[1::2]), len(batch) - len(kept)
 
 
-def _gradients(loss, leaves: dict) -> dict:
-    grads = ad.gradients(loss, list(leaves.values()))
-    return {n: grads[leaf] for n, leaf in leaves.items()}
+def _gradients(loss, taped: PolicyModel) -> dict:
+    grads = ad.gradients(loss, list(taped.params.values()))
+    return {n: grads[leaf] for n, leaf in taped.params.items()}
 
 
 def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
     """One forward/backward over a batch: ((loss, margin, grads), skipped),
     or (None, skipped) when every example overflowed the context."""
     with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
-        leaves = {n: ad.leaf(tape, policy.params[n]) for n in policy.param_names()}
-        score, skipped = score_pairs(policy, reference, batch, leaves)
+        taped = policy.taped(tape)
+        score, skipped = score_pairs(taped, reference, batch)
         if score is None:
             return None, skipped
         loss = batch_loss(score, cfg.loss)
         margin = float(np.mean(sequence_margins(score)))
-        return (float(loss.value), margin, _gradients(loss, leaves)), skipped
+        return (float(loss.value), margin, _gradients(loss, taped)), skipped
 
 
-def grad_norm(grads: dict, names) -> float:
-    return float(math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names)))
+def grad_norm(grads: dict) -> float:
+    return float(math.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())))
 
 
 def train(cfg: TrainConfig, pairs, init: Checkpoint,
@@ -240,8 +241,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         raise ValueError(f"method {cfg.loss.method} requires a reference checkpoint")
     ref_model = reference.model if needs_reference else None
     policy = init.model.copy()
-    names = policy.param_names()
-    opt = AdamW(policy.params, names)
+    opt = AdamW(policy.params)
     n_batches = max(1, math.ceil(len(pairs) / cfg.batch_size))
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
@@ -256,7 +256,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         batch = [(pairs[i], int(i)) for i in idx]
         with np.errstate(all="ignore"):  # a non-finite step raises below
             result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
-            gn = 0.0 if result is None else grad_norm(result[2], names)
+            gn = 0.0 if result is None else grad_norm(result[2])
         lr = cosine_lr(step, total_steps, cfg.lr)
         loss = margin = None
         if result is not None:  # else every example overflowed the context
@@ -276,7 +276,7 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
     """Plain NLL training on (prompt -> target) items; builds the SFT init.
     A step whose loss is not finite raises ValueError naming the step."""
     model = model.copy()
-    opt = AdamW(model.params, model.param_names())
+    opt = AdamW(model.params)
     items = list(corpus.items())
     draw = rng(seed, 1)
     for step in range(steps):
@@ -286,10 +286,10 @@ def pretrain_nll(model: PolicyModel, corpus: dict, steps: int, lr: float,
         weights = np.concatenate([np.full(seq.response_len, 1.0 / seq.response_len)
                                   for seq in seqs]) * (-1.0 / batch_size)
         with Tape() as tape, np.errstate(all="ignore"):  # a non-finite step raises below
-            leaves = {n: ad.leaf(tape, model.params[n]) for n in model.param_names()}
-            logps, _ = packed_logprobs(model, seqs, leaves)
+            taped = model.taped(tape)
+            logps, _ = packed_logprobs(taped, seqs)
             loss = ad.weighted_sum(logps, weights)
-            grads = _gradients(loss, leaves)
+            grads = _gradients(loss, taped)
         if not math.isfinite(loss.value):
             raise ValueError(f"step {step} is not finite: loss {loss.value}")
         opt.step(grads, lr=lr)

@@ -68,14 +68,12 @@ def central_difference(f, x, eps=1e-5):
     return g
 
 
-def forward_logits(model, tokens, params=None):
+def forward_logits(model, tokens):
     """Logits for every position of one sequence ``tokens`` (n x V) from
-    model._forward: a tensor when ``params`` maps each name to a leaf
-    tensor, else an array."""
+    model._forward: a tensor when the model is taped, else an array."""
     tokens = _check_context(model, list(tokens))
     n = len(tokens)
-    return _forward(model, model.params if params is None else params,
-                    tokens, np.arange(n), (0, n))
+    return _forward(model, tokens, np.arange(n), (0, n))
 
 
 @pytest.fixture

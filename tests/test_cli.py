@@ -988,9 +988,11 @@ class TestAnalyzeCommands:
 
 
 class TestNonFiniteWeight:
-    """A checkpoint with one weight that is not finite makes every command
-    that scores pairs with it exit 2 with one line of its own, and write
-    nothing."""
+    """A checkpoint with a weight that is not finite does not load: every
+    command that reads it exits 2 with one line naming the file and the
+    weight, and writes nothing. Finite weights that overflow once the model
+    runs reach the commands that score pairs, and each of those exits 2 with
+    one line of its own and writes nothing."""
 
     LINES = {"train": "runtime error: step 0 is not finite: loss nan, gradient norm nan",
              "kl-position": "runtime error: curve values must be finite",
@@ -998,27 +1000,45 @@ class TestNonFiniteWeight:
              "ref-margin": "runtime error: a pair is not finite: margin nan",
              "length-bias": "runtime error: a pair is not finite: loss nan"}
 
-    @pytest.mark.parametrize("weight, value", [("w1_0", np.inf), ("w3_1", -np.inf),
-                                               ("w_out", np.nan)])
-    @pytest.mark.parametrize("command", sorted(LINES))
-    def test_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, command, weight,
-                                      value):
-        ckpt = load_checkpoint(workdir / "model.ckpt")
-        ckpt.model.params[weight][0, 3] = value
+    @staticmethod
+    def run(workdir, tmp_path, command, ckpt, capsys):
+        """(exit code, stdout, stderr, files written) of ``command`` with the
+        checkpoint ``ckpt`` in the model's place."""
         bad, model = str(tmp_path / "bad.ckpt"), str(workdir / "model.ckpt")
         save_checkpoint(ckpt, bad)
         out = tmp_path / "out" / "o"
         out.parent.mkdir()
-        models = {"train": ["--init", bad, "--metrics", str(out.parent / "m.jsonl")],
-                  "kl-position": ["--policy", bad, "--reference", model],
-                  "prob-position": ["--model", bad], "ref-margin": ["--reference", bad],
-                  "length-bias": ["--policy", bad, "--reference", model]}[command]
-        argv = ["train"] if command == "train" else ["analyze", command]
-        assert main([*argv, *models, "--pairs", str(workdir / "pairs.jsonl"),
-                     "--out", str(out)]) == 2
+        pairs = ["--pairs", str(workdir / "pairs.jsonl")]
+        models = {"train": ["--init", bad, "--metrics", str(out.parent / "m.jsonl"), *pairs],
+                  "kl-position": ["--policy", bad, "--reference", model, *pairs],
+                  "prob-position": ["--model", bad, *pairs],
+                  "ref-margin": ["--reference", bad, *pairs],
+                  "length-bias": ["--policy", bad, "--reference", model, *pairs],
+                  "sample": ["--model", bad, "--prompt", "ab", "--max-len", "8"],
+                  "eval": ["--candidate", bad, "--baseline", model, *SMALL_CORPUS]}[command]
+        argv = [command] if command in ("train", "sample", "eval") else ["analyze", command]
+        rc = main([*argv, *models, "--out", str(out)])
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", self.LINES[command] + "\n")
-        assert list(out.parent.iterdir()) == []
+        return rc, captured.out, captured.err, list(out.parent.iterdir())
+
+    @pytest.mark.parametrize("weight, value", [("w1_0", np.inf), ("w3_1", -np.inf),
+                                               ("w_out", np.nan)])
+    @pytest.mark.parametrize("command", sorted(LINES) + ["eval", "sample"])
+    def test_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, command, weight,
+                                      value):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        ckpt.model.params[weight][0, 3] = value
+        line = f"runtime error: {tmp_path / 'bad.ckpt'}: parameter {weight} is not finite\n"
+        assert self.run(workdir, tmp_path, command, ckpt, capsys) == (2, "", line, [])
+
+    @pytest.mark.parametrize("command", sorted(LINES))
+    def test_finite_weights_that_overflow_exit_2_one_line_no_files(self, workdir, tmp_path,
+                                                                    capsys, command):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        for name in ("embed", "w3_0", "w3_1", "w_out"):  # each weight at 3e38, its sign kept
+            ckpt.model.params[name][:] = 3e38 * np.sign(ckpt.model.params[name])
+        line = self.LINES[command] + "\n"
+        assert self.run(workdir, tmp_path, command, ckpt, capsys) == (2, "", line, [])
 
 
 class TestMdpVerify:

@@ -3,13 +3,13 @@ import pytest
 
 from decaypo import autodiff as ad
 from decaypo.config import rng
-from decaypo.data import (RewardOracle, build_onpolicy_pairs, oracle_score, response_bytes,
-                          synthetic_corpus)
+from decaypo.data import (PreferencePair, RewardOracle, build_onpolicy_pairs, oracle_score,
+                          response_bytes, synthetic_corpus)
 from decaypo.model import (BOS, EOS, VOCAB_SIZE, PolicyModel, TokenSequence,
                            _Decoder, _softmax,
-                           make_sequence, packed_logprobs, response_logits, sample,
-                           sample_many, sample_token_id, token_logprobs)
-from decaypo.training import Checkpoint, evaluate_winrate
+                           make_sequence, packed_logprobs, param_shapes, response_logits,
+                           sample, sample_many, sample_token_id, token_logprobs)
+from decaypo.training import Checkpoint, evaluate_winrate, score_pairs
 from conftest import central_difference, forward_logits
 
 
@@ -214,10 +214,9 @@ class TestTokenLogprobs:
     def test_parameter_gradients_match_finite_differences(self):
         m = small_model(trained=True)
         seq = make_sequence(b"ab", b"cd")
-        t = ad.Tape()
-        leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
-        loss = ad.weighted_sum(token_logprobs(m, seq, leaves), np.full(3, -1.0))
-        grads = ad.gradients(loss, list(leaves.values()))
+        taped = m.taped(ad.Tape())
+        loss = ad.weighted_sum(token_logprobs(taped, seq), np.full(3, -1.0))
+        grads = ad.gradients(loss, list(taped.params.values()))
         for name in ("embed", "pos", "w1_0", "w2_0", "w3_1", "w_out"):
             sub = np.s_[:3, :3]
             orig = m.params[name].copy()
@@ -229,7 +228,7 @@ class TestTokenLogprobs:
                 return out
 
             fd = central_difference(f, orig[sub])
-            assert np.allclose(grads[leaves[name]][sub], fd, rtol=1e-4, atol=1e-8), name
+            assert np.allclose(grads[taped.params[name]][sub], fd, rtol=1e-4, atol=1e-8), name
 
 
 def length_mix(n=16, seed=3, lo=8, hi=200):
@@ -267,17 +266,35 @@ class TestPackedScoring:
         assert worst <= self.MAX_DEVIATION
 
     def test_taped_and_plain_passes_agree_bit_for_bit(self):
+        """Each entry point gives a taped model a tensor with the bits of the
+        array it gives the plain model."""
         m = full_model()
         seqs = length_mix(6)
-        t = ad.Tape()
-        leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
-        taped, offsets = packed_logprobs(m, seqs, leaves)
-        plain, plain_offsets = packed_logprobs(m, seqs)
-        assert np.array_equal(taped.value, plain) and np.array_equal(offsets, plain_offsets)
-        logits, _ = response_logits(m, seqs)
+        taped = m.taped(ad.Tape())
+        batch = [(PreferencePair(id="0", prompt=b"ab?", chosen=b"cd", rejected=b"efg"), 0)]
+        for score in (lambda model: packed_logprobs(model, seqs)[0],
+                      lambda model: response_logits(model, seqs)[0],
+                      lambda model: token_logprobs(model, seqs[0]),
+                      lambda model: score_pairs(model, m, batch)[0].chosen_logps,
+                      lambda model: score_pairs(model, m, batch)[0].rejected_logps,
+                      lambda model: forward_logits(model, seqs[0].prompt_tokens)):
+            tensor, array = score(taped), score(m)
+            assert isinstance(tensor, ad.Tensor) and type(array) is np.ndarray
+            assert np.array_equal(tensor.value, array)
+        assert np.array_equal(packed_logprobs(taped, seqs)[1], packed_logprobs(m, seqs)[1])
+        logits, offsets = response_logits(m, seqs)
         assert logits.shape == (offsets[-1], VOCAB_SIZE)
-        assert np.array_equal(forward_logits(m, seqs[0].prompt_tokens, leaves).value,
-                              forward_logits(m, seqs[0].prompt_tokens))
+
+    def test_taped_leaves_share_the_arrays_in_param_shapes_order(self):
+        m = full_model()
+        before = dict(m.params)
+        tape = ad.Tape()
+        taped = m.taped(tape)
+        assert list(taped.params) == list(param_shapes(m.dim, m.context, m.blocks))
+        assert tape.nodes == list(taped.params.values())
+        assert all(leaf.is_leaf and leaf.value is m.params[n] for n, leaf in taped.params.items())
+        assert m.params == before and all(type(a) is np.ndarray for a in m.params.values())
+        assert (taped.dim, taped.context, taped.blocks, taped.seed) == (64, 256, 2, 11)
 
     def test_inference_records_no_tape(self):
         m = small_model(trained=True)
@@ -291,9 +308,8 @@ class TestPackedScoring:
         m = small_model(trained=True)
         seqs = [make_sequence(b"ab", b"c"), make_sequence(b"", b"de"), make_sequence(b"f", b"g")]
         w = np.random.default_rng(8).normal(0, 1, size=sum(s.response_len for s in seqs))
-        t = ad.Tape()
-        leaves = {k: ad.leaf(t, v) for k, v in m.params.items()}
-        grads = ad.gradients(ad.weighted_sum(packed_logprobs(m, seqs, leaves)[0], w))
+        taped = m.taped(ad.Tape())
+        grads = ad.gradients(ad.weighted_sum(packed_logprobs(taped, seqs)[0], w))
         for name in ("embed", "pos", "w1_0", "w3_1", "w_out"):
             sub = np.s_[:3, :3]
             orig = m.params[name].copy()
@@ -305,7 +321,7 @@ class TestPackedScoring:
                 return out
 
             fd = central_difference(f, orig[sub])
-            assert np.allclose(grads[leaves[name]][sub], fd, rtol=1e-4, atol=1e-8), name
+            assert np.allclose(grads[taped.params[name]][sub], fd, rtol=1e-4, atol=1e-8), name
 
     def test_rejects_no_sequences_and_overflow(self):
         m = small_model()
@@ -330,6 +346,16 @@ class TestSampling:
         m = small_model()  # exactly uniform: every id ties, 0 must win
         seq = sample(m, [BOS], 0.0, 3, seed=9)
         assert seq.response_tokens == [0, 0, 0]
+
+    @pytest.mark.parametrize("temperature", [1e-200, 1e-310, 1e-320])
+    def test_tiny_temperature_samples_the_greedy_tokens(self, temperature):
+        """(logits - max) / T keeps the maximum at 0, so a temperature so small
+        that logits / T overflows still draws the argmax, with no warning."""
+        m = small_model(trained=True)  # a random head: no tied maxima
+        prompt = [BOS] + list(b"abcd?")
+        greedy = sample(m, prompt, 0.0, 12, seed=1).response_tokens
+        assert sample(m, prompt, temperature, 12, seed=1).response_tokens == greedy
+        assert len(set(greedy)) > 1
 
     def test_same_seed_identical(self):
         m = small_model(trained=True)

@@ -4,10 +4,13 @@ every command line of its CLI block still reads.
 A backticked span that starts with a module of decaypo and an attribute,
 such as `losses.PairScore` or `training.score_pairs(policy, ...)`, or with
 `decaypo.`, must resolve by import and getattr; a file name such as
-`mdp.py` is not a name. Fenced code blocks hold commands, not names.
+`mdp.py` is not a name. A quoted call written out in full, such as
+`losses.segment_sums(x, lens, w=None)`, must bind the signature of what it
+calls. Fenced code blocks hold commands, not names.
 """
 
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -21,12 +24,17 @@ MODULES = {m.name for m in pkgutil.iter_modules(decaypo.__path__)}
 FILE_NAME = re.compile(r"[\w.-]+\.(py|md|toml|ckpt|jsonl|json|csv|cfg)")
 
 
-def readme_names() -> list[str]:
-    """The dotted names of the package quoted in README, without decaypo."""
+def readme_spans() -> list[str]:
+    """The backticked spans of README outside its fenced code blocks."""
     with open(README, encoding="utf-8") as f:
         text = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def readme_names() -> list[str]:
+    """The dotted names of the package quoted in README, without decaypo."""
     names = []
-    for span in re.findall(r"`([^`]+)`", text):
+    for span in readme_spans():
         m = re.match(r"(decaypo\.)?(\w+(?:\.\w+)*)", span)
         if not m or FILE_NAME.fullmatch(span):
             continue
@@ -52,6 +60,45 @@ def test_readme_names_resolve():
     names = readme_names()
     assert len(names) > 40  # the parser finds the API section's names
     assert [name for name in names if not resolves(name)] == []
+
+
+def readme_calls() -> list[tuple[str, list[str]]]:
+    """(dotted name, arguments) of each call of a module's attribute that
+    README quotes in full: no ``...`` or ``…`` among its arguments."""
+    calls = []
+    for span in readme_spans():
+        m = re.fullmatch(r"(?:decaypo\.)?(\w+(?:\.\w+)+)\((.*)\)", span, flags=re.S)
+        if m and m[1].split(".")[0] in MODULES and "..." not in m[2] and "…" not in m[2]:
+            calls.append((m[1], [a.strip() for a in m[2].split(",") if a.strip()]))
+    return calls
+
+
+def binds(name: str, args: list[str]) -> bool:
+    """Whether the quoted arguments fit the signature of ``name``: a
+    ``*args`` argument stands for any number of positional ones."""
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"decaypo.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    positional = [a for a in args if "=" not in a and not a.startswith("*")]
+    keywords = {a.split("=")[0].strip(): None for a in args if "=" in a}
+    try:
+        inspect.signature(obj).bind_partial(*positional, **keywords)
+    except TypeError:
+        return False
+    return True
+
+
+def test_readme_calls_bind_their_signatures():
+    calls = readme_calls()
+    assert len(calls) > 15 and ("config.rng", ["*keys"]) in calls
+    assert [(name, args) for name, args in calls if not binds(name, args)] == []
+
+
+def test_drifted_calls_are_caught():
+    assert not binds("mdp.random_mdp", ["S", "A", "H", "R", "seed", "deterministic", "x"])
+    assert not binds("losses.segment_sums", ["x", "lens", "weights=None"])
+    assert binds("config.rng", ["*keys"]) and binds("mdp.random_mdp", ["S", "A"])
 
 
 def test_stale_names_are_caught():

@@ -189,7 +189,7 @@ class TestCheckpointIO:
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
         params = {"w": np.array([1.0, -2.0])}
-        opt = AdamW(params, ["w"])
+        opt = AdamW(params)
         g = np.array([0.5, -0.25])
         opt.step({"w": g}, lr=0.1)
         m_hat = g          # t=1 bias correction is exact
@@ -205,7 +205,7 @@ class TestAdamW:
         ref = {n: p.copy() for n, p in params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
-        opt = AdamW(params, sorted(shapes))
+        opt = AdamW({n: params[n] for n in sorted(shapes)})
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 7):
             grads = {n: rng.normal(size=s) for n, s in shapes.items()}
@@ -298,7 +298,7 @@ class TestTrain:
                             "lr": cosine_lr(s, 6, cfg.lr),
                             "skipped": 1 if s % 3 == 2 else 2} for s in range(6)]
         assert (out.step, out.seed) == (9, cfg.seed)
-        for name in init.model.param_names():
+        for name in init.model.params:
             assert out.model.params[name].tobytes() == init.model.params[name].tobytes()
 
     @pytest.mark.parametrize("epochs, max_steps, steps", [
@@ -332,13 +332,12 @@ class TestTrain:
         cfg = self.make_cfg()
         pairs = toy_pairs(4)
         batch = [(p, i) for i, p in enumerate(pairs)]
-        names = init.model.param_names()
         result1, _ = _batch_gradients(init.model, init.model, batch, cfg)
         result2, _ = _batch_gradients(init.model, init.model, batch, cfg)
         _, _, g1 = result1
         _, _, g2 = result2
-        assert abs(grad_norm(g1, names) - grad_norm(g2, names)) <= 1e-10
-        for n in names:
+        assert abs(grad_norm(g1) - grad_norm(g2)) <= 1e-10
+        for n in init.model.params:
             assert np.array_equal(g1[n], g2[n])
 
     def test_loss_decreases_on_separable_pairs(self):
@@ -355,24 +354,23 @@ class TestTrain:
 def per_sequence_batch_gradients(policy, reference, batch, cfg):
     """_batch_gradients scoring each sequence in a forward pass of its own
     (the policy ones on one shared tape): the reference for the packed step."""
-    tape = ad.Tape()
-    names = policy.param_names()
-    leaves = {n: ad.leaf(tape, policy.params[n]) for n in names}
+    taped = policy.taped(ad.Tape())
     scores = []
     for pair, example_id in batch:
         seq_w, seq_l = (make_sequence(pair.prompt, r) for r in (pair.chosen, pair.rejected))
         if max(s.prompt_len + s.response_len for s in (seq_w, seq_l)) > policy.context:
             continue
         scores.append(PairScore(
-            token_logprobs(policy, seq_w, leaves), token_logprobs(policy, seq_l, leaves),
+            token_logprobs(taped, seq_w), token_logprobs(taped, seq_l),
             None if reference is None else token_logprobs(reference, seq_w),
             None if reference is None else token_logprobs(reference, seq_l),
             prompt_len=seq_w.prompt_len, example_id=example_id))
     loss = pairwise_batch_loss(scores, cfg.loss)
-    grads = ad.gradients(loss, [leaves[n] for n in names])
+    grads = ad.gradients(loss, list(taped.params.values()))
     margins = [float(np.sum(s.chosen_logps.value) - np.sum(s.rejected_logps.value))
                for s in scores]
-    return float(loss.value), float(np.mean(margins)), {n: grads[leaves[n]] for n in names}
+    return (float(loss.value), float(np.mean(margins)),
+            {n: grads[leaf] for n, leaf in taped.params.items()})
 
 
 def copying_gradients(output, inputs):
@@ -453,10 +451,10 @@ class TestPackedStep:
         policy, reference = wide_model(1), wide_model(2)
         cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=9)
         batch = mixed_length_batch()
-        names = policy.param_names()
         with ad.Tape() as tape:   # the tape _batch_gradients records
-            leaves = [ad.leaf(tape, policy.params[n]) for n in names]
-            score, _ = score_pairs(policy, reference, batch, dict(zip(names, leaves)))
+            taped = policy.taped(tape)
+            names, leaves = list(taped.params), list(taped.params.values())
+            score, _ = score_pairs(taped, reference, batch)
             loss = batch_loss(score, cfg.loss)
             want = copying_gradients(loss, leaves)
             got = ad.gradients(loss, leaves)
