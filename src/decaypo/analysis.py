@@ -110,6 +110,10 @@ def ref_margin_density(scores, bins: int) -> DensityHistogram:
     if hi == lo:
         # degenerate single spike; give it one unit-width bin
         lo, hi = lo - 0.5, hi + 0.5
+    with np.errstate(all="ignore"):  # edges of a range that overflows come out nan
+        edges = np.linspace(lo, hi, bins + 1)  # as np.histogram cuts the range
+    if not np.all(edges[:-1] < edges[1:]):
+        raise ValueError(f"margins from lo {lo} to hi {hi} do not make {bins} finite bins")
     density, edges = np.histogram(margins, bins=bins, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DensityHistogram(centers=centers, density=density,

@@ -116,23 +116,17 @@ def _oracle_from(r: dict):
 
 def _cmd_train(r: dict) -> None:
     loss_cfg = _loss_config(r)
-    pairs = data.load_pairs(r["pairs"])
     cfg = TrainConfig(loss=loss_cfg, lr_multiplier=r["lr-multiplier"],
                       batch_size=r["batch-size"], epochs=r["epochs"],
                       max_steps=r["max-steps"], seed=r["seed"])
     init = _model_from(r, "init")
+    pairs = _pairs_that_fit(r["pairs"], init.model.context)
     # train copies init for the policy and only reads the reference, so a
     # reference that is init's file, or none, is init itself
     same = r.get("reference") in (None, "", r.get("init"))
     reference = init if same else load_checkpoint(r["reference"])
     ckpt, metrics = train(cfg, pairs, init, reference)
-    # the first epoch's steps draw each pair at most once, and every pair
-    # when later epochs run, so they skip each overflowing pair once
-    _warn_skipped(sum(m["skipped"] for m in metrics[:math.ceil(len(pairs) / cfg.batch_size)]))
-    lines = [json.dumps({"step": m["step"], "loss": m["loss"], "margin": m["margin"],
-                         "grad_norm": m["grad_norm"], "lr": m["lr"]})
-             for m in metrics]
-    atomic_write(r["metrics"], "".join(line + "\n" for line in lines))
+    atomic_write(r["metrics"], "".join(json.dumps(m) + "\n" for m in metrics))
     atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
 
 
@@ -172,46 +166,43 @@ def _cmd_eval(r: dict) -> None:
     print(json.dumps(result))
 
 
-def _warn_skipped(skipped: int) -> None:
-    if skipped:
-        print(f"warning: skipped {skipped} context-overflow examples", file=sys.stderr)
-
-
-def _chosen_sequences(pairs, context: int) -> list:
-    """The chosen sequences of ``pairs`` that fit ``context``; warns of the rest as train does."""
-    seqs = [make_sequence(p.prompt, p.chosen) for p in pairs]
-    kept = [seq for seq in seqs if seq.fits(context)]
-    _warn_skipped(len(seqs) - len(kept))
+def _pairs_that_fit(path, context: int) -> list:
+    """The pairs of the file ``path`` whose chosen and rejected sequences
+    both fit ``context``, in order; warns once of the pairs it drops."""
+    pairs = data.load_pairs(path)
+    kept = [p for p in pairs
+            if all(make_sequence(p.prompt, r).fits(context) for r in (p.chosen, p.rejected))]
+    if len(kept) < len(pairs):
+        print(f"warning: skipped {len(pairs) - len(kept)} context-overflow examples",
+              file=sys.stderr)
     return kept
 
 
 def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> list:
     """The PairScores of ``pairs`` from score_pairs over packs of analysis.PACK // 2
-    pairs, with their file indices as example ids; warns of the pairs that do not fit."""
-    scored = list(analysis._packs(functools.partial(score_pairs, policy, reference),
-                                  [(p, i) for i, p in enumerate(pairs)], analysis.PACK // 2))
-    _warn_skipped(sum(skipped for _, skipped in scored))
-    return [score for score, _ in scored if score is not None]
+    pairs, with their indices in ``pairs`` as example ids."""
+    return list(analysis._packs(functools.partial(score_pairs, policy, reference),
+                                [(p, i) for i, p in enumerate(pairs)], analysis.PACK // 2))
 
 
 def _cmd_kl_position(r: dict) -> None:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
-    seqs = _chosen_sequences(data.load_pairs(r["pairs"]), policy.context)
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], policy.context)]
     curve = analysis.kl_per_position(policy, reference, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_prob_position(r: dict) -> None:
     model = load_checkpoint(r["model"]).model
-    seqs = _chosen_sequences(data.load_pairs(r["pairs"]), model.context)
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], model.context)]
     curve = analysis.prob_per_position(model, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_ref_margin(r: dict) -> None:
     reference = load_checkpoint(r["reference"]).model
-    scores = _scored_pairs(reference, None, data.load_pairs(r["pairs"]))
+    scores = _scored_pairs(reference, None, _pairs_that_fit(r["pairs"], reference.context))
     hist = analysis.ref_margin_density(scores, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
 
@@ -224,7 +215,7 @@ def _cmd_length_bias(r: dict) -> None:
     policy = load_checkpoint(r["policy"]).model
     ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
     with np.errstate(all="ignore"):  # a loss that is not finite raises, as in train
-        scores = _scored_pairs(policy, ref_model, data.load_pairs(r["pairs"]))
+        scores = _scored_pairs(policy, ref_model, _pairs_that_fit(r["pairs"], policy.context))
         rows = analysis.loss_by_length_gap(cfg, scores, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),

@@ -239,6 +239,7 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
     tokens, where end is the context, or one less with ``eos_room``, which
     keeps room for the EOS that scoring appends to a response that has
     none. A row that stops before that cap draws the same tokens at any cap.
+    Logits that overflow to nan, from finite weights, raise ValueError.
     """
     if not 0 <= temperature < np.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
@@ -257,37 +258,40 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
     if temperature > 0.0:
         u = rng(seed).random((len(prompts), model.context - 1))
     out: list[TokenSequence] = [None] * len(prompts)
-    with np.errstate(over="ignore"):  # see _softmax; entered once, not per token
-        for n, members in groups.items():
-            decoder = _Decoder(model, len(members))
-            for column in np.array([prompts[i] for i in members]).T:
-                logits = decoder.step(column)
-            limit = min(max_len, end - n)
-            if temperature > 0.0:
-                uniforms = u[members, :limit]
-            responses: list[list[int]] = [[] for _ in members]
-            live = list(range(len(members)))
-            drawn: list[list[int]] = []   # live rows' tokens since a row left: one append a step
-            for t in range(limit):
-                if t:
-                    logits = decoder.step(tok)
-                if temperature == 0.0:
-                    tok = logits.argmax(axis=-1)
-                else:
-                    tok = sample_token_id(_softmax(logits, temperature), uniforms[live, t])
-                drawn.append(tok.tolist())
-                if EOS in drawn[-1] or t == limit - 1:
-                    for j, column in zip(live, zip(*drawn)):
-                        responses[j] += column
-                    kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
-                    drawn.clear()
-                    live = [live[k] for k in kept]
-                    if not live:
-                        break
-                    tok = tok[kept]
-                    decoder.take(kept)
-            for i, response in zip(members, responses):
-                out[i] = TokenSequence(prompts[i], response)
+    try:
+        with np.errstate(over="ignore", invalid="raise"):  # see _softmax; once, not per token
+            for n, members in groups.items():
+                decoder = _Decoder(model, len(members))
+                for column in np.array([prompts[i] for i in members]).T:
+                    logits = decoder.step(column)
+                limit = min(max_len, end - n)
+                if temperature > 0.0:
+                    uniforms = u[members, :limit]
+                responses: list[list[int]] = [[] for _ in members]
+                live = list(range(len(members)))
+                drawn: list[list[int]] = []  # live rows' tokens since a row left: one append a step
+                for t in range(limit):
+                    if t:
+                        logits = decoder.step(tok)
+                    if temperature == 0.0:
+                        tok = logits.argmax(axis=-1)
+                    else:
+                        tok = sample_token_id(_softmax(logits, temperature), uniforms[live, t])
+                    drawn.append(tok.tolist())
+                    if EOS in drawn[-1] or t == limit - 1:
+                        for j, column in zip(live, zip(*drawn)):
+                            responses[j] += column
+                        kept = [k for k, x in enumerate(drawn[-1]) if x != EOS]
+                        drawn.clear()
+                        live = [live[k] for k in kept]
+                        if not live:
+                            break
+                        tok = tok[kept]
+                        decoder.take(kept)
+                for i, response in zip(members, responses):
+                    out[i] = TokenSequence(prompts[i], response)
+    except FloatingPointError:  # finite weights whose logits overflow to inf - inf
+        raise ValueError("sampling is not finite: the model's logits overflow") from None
     return out
 
 

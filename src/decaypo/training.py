@@ -178,19 +178,14 @@ class AdamW:
             p -= update
 
 
-def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch):
-    """(PairScore, skipped count) of the (pair, example_id) items of ``batch``:
-    one PairScore of the pairs that fit the context, in order (None if no
-    pair does), from one packed pass per model. The policy log-probs are
+def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch) -> PairScore:
+    """One PairScore of the (pair, example_id) items of ``batch``, in order,
+    from one packed pass per model; a pair that does not fit the context
+    raises model._check_context's ValueError. The policy log-probs are
     tensors when the policy is taped, else arrays; the reference ones (None
     without ``reference``) are arrays from the same arithmetic."""
-    kept = [([make_sequence(pair.prompt, response) for response in (pair.chosen, pair.rejected)],
-             example_id)
-            for pair, example_id in batch]
-    kept = [(seqs, i) for seqs, i in kept if all(s.fits(policy.context) for s in seqs)]
-    if not kept:
-        return None, len(batch)
-    seqs = [seq for pair_seqs, _ in kept for seq in pair_seqs]
+    seqs = [make_sequence(pair.prompt, response)
+            for pair, _ in batch for response in (pair.chosen, pair.rejected)]
     logps, offsets = packed_logprobs(policy, seqs)
     ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
     lens = np.diff(offsets)
@@ -199,9 +194,9 @@ def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch):
     # policy then reference, chosen then rejected: one gather per side
     return PairScore(*[None if flat is None else ad.gather_rows(flat, side)
                        for flat in (logps, ref_logps) for side in rows],
-                     prompt_len=[pair_seqs[0].prompt_len for pair_seqs, _ in kept],
-                     example_id=[i for _, i in kept],
-                     chosen_lens=lens[0::2], rejected_lens=lens[1::2]), len(batch) - len(kept)
+                     prompt_len=[seq.prompt_len for seq in seqs[0::2]],
+                     example_id=[i for _, i in batch],
+                     chosen_lens=lens[0::2], rejected_lens=lens[1::2])
 
 
 def _gradients(loss, taped: PolicyModel) -> dict:
@@ -210,16 +205,13 @@ def _gradients(loss, taped: PolicyModel) -> dict:
 
 
 def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
-    """One forward/backward over a batch: ((loss, margin, grads), skipped),
-    or (None, skipped) when every example overflowed the context."""
+    """(loss, margin, grads) of one forward/backward over a batch."""
     with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
         taped = policy.taped(tape)
-        score, skipped = score_pairs(taped, reference, batch)
-        if score is None:
-            return None, skipped
+        score = score_pairs(taped, reference, batch)
         loss = batch_loss(score, cfg.loss)
         margin = float(np.mean(sequence_margins(score)))
-        return (float(loss.value), margin, _gradients(loss, taped)), skipped
+        return float(loss.value), margin, _gradients(loss, taped)
 
 
 def grad_norm(grads: dict) -> float:
@@ -228,21 +220,24 @@ def grad_norm(grads: dict) -> float:
 
 def train(cfg: TrainConfig, pairs, init: Checkpoint,
           reference: Checkpoint | None = None):
-    """Run preference optimization; returns (Checkpoint, metrics list).
+    """Run preference optimization on a nonempty list of pairs, each of
+    which must fit the context; returns (Checkpoint, metrics list).
 
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
-    lr, skipped. Step k trains on batch k mod B of epoch k // B's shuffle.
+    lr. Step k trains on batch k mod B of epoch k // B's shuffle.
     A step whose loss or gradient norm is not finite (a margin that is not
     makes the loss nan) raises ValueError naming the step.
     Fully deterministic in (cfg, pairs, init, reference).
     """
+    if not pairs:
+        raise ValueError("train requires pairs")
     needs_reference = cfg.loss.method not in REFERENCE_FREE
     if needs_reference and reference is None:
         raise ValueError(f"method {cfg.loss.method} requires a reference checkpoint")
     ref_model = reference.model if needs_reference else None
     policy = init.model.copy()
     opt = AdamW(policy.params)
-    n_batches = max(1, math.ceil(len(pairs) / cfg.batch_size))
+    n_batches = math.ceil(len(pairs) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps) if cfg.epochs else cfg.max_steps
@@ -255,17 +250,13 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         batch = [(pairs[i], int(i)) for i in idx]
         with np.errstate(all="ignore"):  # a non-finite step raises below
-            result, skipped = _batch_gradients(policy, ref_model, batch, cfg)
-            gn = 0.0 if result is None else grad_norm(result[2])
+            loss, margin, grads = _batch_gradients(policy, ref_model, batch, cfg)
+            gn = grad_norm(grads)
+        if not (math.isfinite(loss) and math.isfinite(gn)):
+            raise ValueError(f"step {step} is not finite: loss {loss}, gradient norm {gn}")
         lr = cosine_lr(step, total_steps, cfg.lr)
-        loss = margin = None
-        if result is not None:  # else every example overflowed the context
-            loss, margin, grads = result
-            if not (math.isfinite(loss) and math.isfinite(gn)):
-                raise ValueError(f"step {step} is not finite: loss {loss}, gradient norm {gn}")
-            opt.step(grads, lr=lr)
-        metrics.append({"step": step, "loss": loss, "margin": margin,
-                        "grad_norm": gn, "lr": lr, "skipped": skipped})
+        opt.step(grads, lr=lr)
+        metrics.append({"step": step, "loss": loss, "margin": margin, "grad_norm": gn, "lr": lr})
     # a run of no steps leaves the checkpoint as it was, seed included
     return Checkpoint(policy, init.step + total_steps,
                       cfg.seed if total_steps else init.seed), metrics

@@ -9,7 +9,7 @@ from decaypo.analysis import (DensityHistogram, PositionCurve, kl_categorical,
                               prob_per_position, ref_margin_density,
                               write_curve_csv, write_histogram_csv)
 from decaypo.data import PreferencePair, response_bytes, synthetic_corpus
-from decaypo.losses import LossConfig, batch_loss
+from decaypo.losses import LossConfig, PairScore, batch_loss
 from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
                            token_logprobs)
 from decaypo.training import score_pairs
@@ -27,9 +27,7 @@ def margins_under(model, triples):
 
 def reference_scores(model, pairs):
     """One PairScore of every pair of ``pairs``, scored by ``model``."""
-    score, skipped = score_pairs(model, None, [(p, i) for i, p in enumerate(pairs)])
-    assert skipped == 0
-    return [score]
+    return [score_pairs(model, None, [(p, i) for i, p in enumerate(pairs)])]
 
 
 def small_model(seed=0, trained=False):
@@ -225,6 +223,19 @@ class TestRefMarginDensity:
             scores = reference_scores(m, self.make_pairs(4))
         with pytest.raises(ValueError, match=r"^a pair is not finite: margin nan$"):
             ref_margin_density(scores, bins=4)
+
+    @pytest.mark.parametrize("margins, error", [
+        ([-1e308, 1e308], r"^margins from lo -1e\+308 to hi 1e\+308 do not make 20 finite bins$"),
+        ([1e17, 1e17], r"^margins from lo 1e\+17 to hi 1e\+17 do not make 20 finite bins$")],
+        ids=["range-overflows", "spike-wider-than-its-bins"])
+    def test_margins_that_cannot_be_binned_rejected(self, margins, error):
+        """Finite margins whose range overflows, or equal ones so large that
+        a unit-width spike has no width, are named in the analysis' own
+        words, with no numpy warning."""
+        score = PairScore(np.array(margins), np.zeros(2), prompt_len=[1, 1], example_id=[0, 1],
+                          chosen_lens=[1, 1], rejected_lens=[1, 1])
+        with pytest.raises(ValueError, match=error):
+            ref_margin_density([score], bins=20)
 
 
 class TestLossByLengthGap:

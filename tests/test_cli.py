@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import shlex
 import warnings
 from dataclasses import astuple
@@ -638,18 +639,17 @@ class TestTrainCommand:
         assert [n for n, *_ in outputs] == [1, 2]
         assert outputs[0][1:] == outputs[1][1:]
 
-    def test_every_pair_overflowing_writes_null_metrics(self, workdir, tmp_path):
-        metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
+    def test_no_pair_that_fits_exit_2_one_line_no_files(self, workdir, tmp_path, capsys):
+        """As an analysis does, train with no pair that fits warns, then
+        exits 2 with one line and writes nothing."""
+        out = tmp_path / "out"
+        out.mkdir()
         assert main(["train", "--pairs", overflowing_pairs(tmp_path / "long.jsonl"),
-                     "--init", str(workdir / "model.ckpt"), "--batch-size", "2",
-                     "--metrics", str(metrics), "--out", str(out)]) == 0
-        lines = metrics.read_text().splitlines()
-        assert len(lines) == 2
-        assert all(line.startswith('{"step": %d, "loss": null, "margin": null, '
-                                   '"grad_norm": 0.0, "lr": ' % i) for i, line in enumerate(lines))
-        init = load_checkpoint(workdir / "model.ckpt").model.params
-        for name, value in load_checkpoint(out).model.params.items():
-            assert value.tobytes() == init[name].tobytes()
+                     "--init", str(workdir / "model.ckpt"), "--metrics", str(out / "m.jsonl"),
+                     "--out", str(out / "o.ckpt")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipped 3 context-overflow examples", "runtime error: train requires pairs"]
+        assert list(out.iterdir()) == []
 
     def test_decaypo_seed_env_changes_nothing(self, workdir, tmp_path, monkeypatch):
         """The root seed comes from the flag or the config file only."""
@@ -685,21 +685,26 @@ class TestTrainCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("epochs, max_steps", [(1, None), (3, None), (0, 7)])
-    def test_each_skipped_pair_counted_once(self, workdir, tmp_path, capsys, epochs,
-                                            max_steps):
-        """Two overflowing pairs are two skipped examples, however many
-        epochs draw them; the metrics still hold one line per step."""
-        pairs = [*load_pairs(workdir / "pairs.jsonl"),
-                 *load_pairs(overflowing_pairs(tmp_path / "long.jsonl", n=2))]
-        data.save_pairs(pairs, tmp_path / "mixed.jsonl")
-        metrics, out = tmp_path / "m.jsonl", tmp_path / "o.ckpt"
+    def test_overflowing_pairs_train_as_if_absent(self, workdir, tmp_path, capsys, epochs,
+                                                  max_steps):
+        """A file with two pairs that overflow trains as that file without
+        them, with one warning that counts them once: the same full batches,
+        so the same metrics and checkpoint bytes, however many epochs run."""
+        pairs = load_pairs(workdir / "pairs.jsonl")
+        long = load_pairs(overflowing_pairs(tmp_path / "long.jsonl", n=2))
+        data.save_pairs([long[0], *pairs[:3], long[1], *pairs[3:]], tmp_path / "mixed.jsonl")
         limit = [] if max_steps is None else ["--max-steps", str(max_steps)]
-        assert main(["train", "--pairs", str(tmp_path / "mixed.jsonl"),
-                     "--init", str(workdir / "model.ckpt"), "--batch-size", "1",
-                     "--epochs", str(epochs), *limit,
-                     "--metrics", str(metrics), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == "warning: skipped 2 context-overflow examples\n"
-        assert len(metrics.read_text().splitlines()) == (max_steps or 3 * epochs)
+        runs = []
+        for path in (tmp_path / "mixed.jsonl", workdir / "pairs.jsonl"):
+            metrics, out = tmp_path / f"{path.stem}.m.jsonl", tmp_path / f"{path.stem}.ckpt"
+            assert main(["train", "--pairs", str(path), "--init", str(workdir / "model.ckpt"),
+                         "--method", "sampo", "--batch-size", "2", "--epochs", str(epochs),
+                         *limit, "--metrics", str(metrics), "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().err, metrics.read_bytes(), out.read_bytes()))
+        assert [err for err, *_ in runs] == ["warning: skipped 2 context-overflow examples\n", ""]
+        assert runs[0][1:] == runs[1][1:]
+        steps = max_steps or epochs * math.ceil(len(pairs) / 2)
+        assert len(runs[0][1].splitlines()) == steps and b"null" not in runs[0][1]
 
 
 class TestBuildPairsCommand:
@@ -943,32 +948,35 @@ class TestAnalyzeCommands:
         assert rc == 0
         assert out.read_text().startswith("gap_lo,gap_hi,mean_loss,count\n")
 
-    @pytest.mark.parametrize("name,header", [
-        ("kl-position", ("position", "value")), ("prob-position", ("position", "value")),
-        ("ref-margin", ("value", "density")),
-        ("length-bias", ("gap_lo", "gap_hi", "mean_loss", "count"))])
+    @pytest.mark.parametrize("name", ["kl-position", "prob-position", "ref-margin",
+                                      "length-bias"])
     def test_context_overflow_pair_skipped_with_trains_warning(self, workdir, tmp_path,
-                                                               capsys, name, header):
+                                                               capsys, name):
+        """Every analysis drops a pair whose chosen or rejected sequence
+        overflows, under train's rule and with train's warning, and writes
+        the bytes it writes for the file without that pair. length-bias runs
+        sampo, whose subsample each pair's position among the kept pairs seeds."""
         save_checkpoint(trained_like(1), tmp_path / "other.ckpt")
         model = str(workdir / "model.ckpt")
         models = {"kl-position": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model],
                   "prob-position": ["--model", model], "ref-margin": ["--reference", model],
-                  "length-bias": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model]}
+                  "length-bias": ["--policy", str(tmp_path / "other.ckpt"), "--reference", model,
+                                  "--method", "sampo"]}
         pairs = load_pairs(workdir / "pairs.jsonl")
-        # first, so that every pack after it holds other sequences than before
-        long = data.PreferencePair(id="long", prompt=b"q?", chosen=b"c" * 300, rejected=b"r")
-        data.save_pairs([long, *pairs], tmp_path / "with_long.jsonl")
-        columns = []
-        for path in (workdir / "pairs.jsonl", tmp_path / "with_long.jsonl"):
+        long_chosen = data.PreferencePair(id="c", prompt=b"q?", chosen=b"c" * 300, rejected=b"r")
+        long_rejected = data.PreferencePair(id="r", prompt=b"q?", chosen=b"c", rejected=b"r" * 45)
+        # first, and three copies of the file, so that the packs of 16 pairs
+        # that score the pairs would hold others if they were scored in place
+        data.save_pairs([long_chosen, long_rejected, *pairs * 3], tmp_path / "with_long.jsonl")
+        data.save_pairs(pairs * 3, tmp_path / "fit.jsonl")
+        runs = []
+        for path in (tmp_path / "fit.jsonl", tmp_path / "with_long.jsonl"):
             out = tmp_path / f"{path.stem}.csv"
             assert main(["analyze", name, *models[name], "--pairs", str(path),
                          "--out", str(out)]) == 0
-            columns.append(csv_columns(out, header))
-            err = capsys.readouterr().err.splitlines()
-            assert err == ([] if path.stem == "pairs" else
-                           ["warning: skipped 1 context-overflow examples"])
-        assert columns[0].shape == columns[1].shape
-        assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12
+            runs.append((capsys.readouterr().err, out.read_bytes()))
+        assert [err for err, _ in runs] == ["", "warning: skipped 2 context-overflow examples\n"]
+        assert runs[0][1] == runs[1][1]
 
     @pytest.mark.parametrize("name,flags", [
         ("kl-position", ["--policy", "--reference"]), ("prob-position", ["--model"]),
@@ -991,14 +999,16 @@ class TestNonFiniteWeight:
     """A checkpoint with a weight that is not finite does not load: every
     command that reads it exits 2 with one line naming the file and the
     weight, and writes nothing. Finite weights that overflow once the model
-    runs reach the commands that score pairs, and each of those exits 2 with
-    one line of its own and writes nothing."""
+    runs reach the commands that score pairs or sample, and each of those
+    exits 2 with one line of its own and writes nothing."""
 
     LINES = {"train": "runtime error: step 0 is not finite: loss nan, gradient norm nan",
              "kl-position": "runtime error: curve values must be finite",
              "prob-position": "runtime error: curve values must be finite",
              "ref-margin": "runtime error: a pair is not finite: margin nan",
-             "length-bias": "runtime error: a pair is not finite: loss nan"}
+             "length-bias": "runtime error: a pair is not finite: loss nan",
+             "sample": "runtime error: sampling is not finite: the model's logits overflow",
+             "eval": "runtime error: sampling is not finite: the model's logits overflow"}
 
     @staticmethod
     def run(workdir, tmp_path, command, ckpt, capsys):
@@ -1023,7 +1033,7 @@ class TestNonFiniteWeight:
 
     @pytest.mark.parametrize("weight, value", [("w1_0", np.inf), ("w3_1", -np.inf),
                                                ("w_out", np.nan)])
-    @pytest.mark.parametrize("command", sorted(LINES) + ["eval", "sample"])
+    @pytest.mark.parametrize("command", sorted(LINES))
     def test_exit_2_one_line_no_files(self, workdir, tmp_path, capsys, command, weight,
                                       value):
         ckpt = load_checkpoint(workdir / "model.ckpt")

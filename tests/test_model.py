@@ -275,8 +275,8 @@ class TestPackedScoring:
         for score in (lambda model: packed_logprobs(model, seqs)[0],
                       lambda model: response_logits(model, seqs)[0],
                       lambda model: token_logprobs(model, seqs[0]),
-                      lambda model: score_pairs(model, m, batch)[0].chosen_logps,
-                      lambda model: score_pairs(model, m, batch)[0].rejected_logps,
+                      lambda model: score_pairs(model, m, batch).chosen_logps,
+                      lambda model: score_pairs(model, m, batch).rejected_logps,
                       lambda model: forward_logits(model, seqs[0].prompt_tokens)):
             tensor, array = score(taped), score(m)
             assert isinstance(tensor, ad.Tensor) and type(array) is np.ndarray
@@ -380,6 +380,17 @@ class TestSampling:
         m = small_model()
         with pytest.raises(ValueError):
             sample(m, [BOS] * 48, 1.0, 4, seed=0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_finite_weights_whose_logits_overflow_raise(self, temperature):
+        """Weights at 3e38, finite in a checkpoint's float32, give logits of
+        inf - inf: sampling says so in its own words, with no numpy warning."""
+        m = small_model(trained=True)
+        for name in ("embed", "w3_0", "w3_1", "w_out"):  # each weight at 3e38, its sign kept
+            m.params[name][:] = 3e38 * np.sign(m.params[name])
+        with pytest.raises(ValueError,
+                           match="^sampling is not finite: the model's logits overflow$"):
+            sample_many(m, [[BOS, 97], [BOS, 98, 99]], temperature, 8, seed=0)
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -0.5])
     def test_rejects_non_finite_or_negative_temperature(self, temperature):

@@ -275,31 +275,24 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(self.make_cfg(), toy_pairs(), init, None)
 
-    def test_context_overflow_skipped_and_counted(self):
+    def test_pair_that_does_not_fit_raises(self):
+        """A command drops the pairs that overflow where it reads them, so
+        train and score_pairs take one as an error, the model's own."""
         init = Checkpoint(small_model(trained=True))
         pairs = toy_pairs(4) + [PreferencePair(id="big", prompt=b"p" * 30,
-                                               chosen=b"c" * 30, rejected=b"r" * 40)]
-        cfg = self.make_cfg(batch_size=8, max_steps=1)
-        _, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
-        assert sum(m["skipped"] for m in metrics) == 1
+                                               chosen=b"c" * 30, rejected=b"r")]
+        error = "^context of length 62 exceeds limit 48$"
+        with pytest.raises(ValueError, match=error):
+            score_pairs(init.model, None, [(p, i) for i, p in enumerate(pairs)])
+        with pytest.raises(ValueError, match=error):
+            train(self.make_cfg(batch_size=8, max_steps=1), pairs, init,
+                  Checkpoint(init.model.copy()))
 
-    def test_every_example_overflowing_leaves_the_policy_as_it_was(self):
-        """Steps whose pairs all overflow record no loss or margin, a zero
-        gradient norm and the schedule's rate, and take no optimizer step."""
-        init = Checkpoint(small_model(trained=True), step=3, seed=9)
-        pairs = [PreferencePair(id=str(i), prompt=b"p" * 30, chosen=b"c" * 30,
-                                rejected=b"r" * (20 + i)) for i in range(5)]
-        cfg = self.make_cfg(batch_size=2, epochs=2)
-        batch = [(p, i) for i, p in enumerate(pairs[:2])]
-        assert score_pairs(init.model, init.model, batch) == (None, 2)
-        assert _batch_gradients(init.model, init.model, batch, cfg) == (None, 2)
-        out, metrics = train(cfg, pairs, init, Checkpoint(init.model.copy()))
-        assert metrics == [{"step": s, "loss": None, "margin": None, "grad_norm": 0.0,
-                            "lr": cosine_lr(s, 6, cfg.lr),
-                            "skipped": 1 if s % 3 == 2 else 2} for s in range(6)]
-        assert (out.step, out.seed) == (9, cfg.seed)
-        for name in init.model.params:
-            assert out.model.params[name].tobytes() == init.model.params[name].tobytes()
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_no_pairs_raise(self, epochs):
+        init = Checkpoint(small_model())
+        with pytest.raises(ValueError, match="^train requires pairs$"):
+            train(self.make_cfg(epochs=epochs), [], init, init)
 
     @pytest.mark.parametrize("epochs, max_steps, steps", [
         (3, None, 9),   # whole epochs
@@ -315,7 +308,7 @@ class TestTrain:
 
         def record(policy, reference, batch, cfg):
             seen.append([i for _, i in batch])
-            return None, len(batch)
+            return 0.0, 0.0, {n: np.zeros_like(p) for n, p in init.model.params.items()}
 
         monkeypatch.setattr(training_module, "_batch_gradients", record)
         cfg = self.make_cfg(batch_size=3, epochs=epochs, max_steps=max_steps)
@@ -332,10 +325,8 @@ class TestTrain:
         cfg = self.make_cfg()
         pairs = toy_pairs(4)
         batch = [(p, i) for i, p in enumerate(pairs)]
-        result1, _ = _batch_gradients(init.model, init.model, batch, cfg)
-        result2, _ = _batch_gradients(init.model, init.model, batch, cfg)
-        _, _, g1 = result1
-        _, _, g2 = result2
+        _, _, g1 = _batch_gradients(init.model, init.model, batch, cfg)
+        _, _, g2 = _batch_gradients(init.model, init.model, batch, cfg)
         assert abs(grad_norm(g1) - grad_norm(g2)) <= 1e-10
         for n in init.model.params:
             assert np.array_equal(g1[n], g2[n])
@@ -358,8 +349,6 @@ def per_sequence_batch_gradients(policy, reference, batch, cfg):
     scores = []
     for pair, example_id in batch:
         seq_w, seq_l = (make_sequence(pair.prompt, r) for r in (pair.chosen, pair.rejected))
-        if max(s.prompt_len + s.response_len for s in (seq_w, seq_l)) > policy.context:
-            continue
         scores.append(PairScore(
             token_logprobs(taped, seq_w), token_logprobs(taped, seq_l),
             None if reference is None else token_logprobs(reference, seq_w),
@@ -392,7 +381,7 @@ def copying_gradients(output, inputs):
 
 def mixed_length_batch(n=8, seed=5):
     """(pair, example_id) items with responses from 8 toward 200 bytes, most
-    of them short, and one pair too long for a 256-token context."""
+    of them short."""
     rng = np.random.default_rng(seed)
     batch = []
     for i, x in enumerate(np.linspace(0.0, 1.0, n)):
@@ -401,8 +390,6 @@ def mixed_length_batch(n=8, seed=5):
         rejected = bytes(rng.integers(97, 105, size=max(1, size + (-3, 2, 5)[i % 3])).tolist())
         batch.append((PreferencePair(id=str(i), prompt=b"q%d?" % i, chosen=chosen,
                                      rejected=rejected), 10 * i))
-    batch.insert(3, (PreferencePair(id="long", prompt=b"p" * 60, chosen=b"c" * 200,
-                                    rejected=b"r"), 99))
     return batch
 
 
@@ -418,12 +405,11 @@ class TestPackedStep:
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_per_sequence_scoring(self, method):
         policy, reference = wide_model(1), wide_model(2)
-        cfg = TrainConfig(loss=LossConfig(method=method), batch_size=9)
+        cfg = TrainConfig(loss=LossConfig(method=method), batch_size=8)
         batch = mixed_length_batch()
-        (loss, margin, grads), skipped = _batch_gradients(policy, reference, batch, cfg)
+        loss, margin, grads = _batch_gradients(policy, reference, batch, cfg)
         want_loss, want_margin, want_grads = per_sequence_batch_gradients(
             policy, reference, batch, cfg)
-        assert skipped == 1
         deviations = [abs(loss - want_loss), abs(margin - want_margin)]
         deviations += [float(np.max(np.abs(grads[n] - want_grads[n]))) for n in grads]
         assert max(deviations) <= self.MAX_DEVIATION
@@ -441,24 +427,24 @@ class TestPackedStep:
             return gradients(output, inputs)
 
         monkeypatch.setattr(ad, "gradients", counting)
-        pairs = [pair for pair, _ in mixed_length_batch() if pair.id != "long"]
+        pairs = [pair for pair, _ in mixed_length_batch()]
         cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8, max_steps=1)
         _, metrics = train(cfg, pairs, Checkpoint(wide_model(1)), Checkpoint(wide_model(2)))
-        assert len(pairs) == 8 and metrics[0]["skipped"] == 0
+        assert len(pairs) == 8 and len(metrics) == 1
         assert len(nodes) == 1 and nodes[0] <= 50, nodes
 
     def test_copy_free_backward_matches_a_copying_accumulator(self):
         policy, reference = wide_model(1), wide_model(2)
-        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=9)
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8)
         batch = mixed_length_batch()
         with ad.Tape() as tape:   # the tape _batch_gradients records
             taped = policy.taped(tape)
             names, leaves = list(taped.params), list(taped.params.values())
-            score, _ = score_pairs(taped, reference, batch)
+            score = score_pairs(taped, reference, batch)
             loss = batch_loss(score, cfg.loss)
             want = copying_gradients(loss, leaves)
             got = ad.gradients(loss, leaves)
-        (_, _, grads), _ = _batch_gradients(policy, reference, batch, cfg)
+        _, _, grads = _batch_gradients(policy, reference, batch, cfg)
         for name, leaf in zip(names, leaves):
             assert got[leaf].dtype == want[leaf].dtype == np.float64
             assert np.array_equal(got[leaf], want[leaf])
@@ -472,9 +458,8 @@ class TestPackedStep:
         # log-ratio, and with it every reward margin, is exactly 0
         policy = wide_model(1)
         cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8)
-        batch = [item for item in mixed_length_batch() if item[0].id != "long"]
-        (loss, _, _), skipped = _batch_gradients(policy, policy.copy(), batch, cfg)
-        assert (loss, skipped) == (math.log(2.0), 0)
+        loss, _, _ = _batch_gradients(policy, policy.copy(), mixed_length_batch(), cfg)
+        assert loss == math.log(2.0)
 
     def test_step_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
         tapes = []
@@ -491,8 +476,8 @@ class TestPackedStep:
         gc.collect()
         gc.disable()
         try:
-            result, _ = _batch_gradients(policy, policy.copy(), mixed_length_batch(4), cfg)
-            assert result is not None and len(tapes) == 1 and tapes[0]() is None
+            _batch_gradients(policy, policy.copy(), mixed_length_batch(4), cfg)
+            assert len(tapes) == 1 and tapes[0]() is None
             pretrain_nll(policy, corpus, steps=1, lr=1e-3, batch_size=2, seed=0)
             assert len(tapes) == 2 and tapes[1]() is None
         finally:
