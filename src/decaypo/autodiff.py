@@ -13,13 +13,15 @@ computes the same value and returns it as a plain array, recording nothing.
 So one definition, of the model's forward pass or of a loss, serves a taped
 pass and a tape-free one, and both do the same arithmetic.
 
-logsigmoid is min(x, 0) - log1p(exp(-|x|)), vectorized ufuncs in one scratch
-array (``_logsigmoid``, which the decoder calls too), and nan where x is not
-finite. A taped call keeps e = exp(-|x|) for its vjp, sigma(-x) =
-where(x < 0, 1, e) / (1 + e), so the backward pass takes no second exp. The
-backward pass never writes to a cotangent: a vjp may return its input
+The tape records edges, not values, so a value lives while its tensor or a
+vjp that captured it does. The backward pass drops each cotangent once its
+vjps have run, and never writes to one: a vjp may return its input
 unchanged, so gradients accumulate out of place, and only an array that
-would be returned for two inputs is copied.
+would be returned for two inputs is copied. logsigmoid is min(x, 0) -
+log1p(exp(-|x|)) in one scratch array (``_logsigmoid``, which the decoder
+calls too), and nan where x is not finite, the one case it copies x. A
+taped call keeps e = exp(-|x|) and the mask x < 0 for its vjp, sigma(-x) =
+where(x < 0, 1, e) / (1 + e), so the backward pass takes no second exp.
 """
 
 from __future__ import annotations
@@ -28,43 +30,48 @@ import numpy as np
 
 
 class Tape:
-    """Ordered record of operations; recording order is topological order.
-
-    As a context manager the tape empties itself on exit: that breaks the
-    Tape.nodes -> Tensor.tape cycle, so the recorded arrays are freed when
-    the caller drops its tensors, not at the next cyclic garbage collection.
+    """Ordered record of operations, one Node per recorded tensor, and its
+    leaf tensors; recording order is topological order. As a context manager
+    the tape empties itself on exit: that breaks the Tape.leaves -> Tensor.tape
+    cycle, so the tape and the arrays its vjps captured are freed when the
+    caller drops its tensors, not at the next cyclic garbage collection.
     """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
+        self.leaves: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
         return self
 
     def __exit__(self, *exc) -> None:
         self.nodes.clear()
+        self.leaves.clear()
 
-    def _record(self, tensor: "Tensor") -> "Tensor":
-        self.nodes.append(tensor)
-        return tensor
+    def _record(self, node: "Node") -> None:
+        self.nodes.append(node)
+
+
+class Node:
+    """A recorded tensor's edges, never its value: ``vjps[i](g)`` maps the
+    tensor's cotangent g to that of ``parents[i]``, another Node."""
+
+    __slots__ = ("parents", "vjps")
+
+    def __init__(self, parents, vjps):
+        self.parents, self.vjps = parents, vjps
 
 
 class Tensor:
-    """A float64 array recorded on a tape.
+    """A float64 array and its Node on a tape."""
 
-    ``parents`` and ``vjps`` are parallel: ``vjps[i](g)`` maps the output
-    cotangent to the cotangent of ``parents[i]``.
-    """
+    __slots__ = ("value", "tape", "node")
 
-    __slots__ = ("value", "tape", "is_leaf", "parents", "vjps")
-
-    def __init__(self, value, tape, is_leaf=False, parents=(), vjps=()):
+    def __init__(self, value, tape, parents=(), vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.tape = tape
-        self.is_leaf = is_leaf
-        self.parents = parents
-        self.vjps = vjps
-        tape._record(self)
+        self.node = Node(parents, vjps)
+        tape._record(self.node)
 
     @property
     def shape(self):
@@ -85,7 +92,8 @@ class Tensor:
 
 def leaf(tape: Tape, value) -> Tensor:
     """Record an input whose gradient will be reported."""
-    return Tensor(value, tape, is_leaf=True)
+    tape.leaves.append(Tensor(value, tape))
+    return tape.leaves[-1]
 
 
 def constant(tape: Tape, value) -> Tensor:
@@ -112,7 +120,7 @@ def _node(value, *edges):
                 tape = a.tape
             elif a.tape is not tape:
                 raise ValueError("operands recorded on different tapes")
-            parents += (a,)
+            parents += (a.node,)
             vjps += (vjp,)
     if tape is None:
         return np.asarray(value, dtype=np.float64)
@@ -162,13 +170,14 @@ def gather_rows(a, idx):
         raise ValueError(f"bad gather_rows shapes: {av.shape}[{idx.shape}]")
     if np.any(idx < 0) or np.any(idx >= av.shape[0]):
         raise ValueError("row index out of range")
+    shape, size = av.shape, av.size  # not av: the vjp keeps no value alive
 
     def vjp(g):
         # Scatter-add: the sums np.add.at would form, in the same order,
         # but bincount does them in one vectorized pass.
-        cols = 1 if av.ndim == 1 else av.shape[1]
+        cols = 1 if len(shape) == 1 else shape[1]
         flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-        return np.bincount(flat, weights=g.ravel(), minlength=av.size).reshape(av.shape)
+        return np.bincount(flat, weights=g.ravel(), minlength=size).reshape(shape)
 
     return _node(av[idx], (a, vjp))
 
@@ -247,16 +256,17 @@ def _logsigmoid(x: np.ndarray, exp_out: np.ndarray | None = None) -> np.ndarray:
 
 def logsigmoid(a):
     av = _value(a)
-    av = np.where(np.isfinite(av), av, np.nan)  # nan, and a nan gradient, where not finite
+    if not np.isfinite(av).all():  # nan, and a nan gradient, where not finite
+        av = np.where(np.isfinite(av), av, np.nan)
     if not isinstance(a, Tensor):
         return _node(_logsigmoid(av))
     e = np.empty_like(av)
-    out = _logsigmoid(av, e)
+    out, negative = _logsigmoid(av, e), av < 0.0
 
     def vjp(g):
         # sigma(-x) = where(x < 0, 1, e) / (1 + e) with the forward's
         # e = exp(-|x|); e <= 1, so the numerator is maximum(e, x < 0).
-        s = np.maximum(e, av < 0.0)
+        s = np.maximum(e, negative)
         s /= 1.0 + e
         s *= g
         return s
@@ -319,27 +329,26 @@ def gradients(output: Tensor, inputs=None):
     Returns a dict mapping each requested input tensor (default: every leaf
     on the tape) to its gradient array. Non-participating inputs map to
     exact zeros. Traversal follows recording order reversed, so two runs on
-    identical inputs are bit-identical.
+    identical inputs are bit-identical. A node's cotangent is dropped once
+    its vjps have run, unless it is an input's.
     """
     if output.value.shape != ():
         raise ValueError("gradients requires a scalar output")
     tape = output.tape
-    grads: dict[int, np.ndarray] = {id(output): np.array(1.0)}
+    inputs = list(tape.leaves) if inputs is None else inputs
+    kept = {t.node for t in inputs}
+    grads = {output.node: np.array(1.0)}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node))
+        g = grads.get(node) if node in kept else grads.pop(node, None)
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
-            pg = vjp(g)
-            acc = grads.get(id(parent))
             # Out of place: a vjp may hand back g itself, so a cotangent can
             # be shared between nodes and must never be written to.
-            grads[id(parent)] = pg if acc is None else acc + pg
-    if inputs is None:
-        inputs = [t for t in tape.nodes if t.is_leaf]
+            grads[parent] = grads[parent] + vjp(g) if parent in grads else vjp(g)
     out, returned = {}, set()
     for t in inputs:
-        g = grads.get(id(t))
+        g = grads.get(t.node)
         if g is None:
             g = np.zeros(t.value.shape)
         elif id(g) in returned:   # the same array reached two inputs

@@ -120,11 +120,12 @@ def _cmd_train(r: dict) -> None:
                       batch_size=r["batch-size"], epochs=r["epochs"],
                       max_steps=r["max-steps"], seed=r["seed"])
     init = _model_from(r, "init")
-    pairs = _pairs_that_fit(r["pairs"], init.model.context)
     # train copies init for the policy and only reads the reference, so a
     # reference that is init's file, or none, is init itself
     same = r.get("reference") in (None, "", r.get("init"))
     reference = init if same else load_checkpoint(r["reference"])
+    scoring = None if loss_cfg.method in REFERENCE_FREE else (r.get("reference"), reference.model)
+    pairs = _pairs_that_fit(r["pairs"], init.model, scoring)
     ckpt, metrics = train(cfg, pairs, init, reference)
     atomic_write(r["metrics"], "".join(json.dumps(m) + "\n" for m in metrics))
     atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
@@ -166,14 +167,18 @@ def _cmd_eval(r: dict) -> None:
     print(json.dumps(result))
 
 
-def _pairs_that_fit(path, context: int) -> list:
-    """The pairs of the file ``path`` whose chosen and rejected sequences
-    both fit ``context``, in order; warns once of the pairs it drops."""
+def _pairs_that_fit(path, policy: PolicyModel, reference=None) -> list:
+    """The pairs of the file ``path`` that fit the context of ``policy`` and of
+    ``reference``, the (file, model) beside it if any, in order; warns once of
+    the pairs it drops, naming the reference when its context binds."""
+    context = policy.context if reference is None else min(policy.context, reference[1].context)
     pairs = data.load_pairs(path)
     kept = [p for p in pairs
             if all(make_sequence(p.prompt, r).fits(context) for r in (p.chosen, p.rejected))]
     if len(kept) < len(pairs):
-        print(f"warning: skipped {len(pairs) - len(kept)} context-overflow examples",
+        binds = "" if context == policy.context else (
+            f": reference {reference[0]} has context {context}, the policy {policy.context}")
+        print(f"warning: skipped {len(pairs) - len(kept)} context-overflow examples{binds}",
               file=sys.stderr)
     return kept
 
@@ -188,21 +193,21 @@ def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> 
 def _cmd_kl_position(r: dict) -> None:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
-    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], policy.context)]
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], policy)]
     curve = analysis.kl_per_position(policy, reference, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_prob_position(r: dict) -> None:
     model = load_checkpoint(r["model"]).model
-    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], model.context)]
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], model)]
     curve = analysis.prob_per_position(model, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_ref_margin(r: dict) -> None:
     reference = load_checkpoint(r["reference"]).model
-    scores = _scored_pairs(reference, None, _pairs_that_fit(r["pairs"], reference.context))
+    scores = _scored_pairs(reference, None, _pairs_that_fit(r["pairs"], reference))
     hist = analysis.ref_margin_density(scores, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
 
@@ -214,8 +219,10 @@ def _cmd_length_bias(r: dict) -> None:
         raise ConfigError(f"method {cfg.method!r} needs a reference: pass --reference")
     policy = load_checkpoint(r["policy"]).model
     ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
+    scoring = (r["reference"], ref_model) if needs_reference else None
+    pairs = _pairs_that_fit(r["pairs"], policy, scoring)
     with np.errstate(all="ignore"):  # a loss that is not finite raises, as in train
-        scores = _scored_pairs(policy, ref_model, _pairs_that_fit(r["pairs"], policy.context))
+        scores = _scored_pairs(policy, ref_model, pairs)
         rows = analysis.loss_by_length_gap(cfg, scores, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),

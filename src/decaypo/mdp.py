@@ -267,19 +267,21 @@ class SuboptimalityReport:
     tv_expectation: float
 
 
-def _reports(P, r, R, pis: np.ndarray, gammas) -> np.ndarray:
+def _reports(P, r, R, pis: np.ndarray, discounts, cols) -> np.ndarray:
     """reports[b, i] (B, G, 8): the SuboptimalityReport fields after gamma of
-    pis[b, 1 + i] against pi* = pis[b, 0] at gammas[i] in stacked MDP b: the
-    decomposition, the bound terms and the occupancy TV, for which
-    pis[:, 1:] is overwritten with |pis[:, 1:] - pis[:, 0]|."""
-    V = _evaluate(P, r, pis, [1.0, *gammas])[..., 0]
-    v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, 1:], V[:, 1:, 1:].diagonal(0, 1, 2), V[:, 1:, 0]
+    pis[b, cols[i]] against pi* = pis[b, 0] at gamma = discounts[cols[i]] in
+    stacked MDP b, discounts[0] being 1: the decomposition, the bound terms
+    and the occupancy TV, for which pis[:, 1:] is overwritten with
+    |pis[:, 1:] - pis[:, 0]|."""
+    V = _evaluate(P, r, pis, discounts)[..., 0]
+    v1_star, vg_star, vg, v1 = V[:, :1, 0], V[:, 0, cols], V[:, cols, cols], V[:, cols, 0]
     gaps = np.abs(np.subtract(pis[:, 1:], pis[:, :1], out=pis[:, 1:]), out=pis[:, 1:])
     # products of one MDP's matrices only, so a row does not depend on its stack
     B, K, H, S, A = gaps.shape
     d = _visitation(P, pis[:, 0]).reshape(B, 1, 1, H * S)
     tv = 0.5 * (d @ gaps.reshape(B, K, H * S, A)).sum(axis=(2, 3)) / H
-    g = np.array([discount_horizon(gamma, H) for gamma in gammas])
+    tv = np.insert(tv, 0, 0.0, axis=1)[:, cols]  # pi* is 0 from itself
+    g = np.array([discount_horizon(discounts[c], H) for c in cols])
     term1 = 2.0 * (H - g) * R[:, None]
     term2 = 2.0 * g * g * tv * R[:, None]
     return np.stack([v1_star - vg_star, vg_star - vg, vg - v1, v1_star - v1,
@@ -308,7 +310,7 @@ def suboptimality_bound(mdp: MDPStack, pi_star, pi, gamma: float) -> Suboptimali
     2(H - g)R and 2 g^2 tv R with g = (1-gamma^H)/(1-gamma)."""
     _bound_gammas([gamma])
     pis = np.stack([_policy(_one(mdp), pi_star), _policy(mdp, pi)])
-    row = _reports(mdp.P, mdp.r, mdp.R, pis[None], [gamma])
+    row = _reports(mdp.P, mdp.r, mdp.R, pis[None], [1.0, gamma], [1])
     return SuboptimalityReport(gamma, *row[0, 0].tolist())
 
 
@@ -318,8 +320,10 @@ suboptimality_decompose = suboptimality_bound  # the decomposition is the report
 def verify_bounds(stack: MDPStack, pi_ref, beta: float, gammas) -> np.ndarray:
     """reports[b, i] (B, G, 8): the fields after gamma of the
     suboptimality_bound of the soft optimum at gammas[i] against pi*, the
-    one at gamma = 1, in MDP b of ``stack``; one backup of [1, *gammas]
-    serves the whole stack."""
+    one at gamma = 1, in MDP b of ``stack``; one backup of each discount of
+    [1, *gammas] serves the whole stack, so a gamma = 1 row is pi* against
+    itself."""
     gammas = _bound_gammas(gammas)  # checked before the backup solves any of them
-    _, pis = _soft_backup(stack.P, stack.r, _policy(stack, pi_ref), beta, [1.0, *gammas])
-    return _reports(stack.P, stack.r, stack.R, pis, gammas)
+    solved = list(dict.fromkeys([1.0, *gammas]))
+    _, pis = _soft_backup(stack.P, stack.r, _policy(stack, pi_ref), beta, solved)
+    return _reports(stack.P, stack.r, stack.R, pis, solved, [solved.index(g) for g in gammas])

@@ -186,8 +186,9 @@ def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch) -> Pa
     without ``reference``) are arrays from the same arithmetic."""
     seqs = [make_sequence(pair.prompt, response)
             for pair, _ in batch for response in (pair.chosen, pair.rejected)]
-    logps, offsets = packed_logprobs(policy, seqs)
+    # the reference first, so that its temporaries are freed before the tape grows
     ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
+    logps, offsets = packed_logprobs(policy, seqs)
     lens = np.diff(offsets)
     chosen = np.repeat(np.arange(len(seqs)) % 2 == 0, lens)  # the chosen responses' rows
     rows = np.flatnonzero(chosen), np.flatnonzero(~chosen)

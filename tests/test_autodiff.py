@@ -2,6 +2,7 @@ import functools
 import inspect
 import operator
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -232,9 +233,9 @@ class TestPlainOperands:
             return primitive(name)(*mixed)
 
         out = f(args[side])
-        x = out.parents[0]
-        assert len(out.parents) == 1 and x.is_leaf
-        assert len(out.tape.nodes) == 2  # the leaf and the primitive's node
+        (x,) = out.tape.leaves
+        assert out.node.parents == (x.node,)  # one edge, to the leaf
+        assert out.tape.nodes == [x.node, out.node]  # the leaf and the primitive's node
         assert np.array_equal(out.value, primitive(name)(*args))
         g = ad.gradients(ad.weighted_sum(out, w))[x]
         fd = central_difference(lambda v: np.sum(w * f(v).value), args[side])
@@ -492,6 +493,25 @@ class TestGradients:
         assert first[y] == 1.0
         second = ad.gradients(out)
         assert second[x] == 1.0 and second[y] == 1.0
+
+    @pytest.mark.parametrize("consumer", [
+        lambda x: ad.weighted_sum(x, np.arange(3.0)),
+        lambda x: ad.weighted_sum(ad.logsigmoid(x), np.arange(3.0))],
+        ids=["weighted_sum", "logsigmoid"])
+    def test_a_value_no_vjp_captured_is_freed_with_its_tensor(self, consumer):
+        """The tape records edges, not values: while it lives, the sum of two
+        leaves, which neither add's vjps nor its consumer's capture, is freed
+        once its tensor is dropped, and the gradients do not change."""
+        t = ad.Tape()
+        a, b = ad.leaf(t, np.array([-1.0, 0.5, 2.0])), ad.leaf(t, np.ones(3))
+        total = ad.add(a, b)
+        value = weakref.ref(total.value)
+        out = consumer(total)
+        want = ad.gradients(consumer(ad.add(a, b)))[a]
+        del total
+        assert value() is None
+        g = ad.gradients(out)
+        assert np.array_equal(g[a], want) and np.array_equal(g[b], want)
 
     def test_different_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()

@@ -995,6 +995,66 @@ class TestAnalyzeCommands:
         assert not out.exists()
 
 
+class TestReferenceContext:
+    """A reference whose context is smaller than the policy's binds the one
+    overflow rule: a pair that fits the policy but not the reference is
+    dropped, and the warning names the reference file."""
+
+    LONG = data.PreferencePair(id="long", prompt=b"abcd", chosen=b"e" * 21,
+                               rejected=b"f" * 21)  # BOS, 4 prompt bytes, 21 + EOS: 27 tokens
+    SHORT = data.PreferencePair(id="short", prompt=b"ab", chosen=b"eee", rejected=b"ffff")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        save_checkpoint(Checkpoint(PolicyModel(dim=8, context=48, blocks=1, seed=1)),
+                        tmp_path / "init.ckpt")
+        save_checkpoint(Checkpoint(PolicyModel(dim=8, context=16, blocks=1, seed=2)),
+                        tmp_path / "ref.ckpt")
+        for name, pairs in (("long", [self.LONG]), ("mixed", [self.LONG, self.SHORT]),
+                            ("short", [self.SHORT])):
+            data.save_pairs(pairs, tmp_path / f"{name}.jsonl")
+        return tmp_path
+
+    def argv(self, command, files, pairs, *extra):
+        models = ["--reference", str(files / "ref.ckpt"), *extra]
+        if command == "train":
+            return ["train", "--init", str(files / "init.ckpt"), *models, "--pairs",
+                    str(files / pairs), "--metrics", str(files / f"{pairs}.m"),
+                    "--out", str(files / f"{pairs}.ckpt")]
+        return ["analyze", "length-bias", "--policy", str(files / "init.ckpt"), *models,
+                "--pairs", str(files / pairs), "--out", str(files / f"{pairs}.csv")]
+
+    def warning(self, files):
+        return (f"warning: skipped 1 context-overflow examples: reference "
+                f"{files / 'ref.ckpt'} has context 16, the policy 48")
+
+    @pytest.mark.parametrize("command", ["train", "length-bias"])
+    def test_no_pair_that_fits_the_reference_names_it_then_exit_2(self, files, capsys,
+                                                                    command):
+        assert main(self.argv(command, files, "long.jsonl")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == self.warning(files)
+        assert err[1].startswith("runtime error: ") and "requires" in err[1]
+        assert sorted(p.name for p in files.iterdir()) == [
+            "init.ckpt", "long.jsonl", "mixed.jsonl", "ref.ckpt", "short.jsonl"]
+
+    @pytest.mark.parametrize("command", ["train", "length-bias"])
+    def test_pair_that_fits_only_the_policy_is_dropped(self, files, capsys, command):
+        runs = []
+        for pairs in ("mixed.jsonl", "short.jsonl"):
+            assert main(self.argv(command, files, pairs)) == 0
+            written = sorted(p for p in files.iterdir() if p.name.startswith(pairs + "."))
+            runs.append((capsys.readouterr().err, [p.read_bytes() for p in written
+                                                   if not p.name.endswith(".cfg")]))
+        assert [err for err, _ in runs] == [self.warning(files) + "\n", ""]
+        assert runs[0][1] == runs[1][1] and runs[0][1]
+
+    @pytest.mark.parametrize("command", ["train", "length-bias"])
+    def test_reference_free_method_counts_only_the_policy(self, files, capsys, command):
+        assert main(self.argv(command, files, "long.jsonl", "--method", "simpo")) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestNonFiniteWeight:
     """A checkpoint with a weight that is not finite does not load: every
     command that reads it exits 2 with one line naming the file and the

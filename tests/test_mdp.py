@@ -465,6 +465,23 @@ class TestStackedCoreEquivalence:
                 assert all(fields[4] == 2.0 * (m.H - discount_horizon(gamma, m.H)) * m.R[0]
                            for gamma, fields in zip(GAMMAS, reports))  # bound_term1
 
+    def test_each_discount_solved_once_and_a_gamma_one_row_is_zero(self, monkeypatch):
+        """The backup and the evaluation see each discount of [1, *gammas]
+        once, and a gamma = 1 row is pi* against itself: every field 0."""
+        seen = {}
+        for name, at in (("_soft_backup", 4), ("_evaluate", 3)):  # where gammas is passed
+            def spy(*args, name=name, at=at, real=getattr(mdp, name)):
+                seen[name] = list(args[at])
+                return real(*args)
+            monkeypatch.setattr(mdp, name, spy)
+        stack = random_stack(4, 3, 8, 1.0, range(3))
+        reports = verify_bounds(stack, uniform_policy(stack), 0.3, GAMMAS)
+        assert seen["_soft_backup"] == [1.0, 0.5, 0.9, 0.98, 0.31]
+        assert seen["_evaluate"] == [1.0, 0.5, 0.9, 0.98, 0.31]
+        rows = reports[:, [i for i, gamma in enumerate(GAMMAS) if gamma == 1.0]]
+        assert rows.shape == (3, 2, 8) and np.all(rows == 0.0)
+        assert np.all(reports[:, 0, 3] > 0.0)  # gamma = 0.5 is not pi*
+
     def test_verify_bounds_rejects_an_empty_stack(self):
         with pytest.raises(ValueError, match="at least one MDP"):
             random_stack(2, 2, 3, 1.0, [])

@@ -291,8 +291,9 @@ class TestPackedScoring:
         tape = ad.Tape()
         taped = m.taped(tape)
         assert list(taped.params) == list(param_shapes(m.dim, m.context, m.blocks))
-        assert tape.nodes == list(taped.params.values())
-        assert all(leaf.is_leaf and leaf.value is m.params[n] for n, leaf in taped.params.items())
+        assert tape.leaves == list(taped.params.values())
+        assert tape.nodes == [leaf.node for leaf in tape.leaves]
+        assert all(leaf.value is m.params[n] for n, leaf in taped.params.items())
         assert m.params == before and all(type(a) is np.ndarray for a in m.params.values())
         assert (taped.dim, taped.context, taped.blocks, taped.seed) == (64, 256, 2, 11)
 

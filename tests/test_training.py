@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -365,18 +366,18 @@ def per_sequence_batch_gradients(policy, reference, batch, cfg):
 def copying_gradients(output, inputs):
     """ad.gradients with an accumulator that copies each first cotangent and
     adds the later ones into the copy in place."""
-    grads = {id(output): np.array(1.0)}
+    grads = {output.node: np.array(1.0)}
     for node in reversed(output.tape.nodes):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             pg = vjp(g)
-            if id(parent) in grads:
-                grads[id(parent)] += pg
+            if parent in grads:
+                grads[parent] += pg
             else:
-                grads[id(parent)] = np.array(pg, dtype=np.float64)
-    return {t: grads.get(id(t), np.zeros(t.value.shape)) for t in inputs}
+                grads[parent] = np.array(pg, dtype=np.float64)
+    return {t: grads.get(t.node, np.zeros(t.value.shape)) for t in inputs}
 
 
 def mixed_length_batch(n=8, seed=5):
@@ -452,6 +453,23 @@ class TestPackedStep:
         for i, a in enumerate(names):
             for b in names[i + 1:]:
                 assert not np.shares_memory(grads[a], grads[b])
+
+    def test_step_keeps_only_what_the_backward_pass_needs(self):
+        """The traced peak of one batch-8 d2po step at dim 64 is at most two
+        thirds of 22,832,651 bytes, the peak when the tape kept every value
+        and every cotangent until the step ended; it is 10,154,364 bytes
+        with numpy 2.x on x86-64 Linux."""
+        policy, reference = (PolicyModel(dim=64, context=256, blocks=2, seed=s) for s in (1, 2))
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=8)
+        batch = mixed_length_batch()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _batch_gradients(policy, reference, batch, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22_832_651 * 2 // 3, peak
 
     def test_step_zero_loss_is_exactly_ln2(self):
         # policy = reference: both run the same arithmetic, so every
