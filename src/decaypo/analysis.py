@@ -67,11 +67,9 @@ def _position_kl(policy: PolicyModel, reference: PolicyModel, seqs):
 
 def kl_per_position(policy: PolicyModel, reference: PolicyModel, samples,
                     max_pos: int) -> PositionCurve:
-    """Survivor-mean KL(policy || reference) at each response position."""
+    """Survivor-mean KL(policy || reference) per response position of samples that fit both."""
     if not samples:
         raise ValueError("kl_per_position requires samples")
-    if policy.context != reference.context:
-        raise ValueError("models must share context length")
     return _survivor_mean(_packs(partial(_position_kl, policy, reference), samples), max_pos)
 
 

@@ -120,12 +120,11 @@ def _cmd_train(r: dict) -> None:
                       batch_size=r["batch-size"], epochs=r["epochs"],
                       max_steps=r["max-steps"], seed=r["seed"])
     init = _model_from(r, "init")
-    # train copies init for the policy and only reads the reference, so a
-    # reference that is init's file, or none, is init itself
+    # train copies init, so a reference that is init's file, or none, is init itself
     same = r.get("reference") in (None, "", r.get("init"))
-    reference = init if same else load_checkpoint(r["reference"])
-    scoring = None if loss_cfg.method in REFERENCE_FREE else (r.get("reference"), reference.model)
-    pairs = _pairs_that_fit(r["pairs"], init.model, scoring)
+    reference = (None if loss_cfg.method in REFERENCE_FREE
+                 else init if same else load_checkpoint(r["reference"]))
+    pairs = _pairs_that_fit(r, init.model, reference and reference.model)
     ckpt, metrics = train(cfg, pairs, init, reference)
     atomic_write(r["metrics"], "".join(json.dumps(m) + "\n" for m in metrics))
     atomic_write(r["out"], lambda p: save_checkpoint(ckpt, p))
@@ -167,17 +166,17 @@ def _cmd_eval(r: dict) -> None:
     print(json.dumps(result))
 
 
-def _pairs_that_fit(path, policy: PolicyModel, reference=None) -> list:
-    """The pairs of the file ``path`` that fit the context of ``policy`` and of
-    ``reference``, the (file, model) beside it if any, in order; warns once of
-    the pairs it drops, naming the reference when its context binds."""
-    context = policy.context if reference is None else min(policy.context, reference[1].context)
-    pairs = data.load_pairs(path)
+def _pairs_that_fit(r: dict, policy: PolicyModel, reference: PolicyModel | None = None) -> list:
+    """The pairs of the file r["pairs"] that fit the context of ``policy`` and
+    of ``reference`` if any, in order; warns once of the pairs it drops,
+    naming the file r["reference"] when the reference's context binds."""
+    context = min(policy.context, (reference or policy).context)
+    pairs = data.load_pairs(r["pairs"])
     kept = [p for p in pairs
-            if all(make_sequence(p.prompt, r).fits(context) for r in (p.chosen, p.rejected))]
+            if all(make_sequence(p.prompt, y).fits(context) for y in (p.chosen, p.rejected))]
     if len(kept) < len(pairs):
         binds = "" if context == policy.context else (
-            f": reference {reference[0]} has context {context}, the policy {policy.context}")
+            f": reference {r['reference']} has context {context}, the policy {policy.context}")
         print(f"warning: skipped {len(pairs) - len(kept)} context-overflow examples{binds}",
               file=sys.stderr)
     return kept
@@ -193,36 +192,34 @@ def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> 
 def _cmd_kl_position(r: dict) -> None:
     policy = load_checkpoint(r["policy"]).model
     reference = load_checkpoint(r["reference"]).model
-    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], policy)]
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r, policy, reference)]
     curve = analysis.kl_per_position(policy, reference, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_prob_position(r: dict) -> None:
     model = load_checkpoint(r["model"]).model
-    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r["pairs"], model)]
+    seqs = [make_sequence(p.prompt, p.chosen) for p in _pairs_that_fit(r, model)]
     curve = analysis.prob_per_position(model, seqs, r["max-pos"])
     atomic_write(r["out"], lambda p: analysis.write_curve_csv(p, curve))
 
 
 def _cmd_ref_margin(r: dict) -> None:
     reference = load_checkpoint(r["reference"]).model
-    scores = _scored_pairs(reference, None, _pairs_that_fit(r["pairs"], reference))
+    scores = _scored_pairs(reference, None, _pairs_that_fit(r, reference))
     hist = analysis.ref_margin_density(scores, r["bins"])
     atomic_write(r["out"], lambda p: analysis.write_histogram_csv(p, hist))
 
 
 def _cmd_length_bias(r: dict) -> None:
     cfg = _loss_config(r)
-    needs_reference = cfg.method not in REFERENCE_FREE
-    if needs_reference and not r.get("reference"):
+    if cfg.method not in REFERENCE_FREE and not r.get("reference"):
         raise ConfigError(f"method {cfg.method!r} needs a reference: pass --reference")
     policy = load_checkpoint(r["policy"]).model
-    ref_model = load_checkpoint(r["reference"]).model if needs_reference else None
-    scoring = (r["reference"], ref_model) if needs_reference else None
-    pairs = _pairs_that_fit(r["pairs"], policy, scoring)
+    reference = None if cfg.method in REFERENCE_FREE else load_checkpoint(r["reference"]).model
+    pairs = _pairs_that_fit(r, policy, reference)
     with np.errstate(all="ignore"):  # a loss that is not finite raises, as in train
-        scores = _scored_pairs(policy, ref_model, pairs)
+        scores = _scored_pairs(policy, reference, pairs)
         rows = analysis.loss_by_length_gap(cfg, scores, r["gap-bins"])
     atomic_write(r["out"], lambda p: analysis.write_csv(
         p, ("gap_lo", "gap_hi", "mean_loss", "count"),
@@ -257,7 +254,9 @@ COMMANDS = {
         LOSS_OPTS + ARCH_OPTS + [
             Option("pairs", "str", required=True, help="preference pairs JSONL"),
             Option("init", "str", help="initial checkpoint (fresh model if absent)"),
-            Option("reference", "str", help="reference checkpoint (defaults to init)"),
+            Option("reference", "str",
+                   help="reference checkpoint (defaults to init); a reference-free method "
+                        "opens none"),
             Option("out", "str", "model.ckpt"),
             Option("metrics", "str", "metrics.jsonl"),
             Option("lr-multiplier", "float", 1e3, valid=above(0)),

@@ -14,23 +14,12 @@ from .config import rng
 from .model import BOS, PolicyModel, TokenSequence, sample_many
 
 
-class PairParseError(ValueError):
-    """Malformed JSONL record; carries the offending line number."""
+class PairError(ValueError):
+    """A pairs record that does not parse or breaks a PreferencePair
+    invariant; ``line_no`` is its line when it was read from a file."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class PairValidationError(ValueError):
-    """A structurally valid record that violates PreferencePair invariants."""
-
-    def __init__(self, message: str, record_id: str = "", line_no: int | None = None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        ident = f" (id={record_id!r})" if record_id else ""
-        super().__init__(f"{where}{message}{ident}")
-        self.message = message
-        self.record_id = record_id
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -43,10 +32,11 @@ class PreferencePair:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        ident = f" (id={self.id!r})" if self.id else ""
         if not self.prompt:
-            raise PairValidationError("prompt must be nonempty", self.id)
+            raise PairError(f"prompt must be nonempty{ident}")
         if self.chosen == self.rejected:
-            raise PairValidationError("chosen and rejected must differ", self.id)
+            raise PairError(f"chosen and rejected must differ{ident}")
 
 
 def _encode_bytes(data: bytes) -> str:
@@ -83,33 +73,33 @@ def load_pairs(path) -> list[PreferencePair]:
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise PairParseError(line_no, f"not UTF-8: {e}") from None
+                raise PairError(f"not UTF-8: {e}", line_no) from None
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except (ValueError, RecursionError) as e:  # also too deep, or too many digits
-                raise PairParseError(line_no, str(e)) from e
+                raise PairError(str(e), line_no) from e
             if not isinstance(record, dict):
-                raise PairParseError(line_no, "record is not a JSON object")
+                raise PairError("record is not a JSON object", line_no)
             missing = {"id", "prompt", "chosen", "rejected"} - record.keys()
             if missing:
-                raise PairParseError(line_no, f"missing keys {sorted(missing)}")
+                raise PairError(f"missing keys {sorted(missing)}", line_no)
             texts = {}
             for key in ("prompt", "chosen", "rejected"):
                 if not isinstance(record[key], str):
-                    raise PairParseError(line_no, f"key {key!r} is not a string")
+                    raise PairError(f"key {key!r} is not a string", line_no)
                 try:
                     texts[key] = _decode_bytes(record[key])
                 except binascii.Error as e:
-                    raise PairParseError(line_no, f"key {key!r}: bad base64: {e}") from None
+                    raise PairError(f"key {key!r}: bad base64: {e}", line_no) from None
                 except ValueError as e:  # non-ASCII base64 text, or a lone surrogate
-                    raise PairParseError(line_no, f"key {key!r}: {e}") from None
+                    raise PairError(f"key {key!r}: {e}", line_no) from None
             try:
                 pairs.append(PreferencePair(id=str(record["id"]), **texts,
                                             meta=record.get("meta", {})))
-            except PairValidationError as e:
-                raise PairValidationError(e.message, e.record_id, line_no) from e
+            except PairError as e:
+                raise PairError(str(e), line_no) from e
     return pairs
 
 

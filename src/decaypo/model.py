@@ -18,6 +18,7 @@ of rows at one position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,7 @@ def param_shapes(dim: int, context: int, blocks: int) -> dict:
 
 def init_params(dim: int, context: int, blocks: int, seed: int) -> dict:
     draw = rng(seed)
-    s = 1.0 / np.sqrt(dim)
+    s = 1.0 / math.sqrt(dim)  # np.sqrt refuses an int beyond int64
     # Zero output head: a fresh model is exactly uniform over the vocabulary.
     return {name: np.zeros(shape) if name == "w_out" else draw.normal(0.0, s, size=shape)
             for name, shape in param_shapes(dim, context, blocks).items()}

@@ -165,6 +165,18 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "4096" in err[0]
 
+    @pytest.mark.parametrize("command", ["train", "build-pairs"])
+    def test_dim_beyond_int64_exit_2_one_line(self, workdir, tmp_path, capsys, command):
+        """A width too large for an array is refused by numpy's draw, not
+        by the scale computed before it."""
+        out = tmp_path / "out"
+        out.mkdir()
+        pairs = ["--pairs", str(workdir / "pairs.jsonl"), "--metrics", str(out / "m.jsonl")]
+        assert main([command, *(pairs if command == "train" else []),
+                     "--dim", "99999999999999999999", "--out", str(out / "o")]) == 2
+        assert capsys.readouterr().err == "runtime error: Maximum allowed dimension exceeded\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command,flags,key", [
         ("build-pairs", ["--k", "1"], "k"),
         ("build-pairs", ["--max-len", "0"], "max-len"),
@@ -639,6 +651,17 @@ class TestTrainCommand:
         assert [n for n, *_ in outputs] == [1, 2]
         assert outputs[0][1:] == outputs[1][1:]
 
+    def test_reference_free_method_opens_no_reference(self, workdir, tmp_path, capsys):
+        """A reference-free method reads no reference, so a --reference that
+        names no file changes no output byte."""
+        outputs = []
+        for name, extra in (("none", ()), ("missing", ("--reference", str(tmp_path / "no.ckpt")))):
+            metrics, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.ckpt"
+            assert run_train(workdir, metrics, out, "--method", "simpo", *extra) == 0
+            outputs.append((metrics.read_bytes(), out.read_bytes()))
+        assert capsys.readouterr().err == ""
+        assert outputs[0] == outputs[1]
+
     def test_no_pair_that_fits_exit_2_one_line_no_files(self, workdir, tmp_path, capsys):
         """As an analysis does, train with no pair that fits warns, then
         exits 2 with one line and writes nothing."""
@@ -1021,14 +1044,14 @@ class TestReferenceContext:
             return ["train", "--init", str(files / "init.ckpt"), *models, "--pairs",
                     str(files / pairs), "--metrics", str(files / f"{pairs}.m"),
                     "--out", str(files / f"{pairs}.ckpt")]
-        return ["analyze", "length-bias", "--policy", str(files / "init.ckpt"), *models,
+        return ["analyze", command, "--policy", str(files / "init.ckpt"), *models,
                 "--pairs", str(files / pairs), "--out", str(files / f"{pairs}.csv")]
 
     def warning(self, files):
         return (f"warning: skipped 1 context-overflow examples: reference "
                 f"{files / 'ref.ckpt'} has context 16, the policy 48")
 
-    @pytest.mark.parametrize("command", ["train", "length-bias"])
+    @pytest.mark.parametrize("command", ["train", "length-bias", "kl-position"])
     def test_no_pair_that_fits_the_reference_names_it_then_exit_2(self, files, capsys,
                                                                     command):
         assert main(self.argv(command, files, "long.jsonl")) == 2
@@ -1038,7 +1061,7 @@ class TestReferenceContext:
         assert sorted(p.name for p in files.iterdir()) == [
             "init.ckpt", "long.jsonl", "mixed.jsonl", "ref.ckpt", "short.jsonl"]
 
-    @pytest.mark.parametrize("command", ["train", "length-bias"])
+    @pytest.mark.parametrize("command", ["train", "length-bias", "kl-position"])
     def test_pair_that_fits_only_the_policy_is_dropped(self, files, capsys, command):
         runs = []
         for pairs in ("mixed.jsonl", "short.jsonl"):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from decaypo.data import (PairParseError, PairValidationError, PreferencePair,
-                          RewardOracle, UnknownPromptError,
+from decaypo.data import (PairError, PreferencePair, RewardOracle, UnknownPromptError,
                           build_onpolicy_pairs, edit_distance, load_pairs,
                           oracle_score, response_bytes, save_pairs,
                           synthetic_corpus)
@@ -19,10 +18,12 @@ def make_pairs(n):
 
 class TestPreferencePair:
     def test_invariants(self):
-        with pytest.raises(PairValidationError):
+        """Outside a file the message names the id, if any, and no line."""
+        with pytest.raises(PairError, match=r"^prompt must be nonempty \(id='x'\)$") as err:
             PreferencePair(id="x", prompt=b"", chosen=b"a", rejected=b"b")
-        with pytest.raises(PairValidationError):
-            PreferencePair(id="x", prompt=b"q", chosen=b"a", rejected=b"a")
+        assert err.value.line_no is None
+        with pytest.raises(PairError, match="^chosen and rejected must differ$"):
+            PreferencePair(id="", prompt=b"q", chosen=b"a", rejected=b"a")
 
 
 class TestPersistence:
@@ -65,7 +66,7 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         good = '{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
         path.write_text(good + "\n" + good + "\n{broken\n")
-        with pytest.raises(PairParseError) as err:
+        with pytest.raises(PairError) as err:
             load_pairs(path)
         assert err.value.line_no == 3
 
@@ -74,10 +75,9 @@ class TestPersistence:
         good = '{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
         dup = '{"id":"dup","prompt":"q","chosen":"x","rejected":"x","meta":{}}'
         path.write_text(good + "\n" + good + "\n" + dup + "\n")
-        with pytest.raises(PairValidationError) as err:
+        with pytest.raises(PairError) as err:
             load_pairs(path)
         assert err.value.line_no == 3
-        assert err.value.record_id == "dup"
         assert str(err.value) == "line 3: chosen and rejected must differ (id='dup')"
 
     @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
@@ -86,7 +86,7 @@ class TestPersistence:
         good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
-        with pytest.raises(PairParseError, match=repr(key)) as err:
+        with pytest.raises(PairError, match=repr(key)) as err:
             load_pairs(path)
         assert err.value.line_no == 2
 
@@ -96,7 +96,7 @@ class TestPersistence:
         good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: text}) + "\n")
-        with pytest.raises(PairParseError, match=repr(key)) as err:
+        with pytest.raises(PairError, match=repr(key)) as err:
             load_pairs(path)
         assert err.value.line_no == 2
 
@@ -106,7 +106,7 @@ class TestPersistence:
         good = {"id": "a", "prompt": "q", "chosen": "x", "rejected": "y", "meta": {}}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: text}) + "\n")
-        with pytest.raises(PairParseError, match=repr(key)) as err:
+        with pytest.raises(PairError, match=repr(key)) as err:
             load_pairs(path)
         assert err.value.line_no == 2
 
@@ -117,7 +117,7 @@ class TestPersistence:
         good = b'{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
         path = tmp_path / "bad.jsonl"
         path.write_bytes(good + b"\n" + good + b"\n" + bad + b"\n")
-        with pytest.raises(PairParseError, match="not UTF-8") as err:
+        with pytest.raises(PairError, match="not UTF-8") as err:
             load_pairs(path)
         assert err.value.line_no == 3
 
@@ -128,7 +128,7 @@ class TestPersistence:
         path.write_bytes(good + end + good + end)
         assert len(load_pairs(path)) == 2
         path.write_bytes(good + end + good + end + b"{broken" + end)
-        with pytest.raises(PairParseError) as err:
+        with pytest.raises(PairError) as err:
             load_pairs(path)
         assert err.value.line_no == 3
 
@@ -137,14 +137,14 @@ class TestPersistence:
     def test_json_the_parser_refuses_is_named(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(PairParseError) as err:
+        with pytest.raises(PairError) as err:
             load_pairs(path)
         assert err.value.line_no == 1
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id":"a","prompt":"q","chosen":"x"}\n')
-        with pytest.raises(PairParseError):
+        with pytest.raises(PairError):
             load_pairs(path)
 
 
@@ -176,7 +176,7 @@ def test_any_pairs_line_gives_pairs_or_a_pair_error(tmp_path, lines):
     path.write_bytes(b"\n".join(lines))
     try:
         pairs = load_pairs(path)
-    except (PairParseError, PairValidationError) as e:
+    except PairError as e:
         assert e.line_no is not None
         return
     for p in pairs:
