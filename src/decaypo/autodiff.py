@@ -183,10 +183,18 @@ def gather_rows(a, idx):
 
 
 def _segment_cumsum(x: np.ndarray, bounds) -> np.ndarray:
-    """Cumulative sum down the rows of ``x``, restarting at every bound."""
-    out = np.empty_like(x)
+    """Cumulative sum down the rows of the matrix ``x``, restarting at every
+    bound. At an even width with contiguous rows it runs on a complex128 view,
+    two columns to an entry: complex addition is the IEEE addition of each
+    part, so every entry gets the same additions in the same order, and the
+    same bits, at half the elements per call."""
+    out = np.empty(x.shape)
+    if x.shape[1] % 2 == 0 and x.strides[1] == x.itemsize:
+        x, out_view = x.view(np.complex128), out.view(np.complex128)
+    else:
+        out_view = out
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.cumsum(x[lo:hi], axis=0, out=out[lo:hi])
+        np.cumsum(x[lo:hi], axis=0, out=out_view[lo:hi])
     return out
 
 
@@ -247,7 +255,7 @@ def _logsigmoid(x: np.ndarray, exp_out: np.ndarray | None = None) -> np.ndarray:
     """log sigma(x) = min(x, 0) - log1p(exp(-|x|)), from vectorized ufuncs
     working in place on one scratch array; exp(-|x|) <= 1, so no x
     overflows. When given, ``exp_out`` (shaped like x) keeps exp(-|x|)."""
-    e = np.copysign(x, _MINUS_ONE, out=np.empty_like(x) if exp_out is None else exp_out)
+    e = np.copysign(x, _MINUS_ONE, out=exp_out)
     np.exp(e, out=e)
     out = np.minimum(x, _ZERO)
     out -= np.log1p(e, out=e if exp_out is None else None)

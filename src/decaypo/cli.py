@@ -428,8 +428,27 @@ def _keep_heap() -> None:
         mallopt(M_TRIM_THRESHOLD, 256 << 20)
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Hold numpy's bundled OpenBLAS to one thread, so that no output
+    depends on the core count: a product split over threads adds in another
+    order. The setter is looked up through numpy's own extension module,
+    which links the library under numpy.libs/. Where numpy has no such
+    library, or it lacks the symbol, nothing changes and nothing is printed.
+    Called from main, not on import, to leave a host process's pool alone.
+    """
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__) \
+            .scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(1)
+
+
 def main(argv=None) -> int:
     _keep_heap()
+    _one_blas_thread()
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -114,22 +114,27 @@ def load_checkpoint(path) -> Checkpoint:
             if type(where[key]) is not int or where[key] < low:  # a bool is not an int
                 raise ValueError(f"manifest key {key!r} must be an integer >= {low}, "
                                  f"got {where[key]!r}")
-        # the table lists the architecture's parameters in param_shapes order;
-        # JSON text tells an integer dimension from a float or a bool
+        # the table lists the architecture's parameters in param_shapes order,
+        # each shape a list of integers, not of floats or bools
         shapes = param_shapes(arch["dim"], arch["context"], arch["blocks"])
         table = [(entry["name"], entry["shape"]) for entry in manifest["params"]]
         for got, want in itertools.zip_longest(table, shapes.items()):
-            if json.dumps(got) != json.dumps(want):
+            if got is None or want is None or got[0] != want[0] or type(got[1]) is not list \
+                    or [(type(n), n) for n in got[1]] != [(int, n) for n in want[1]]:
                 raise ValueError(f"parameter table has {got or 'nothing'} for {want or 'nothing'}")
         sizes = [math.prod(shape) for shape in shapes.values()]
         if len(blob) - end != 4 * sum(sizes):
             raise ValueError(f"payload of {len(blob) - end} bytes, not {sum(sizes)} float32 values")
-        offsets = end + 4 * np.cumsum([0, *sizes])
-        params = {name: np.frombuffer(blob, "<f4", size, offset).astype(np.float64).reshape(shape)
-                  for (name, shape), size, offset in zip(shapes.items(), sizes, offsets)}
-        for name, value in params.items():
-            if not np.isfinite(value).all():
-                raise ValueError(f"parameter {name} is not finite")
+        # one conversion and one check of the whole payload; each parameter
+        # is a view of it
+        payload = np.frombuffer(blob, "<f4", sum(sizes), end).astype(np.float64)
+        offsets = np.cumsum([0, *sizes])
+        finite = np.isfinite(payload)
+        if not finite.all():
+            first = np.searchsorted(offsets, finite.argmin(), side="right") - 1
+            raise ValueError(f"parameter {list(shapes)[first]} is not finite")
+        params = {name: payload[lo:lo + size].reshape(shape)
+                  for (name, shape), size, lo in zip(shapes.items(), sizes, offsets)}
         model = PolicyModel(dim=arch["dim"], context=arch["context"],
                             blocks=arch["blocks"], seed=manifest["seed"], params=params)
         return Checkpoint(model=model, step=manifest["step"], seed=manifest["seed"])

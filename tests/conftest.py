@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from decaypo import autodiff as ad
+from decaypo.cli import _one_blas_thread
 from decaypo.losses import PairScore, kto_loss, pair_loss
 from decaypo.model import PolicyModel, _check_context, _forward
+
+# One BLAS thread, as cli.main holds every command to, so that results
+# computed in-process have the bits that a command writes.
+_one_blas_thread()
 
 
 def random_pairscore(rng, with_ref=True, max_len=8, prompt_len=None):

@@ -382,6 +382,20 @@ class TestGradients:
         g = ad.gradients(ad.weighted_sum(out, w))[x]
         assert np.allclose(g, central_difference(f, x_val), rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("bounds", [(0, 30), (0, 0, 5, 5, 12, 30, 30)],
+                             ids=["one", "with-empty"])
+    def test_segment_cumsum_is_bitwise_np_cumsum(self, rng, width, bounds):
+        """Even widths run on a complex128 view, odd ones on the floats; both
+        give np.cumsum's bits per segment, on the reversed view the backward
+        pass hands it and on columns that are not contiguous."""
+        x = rng.normal(size=(30, width)) * 10.0 ** rng.integers(-8, 8, size=(30, width))
+        for view in (x, x[::-1], x[:, ::-1], np.asfortranarray(x)):
+            want = np.zeros((0, width))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                want = np.concatenate([want, np.cumsum(view[lo:hi], axis=0)])
+            assert ad._segment_cumsum(view, bounds).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bounds", [(0, 3), (1, 6), (0, 4, 2, 6), (0, 6, 7), [[0, 6]]])
     def test_causal_mean_rejects_bad_bounds(self, bounds):
         with pytest.raises(ValueError, match="segment bounds"):

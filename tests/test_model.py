@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -649,6 +652,68 @@ class TestLockstepSampling:
             wins[0 if sc > sb else 1 if sc == sb else 2] += 1
         assert evaluate_winrate(Checkpoint(m), Checkpoint(other), oracle, prompts, 0.8, seed,
                                 max_len=12) == tuple(wins)
+
+
+def matmul_steps(model, columns):
+    """The logits of each decoder step over the token ``columns``, written
+    with ``@`` as the decoder was before it took np.dot."""
+    p = model.params
+    sums = [np.zeros((len(columns[0]), model.dim)) for _ in range(model.blocks)]
+    for n, tokens in enumerate(columns, 1):
+        x = p["embed"][tokens] + p["pos"][n - 1]
+        for b, s in enumerate(sums):
+            s += x
+            m = s / n
+            u = ad._logsigmoid((x + m) @ p[f"w1_{b}"])
+            x = x + (u @ p[f"w2_{b}"] + (x * m) @ p[f"w3_{b}"])
+        yield x @ p["w_out"]
+
+
+class TestDecoderArithmetic:
+    """The decoder's np.dot products and headless prefill change no bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 128])
+    @pytest.mark.parametrize("dim", [1, 5, 16, 64])
+    def test_step_is_bitwise_the_matmul_step(self, rows, dim):
+        m = PolicyModel(dim=dim, context=6, blocks=2, seed=dim)
+        r = np.random.default_rng(rows)
+        m.params["w_out"] = r.normal(0, 1.0, size=m.params["w_out"].shape)
+        columns = r.integers(0, VOCAB_SIZE, size=(6, rows))
+        decoder = _Decoder(m, rows)
+        for column, want in zip(columns, matmul_steps(m, columns)):
+            assert decoder.step(column).tobytes() == want.tobytes()
+
+    def test_prefill_by_feed_equals_a_step_per_token(self):
+        m = full_model()
+        columns = np.random.default_rng(8).integers(0, VOCAB_SIZE, size=(40, 5))
+        fed, stepped = _Decoder(m, 5), _Decoder(m, 5)
+        for column in columns[:-1]:
+            fed.feed(column)
+            stepped.step(column)
+        assert fed.step(columns[-1]).tobytes() == stepped.step(columns[-1]).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fed.sums, stepped.sums))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.8])
+    def test_softmax_leaves_its_input_unchanged(self, temperature):
+        logits = np.random.default_rng(4).normal(0, 3.0, size=(3, VOCAB_SIZE))
+        before = logits.copy()
+        probs = _softmax(logits, temperature)
+        assert logits.tobytes() == before.tobytes()
+        e = np.exp((before - before.max(axis=-1, keepdims=True)) / temperature)
+        assert probs.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("temperature, digest", [
+        (0.0, "433f3f1a545ed46e630cda7738f005141cfd1bb16ed523c0a26815dd2037f192"),
+        (0.8, "7da2ad890ba3efd2a8ff7d6f94f123e1b7e5769e632462d86b29ddd818362e91")])
+    def test_sample_many_draws_the_matmul_decoders_tokens(self, temperature, digest):
+        """sha256 of the JSON token lists that the decoder drew when its
+        products were ``@`` and it prefilled through the output head."""
+        r = np.random.default_rng(21)
+        prompts = [[BOS] + r.integers(97, 123, size=r.integers(0, 8)).tolist()
+                   for _ in range(24)]
+        got = [seq.response_tokens for seq in sample_many(eos_prone_model(), prompts,
+                                                          temperature, 30, 3)]
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
 
 
 class TestCopy:
