@@ -35,6 +35,8 @@ from .training import (Checkpoint, TrainConfig, evaluate_winrate,
 # flag and file values against it, and --help shows its text. Rules that
 # tie two keys together stay in their commands.
 SEED_OPT = Option("seed", "int", 0, help="root seed")
+# a file a command writes: an empty name would fail only once the run is done
+OUTPUT = (bool, "must name a file")
 
 ARCH_OPTS = [
     Option("dim", "int", 64, help="model width", valid=at_least(1)),
@@ -257,8 +259,8 @@ COMMANDS = {
             Option("reference", "str",
                    help="reference checkpoint (defaults to init); a reference-free method "
                         "opens none"),
-            Option("out", "str", "model.ckpt"),
-            Option("metrics", "str", "metrics.jsonl"),
+            Option("out", "str", "model.ckpt", valid=OUTPUT),
+            Option("metrics", "str", "metrics.jsonl", valid=OUTPUT),
             Option("lr-multiplier", "float", 1e3, valid=above(0)),
             Option("batch-size", "int", 32, valid=at_least(1)),
             Option("epochs", "int", 1, valid=at_least(0)),
@@ -268,20 +270,20 @@ COMMANDS = {
     "build-pairs": (
         ARCH_OPTS + ORACLE_OPTS + SAMPLING_OPTS + [
             Option("model", "str", help="sampling checkpoint (fresh model if absent)"),
-            Option("out", "str", "pairs.jsonl"),
+            Option("out", "str", "pairs.jsonl", valid=OUTPUT),
             Option("k", "int", 5, help="samples per prompt", valid=at_least(2)),
         ], _cmd_build_pairs),
     "sample": (
         SAMPLING_OPTS + [
             Option("model", "str", required=True),
             Option("prompt", "str", required=True),
-            Option("out", "str"),
+            Option("out", "str", valid=OUTPUT),
         ], _cmd_sample),
     "eval": (
         ORACLE_OPTS + SAMPLING_OPTS + [
             Option("candidate", "str", required=True),
             Option("baseline", "str", required=True),
-            Option("out", "str"),
+            Option("out", "str", valid=OUTPUT),
         ], _cmd_eval),
     "analyze-kl-position": (
         [
@@ -289,21 +291,21 @@ COMMANDS = {
             Option("reference", "str", required=True),
             Option("pairs", "str", required=True),
             Option("max-pos", "int", 64, valid=at_least(0)),
-            Option("out", "str", "kl_position.csv"),
+            Option("out", "str", "kl_position.csv", valid=OUTPUT),
         ], _cmd_kl_position),
     "analyze-prob-position": (
         [
             Option("model", "str", required=True),
             Option("pairs", "str", required=True),
             Option("max-pos", "int", 64, valid=at_least(0)),
-            Option("out", "str", "prob_position.csv"),
+            Option("out", "str", "prob_position.csv", valid=OUTPUT),
         ], _cmd_prob_position),
     "analyze-ref-margin": (
         [
             Option("reference", "str", required=True),
             Option("pairs", "str", required=True),
             Option("bins", "int", 20, valid=at_least(2)),
-            Option("out", "str", "ref_margin.csv"),
+            Option("out", "str", "ref_margin.csv", valid=OUTPUT),
         ], _cmd_ref_margin),
     "analyze-length-bias": (
         LOSS_OPTS + [
@@ -313,7 +315,7 @@ COMMANDS = {
             Option("gap-bins", "ints", [-64, -16, -4, 0, 4, 16, 64],
                    valid=(lambda v: len(v) >= 2 and v == sorted(v),
                           "must be two or more sorted values")),
-            Option("out", "str", "length_bias.csv"),
+            Option("out", "str", "length_bias.csv", valid=OUTPUT),
             SEED_OPT,
         ], _cmd_length_bias),
     "mdp-verify": (
@@ -327,7 +329,7 @@ COMMANDS = {
             Option("horizon", "int", 8, valid=at_least(1)),
             Option("reward-bound", "float", 1.0, valid=above(0)),
             Option("beta", "float", 0.3, valid=above(0)),
-            Option("out", "str", "mdp_verify.csv"),
+            Option("out", "str", "mdp_verify.csv", valid=OUTPUT),
             SEED_OPT,  # unread: MDP i is drawn from seed i; benchmarks/workloads.py passes it
         ], _cmd_mdp_verify),
 }

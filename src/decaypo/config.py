@@ -136,7 +136,8 @@ def resolve(command: str, options, cli_values: dict,
             if opt.required:
                 raise ConfigError(f"missing required key {opt.name!r} (flag --{opt.name})")
         elif opt.valid is not None and not opt.valid[0](value):
-            raise ConfigError(f"key {opt.name!r}: {opt.valid[1]}, got {format_value(value)}")
+            shown = format_value(value) or repr(value)  # an empty value as '' or []
+            raise ConfigError(f"key {opt.name!r}: {opt.valid[1]}, got {shown}")
     return resolved
 
 

@@ -8,13 +8,13 @@ kto and orpo is one margin form:
 link(c * (sum_t w_w[t] r_w[t] - sum_t w_l[t] r_l[t]) - offset), where r is
 the log-ratio to the reference, or the raw log-prob for the REFERENCE_FREE
 methods, and the link is the square for ipo and -log sigma for the rest.
-_margin_form gives a pair's weights w_w and w_l, scale c and offset, and
-_sides the two scaled sums; kto puts a sigma link on each side of dpo's.
+_margin_weights gives a pair's weights w_w and w_l, and _sides the method's
+c and offset and the two scaled sums; kto puts a sigma link on each of dpo's.
 
 Each loss has one definition, written with the autodiff primitives: given
 a PairScore of autodiff tensors it returns a tensor on their tape, and
-given plain arrays it returns a plain value from the same arithmetic
-(batch_loss, also named pair_loss, returns it as a float).
+given plain arrays it returns a plain value from the same arithmetic (a
+float from batch_loss, also named pair_loss, and from each named loss).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import partial, reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .config import rng
 from .schedules import UNIFORM, DecaySchedule, weights
 
@@ -41,11 +40,11 @@ class PairScore:
     ``chosen_lens`` and ``rejected_lens`` give each response's length
     (default: the whole array, one pair), each at least 1 and adding up,
     side by side, to each of that side's arrays; a ValueError names a side
-    that breaks this. ``prompt_len`` and ``example_id`` take one value per
-    pair (an int: one pair). All four become int arrays.
-    Reference log-probs are absent (None) in reference-free mode. Arrays may
-    be numpy arrays or autodiff tensors; reference arrays are always treated
-    as constants.
+    that breaks this, and another rejects k = 0. ``prompt_len`` and
+    ``example_id`` take one value per pair (an int: one pair); all four
+    become int arrays. Reference log-probs are None in reference-free mode.
+    Arrays may be numpy arrays or autodiff tensors; reference arrays are
+    always constants.
     """
 
     chosen_logps: object
@@ -59,17 +58,19 @@ class PairScore:
 
     def __post_init__(self):
         names = ("chosen_lens", "rejected_lens", "prompt_len", "example_id")
-        whole = (len(_array(self.chosen_logps)), len(_array(self.rejected_logps)), 0, 0)
+        whole = (len(ad._value(self.chosen_logps)), len(ad._value(self.rejected_logps)), 0, 0)
         for name, default in zip(names, whole):
             value = default if getattr(self, name) is None else getattr(self, name)
             setattr(self, name, np.atleast_1d(np.asarray(value, dtype=np.int64)))
         if len({getattr(self, name).shape for name in names}) != 1:
             raise ValueError("a PairScore needs one of each response length, prompt_len "
                              "and example_id per pair")
+        if not len(self.example_id):
+            raise ValueError("a PairScore needs at least one pair")
         for side in ("chosen", "rejected"):
             lens = getattr(self, f"{side}_lens")
             arrays = (getattr(self, f"{side}_logps"), getattr(self, f"{side}_ref_logps"))
-            sizes = [len(_array(a)) for a in arrays if a is not None]
+            sizes = [len(ad._value(a)) for a in arrays if a is not None]
             if np.any(lens < 1) or any(size != lens.sum() for size in sizes):
                 raise ValueError(f"{side} response lengths {lens.tolist()} must be >= 1 and "
                                  f"add up to each {side} array, of {sizes} tokens")
@@ -96,21 +97,17 @@ class LossConfig:
             raise ValueError("tau must be > 0")
 
 
-def _array(x) -> np.ndarray:
-    return np.asarray(x.value if isinstance(x, Tensor) else x, dtype=np.float64)
-
-
 def segment_sums(x, lens, w=None):
     """Each response's sum of w * x (w 1 by default), x holding responses of
     lengths ``lens`` end to end: a vector from one segmented weighted_sum."""
-    return ad.weighted_sum(x, np.ones(len(_array(x))) if w is None else w,
+    return ad.weighted_sum(x, np.ones(len(ad._value(x))) if w is None else w,
                            np.cumsum([0, *lens]))
 
 
 def sequence_margins(score: PairScore) -> np.ndarray:
     """Each pair's chosen-minus-rejected summed log-probs, from plain values."""
-    return (segment_sums(_array(score.chosen_logps), score.chosen_lens)
-            - segment_sums(_array(score.rejected_logps), score.rejected_lens))
+    return (segment_sums(ad._value(score.chosen_logps), score.chosen_lens)
+            - segment_sums(ad._value(score.rejected_logps), score.rejected_lens))
 
 
 def _require_ref(score: PairScore):
@@ -118,21 +115,20 @@ def _require_ref(score: PairScore):
         raise ValueError("reference log-probs are required for this loss")
 
 
-def _margin_form(method: str, cfg: LossConfig, T_w: int, T_l: int, prompt_len: int,
-                 example_id: int):
-    """(w_w, w_l, c, offset) of ``method``'s margin for one pair."""
+def _margin_weights(method: str, cfg: LossConfig, T_w: int, T_l: int, prompt_len: int,
+                    example_id: int):
+    """(w_w, w_l) of ``method``'s margin for one pair."""
     if method == "simpo":
-        return np.full(T_w, 1.0 / T_w), np.full(T_l, 1.0 / T_l), cfg.beta, cfg.target_margin
+        return np.full(T_w, 1.0 / T_w), np.full(T_l, 1.0 / T_l)
     if method == "ipo":
-        return np.ones(T_w), np.ones(T_l), 1.0, 1.0 / (2.0 * cfg.tau)
+        return np.ones(T_w), np.ones(T_l)
     if method == "sampo":
         idx_w, idx_l = sampo_indices(T_w, T_l, cfg.sampo_seed, example_id)
         w_w, w_l = np.zeros(T_w), np.zeros(T_l)
-        w_w[idx_w] = 1.0
-        w_l[idx_l] = 1.0
-        return w_w, w_l, cfg.beta, 0.0
+        w_w[idx_w] = w_l[idx_l] = 1.0
+        return w_w, w_l
     schedule = UNIFORM if method == "dpo" else cfg.schedule  # d2po, d2po_ref_free, dpo
-    return weights(schedule, T_w, prompt_len), weights(schedule, T_l, prompt_len), cfg.beta, 0.0
+    return weights(schedule, T_w, prompt_len), weights(schedule, T_l, prompt_len)
 
 
 def _sides(score: PairScore, cfg: LossConfig, method: str):
@@ -141,14 +137,15 @@ def _sides(score: PairScore, cfg: LossConfig, method: str):
     r_w, r_l = score.chosen_logps, score.rejected_logps
     if method not in REFERENCE_FREE:
         _require_ref(score)
-        r_w = ad.sub(r_w, _array(score.chosen_ref_logps))
-        r_l = ad.sub(r_l, _array(score.rejected_ref_logps))
+        r_w = ad.sub(r_w, ad._value(score.chosen_ref_logps))
+        r_l = ad.sub(r_l, ad._value(score.rejected_ref_logps))
     per_pair = (score.chosen_lens, score.rejected_lens, score.prompt_len, score.example_id)
-    w_w, w_l, c, offset = zip(*[_margin_form(method, cfg, *pair)
-                                for pair in zip(*(v.tolist() for v in per_pair))])
+    w_w, w_l = zip(*[_margin_weights(method, cfg, *pair)
+                     for pair in zip(*(v.tolist() for v in per_pair))])
     s_w = segment_sums(r_w, score.chosen_lens, np.concatenate(w_w))
     s_l = segment_sums(r_l, score.rejected_lens, np.concatenate(w_l))
-    c, offset = c[0], offset[0]
+    c = 1.0 if method == "ipo" else cfg.beta
+    offset = {"simpo": cfg.target_margin, "ipo": 1.0 / (2.0 * cfg.tau)}.get(method, 0.0)
     if c != 1.0:  # scaling by 1 is exact, so it would only lengthen the tape
         s_w, s_l = ad.scale(s_w, c), ad.scale(s_l, c)
     return s_w, s_l, offset
@@ -157,8 +154,8 @@ def _sides(score: PairScore, cfg: LossConfig, method: str):
 def _mean(*losses):
     """The mean of the entries of per-pair loss vectors, added in index
     order as a chain of adds would."""
-    total = reduce(ad.add, [ad.weighted_sum(v, np.ones(len(_array(v)))) for v in losses])
-    return ad.scale(total, 1.0 / sum(len(_array(v)) for v in losses))
+    total = reduce(ad.add, [ad.weighted_sum(v, np.ones(len(ad._value(v)))) for v in losses])
+    return ad.scale(total, 1.0 / sum(len(ad._value(v)) for v in losses))
 
 
 def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool = True):
@@ -168,7 +165,7 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
     its roles of chosen and rejected."""
     if cfg.method == "orpo":  # simpo's sides at beta 1 are the mean log-probs
         mean_w, mean_l, _ = _sides(score, replace(cfg, beta=1.0), "simpo")
-        if np.any(_array(mean_w) >= 0.0) or np.any(_array(mean_l) >= 0.0):
+        if np.any(ad._value(mean_w) >= 0.0) or np.any(ad._value(mean_l) >= 0.0):
             raise ValueError("orpo requires strictly negative mean log-probs "
                              "(odds are singular at probability 1)")
         # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
@@ -182,8 +179,9 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
         z = np.where(z > 0.0, z, 0.0)  # a constant: no gradient flows through it
         if not desirable:
             s_w, s_l = s_l, s_w
-        return ad.add(ad.scale(ad.sigmoid(ad.sub(s_w, z)), -cfg.lambda_w),
-                      ad.scale(ad.sigmoid(ad.sub(z, s_l)), cfg.lambda_l))
+        # KTO's lambda_y - v(x, y): lambda_w (1 - sigma(s_w - z)) + lambda_l (1 - sigma(z - s_l))
+        return ad.add(ad.scale(ad.sigmoid(ad.sub(z, s_w)), cfg.lambda_w),
+                      ad.scale(ad.sigmoid(ad.sub(s_l, z)), cfg.lambda_l))
     margin = ad.sub(s_w, s_l)
     if offset:
         margin = ad.sub(margin, np.full(margin.shape, offset))
@@ -191,8 +189,8 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
 
 
 def _mean_loss(score: PairScore, cfg: LossConfig, method: str):
-    """The batch mean of the pair losses of ``method``; cfg.method is not read."""
-    return _mean(pair_losses(score, replace(cfg, method=method)))
+    """batch_loss under ``method``; cfg.method is not read."""
+    return batch_loss(score, replace(cfg, method=method))
 
 
 d2po_loss = partial(_mean_loss, method="d2po")
@@ -206,10 +204,7 @@ orpo_loss = partial(_mean_loss, method="orpo")
 
 def kto_loss(batch, cfg: LossConfig, z_ref: float):
     """Mean KTO loss over the pairs of a batch of (PairScore,
-    chosen_is_desirable) items.
-
-    z_ref is a constant (no gradient flows through it), clamped at 0.
-    """
+    chosen_is_desirable) items, each anchored at the constant z_ref."""
     if not batch:
         raise ValueError("kto_loss requires a nonempty batch")
     kto = replace(cfg, method="kto")
@@ -219,7 +214,7 @@ def kto_loss(batch, cfg: LossConfig, z_ref: float):
 def _z_terms(score: PairScore, cfg: LossConfig) -> np.ndarray:
     """Each pair's beta * (rejected sequence log-ratio) / T_l."""
     _require_ref(score)
-    ratio = _array(score.rejected_logps) - _array(score.rejected_ref_logps)
+    ratio = ad._value(score.rejected_logps) - ad._value(score.rejected_ref_logps)
     return cfg.beta * segment_sums(ratio, score.rejected_lens) / score.rejected_lens
 
 
@@ -229,6 +224,8 @@ def estimate_z_ref(batch, cfg: LossConfig) -> float:
     Mean over rejected responses of beta * (sequence log-ratio) / T,
     clamped at 0. Treated as a detached constant by kto_loss.
     """
+    if not batch:
+        raise ValueError("estimate_z_ref requires a nonempty batch")
     return max(0.0, float(np.mean(np.concatenate([_z_terms(s, cfg) for s, _ in batch]))))
 
 
@@ -252,11 +249,9 @@ def sampo_indices(T_w: int, T_l: int, sampo_seed: int, example_id: int):
 def batch_loss(score: PairScore, cfg: LossConfig):
     """Mean of the losses of a PairScore's pairs, added in index order; KTO
     anchors every pair at z_ref estimated from the batch."""
-    if not len(score.example_id):
-        raise ValueError("batch_loss requires a nonempty batch")
     z_ref = estimate_z_ref([(score, True)], cfg) if cfg.method == "kto" else None
     loss = _mean(pair_losses(score, cfg, z_ref))
-    return loss if isinstance(loss, Tensor) else float(loss)
+    return loss if isinstance(loss, ad.Tensor) else float(loss)
 
 
 pair_loss = partial(batch_loss)  # one pair's loss; unlike an alias, keeps batch_loss's span name

@@ -57,6 +57,24 @@ class TestErrors:
         assert main(["sample", "--prompt", "hi"]) == 1
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", ""], ["train", "--metrics="], ["build-pairs", "--out="],
+        ["sample", "--model", "m", "--prompt", "hi", "--out", ""],
+        ["analyze", "ref-margin", "--reference", "r", "--pairs", "p", "--out", ""]],
+        ids=["train-out", "train-metrics", "build-pairs-out", "sample-out", "ref-margin-out"])
+    def test_empty_output_path_exit_1_before_the_run(self, workdir, tmp_path, monkeypatch,
+                                                     capsys, argv):
+        """An empty name for a file to write is one line naming the key,
+        before the command reads or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "train":
+            argv = [*argv, *SMALL_ARCH, "--pairs", str(workdir / "pairs.jsonl"),
+                    "--max-steps", "1"]
+        key = "metrics" if "--metrics=" in argv else "out"
+        assert argv_outcome(capsys, argv) == (1, "", f"error: key {key!r}: must name a file, "
+                                                     "got ''\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["sample", "--model", str(tmp_path / "absent.ckpt"),
                    "--prompt", "hi"])
@@ -226,6 +244,9 @@ OUT_OF_DOMAIN = [
     ("mdp-verify", "states", "0"), ("mdp-verify", "actions", "0"),
     ("mdp-verify", "horizon", "0"), ("mdp-verify", "reward-bound", "0"),
     ("mdp-verify", "beta", "0"),
+    # an empty name for a file the command writes
+    ("train", "metrics", ""),
+    *((command, "out", "") for command in sorted(COMMANDS)),
 ]
 
 
@@ -248,7 +269,7 @@ def test_out_of_domain_value_exit_1_names_key(tmp_path, capsys, command, key, te
     # the checks run before any input file is read, so these need not exist
     argv = [*command_argv(command),
             *(arg for o in options if o.required for arg in (f"--{o.name}", "absent")),
-            "--out", str(tmp_path / "out")]
+            *(["--out", str(tmp_path / "out")] if key != "out" else [])]
     if source == "flag":
         argv.append(f"--{key}={text}")
     else:
@@ -394,37 +415,64 @@ def test_readme_cli_lines_name_known_commands_and_flags():
         assert set(flags) <= {o.name for o in COMMANDS[command][0]} | {"config"}, command
 
 
-# CLI option -> (library owner, parameter) whose default the option mirrors
+# CLI option -> the (library owner, parameter) pairs whose defaults the option mirrors
 LIBRARY_DEFAULTS = {
-    "dim": (PolicyModel, "dim"), "context": (PolicyModel, "context"),
-    "blocks": (PolicyModel, "blocks"),
-    "method": (LossConfig, "method"), "beta": (LossConfig, "beta"), "tau": (LossConfig, "tau"),
-    "lambda-w": (LossConfig, "lambda_w"), "lambda-l": (LossConfig, "lambda_l"),
-    "lambda-orpo": (LossConfig, "lambda_orpo"), "target-margin": (LossConfig, "target_margin"),
-    "schedule": (DecaySchedule, "kind"), "gamma": (DecaySchedule, "gamma"),
-    "origin": (DecaySchedule, "origin"),
-    "lr-multiplier": (TrainConfig, "lr_multiplier"), "batch-size": (TrainConfig, "batch_size"),
-    "epochs": (TrainConfig, "epochs"), "max-steps": (TrainConfig, "max_steps"),
-    "seed": (TrainConfig, "seed"),
-    "brevity-coefficient": (data.RewardOracle, "brevity_coefficient"),
-    "min-target-len": (data.synthetic_corpus, "min_target_len"),
-    "max-target-len": (data.synthetic_corpus, "max_target_len"),
-    "k": (data.build_onpolicy_pairs, "K"),
-    "temperature": (data.build_onpolicy_pairs, "temperature"),
-    "max-len": (data.build_onpolicy_pairs, "max_len"),
+    "dim": [(PolicyModel, "dim")], "context": [(PolicyModel, "context")],
+    "blocks": [(PolicyModel, "blocks")],
+    "method": [(LossConfig, "method")], "beta": [(LossConfig, "beta")],
+    "tau": [(LossConfig, "tau")],
+    "lambda-w": [(LossConfig, "lambda_w")], "lambda-l": [(LossConfig, "lambda_l")],
+    "lambda-orpo": [(LossConfig, "lambda_orpo")],
+    "target-margin": [(LossConfig, "target_margin")],
+    "schedule": [(DecaySchedule, "kind")], "gamma": [(DecaySchedule, "gamma")],
+    "origin": [(DecaySchedule, "origin")],
+    "lr-multiplier": [(TrainConfig, "lr_multiplier")],
+    "batch-size": [(TrainConfig, "batch_size")],
+    "epochs": [(TrainConfig, "epochs")], "max-steps": [(TrainConfig, "max_steps")],
+    "seed": [(TrainConfig, "seed")],
+    "brevity-coefficient": [(data.RewardOracle, "brevity_coefficient")],
+    "min-target-len": [(data.synthetic_corpus, "min_target_len")],
+    "max-target-len": [(data.synthetic_corpus, "max_target_len")],
+    "k": [(data.build_onpolicy_pairs, "K")],
+    "temperature": [(data.build_onpolicy_pairs, "temperature")],
+    "max-len": [(data.build_onpolicy_pairs, "max_len"), (training.evaluate_winrate, "max_len")],
 }
 NO_LIBRARY_TWIN = {("mdp-verify", "beta")}   # the MDP's soft-value temperature
+# library parameters spelled like an option that the CLI sets from another value
+NOT_A_TWIN = {
+    (PolicyModel, "seed"),                  # seed_substream(seed, "init")
+    (data.build_onpolicy_pairs, "seed"),    # seed_substream(seed, "sampling")
+    (LossConfig, "schedule"),               # a DecaySchedule, whose kind is --schedule
+}
+
+
+def library_defaults(owner) -> dict:
+    return {name: p.default for name, p in inspect.signature(owner).parameters.items()
+            if p.default is not inspect.Parameter.empty}
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_DEFAULTS))
 def test_cli_default_equals_the_library_default(name):
-    """Every command declaring the option defaults it as the library does."""
-    owner, param = LIBRARY_DEFAULTS[name]
-    want = inspect.signature(owner).parameters[param].default
+    """Every command declaring the option defaults it as each of its
+    library twins does."""
     declared = [(command, o.default) for command, (options, _) in COMMANDS.items()
                 for o in options if o.name == name and (command, name) not in NO_LIBRARY_TWIN]
     assert declared
-    assert [(command, want) for command, _ in declared] == declared
+    for owner, param in LIBRARY_DEFAULTS[name]:
+        want = library_defaults(owner)[param]
+        assert [(command, want) for command, _ in declared] == declared, (owner, param)
+
+
+def test_every_library_twin_of_an_option_is_compared():
+    """Each defaulted parameter of the owners above that an option names
+    (underscores as dashes, any case) is in the table or in NOT_A_TWIN, so
+    no default declared twice goes unchecked."""
+    twins = {pair for pairs in LIBRARY_DEFAULTS.values() for pair in pairs}
+    options = {o.name for options, _ in COMMANDS.values() for o in options}
+    for owner in {owner for owner, _ in twins}:
+        for param in library_defaults(owner):
+            if param.lower().replace("_", "-") in options:
+                assert (owner, param) in twins | NOT_A_TWIN, (owner, param)
 
 
 # options a command declares and its runner never reads, with the reason each stays

@@ -204,18 +204,44 @@ class TestKTO:
         lp = np.array([-1.0, -2.0])
         score = PairScore(lp, lp.copy(), lp.copy(), lp.copy())
         cfg = LossConfig(method="kto")
-        assert kto_loss([(score, True)], cfg, 0.0) == pytest.approx(0.0, abs=1e-12)
+        # lambda_w sigma(0) + lambda_l sigma(0)
+        assert kto_loss([(score, True)], cfg, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_saturation(self):
-        # -lambda_w sigma(beta r_w - z) + lambda_l sigma(z - beta r_l):
-        # with r_w = +10/beta both sigmoids saturate at 1
+        # lambda_w sigma(z - beta r_w) + lambda_l sigma(beta r_l - z), the
+        # paper's lambda_y - v(x, y): with beta r_w = +10 and beta r_l = -10
+        # both sigmoids saturate at 0
         score = score_from_ratios([100.0], [-100.0])  # beta 0.1 -> +-10
         cfg = LossConfig(method="kto", beta=0.1)
-        assert kto_loss([(score, True)], cfg, 0.0) == pytest.approx(-1.0 + 1.0, abs=1e-4)
-        # the desirable term alone saturates at -lambda_w
+        assert kto_loss([(score, True)], cfg, 0.0) == pytest.approx(0.0, abs=1e-4)
+        # the desirable term alone saturates at 0; the undesirable one is sigma(0)
         one_sided = score_from_ratios([100.0], [0.0])
-        assert kto_loss([(one_sided, True)], cfg, 0.0) \
-            == pytest.approx(-1.0 + 0.5, abs=1e-4)
+        assert kto_loss([(one_sided, True)], cfg, 0.0) == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("desirable", [True, False])
+    def test_descent_raises_the_desirable_and_lowers_the_undesirable(self, desirable, rng):
+        """At policy = reference the loss falls as the desirable response's
+        log-probs rise and as the undesirable one's fall, for every token,
+        with the anchor given or estimated from the batch."""
+        s = random_pairscore(rng)
+        s = replace(s, chosen_ref_logps=s.chosen_logps.copy(),
+                    rejected_ref_logps=s.rejected_logps.copy())
+        cfg = LossConfig(method="kto", lambda_w=1.3, lambda_l=0.7)
+        losses = [lambda t: kto_loss([(t, desirable)], cfg, 0.0)]
+        if desirable:  # batch_loss reads the chosen response as the desirable one
+            losses.append(lambda t: batch_loss(t, cfg))
+        for loss_of in losses:
+            t = taped(ad.Tape(), s)
+            g = ad.gradients(loss_of(t), [t.chosen_logps, t.rejected_logps])
+            good, bad = ((t.chosen_logps, t.rejected_logps) if desirable
+                         else (t.rejected_logps, t.chosen_logps))
+            assert np.all(g[good] < 0.0) and np.all(g[bad] > 0.0)
+
+    def test_loss_is_nonnegative(self, rng):
+        cfg = LossConfig(method="kto", lambda_w=1.3, lambda_l=0.7)
+        for _ in range(50):
+            s = random_pairscore(rng)
+            assert pair_losses(s, cfg, 0.3).min() >= 0.0
 
     def test_label_false_swaps_roles(self, rng):
         cfg = LossConfig(method="kto")
@@ -232,8 +258,10 @@ class TestKTO:
         assert estimate_z_ref([(s, True)], cfg) >= 0.0
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kto_loss requires a nonempty batch"):
             kto_loss([], LossConfig(method="kto"), 0.0)
+        with pytest.raises(ValueError, match="estimate_z_ref requires a nonempty batch"):
+            estimate_z_ref([], LossConfig(method="kto"))
 
 
 class TestORPO:
@@ -351,12 +379,31 @@ class TestBatchLoss:
                                                                     abs=1e-12)
 
     def test_empty_batch(self):
-        """A well-formed PairScore of no pairs is one error for every method."""
-        empty = PairScore(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), prompt_len=[],
-                          example_id=[], chosen_lens=[], rejected_lens=[])
-        for method in METHODS:
-            with pytest.raises(ValueError, match="batch_loss requires a nonempty batch"):
-                batch_loss(empty, LossConfig(method=method))
+        """A PairScore of no pairs is one error, raised where it is built, so
+        no loss ever sees an empty batch."""
+        for refs in ((np.zeros(0), np.zeros(0)), (None, None)):
+            with pytest.raises(ValueError, match="^a PairScore needs at least one pair$"):
+                PairScore(np.zeros(0), np.zeros(0), *refs, prompt_len=[], example_id=[],
+                          chosen_lens=[], rejected_lens=[])
+
+
+NAMED_LOSSES = {"d2po": d2po_loss, "dpo": dpo_loss, "d2po_ref_free": d2po_ref_free_loss,
+                "simpo": simpo_loss, "ipo": ipo_loss, "sampo": sampo_loss, "orpo": orpo_loss}
+
+
+@pytest.mark.parametrize("method", sorted(NAMED_LOSSES))
+def test_named_loss_is_batch_loss_under_its_method(method, rng):
+    """Each named loss is batch_loss with cfg.method set to its method,
+    whatever cfg.method says: the same float, or the same taped value."""
+    cfg = LossConfig(method="kto", schedule=DecaySchedule(kind="exponential", gamma=0.9),
+                     target_margin=0.3, sampo_seed=5)
+    own = replace(cfg, method=method)
+    for _ in range(20):
+        score = join_pairs([random_pairscore(rng) for _ in range(int(rng.integers(1, 6)))])
+        value = NAMED_LOSSES[method](score, cfg)
+        assert type(value) is float and value == batch_loss(score, own)
+        taped_value = NAMED_LOSSES[method](taped(ad.Tape(), score), cfg).value
+        assert taped_value.tobytes() == batch_loss(taped(ad.Tape(), score), own).value.tobytes()
 
 
 def taped(tape, score):
