@@ -34,16 +34,24 @@ class DensityHistogram:
     bin_width: float
 
 
-# Sequences per packed pass, so that a pass's R x V arrays hold at most
-# PACK * context rows however many sequences an analysis reads.
-PACK = 32
+# Sequence rows (prompt and response tokens) per packed pass, so that a
+# pass's R x V arrays hold at most ROWS rows, about 1 MB, however many
+# sequences an analysis reads and however long they are.
+ROWS = 512
 
 
-def _packs(score, items, size=PACK):
-    """``score(pack)`` over consecutive packs of at most ``size`` items."""
-    for i in range(0, len(items), size):
+def _packs(score, items, rows=len):
+    """``score(pack)`` over consecutive packs of ``items`` whose ``rows`` add
+    up to at most ROWS; an item of more rows than that is a pack of its own."""
+    starts, used = [], ROWS
+    for i, n in enumerate(map(rows, items)):
+        if used + n > ROWS:
+            starts.append(i)
+            used = 0
+        used += n
+    for lo, hi in zip(starts, [*starts[1:], len(items)]):
         with np.errstate(all="ignore"):  # each analysis rejects a value that is not finite
-            scored = score(items[i:i + size])
+            scored = score(items[lo:hi])
         yield scored
 
 

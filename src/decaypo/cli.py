@@ -184,11 +184,17 @@ def _pairs_that_fit(r: dict, policy: PolicyModel, reference: PolicyModel | None 
     return kept
 
 
+def _pair_rows(item) -> int:
+    """The rows a (pair, example id) item's two sequences take in a packed pass."""
+    pair, _ = item
+    return sum(len(make_sequence(pair.prompt, y)) for y in (pair.chosen, pair.rejected))
+
+
 def _scored_pairs(policy: PolicyModel, reference: PolicyModel | None, pairs) -> list:
-    """The PairScores of ``pairs`` from score_pairs over packs of analysis.PACK // 2
-    pairs, with their indices in ``pairs`` as example ids."""
+    """The PairScores of ``pairs`` from score_pairs over packs of at most
+    analysis.ROWS rows, with their indices in ``pairs`` as example ids."""
     return list(analysis._packs(functools.partial(score_pairs, policy, reference),
-                                [(p, i) for i, p in enumerate(pairs)], analysis.PACK // 2))
+                                [(p, i) for i, p in enumerate(pairs)], _pair_rows))
 
 
 def _cmd_kl_position(r: dict) -> None:

@@ -153,9 +153,10 @@ def _sides(score: PairScore, cfg: LossConfig, method: str):
 
 def _mean(*losses):
     """The mean of the entries of per-pair loss vectors, added in index
-    order as a chain of adds would."""
+    order as a chain of adds would: a tensor when they are, else a float."""
     total = reduce(ad.add, [ad.weighted_sum(v, np.ones(len(ad._value(v)))) for v in losses])
-    return ad.scale(total, 1.0 / sum(len(ad._value(v)) for v in losses))
+    mean = ad.scale(total, 1.0 / sum(len(ad._value(v)) for v in losses))
+    return mean if isinstance(mean, ad.Tensor) else float(mean)
 
 
 def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool = True):
@@ -250,8 +251,7 @@ def batch_loss(score: PairScore, cfg: LossConfig):
     """Mean of the losses of a PairScore's pairs, added in index order; KTO
     anchors every pair at z_ref estimated from the batch."""
     z_ref = estimate_z_ref([(score, True)], cfg) if cfg.method == "kto" else None
-    loss = _mean(pair_losses(score, cfg, z_ref))
-    return loss if isinstance(loss, ad.Tensor) else float(loss)
+    return _mean(pair_losses(score, cfg, z_ref))
 
 
 pair_loss = partial(batch_loss)  # one pair's loss; unlike an alias, keeps batch_loss's span name

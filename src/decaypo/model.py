@@ -55,9 +55,13 @@ class TokenSequence:
     def response_len(self) -> int:
         return len(self.response_tokens)
 
+    def __len__(self) -> int:
+        """Prompt and response tokens: the rows the sequence takes in a packed pass."""
+        return self.prompt_len + self.response_len
+
     def fits(self, context: int) -> bool:
         """Whether a model of ``context`` can score the whole sequence."""
-        return self.prompt_len + self.response_len <= context
+        return len(self) <= context
 
 
 def make_sequence(prompt: bytes, response: bytes) -> TokenSequence:

@@ -183,23 +183,53 @@ class AdamW:
             p -= update
 
 
-def score_pairs(policy: PolicyModel, reference: PolicyModel | None, batch) -> PairScore:
+class KeptReference:
+    """A frozen reference model and, by example id, the (chosen, rejected)
+    log-prob arrays of every pair it has scored: a pair is scored once, in
+    the packed pass of the first batch that holds it, and read back after."""
+
+    def __init__(self, model: PolicyModel):
+        self.model = model
+        self.kept: dict[int, tuple] = {}
+
+    def sides(self, batch, seqs) -> list[tuple]:
+        """(chosen, rejected) log-probs of each pair of ``batch``, whose
+        sequences are ``seqs``: the kept ones, and those of the other pairs
+        from one packed pass over their sequences, which are kept too."""
+        found = [self.kept.get(i) for _, i in batch]
+        new = [k for k, side in enumerate(found) if side is None]
+        if new:
+            flat, offsets = packed_logprobs(self.model, [seqs[2 * k + j]
+                                                         for k in new for j in (0, 1)])
+            cuts = np.split(flat, offsets[1:-1])
+            for n, k in enumerate(new):
+                found[k] = self.kept[batch[k][1]] = (cuts[2 * n], cuts[2 * n + 1])
+        return found
+
+
+def score_pairs(policy: PolicyModel, reference: PolicyModel | KeptReference | None,
+                batch) -> PairScore:
     """One PairScore of the (pair, example_id) items of ``batch``, in order,
-    from one packed pass per model; a pair that does not fit the context
+    from one packed pass of the policy; a pair that does not fit the context
     raises model._check_context's ValueError. The policy log-probs are
-    tensors when the policy is taped, else arrays; the reference ones (None
-    without ``reference``) are arrays from the same arithmetic."""
+    tensors when the policy is taped, else arrays. The reference ones are
+    None without ``reference``, else arrays from the same arithmetic: of a
+    KeptReference, which scores only the pairs it has not kept, or of a
+    model, which scores every pair in one packed pass."""
     seqs = [make_sequence(pair.prompt, response)
             for pair, _ in batch for response in (pair.chosen, pair.rejected)]
     # the reference first, so that its temporaries are freed before the tape grows
-    ref_logps = None if reference is None else packed_logprobs(reference, seqs)[0]
+    ref_sides = [None, None]
+    if reference is not None:
+        kept = reference if isinstance(reference, KeptReference) else KeptReference(reference)
+        ref_sides = [np.concatenate(side) for side in zip(*kept.sides(batch, seqs))]
     logps, offsets = packed_logprobs(policy, seqs)
     lens = np.diff(offsets)
     chosen = np.repeat(np.arange(len(seqs)) % 2 == 0, lens)  # the chosen responses' rows
-    rows = np.flatnonzero(chosen), np.flatnonzero(~chosen)
-    # policy then reference, chosen then rejected: one gather per side
-    return PairScore(*[None if flat is None else ad.gather_rows(flat, side)
-                       for flat in (logps, ref_logps) for side in rows],
+    # chosen then rejected: one gather per side
+    return PairScore(*[ad.gather_rows(logps, side)
+                       for side in (np.flatnonzero(chosen), np.flatnonzero(~chosen))],
+                     *ref_sides,
                      prompt_len=[seq.prompt_len for seq in seqs[0::2]],
                      example_id=[i for _, i in batch],
                      chosen_lens=lens[0::2], rejected_lens=lens[1::2])
@@ -211,7 +241,8 @@ def _gradients(loss, taped: PolicyModel) -> dict:
 
 
 def _batch_gradients(policy, reference, batch, cfg: TrainConfig):
-    """(loss, margin, grads) of one forward/backward over a batch."""
+    """(loss, margin, grads) of one forward/backward over a batch; the
+    reference is None, a model or a KeptReference, as score_pairs takes it."""
     with Tape() as tape:  # emptied on exit, so the step's arrays are freed when it ends
         taped = policy.taped(tape)
         score = score_pairs(taped, reference, batch)
@@ -231,6 +262,8 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
 
     Metrics is one dict per optimizer step: step, loss, margin, grad_norm,
     lr. Step k trains on batch k mod B of epoch k // B's shuffle.
+    A KeptReference scores each pair under the reference once, so epoch 2
+    on may differ at the ulp level from rescoring it in that epoch's packs.
     A step whose loss or gradient norm is not finite (a margin that is not
     makes the loss nan) raises ValueError naming the step.
     Fully deterministic in (cfg, pairs, init, reference).
@@ -240,7 +273,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
     needs_reference = cfg.loss.method not in REFERENCE_FREE
     if needs_reference and reference is None:
         raise ValueError(f"method {cfg.loss.method} requires a reference checkpoint")
-    ref_model = reference.model if needs_reference else None
+    kept = KeptReference(reference.model) if needs_reference else None
     policy = init.model.copy()
     opt = AdamW(policy.params)
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
@@ -256,7 +289,7 @@ def train(cfg: TrainConfig, pairs, init: Checkpoint,
         idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         batch = [(pairs[i], int(i)) for i in idx]
         with np.errstate(all="ignore"):  # a non-finite step raises below
-            loss, margin, grads = _batch_gradients(policy, ref_model, batch, cfg)
+            loss, margin, grads = _batch_gradients(policy, kept, batch, cfg)
             gn = grad_norm(grads)
         if not (math.isfinite(loss) and math.isfinite(gn)):
             raise ValueError(f"step {step} is not finite: loss {loss}, gradient norm {gn}")

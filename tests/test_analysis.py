@@ -1,9 +1,13 @@
 from functools import partial
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from decaypo import analysis
+from decaypo import model as model_module
 from decaypo.analysis import (DensityHistogram, PositionCurve, kl_categorical,
                               kl_per_position, loss_by_length_gap,
                               prob_per_position, ref_margin_density,
@@ -141,9 +145,9 @@ class TestSurvivorMean:
         assert got.values == want.values
 
     def test_curves_equal_the_dict_loop_over_sequences(self, monkeypatch):
-        """kl_per_position and prob_per_position, in packs of 2 and of 32,
-        against the dict loop over each sequence's values cut from the same
-        packs."""
+        """kl_per_position and prob_per_position, at a row budget of one
+        sequence per pass, of a few and of all nine, against the dict loop
+        over each sequence's values cut from the same packs."""
         policy, ref = small_model(seed=1, trained=True), small_model(seed=2, trained=True)
         seqs = sample_sequences(policy, 9, seed=40)
 
@@ -151,8 +155,8 @@ class TestSurvivorMean:
             return [row for flat, offsets in analysis._packs(score, seqs)
                     for row in np.split(flat, offsets[1:-1])]
 
-        for pack in (2, 32):
-            monkeypatch.setattr(analysis, "PACK", pack)
+        for budget in (1, 30, 10 ** 9):
+            monkeypatch.setattr(analysis, "ROWS", budget)
             rows = per_sequence(partial(packed_logprobs, policy))
             kls = per_sequence(partial(analysis._position_kl, policy, ref))
             for max_pos in (0, 4, 30):
@@ -276,8 +280,9 @@ class TestLossByLengthGap:
 
 
 class TestPackedAnalyses:
-    """The analyses score packs of at most analysis.PACK sequences per pass,
-    and analyze ref-margin and length-bias packs of analysis.PACK // 2 pairs."""
+    """The analyses score packs of at most analysis.ROWS sequence rows per
+    pass, and analyze ref-margin and length-bias pack whole pairs by the
+    same budget; a sequence or pair of more rows is a pass of its own."""
 
     def test_results_do_not_depend_on_pack_size(self, monkeypatch, tmp_path):
         from decaypo.cli import main
@@ -294,8 +299,8 @@ class TestPackedAnalyses:
         save_checkpoint(Checkpoint(policy), tmp_path / "policy.ckpt")
         save_checkpoint(Checkpoint(ref), tmp_path / "ref.ckpt")
 
-        def results(pack):
-            monkeypatch.setattr(analysis, "PACK", pack)
+        def results(budget):
+            monkeypatch.setattr(analysis, "ROWS", budget)
             flags = ["--reference", str(tmp_path / "ref.ckpt"),
                      "--pairs", str(tmp_path / "pairs.jsonl")]
             assert main(["analyze", "ref-margin", *flags, "--bins", "5",
@@ -310,12 +315,70 @@ class TestPackedAnalyses:
                                    [float(v) for row in margin for v in row],
                                    [float(v) for row in bias for v in row[2:]]])
 
-        smallest = results(2)  # one pair per ref-margin and length-bias pass
+        smallest = results(1)  # one sequence or pair per pass
         margins = margins_under(ref, [(p.prompt, p.chosen, p.rejected) for p in pairs])
         assert ref_margin_density(reference_scores(ref, pairs), bins=5).centers[0] == pytest.approx(
             min(margins) + (max(margins) - min(margins)) / 10, abs=1e-12)
-        for pack in (4, 32):
-            assert np.max(np.abs(results(pack) - smallest)) <= 1e-12
+        for budget in (40, 10 ** 9):  # a few pairs per pass, and all of them
+            assert np.max(np.abs(results(budget) - smallest)) <= 1e-12
+
+
+    def test_no_pass_exceeds_the_row_budget(self, monkeypatch, tmp_path):
+        """Each analysis's packed passes hold at most analysis.ROWS rows, but
+        for a pass over one sequence (kl-position, prob-position) or one pair
+        (ref-margin, length-bias) of more; here the budget is 40 rows and one
+        chosen response makes a sequence of 45."""
+        from decaypo.cli import main
+        from decaypo.data import save_pairs
+        from decaypo.training import Checkpoint, save_checkpoint
+        rng = np.random.default_rng(9)
+        pairs = [PreferencePair(id=str(i), prompt=b"p%d?" % i,
+                                chosen=bytes(rng.integers(97, 105, size=40 if i == 4 else
+                                                          1 + 3 * i % 11).tolist()),
+                                rejected=bytes(rng.integers(97, 105, size=2 + i % 4).tolist())
+                                + b"z") for i in range(10)]
+        save_pairs(pairs, tmp_path / "pairs.jsonl")
+        for seed, name in ((1, "policy.ckpt"), (2, "ref.ckpt")):
+            save_checkpoint(Checkpoint(small_model(seed=seed, trained=True)), tmp_path / name)
+        monkeypatch.setattr(analysis, "ROWS", 40)
+        passes = []
+        forward = model_module._forward
+
+        def spy(model, tokens, positions, bounds, rows=None):
+            passes.append((len(tokens), len(bounds) - 1))
+            return forward(model, tokens, positions, bounds, rows)
+
+        monkeypatch.setattr(model_module, "_forward", spy)
+        policy, ref = (str(tmp_path / name) for name in ("policy.ckpt", "ref.ckpt"))
+        for command, flags, per_item in (
+                ("kl-position", ["--policy", policy, "--reference", ref], 1),
+                ("prob-position", ["--model", policy], 1),
+                ("ref-margin", ["--reference", ref], 2),
+                ("length-bias", ["--policy", policy, "--reference", ref], 2)):
+            passes.clear()
+            assert main(["analyze", command, *flags, "--pairs", str(tmp_path / "pairs.jsonl"),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+            assert all(rows <= 40 or n == per_item for rows, n in passes), (command, passes)
+            assert any(rows > 40 for rows, _ in passes), (command, passes)
+            assert any(n > per_item for _, n in passes), (command, passes)
+
+    def test_kl_per_position_peak_is_bounded_by_the_row_budget(self):
+        """At dim 64, kl_per_position over 64 sequences of 150 to 213 response
+        tokens peaks at 4,096,270 bytes of traced memory (numpy 2.x, x86-64
+        Linux); in packs of 32 sequences, about 5,000 rows a pass, it peaked
+        at 52,503,097."""
+        policy, reference = (PolicyModel(dim=64, context=256, blocks=2, seed=s) for s in (1, 2))
+        rng = np.random.default_rng(6)
+        seqs = [make_sequence(b"q%d?" % i, bytes(rng.integers(97, 105, size=150 + i).tolist()))
+                for i in range(64)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kl_per_position(policy, reference, seqs, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, peak
 
 
 class TestCsvRoundTrips:

@@ -525,6 +525,18 @@ def test_kto_loss_takes_several_items(rng):
         [(join_pairs([s for s, _ in items]), True)], cfg)
 
 
+def test_plain_kto_loss_is_a_float_of_the_taped_value(rng):
+    """kto_loss returns a float for plain scores, as batch_loss and every
+    other named loss do, with the bits of the taped loss's value."""
+    cfg = LossConfig(method="kto", lambda_w=1.3, lambda_l=0.7)
+    for _ in range(50):
+        items = [(random_pairscore(rng), bool(label)) for label in rng.integers(0, 2, size=3)]
+        plain = kto_loss(items, cfg, 0.2)
+        tape = ad.Tape()
+        assert type(plain) is float
+        assert plain == float(kto_loss([(taped(tape, s), d) for s, d in items], cfg, 0.2).value)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_config_rejects_nonpositive_tau_for_every_method(method):
     # as the CLI's --tau domain does, whether or not the method reads tau

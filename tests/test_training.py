@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -15,10 +16,10 @@ from decaypo.data import PreferencePair, RewardOracle, synthetic_corpus
 from decaypo.losses import METHODS, LossConfig, PairScore, batch_loss, d2po_loss
 from decaypo.model import PolicyModel, make_sequence, token_logprobs
 from decaypo.schedules import DecaySchedule, UNIFORM, weights
-from decaypo.training import (WARMUP_FRACTION, AdamW, Checkpoint, TrainConfig, cosine_lr,
-                              evaluate_winrate, load_checkpoint, pretrain_nll,
-                              save_checkpoint, score_pairs, train, _batch_gradients,
-                              grad_norm)
+from decaypo.training import (WARMUP_FRACTION, AdamW, Checkpoint, KeptReference,
+                              TrainConfig, cosine_lr, evaluate_winrate, load_checkpoint,
+                              pretrain_nll, save_checkpoint, score_pairs, train,
+                              _batch_gradients, grad_norm)
 
 
 def small_model(seed=0, trained=False):
@@ -500,6 +501,74 @@ class TestPackedStep:
             assert len(tapes) == 2 and tapes[1]() is None
         finally:
             gc.enable()
+
+
+class Rescoring(KeptReference):
+    """A KeptReference that keeps nothing: the reference scores every batch
+    in a packed pass of its own, as it did before pairs were kept."""
+
+    def sides(self, batch, seqs):
+        self.kept.clear()
+        return super().sides(batch, seqs)
+
+
+class TestKeptReference:
+    """train scores each pair under the frozen reference once, in the packed
+    pass of the first batch that holds it, and reuses those log-probs."""
+
+    def run(self, epochs, max_steps=None):
+        """A d2po run over the 8 pairs of mixed_length_batch at batch 3:
+        three batches an epoch."""
+        pairs = [pair for pair, _ in mixed_length_batch()]
+        cfg = TrainConfig(loss=LossConfig(method="d2po"), batch_size=3, epochs=epochs,
+                          max_steps=max_steps, seed=2)
+        return train(cfg, pairs, Checkpoint(wide_model(1)), Checkpoint(wide_model(2)))
+
+    @pytest.mark.parametrize("epochs, max_steps, steps", [
+        (3, None, 9),   # three whole epochs
+        (3, 5, 5),      # stops mid-way through the second epoch
+        (3, 2, 2),      # stops mid-way through the first
+    ])
+    def test_reference_scores_each_first_epoch_batch_once(self, monkeypatch, epochs,
+                                                          max_steps, steps):
+        scored = []
+        packed_logprobs = training_module.packed_logprobs
+
+        def spy(model, seqs):
+            if not any(isinstance(p, ad.Tensor) for p in model.params.values()):
+                scored.append(list(seqs))  # a pass of the untaped reference
+            return packed_logprobs(model, seqs)
+
+        monkeypatch.setattr(training_module, "packed_logprobs", spy)
+        _, metrics = self.run(epochs, max_steps)
+        assert len(metrics) == steps
+        pairs = [pair for pair, _ in mixed_length_batch()]
+        order = training_module.rng(2, 0).permutation(8).tolist()
+        first_epoch = [[make_sequence(pairs[i].prompt, y) for i in order[b:b + 3]
+                        for y in (pairs[i].chosen, pairs[i].rejected)] for b in range(0, 8, 3)]
+        assert scored == first_epoch[:steps]
+
+    def test_first_epoch_equals_a_one_epoch_run(self, monkeypatch):
+        """At one learning rate for every step (the cosine schedule's rate
+        depends on the run's length), the first epoch of a 3-epoch run
+        writes the metrics lines of a 1-epoch run, byte for byte."""
+        monkeypatch.setattr(training_module, "cosine_lr", lambda step, total, lr: lr)
+        lines = [[json.dumps(m) for m in self.run(epochs)[1]] for epochs in (1, 3)]
+        assert len(lines[0]) == 3 and lines[1][:3] == lines[0]
+
+    def test_later_epochs_within_1e12_of_rescoring_each_step(self, monkeypatch):
+        """Against a run whose reference rescores every batch, epoch 1 is
+        byte-identical. Epochs 2 and 3 read log-probs from epoch 1's packs,
+        which can differ at the ulp level from their own: here the largest
+        deviation is 1.1e-16 in loss, at the last step, and 0 in margin,
+        which reads the policy's log-probs only."""
+        kept = self.run(3)[1]
+        monkeypatch.setattr(training_module, "KeptReference", Rescoring)
+        rescored = self.run(3)[1]
+        assert [json.dumps(m) for m in kept[:3]] == [json.dumps(m) for m in rescored[:3]]
+        deviation = max(abs(a[key] - b[key]) for a, b in zip(kept[3:], rescored[3:])
+                        for key in ("loss", "margin"))
+        assert len(kept) == 9 and deviation <= 1e-12
 
 
 class TestPerTokenScaling:
