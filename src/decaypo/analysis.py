@@ -169,15 +169,6 @@ def write_csv(path, header, rows) -> None:
         f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def read_csv(path, header) -> list[list[str]]:
-    """The rows below ``header`` in a file written by write_csv, as text cells."""
-    with open(path, encoding="utf-8") as f:
-        lines = [line for line in map(str.strip, f) if line]
-    if not lines or lines[0] != ",".join(header):
-        raise ValueError(f"{path}: expected the CSV header {','.join(header)!r}")
-    return [line.split(",") for line in lines[1:]]
-
-
 def write_curve_csv(path, curve: PositionCurve) -> None:
     write_csv(path, ("position", "value"), zip(curve.positions, curve.values))
 

@@ -1,11 +1,11 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
-The primitive set is fixed and small on purpose, twelve functions: add,
-sub, mul, scale, matmul, weighted_sum (whole or per segment), logsigmoid,
+The primitive set is fixed and small on purpose, eleven functions: add,
+mul, scale, matmul, weighted_sum (whole or per segment), logsigmoid,
 sigmoid, log1mexp, log_softmax_gather, gather_rows and causal_mean, a
 segmented causal running mean. That is exactly what the toy policy model
 and the preference losses need, and it keeps the finite-difference oracle
-in the tests exhaustive.
+in the tests exhaustive. A difference is add(a, -b), a - b's bits in IEEE.
 
 Every primitive takes tensors or plain arrays. A plain operand is a
 constant: it gets no gradient and no node. A call with no tensor operand
@@ -137,11 +137,6 @@ def _elementwise(name: str, a, b):
 def add(a, b):
     av, bv = _elementwise("add", a, b)
     return _node(av + bv, (a, lambda g: g), (b, lambda g: g))
-
-
-def sub(a, b):
-    av, bv = _elementwise("sub", a, b)
-    return _node(av - bv, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):

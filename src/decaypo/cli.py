@@ -15,6 +15,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import astuple
@@ -396,6 +397,19 @@ def help_text(command: str | None) -> str:
             "options:\n" + "\n".join(f"  --{name:<20} {text}".rstrip() for name, text in rows))
 
 
+def _check_outputs(outputs) -> None:
+    """Reject, naming the key, a (key, path) output that is not a file in an
+    existing directory, or is an earlier output's file: before the run."""
+    seen = {}
+    for key, path in outputs:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"key {key!r}: {path} is not a file in an existing directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"key {key!r}: {path} is also the output of key {seen[real]!r}")
+        seen[real] = key
+
+
 def run_command(argv) -> int:
     command, flags = read_argv(argv)
     if flags is None:
@@ -404,9 +418,12 @@ def run_command(argv) -> int:
     options, runner = COMMANDS[command]
     config = flags.pop("config", None)
     resolved = resolve(command, options, flags, config, COMMANDS)
+    snapshot = resolved.get("out") and f"{resolved['out']}.resolved.cfg"
+    outputs = [(o.name, resolved[o.name]) for o in options if o.valid is OUTPUT]
+    _check_outputs([(key, path) for key, path in [*outputs, ("out", snapshot)] if path])
     runner(resolved)
-    if resolved.get("out"):
-        write_resolved_snapshot(f"{resolved['out']}.resolved.cfg", command, resolved)
+    if snapshot:
+        write_resolved_snapshot(snapshot, command, resolved)
     return 0
 
 

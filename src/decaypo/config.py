@@ -125,8 +125,6 @@ def resolve(command: str, options, cli_values: dict,
         if bad:
             raise ConfigError(f"unknown section {sorted(bad)[0]!r}")
     for key, text in cli_values.items():
-        if text is None:
-            continue
         if key not in by_name:
             raise ConfigError(f"unknown flag --{key}")
         resolved[key] = parse_value(by_name[key], text)

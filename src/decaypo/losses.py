@@ -137,8 +137,8 @@ def _sides(score: PairScore, cfg: LossConfig, method: str):
     r_w, r_l = score.chosen_logps, score.rejected_logps
     if method not in REFERENCE_FREE:
         _require_ref(score)
-        r_w = ad.sub(r_w, ad._value(score.chosen_ref_logps))
-        r_l = ad.sub(r_l, ad._value(score.rejected_ref_logps))
+        r_w = ad.add(r_w, -ad._value(score.chosen_ref_logps))
+        r_l = ad.add(r_l, -ad._value(score.rejected_ref_logps))
     per_pair = (score.chosen_lens, score.rejected_lens, score.prompt_len, score.example_id)
     w_w, w_l = zip(*[_margin_weights(method, cfg, *pair)
                      for pair in zip(*(v.tolist() for v in per_pair))])
@@ -170,9 +170,9 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
             raise ValueError("orpo requires strictly negative mean log-probs "
                              "(odds are singular at probability 1)")
         # log odds(p) with p = exp(mean logp):  m - log(1 - e^m)
-        lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
-        lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
-        penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
+        lo_w = ad.add(mean_w, -ad.log1mexp(mean_w))
+        lo_l = ad.add(mean_l, -ad.log1mexp(mean_l))
+        penalty = ad.scale(ad.logsigmoid(ad.add(lo_w, -lo_l)), -cfg.lambda_orpo)
         return ad.add(ad.scale(mean_w, -1.0), penalty)
     s_w, s_l, offset = _sides(score, cfg, "dpo" if cfg.method == "kto" else cfg.method)
     if cfg.method == "kto":  # s_w and s_l are beta * the summed log-ratios
@@ -181,11 +181,11 @@ def pair_losses(score: PairScore, cfg: LossConfig, z_ref=None, desirable: bool =
         if not desirable:
             s_w, s_l = s_l, s_w
         # KTO's lambda_y - v(x, y): lambda_w (1 - sigma(s_w - z)) + lambda_l (1 - sigma(z - s_l))
-        return ad.add(ad.scale(ad.sigmoid(ad.sub(z, s_w)), cfg.lambda_w),
-                      ad.scale(ad.sigmoid(ad.sub(s_l, z)), cfg.lambda_l))
-    margin = ad.sub(s_w, s_l)
+        return ad.add(ad.scale(ad.sigmoid(ad.add(z, -s_w)), cfg.lambda_w),
+                      ad.scale(ad.sigmoid(ad.add(s_l, -z)), cfg.lambda_l))
+    margin = ad.add(s_w, -s_l)
     if offset:
-        margin = ad.sub(margin, np.full(margin.shape, offset))
+        margin = ad.add(margin, np.full(margin.shape, -offset))
     return ad.mul(margin, margin) if cfg.method == "ipo" else -ad.logsigmoid(margin)
 
 

@@ -282,10 +282,9 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
         with np.errstate(over="ignore", invalid="raise"):  # see _softmax; once, not per token
             for n, members in groups.items():
                 decoder = _Decoder(model, len(members))
-                *head, last = np.array([prompts[i] for i in members]).T
+                *head, tok = np.array([prompts[i] for i in members]).T
                 for column in head:  # only the last prompt column needs logits
                     decoder.feed(column)
-                logits = decoder.step(last)
                 limit = min(max_len, end - n)
                 if temperature > 0.0:
                     uniforms = u[members, :limit]
@@ -293,8 +292,7 @@ def sample_many(model: PolicyModel, prompts, temperature: float, max_len: int,
                 live = list(range(len(members)))
                 drawn: list[list[int]] = []  # live rows' tokens since a row left: one append a step
                 for t in range(limit):
-                    if t:
-                        logits = decoder.step(tok)
+                    logits = decoder.step(tok)
                     if temperature == 0.0:
                         tok = logits.argmax(axis=-1)
                     else:

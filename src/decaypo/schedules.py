@@ -1,9 +1,10 @@
 """Per-position loss coefficient schedules.
 
-Five kinds: uniform (no decay), exponential, head, linear, power-law. The
-exponential and power-law kinds support two decay origins: counting
-positions from the first prompt token or from the first response token.
-Head and linear are truncations of the response, so the origin is ignored.
+Four kinds: exponential (at gamma 1, UNIFORM, no decay), head, linear,
+power-law. The exponential and power-law kinds support two decay origins:
+counting positions from the first prompt token or from the first response
+token. Head and linear are truncations of the response, so the origin is
+ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import ceil
 
 import numpy as np
 
-KINDS = ("uniform", "exponential", "head", "linear", "powerlaw")
+KINDS = ("exponential", "head", "linear", "powerlaw")
 ORIGINS = ("prompt_start", "answer_start")
 
 
@@ -45,7 +46,7 @@ class DecaySchedule:
                 raise ValueError("power-law decay requires gamma >= 0")
 
 
-UNIFORM = DecaySchedule(kind="uniform", gamma=1.0)
+UNIFORM = DecaySchedule(kind="exponential", gamma=1.0)
 
 
 def weights(schedule: DecaySchedule, response_len: int, prompt_len: int = 0) -> np.ndarray:
@@ -60,8 +61,6 @@ def weights(schedule: DecaySchedule, response_len: int, prompt_len: int = 0) -> 
     o = l if schedule.origin == "prompt_start" else 0
     t = np.arange(T, dtype=np.float64)
 
-    if schedule.kind == "uniform":
-        return np.ones(T)
     if schedule.kind == "exponential":
         # Written as gamma^o * gamma^t so the prompt-start weights equal the
         # answer-start weights times the scalar gamma^l bit-for-bit; the

@@ -81,6 +81,16 @@ def forward_logits(model, tokens):
     return _forward(model, tokens, np.arange(n), (0, n))
 
 
+def read_csv(path, header) -> list[list[str]]:
+    """The rows below ``header`` in a file written by analysis.write_csv, as
+    text cells."""
+    with open(path, encoding="utf-8") as f:
+        lines = [line for line in map(str.strip, f) if line]
+    if not lines or lines[0] != ",".join(header):
+        raise ValueError(f"{path}: expected the CSV header {','.join(header)!r}")
+    return [line.split(",") for line in lines[1:]]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -111,6 +121,21 @@ BAD_MANIFEST_FIELDS = {"step_text": ("step", "abc"), "step_float": ("step", 1.5)
                        "dim_bool": ("dim", True), "dim_float": ("dim", 16.0),
                        "context_zero": ("context", 0), "blocks_zero": ("blocks", 0),
                        "blocks_negative": ("blocks", -1)}
+
+
+def _manifest_only(manifest: dict) -> bytes:
+    blob = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
+# checkpoint files whose manifest cannot be read or lacks a key -> what a
+# loader's error must say after the file's name
+BAD_MANIFESTS = {
+    "not_utf8": (b"\x02\x00\x00\x00\xff{", "unreadable checkpoint manifest: "),
+    "not_json": (b"\x02\x00\x00\x00{x", "unreadable checkpoint manifest: "),
+    "lacks_seed": (_manifest_only({"format": "decaypo-checkpoint-v1"}),
+                   "checkpoint manifest lacks key 'seed'"),
+}
 
 
 # damaged parameter tables of a dim-16, 2-block model -> the name a loader must report

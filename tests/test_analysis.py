@@ -17,7 +17,7 @@ from decaypo.losses import LossConfig, PairScore, batch_loss
 from decaypo.model import (PolicyModel, VOCAB_SIZE, make_sequence, packed_logprobs, sample,
                            token_logprobs)
 from decaypo.training import score_pairs
-from conftest import join_pairs, random_pairscore
+from conftest import join_pairs, random_pairscore, read_csv
 
 
 def margins_under(model, triples):
@@ -307,8 +307,8 @@ class TestPackedAnalyses:
                          "--out", str(tmp_path / "margin.csv")]) == 0
             assert main(["analyze", "length-bias", "--policy", str(tmp_path / "policy.ckpt"),
                          *flags, "--gap-bins=-4,0,4", "--out", str(tmp_path / "bias.csv")]) == 0
-            margin = analysis.read_csv(tmp_path / "margin.csv", ("value", "density"))
-            bias = analysis.read_csv(tmp_path / "bias.csv", ("gap_lo", "gap_hi",
+            margin = read_csv(tmp_path / "margin.csv", ("value", "density"))
+            bias = read_csv(tmp_path / "bias.csv", ("gap_lo", "gap_hi",
                                                              "mean_loss", "count"))
             return np.concatenate([kl_per_position(policy, ref, seqs, 12).values,
                                    prob_per_position(policy, seqs, 12).values,
@@ -387,7 +387,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "curve.csv"
         write_curve_csv(path, curve)
         assert path.read_text().startswith("position,value\n")
-        rows = analysis.read_csv(path, ("position", "value"))
+        rows = read_csv(path, ("position", "value"))
         assert [int(p) for p, _ in rows] == curve.positions
         assert [float(v) for _, v in rows] == curve.values
 
@@ -396,7 +396,7 @@ class TestCsvRoundTrips:
                                 np.array([0.2, 0.6, 0.2]), 1.0)
         path = tmp_path / "hist.csv"
         write_histogram_csv(path, hist)
-        rows = analysis.read_csv(path, ("value", "density"))
+        rows = read_csv(path, ("value", "density"))
         assert np.array_equal([float(c) for c, _ in rows], hist.centers)
         assert np.array_equal([float(d) for _, d in rows], hist.density)
 

@@ -160,7 +160,6 @@ class TestSequenceLogprobs:
 W = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
 PRIMITIVES = {
     "add": (ad.add, [(3, 4), (3, 4)]),
-    "sub": (ad.sub, [(3, 4), (3, 4)]),
     "mul": (ad.mul, [(3, 4), (3, 4)]),
     "scale": (lambda a: ad.scale(a, -1.5), [(3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 3)]),

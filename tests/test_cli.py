@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BAD_MANIFEST_FIELDS, MISFITS, misfit_params, write_raw_checkpoint
-from decaypo import analysis, cli, config, data, mdp, model as model_module, training
+from conftest import (BAD_MANIFEST_FIELDS, BAD_MANIFESTS, MISFITS, misfit_params, read_csv,
+                      write_raw_checkpoint)
+from decaypo import cli, config, data, mdp, model as model_module, training
 from decaypo.cli import COMMANDS, main
 from decaypo.config import atomic_write, parse_value, seed_substream
 from decaypo.data import load_pairs
@@ -93,17 +94,30 @@ class TestErrors:
         assert capsys.readouterr().err == "error: unknown key 'base-lr' in section [train]\n"
 
     @pytest.mark.parametrize("damage", ["empty", "two_bytes", "list_manifest",
-                                        "short_payload", "trailing_bytes"])
+                                        "short_payload", "trailing_bytes", *sorted(BAD_MANIFESTS)])
     def test_malformed_checkpoint_exit_2_one_line(self, workdir, tmp_path, capsys, damage):
         blob = (workdir / "model.ckpt").read_bytes()
-        bad = {"empty": b"", "two_bytes": blob[:2],
-               "list_manifest": b"\x02\x00\x00\x00[]",
-               "short_payload": blob[:-4], "trailing_bytes": blob + b"\x00"}[damage]
+        bad, message = {"empty": (b"", "truncated checkpoint header"),
+                        "two_bytes": (blob[:2], "truncated checkpoint header"),
+                        "list_manifest": (b"\x02\x00\x00\x00[]", "not a checkpoint file"),
+                        "short_payload": (blob[:-4], "payload of"),
+                        "trailing_bytes": (blob + b"\x00", "payload of"),
+                        **BAD_MANIFESTS}[damage]
         path = tmp_path / "damaged.ckpt"
         path.write_bytes(bad)
         assert main(["sample", "--model", str(path), "--prompt", "hi"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and str(path) in err[0]
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and str(path) in err[0] and message in err[0]
+
+    def test_pair_record_that_is_not_an_object_exit_2_one_line(self, tmp_path, capsys):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("[1]\n")
+        assert argv_outcome(capsys, ["train", *SMALL_ARCH, "--pairs", str(path),
+                                     "--out", str(tmp_path / "x.ckpt"),
+                                     "--metrics", str(tmp_path / "x.jsonl")]) == \
+            (2, "", "runtime error: line 1: record is not a JSON object\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
 
     @pytest.mark.parametrize("key", ["prompt", "chosen", "rejected"])
     def test_non_string_pair_field_exit_2_one_line(self, tmp_path, capsys, key):
@@ -225,6 +239,7 @@ class TestErrors:
 OUT_OF_DOMAIN = [
     ("train", "dim", "0"), ("train", "context", "0"), ("train", "blocks", "-1"),
     ("train", "method", "foo"), ("train", "schedule", "foo"), ("train", "origin", "foo"),
+    ("train", "schedule", "uniform"),  # no decay is exponential at gamma 1
     ("train", "beta", "0"), ("train", "tau", "0"), ("train", "lr-multiplier", "-1"),
     ("train", "batch-size", "0"), ("train", "batch-size", "-1"), ("train", "epochs", "-1"),
     ("train", "max-steps", "-3"), ("train", "gamma", "0"),
@@ -280,6 +295,52 @@ def test_out_of_domain_value_exit_1_names_key(tmp_path, capsys, command, key, te
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"key {key!r}:" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+# (command, key, path) of every file a command writes, at a path it cannot
+# write: in a missing directory, a directory itself, or (--out) a path whose
+# resolved config would be a directory
+UNWRITABLE = [(c, o.name, path) for c, (options, _) in sorted(COMMANDS.items())
+              for o in options if o.valid is cli.OUTPUT
+              for path in ("nodir/y.out", "adir", "adir/", "snapdir")
+              if path != "snapdir" or o.name == "out"]
+
+
+@pytest.mark.parametrize("command,key,path", UNWRITABLE,
+                         ids=[f"{c}-{k}={p}" for c, k, p in UNWRITABLE])
+def test_unwritable_output_exit_1_before_the_run(tmp_path, monkeypatch, capsys, command,
+                                                 key, path):
+    """An unwritable output is one line naming the key before any input is
+    read, not a runtime error once the work is done. The inputs are absent,
+    so reading one would exit 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "snapdir.resolved.cfg").mkdir()
+    options = COMMANDS[command][0]
+    argv = [*command_argv(command),
+            *(arg for o in options if o.required for arg in (f"--{o.name}", "absent")),
+            f"--{key}", path]
+    shown = "snapdir.resolved.cfg" if path == "snapdir" else path
+    assert argv_outcome(capsys, argv) == (
+        1, "", f"error: key {key!r}: {shown} is not a file in an existing directory\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "snapdir.resolved.cfg"]
+
+
+@pytest.mark.parametrize("metrics,line", [
+    ("o/x.ckpt", "key 'metrics': o/x.ckpt is also the output of key 'out'"),
+    ("./o/../o/x.ckpt", "key 'metrics': ./o/../o/x.ckpt is also the output of key 'out'"),
+    ("o/x.ckpt.resolved.cfg",
+     "key 'out': o/x.ckpt.resolved.cfg is also the output of key 'metrics'")])
+def test_two_outputs_naming_one_file_exit_1_before_the_run(workdir, tmp_path, monkeypatch,
+                                                           capsys, metrics, line):
+    """train's metrics, checkpoint and resolved config are three files; one
+    named twice would be overwritten in silence."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o").mkdir()
+    assert argv_outcome(capsys, ["train", *SMALL_ARCH, "--pairs", str(workdir / "pairs.jsonl"),
+                                 "--max-steps", "1", "--out", "o/x.ckpt",
+                                 "--metrics", metrics]) == (1, "", f"error: {line}\n")
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -639,16 +700,15 @@ def read_snapshot(out):
 
 
 class TestTrainCommand:
-    def test_gamma_one_matches_uniform(self, workdir):
-        a = workdir / "uni.jsonl"
-        b = workdir / "exp1.jsonl"
-        assert run_train(workdir, a, workdir / "uni.ckpt",
-                         "--schedule", "uniform") == 0
-        assert run_train(workdir, b, workdir / "exp1.ckpt",
+    def test_gamma_one_matches_uniform(self, tmp_path, workdir):
+        """d2po at exponential gamma 1 is dpo, d2po under UNIFORM, to the byte."""
+        assert run_train(workdir, tmp_path / "dpo.jsonl", tmp_path / "dpo.ckpt",
+                         "--method", "dpo") == 0
+        assert run_train(workdir, tmp_path / "exp1.jsonl", tmp_path / "exp1.ckpt",
                          "--schedule", "exponential", "--gamma", "1.0") == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert (workdir / "uni.ckpt").read_bytes() == \
-            (workdir / "exp1.ckpt").read_bytes()
+        for suffix in (".jsonl", ".ckpt"):
+            assert (tmp_path / f"dpo{suffix}").read_bytes() == \
+                (tmp_path / f"exp1{suffix}").read_bytes()
 
     def test_repeat_runs_byte_identical(self, workdir):
         a = workdir / "r1.jsonl"
@@ -926,13 +986,15 @@ class TestSampleEval:
 
 def csv_columns(path, header):
     """The columns of a CSV file that analysis.write_csv wrote, as float arrays."""
-    return np.array(analysis.read_csv(path, header), dtype=np.float64).T
+    return np.array(read_csv(path, header), dtype=np.float64).T
 
 
 class TestAnalyzeCommands:
-    def test_kl_position_csv(self, workdir):
-        out = workdir / "kl.csv"
-        rc = main(["analyze", "kl-position", "--policy", str(workdir / "uni.ckpt"),
+    def test_kl_position_csv(self, workdir, tmp_path):
+        assert run_train(workdir, tmp_path / "m.jsonl", tmp_path / "policy.ckpt",
+                         "--gamma", "1.0") == 0
+        out = tmp_path / "kl.csv"
+        rc = main(["analyze", "kl-position", "--policy", str(tmp_path / "policy.ckpt"),
                    "--reference", str(workdir / "model.ckpt"),
                    "--pairs", str(workdir / "pairs.jsonl"),
                    "--max-pos", "6", "--out", str(out)])
@@ -1218,7 +1280,7 @@ class TestMdpVerify:
         assert main([*args, "--out", str(tmp_path / "single.csv")]) == 0
         assert sizes == [100] + [1] * 100
         capsys.readouterr()
-        stacked, single = (np.array(analysis.read_csv(tmp_path / name, MDP_HEADER), dtype=float)
+        stacked, single = (np.array(read_csv(tmp_path / name, MDP_HEADER), dtype=float)
                            for name in ("stacked.csv", "single.csv"))
         worst = float(np.max(np.abs(stacked - single)))
         print(f"max deviation between a stack of 100 and stacks of one: {worst:.2e}")
@@ -1232,7 +1294,7 @@ class TestMdpVerify:
         assert main(["mdp-verify", "--seeds", "2", "--states", str(S), "--actions", str(A),
                      "--horizon", str(H), "--out", str(out)]) == 0
         capsys.readouterr()
-        rows = analysis.read_csv(out, MDP_HEADER)
+        rows = read_csv(out, MDP_HEADER)
         expected = []
         for seed in range(2):
             stack = mdp.random_stack(S, A, H, 1.0, [seed])
@@ -1251,7 +1313,7 @@ class TestMdpVerify:
         assert main(["mdp-verify", "--seeds", "1", "--gammas", "0.5,0.9,1.0",
                      "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out) == {"rows": 3, "violations": 1}
-        assert [row[-1] for row in analysis.read_csv(out, MDP_HEADER)] == ["0", "1", "1"]
+        assert [row[-1] for row in read_csv(out, MDP_HEADER)] == ["0", "1", "1"]
 
     def test_csv_text_is_repr_of_each_seed_s_reports(self, tmp_path, capsys):
         gammas = [0.5, 0.9, 0.95, 0.98, 1.0]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decaypo.cli import COMMANDS, main
-from decaypo.config import (SEED_TAGS, ConfigError, Option, above, at_least, one_of,
-                            resolve)
+from decaypo.config import (SEED_TAGS, ConfigError, Option, above, at_least,
+                            load_config_file, one_of, resolve)
 from decaypo.data import synthetic_corpus
 from decaypo.mdp import random_mdp
 from decaypo.model import init_params
@@ -198,6 +198,20 @@ def test_any_int_seed_names_the_stream_of_its_63_bit_residue(name):
     draw = SEEDED[name]
     assert draw(-1) == draw(2**63 - 1)
     assert draw(-1) != draw(1)
+
+
+def test_missing_config_file_named(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot read config file .*missing.cfg: "):
+        load_config_file(tmp_path / "missing.cfg")
+
+
+def test_missing_config_file_exit_1_one_line(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["mdp-verify", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read config file {cfg}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_utf8_config_file_exit_1_naming_file(tmp_path, capsys):

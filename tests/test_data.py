@@ -70,6 +70,14 @@ class TestPersistence:
             load_pairs(path)
         assert err.value.line_no == 3
 
+    def test_record_that_is_not_an_object_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = '{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'
+        path.write_text(good + "\n[1]\n")
+        with pytest.raises(PairError, match="^line 2: record is not a JSON object$") as err:
+            load_pairs(path)
+        assert err.value.line_no == 2
+
     def test_validation_error_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = '{"id":"a","prompt":"q","chosen":"x","rejected":"y","meta":{}}'

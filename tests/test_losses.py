@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -300,9 +301,9 @@ class TestORPO:
         T_w, T_l = score.chosen_lens, score.rejected_lens
         mean_w = segment_sums(score.chosen_logps, T_w, np.repeat(1.0 / T_w, T_w))
         mean_l = segment_sums(score.rejected_logps, T_l, np.repeat(1.0 / T_l, T_l))
-        lo_w = ad.sub(mean_w, ad.log1mexp(mean_w))
-        lo_l = ad.sub(mean_l, ad.log1mexp(mean_l))
-        penalty = ad.scale(ad.logsigmoid(ad.sub(lo_w, lo_l)), -cfg.lambda_orpo)
+        lo_w = ad.add(mean_w, -ad.log1mexp(mean_w))
+        lo_l = ad.add(mean_l, -ad.log1mexp(mean_l))
+        penalty = ad.scale(ad.logsigmoid(ad.add(lo_w, -lo_l)), -cfg.lambda_orpo)
         return ad.add(ad.scale(mean_w, -1.0), penalty)
 
     def test_means_from_simpo_sides_bit_identical_to_own_weights(self, rng):
@@ -589,3 +590,67 @@ def test_readme_loss_table_matches_methods():
     table = {name.strip().strip("`"): needed.strip() for name, needed in rows}
     assert set(table) == set(METHODS)
     assert table == {m: "no" if m in REFERENCE_FREE else "yes" for m in METHODS}
+
+
+def kernels_digest() -> str:
+    """sha256 of numpy's exp, log, log1p, expm1 and power on fixed inputs.
+    On a CPU with AVX-512 numpy rounds these with its own SIMD kernels, and
+    elsewhere with the C library's; the two differ in last bits."""
+    x = np.linspace(-6.0, 6.0, 241)
+    parts = (np.exp(x), np.log(np.abs(x) + 0.5), np.log1p(np.abs(x)), np.expm1(x),
+             np.power(0.9, np.arange(64.0)))
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+# sha256 of each method's batch loss, taped and plain, its per-pair losses and
+# its gradients, under UNIFORM, exponential 0.9 answer_start and exponential 1.0
+# (pinned_bits), taken before sub left the autodiff: a - b became a + (-b).
+# Keyed by kernels_digest: one table per kernel set.
+PINNED_BITS = {
+    "f94150c8f3fa29036a7891859568232b1ee0ed1e448c7af1906dcddd05598b5a": {  # AVX-512
+        "d2po": "7e2a0827dc58c2aa417f42e423d7a4c638a24f340d333f54ed9998aec7601dfb",
+        "dpo": "1aa3c8869aa138d5a9ef1e73174b197fd92942727c5a1eecf82054cd7ebf923a",
+        "d2po_ref_free": "9323841822b0b24cbe6510d4a6bc250201caf9dbb4598a14213fa79cec57f97f",
+        "simpo": "836282459e8c9cb683945e4a90b648f9289328894c327bdd9087ac97a544b366",
+        "ipo": "d6d90e051b6651cf280004c27baf96af827816c4121ab39dd9032f8d3b4d66ea",
+        "kto": "fde40a47f548b401b97b639df5ca0814dc520b8978b54c8922b0cece372f471d",
+        "orpo": "db62e9bcb7c1afa36b52fb334af7a2aeea2eebf64df82d6cd0cf3b52c9d9de8c",
+        "sampo": "8f3417cdc637600547de147572be78c9e208e9f20397dd15feef45ed8fdfabce",
+    },
+    "1b5684846102588ca9966b4d7fb3f2636a160c150c03c4b1dbd38b1ac457cf71": {  # the C library's
+        "d2po": "4ac0c56c1c131046d66aa3b71a1a78c87f0c3b2907529e8bc5040f96bb20df6f",
+        "dpo": "1aa3c8869aa138d5a9ef1e73174b197fd92942727c5a1eecf82054cd7ebf923a",
+        "d2po_ref_free": "9323841822b0b24cbe6510d4a6bc250201caf9dbb4598a14213fa79cec57f97f",
+        "simpo": "d0d2ef17329679109350239b374046dce72ed75d51e3cabafab80895aaea3a5c",
+        "ipo": "d6d90e051b6651cf280004c27baf96af827816c4121ab39dd9032f8d3b4d66ea",
+        "kto": "839b03f73d535e67c47261e22072171fd2098fa29db34041002a1f4fa22f11f3",
+        "orpo": "dead274b40c7d5a979a8f153bee0b1ec0978913a3dd2f0a70605db4437d9b11b",
+        "sampo": "89b390aea35ac6451509c0e76643bea66cb49947066541b1149ce5df1d5c7164",
+    },
+}
+
+
+def pinned_bits(method: str) -> str:
+    h = hashlib.sha256()
+    for schedule in (UNIFORM, DecaySchedule("exponential", 0.9, "answer_start"),
+                     DecaySchedule("exponential", 1.0)):
+        score = join_pairs([random_pairscore(np.random.default_rng(i), prompt_len=i)
+                            for i in range(5)])
+        cfg = LossConfig(method=method, schedule=schedule)
+        with ad.Tape() as tape:
+            taped = replace(score, chosen_logps=ad.leaf(tape, score.chosen_logps),
+                            rejected_logps=ad.leaf(tape, score.rejected_logps))
+            loss = batch_loss(taped, cfg)
+            grads = ad.gradients(loss)
+        for x in (loss.value, batch_loss(score, cfg), pair_losses(score, cfg),
+                  *grads.values()):
+            h.update(np.asarray(x, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_losses_and_gradients_keep_their_pinned_bits(method):
+    pinned = PINNED_BITS.get(kernels_digest())
+    if pinned is None:
+        pytest.skip("numpy's exp, log, log1p, expm1 and power round here as in no pinned table")
+    assert pinned_bits(method) == pinned[method]

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from decaypo.schedules import DecaySchedule, UNIFORM, weights
+from decaypo.schedules import KINDS, ORIGINS, DecaySchedule, UNIFORM, weights
 
 
 class TestExamples:
@@ -42,15 +44,17 @@ class TestExamples:
         assert weights(s, 3, 2).tolist() == [np.inf] * 3
 
     def test_uniform_ignores_origin(self):
-        for origin in ("prompt_start", "answer_start"):
-            s = DecaySchedule(kind="uniform", gamma=1.0, origin=origin)
-            assert np.array_equal(weights(s, 6, 11), np.ones(6))
+        """UNIFORM is exponential at gamma 1: exactly 1 under either origin."""
+        assert UNIFORM == DecaySchedule(kind="exponential", gamma=1.0)
+        for origin in ORIGINS:
+            s = replace(UNIFORM, origin=origin)
+            assert weights(s, 6, 11).tolist() == [1.0] * 6
 
 
 class TestInvariants:
     def test_bounded_when_gamma_below_one(self):
         rng = np.random.default_rng(0)
-        for kind in ("uniform", "exponential", "head", "linear", "powerlaw"):
+        for kind in KINDS:
             for _ in range(20):
                 g = float(rng.uniform(0.05, 1.0))
                 s = DecaySchedule(kind=kind, gamma=g)
@@ -104,8 +108,10 @@ class TestValidation:
             DecaySchedule(kind="powerlaw", gamma=-0.1)
 
     def test_unknown_kind_and_origin(self):
-        with pytest.raises(ValueError):
-            DecaySchedule(kind="cosine")
+        assert KINDS == ("exponential", "head", "linear", "powerlaw")
+        for kind in ("cosine", "uniform"):
+            with pytest.raises(ValueError, match="unknown schedule kind"):
+                DecaySchedule(kind=kind)
         with pytest.raises(ValueError):
             DecaySchedule(origin="middle")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (BAD_MANIFEST_FIELDS, MISFITS, forward_logits, misfit_params,
+from conftest import (BAD_MANIFEST_FIELDS, BAD_MANIFESTS, MISFITS, forward_logits, misfit_params,
                       pairwise_batch_loss, write_raw_checkpoint)
 from decaypo import autodiff as ad
 from decaypo import training as training_module
@@ -111,17 +111,19 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="bad.ckpt"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("blob", [
-        b"",
-        b"\x02\x00",
-        b"\x02\x00\x00\x00[]",
-        b"\x0c\x00\x00\x00\"manifest\"",
-    ], ids=["empty", "two_bytes", "list_manifest", "string_manifest"])
-    def test_malformed_header_or_manifest_names_file(self, tmp_path, blob):
+    @pytest.mark.parametrize("blob,message", [
+        (b"", "truncated checkpoint header"),
+        (b"\x02\x00", "truncated checkpoint header"),
+        (b"\x02\x00\x00\x00[]", "not a checkpoint file"),
+        (b"\x0a\x00\x00\x00\"manifest\"", "not a checkpoint file"),
+        *(BAD_MANIFESTS[case] for case in sorted(BAD_MANIFESTS)),
+    ], ids=["empty", "two_bytes", "list_manifest", "string_manifest", *sorted(BAD_MANIFESTS)])
+    def test_malformed_header_or_manifest_names_file(self, tmp_path, blob, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(blob)
-        with pytest.raises(ValueError, match="bad.ckpt"):
+        with pytest.raises(ValueError, match="bad.ckpt") as err:
             load_checkpoint(path)
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_FIELDS))
     def test_manifest_field_types_named(self, tmp_path, case):

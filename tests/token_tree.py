@@ -13,7 +13,8 @@ R_j), the chance that i and j are drawn from the reference and i is
 preferred under Bradley-Terry on the reward R. ``soft_optimum`` is the
 policy pi* proportional to pi_ref exp(R / beta), which maximises
 E[R] - beta KL(pi || pi_ref), and ``as_mdp`` is the tree as a deterministic
-MDP of one state per node, for mdp.soft_value_iteration.
+MDP of one state per node, for mdp.soft_value_iteration, whose policy
+``soft_value_table`` reads back into a table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from decaypo import autodiff as ad
 from decaypo.losses import LossConfig, PairScore, pair_losses
-from decaypo.mdp import MDPStack
+from decaypo.mdp import MDPStack, soft_value_iteration
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,13 @@ def random_policy(tree: TokenTree, rng) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def problem(A: int, H: int, seed: int):
+    """A tree, a random reference policy and rewards uniform in [-1, 1]."""
+    tree = TokenTree(A, H)
+    rng = np.random.default_rng(seed)
+    return tree, random_policy(tree, rng), rng.uniform(-1.0, 1.0, A ** H)
+
+
 def soft_optimum(tree: TokenTree, ref: np.ndarray, reward: np.ndarray,
                  beta: float) -> np.ndarray:
     """The (nodes, A) table of pi* = pi_ref exp(R / beta) / Z: at each node,
@@ -99,6 +107,15 @@ def as_mdp(tree: TokenTree, reward: np.ndarray) -> MDPStack:
     return MDPStack(P, r, tree.H, np.array([np.abs(reward).max()]))
 
 
+def soft_value_table(tree: TokenTree, ref: np.ndarray, reward: np.ndarray, beta: float,
+                     gamma: float) -> np.ndarray:
+    """soft_value_iteration's (H, S, A) policy on as_mdp(tree, reward) at
+    beta and gamma as a (nodes, A) table: row t at the nodes of depth t."""
+    _, pi = soft_value_iteration(as_mdp(tree, reward),
+                                 np.broadcast_to(ref, (tree.H, *ref.shape)), beta, gamma)
+    return np.concatenate([pi[t, tree.depth(t)] for t in range(tree.H)])
+
+
 def population_loss(tree: TokenTree, logits, ref: np.ndarray, reward: np.ndarray,
                     cfg: LossConfig):
     """The expected loss under cfg of the pairs drawn as the module says,
@@ -120,3 +137,12 @@ def population_loss(tree: TokenTree, logits, ref: np.ndarray, reward: np.ndarray
     p_ref = np.exp(tree.sequence_logprobs(ref))
     weights = p_ref[i] * p_ref[j] / (1.0 + np.exp(reward[j] - reward[i]))
     return ad.weighted_sum(pair_losses(score, cfg), weights)
+
+
+def largest_gradient(tree: TokenTree, table: np.ndarray, ref: np.ndarray,
+                     reward: np.ndarray, cfg: LossConfig) -> float:
+    """max |d population_loss / d logits| under cfg at logits log ``table``."""
+    with ad.Tape() as tape:
+        logits = ad.leaf(tape, np.log(table))
+        loss = population_loss(tree, logits, ref, reward, cfg)
+        return float(np.abs(ad.gradients(loss, [logits])[logits]).max())
